@@ -35,7 +35,6 @@ from .graphs import (
 )
 from .hilbert import (
     SectorBasis,
-    apply_hamiltonian,
     build_sector_hamiltonian,
     dicke_vector,
     sector_basis,
@@ -47,21 +46,14 @@ from .rdm import (
     concurrence_wootters_raw,
     concurrence_x,
     concurrence_x_raw,
-    pair_rdm_mixed,
-    pair_rdm_pure,
     sxsx_correlator,
     x_state_from_matrix,
 )
 from .spectra import (
-    MixedStateSpec,
     SectorSpectrum,
     eig_sym,
     energy_gap,
     full_spectrum,
-    gibbs_weights,
-    ground_degeneracy,
-    ground_energy,
-    ground_subspace,
 )
 from .sweep import (
     GeometrySpec,

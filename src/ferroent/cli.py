@@ -8,9 +8,12 @@ between runs are meaningful.  Exit codes: 0 success, 1 failed check,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from fractions import Fraction
+
+import numpy as np
 
 from . import analytic
 from .graphs import (
@@ -26,10 +29,10 @@ from .graphs import (
     star_graph,
 )
 from .hilbert import build_sector_hamiltonian
-from .rdm import pair_rdm_mixed
-from .spectra import energy_gap, full_spectrum, gibbs_weights, ground_energy
+from .spectra import energy_gap, full_spectrum
 from .sweep import (
     RAW_CONCURRENCE_THRESHOLD,
+    GraphThermalEngine,
     SweepConfig,
     builtin_graph_set,
     run_sweep,
@@ -130,7 +133,8 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
     spectra = full_spectrum(graph, b_field=args.b_field)
     out, close = _open_output(args.output)
     try:
-        out.write("# ground_energy=" + _FMT % ground_energy(spectra) + "\n")
+        ground_energy = min(float(spectrum.eigenvalues[0]) for spectrum in spectra)
+        out.write("# ground_energy=" + _FMT % ground_energy + "\n")
         out.write("# gap=" + _FMT % energy_gap(spectra) + "\n")
         out.write("n_up,index,eigenvalue\n")
         for spectrum in spectra:
@@ -147,9 +151,11 @@ def _cmd_rdm(args: argparse.Namespace) -> int:
     i, j = args.pair
     if not (0 <= i < graph.n_spins and 0 <= j < graph.n_spins) or i == j:
         raise SystemExit(f"ferroent: invalid pair ({i}, {j}) for {graph.n_spins} spins")
-    spectra = full_spectrum(graph, b_field=args.b_field)
-    mixture = gibbs_weights(spectra, args.temperature)
-    rho = pair_rdm_mixed(mixture, spectra, (i, j))
+    engine = GraphThermalEngine(graph)
+    weights = engine.weights(args.temperature, args.b_field)
+    alpha, beta, gamma, delta, epsilon = engine.pair_entries(weights, (i, j))
+    rho = np.diag([alpha, beta, delta, epsilon])
+    rho[1, 2] = rho[2, 1] = gamma
     out, close = _open_output(args.output)
     try:
         out.write("# pair basis order: both-up, first-up, second-up, both-down\n")
@@ -158,8 +164,7 @@ def _cmd_rdm(args: argparse.Namespace) -> int:
         out.write("row,col,real,imag\n")
         for a in range(4):
             for b in range(4):
-                out.write("%d,%d,%s,%s\n"
-                          % (a, b, _FMT % rho[a, b].real, _FMT % rho[a, b].imag))
+                out.write("%d,%d,%s,0\n" % (a, b, _FMT % rho[a, b]))
     finally:
         if close:
             out.close()
@@ -275,28 +280,24 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     else:
         graphs = builtin_graph_set()
 
-    reports = []
-    scans = []
-    all_ok = True
-    if args.suite in ("universal", "all"):
-        for graph_id, graph in graphs:
-            report = verify_universal(graph, graph_id=graph_id)
-            reports.append(report)
-            all_ok &= report.passed
-    if args.suite in ("degeneracy", "all"):
-        for graph_id, graph in graphs:
-            report = verify_degeneracy(graph, graph_id=graph_id)
-            reports.append(report)
-            all_ok &= report.passed
-    if args.suite in ("sweep-zero", "all"):
-        for graph_id, graph in graphs:
-            n = graph.n_spins
-            t_grid = [n * k / 20.0 for k in range(21)]
-            reached = zero_temperature_scan(graph, t_grid, b_field=args.b_field)
-            ok = reached == t_grid[-1]
+    # One engine per graph runs every selected suite; reports keep suite order.
+    universal, degeneracy, scans = [], [], []
+    for graph_id, graph in graphs:
+        engine = GraphThermalEngine(graph)
+        if args.suite in ("universal", "all"):
+            universal.append(verify_universal(engine, graph_id=graph_id))
+        if args.suite in ("degeneracy", "all"):
+            degeneracy.append(verify_degeneracy(engine, graph_id=graph_id))
+        if args.suite in ("sweep-zero", "all"):
+            t_grid = [graph.n_spins * k / 20.0 for k in range(21)]
+            reached = zero_temperature_scan(engine, t_grid, b_field=args.b_field)
             scans.append({"graph_id": graph_id, "max_clean_t": reached,
-                          "grid_top": t_grid[-1], "passed": ok})
-            all_ok &= ok
+                          "grid_top": t_grid[-1], "passed": reached == t_grid[-1]})
+        del engine  # hold one diagonalized graph at a time
+    reports = universal + degeneracy
+    all_ok = all(report.passed for report in reports) and all(
+        scan["passed"] for scan in scans
+    )
 
     for report in reports:
         status = "PASS" if report.passed else "FAIL"
@@ -321,7 +322,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.json_output:
         payload = {
             "suite": args.suite,
-            "reports": [report.to_dict() for report in reports],
+            "reports": [dataclasses.asdict(report) for report in reports],
             "scans": scans,
             "passed": bool(all_ok),
         }
@@ -419,11 +420,12 @@ def main(argv: list[str] | None = None) -> int:
             print(err.code, file=sys.stderr)
             return 2
         raise
+    except BrokenPipeError:
+        # A closed downstream pipe (``| head``) ends the output, not the command.
+        return 0
     except (ValueError, RuntimeError, OSError) as err:
         print(f"ferroent: {err}", file=sys.stderr)
         return 2
-    except BrokenPipeError:
-        return 0
 
 
 if __name__ == "__main__":

@@ -82,31 +82,6 @@ def build_sector_hamiltonian(
     return matrix
 
 
-def apply_hamiltonian(
-    graph: SpinGraph, n_up: int, b_field: float, vector: np.ndarray
-) -> np.ndarray:
-    """Matrix-free product of the sector Hamiltonian with a state vector."""
-    basis = sector_basis(graph.n_spins, n_up)
-    if vector.shape != (len(basis),):
-        raise ValueError(
-            f"vector has shape {vector.shape}, sector dimension is {len(basis)}"
-        )
-    index = basis.index()
-    out = np.zeros_like(vector)
-    field_shift = b_field * basis.sz
-    for k, mask in enumerate(basis.states):
-        diagonal = field_shift
-        for i, j, coupling in graph.edges:
-            if ((mask >> i) ^ (mask >> j)) & 1:
-                diagonal -= 0.25 * coupling
-                swapped = mask ^ ((1 << i) | (1 << j))
-                out[index[swapped]] += 0.5 * coupling * vector[k]
-            else:
-                diagonal += 0.25 * coupling
-        out[k] += diagonal * vector[k]
-    return out
-
-
 def dicke_vector(n_spins: int, n_up: int) -> np.ndarray:
     """Uniform superposition over the n_up sector (a completely symmetric state)."""
     if not (0 <= n_up <= n_spins):

@@ -1,4 +1,4 @@
-"""Two-spin reduced density matrices, Wootters concurrence, correlators.
+"""Pair trace tables, two-spin reduced density matrices, Wootters concurrence.
 
 Pair basis convention, fixed everywhere in this package: for an ordered
 pair (a, b) the four product states are indexed
@@ -7,7 +7,10 @@ pair (a, b) the four product states are indexed
 
 so entry (0, 0) is the probability of both spins up and (3, 3) of both
 spins down.  States drawn from a fixed-S^z sector give the sparse "X"
-pattern: diagonal plus a single coherence between indices 1 and 2.
+pattern: diagonal plus a single coherence between indices 1 and 2, so a
+pair state is fully described by five entries.  ``pair_trace_tables``
+and ``eigenstate_pair_entries`` compute those entries for every
+eigenvector of a sector at once.
 
 Concurrence is reported in two flavors: the clamped value in [0, 1]
 (the entanglement monotone) and the raw, unclamped combination, which
@@ -22,7 +25,6 @@ from math import sqrt
 import numpy as np
 
 from .hilbert import SectorBasis
-from .spectra import MixedStateSpec, SectorSpectrum
 
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-10
@@ -114,63 +116,6 @@ def x_state_from_matrix(rho: np.ndarray, sparsity_tol: float = 1e-12) -> XStateR
     )
 
 
-def _pair_category(mask: int, a: int, b: int) -> int:
-    bit_a = (mask >> a) & 1
-    bit_b = (mask >> b) & 1
-    return (1 - bit_a) * 2 + (1 - bit_b)
-
-
-def pair_rdm_pure(
-    vector: np.ndarray, basis: SectorBasis, pair: tuple[int, int]
-) -> np.ndarray:
-    """Trace a sector state down to the (a, b) pair.
-
-    Amplitudes are grouped by environment configuration (the mask with
-    bits a, b cleared); each group contributes the outer product of its
-    4-component pair amplitude vector.
-    """
-    a, b = pair
-    n = basis.n_spins
-    if a == b or not (0 <= a < n and 0 <= b < n):
-        raise ValueError(f"invalid pair {pair} for {n} spins")
-    if vector.shape != (len(basis),):
-        raise ValueError(
-            f"vector has shape {vector.shape}, sector dimension is {len(basis)}"
-        )
-    norm = np.linalg.norm(vector)
-    if abs(norm - 1.0) > 1e-10:
-        raise ValueError(f"state vector norm is {norm}, expected 1")
-    pair_bits = (1 << a) | (1 << b)
-    groups: dict[int, np.ndarray] = {}
-    for amplitude, mask in zip(vector, basis.states):
-        if amplitude == 0.0:
-            continue
-        env = mask & ~pair_bits
-        slot = groups.get(env)
-        if slot is None:
-            slot = np.zeros(4, dtype=complex)
-            groups[env] = slot
-        slot[_pair_category(mask, a, b)] += amplitude
-    rho = np.zeros((4, 4), dtype=complex)
-    for slot in groups.values():
-        rho += np.outer(slot, slot.conj())
-    return rho
-
-
-def pair_rdm_mixed(
-    spec: MixedStateSpec, spectra: list[SectorSpectrum], pair: tuple[int, int]
-) -> np.ndarray:
-    """Weighted sum of pure-state pair RDMs over a mixture's eigenstates."""
-    by_sector = {spectrum.n_up: spectrum for spectrum in spectra}
-    rho = np.zeros((4, 4), dtype=complex)
-    for n_up, k, weight in spec.terms:
-        if weight == 0.0:
-            continue
-        spectrum = by_sector[n_up]
-        rho += weight * pair_rdm_pure(spectrum.eigenvectors[:, k], spectrum.basis, pair)
-    return rho
-
-
 @dataclass(frozen=True)
 class PairTraceTables:
     """Precomputed index arrays mapping one sector basis onto pair categories.
@@ -188,6 +133,9 @@ class PairTraceTables:
 
 def pair_trace_tables(basis: SectorBasis, pair: tuple[int, int]) -> PairTraceTables:
     a, b = pair
+    n = basis.n_spins
+    if a == b or not (0 <= a < n and 0 <= b < n):
+        raise ValueError(f"invalid pair {pair} for {n} spins")
     index = basis.index()
     up_up, up_down, partner, down_down = [], [], [], []
     for k, mask in enumerate(basis.states):

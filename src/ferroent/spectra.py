@@ -1,9 +1,8 @@
-"""Sector eigendecomposition, ground-subspace extraction, and Gibbs weights.
+"""Sector eigendecomposition and the ground-window rule.
 
-Temperature is measured in the same dimensionless units as the couplings
-(Boltzmann constant fixed to 1).  T = 0 is handled as an explicit uniform
-mixture over the degenerate ground multiplet rather than as a limit of
-Boltzmann factors.
+The ground multiplet is identified from a flat array of energies by one
+rule, ``ground_window``; the thermal engine, the gap report and the
+verification suites all use it.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from .graphs import SpinGraph
 from .hilbert import SectorBasis, build_sector_hamiltonian, sector_basis
 
 DEFAULT_N_SPINS_CAP = 14
-DEFAULT_DEGENERACY_TOL = 1e-9
+DEGENERACY_TOL = 1e-9
 
 _SYMMETRY_TOL = 1e-14
 
@@ -32,21 +31,6 @@ class SectorSpectrum:
     @property
     def n_up(self) -> int:
         return self.basis.n_up
-
-
-@dataclass(frozen=True)
-class MixedStateSpec:
-    """Incoherent mixture of eigenstates: (n_up, eigenstate index, weight) terms."""
-
-    temperature: float
-    terms: tuple[tuple[int, int, float], ...]
-
-    def __post_init__(self) -> None:
-        total = sum(weight for _, _, weight in self.terms)
-        if any(weight < 0.0 for _, _, weight in self.terms):
-            raise ValueError("mixture weights must be nonnegative")
-        if abs(total - 1.0) > 1e-12:
-            raise ValueError(f"mixture weights sum to {total}, expected 1")
 
 
 def eig_sym(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -83,76 +67,19 @@ def full_spectrum(
     return spectra
 
 
-def _flat_energies(spectra: list[SectorSpectrum]) -> list[tuple[float, int, int]]:
-    return [
-        (float(energy), spectrum.n_up, k)
-        for spectrum in spectra
-        for k, energy in enumerate(spectrum.eigenvalues)
-    ]
+def ground_window(energies: np.ndarray) -> np.ndarray:
+    """Mask of the flat energies that belong to the ground multiplet.
 
-
-def ground_energy(spectra: list[SectorSpectrum]) -> float:
-    return min(float(spectrum.eigenvalues[0]) for spectrum in spectra)
-
-
-def energy_gap(spectra: list[SectorSpectrum], degeneracy_tol: float = DEFAULT_DEGENERACY_TOL) -> float:
-    """Gap from the ground multiplet to the first state above it (0 if none)."""
-    energies = sorted(energy for energy, _, _ in _flat_energies(spectra))
-    e_min, e_max = energies[0], energies[-1]
-    threshold = e_min + degeneracy_tol * max(1.0, e_max - e_min)
-    above = [energy for energy in energies if energy > threshold]
-    return (above[0] - e_min) if above else 0.0
-
-
-def ground_subspace(
-    spectra: list[SectorSpectrum], degeneracy_tol: float = DEFAULT_DEGENERACY_TOL
-) -> MixedStateSpec:
-    """Uniform mixture over all eigenstates within the degeneracy window.
-
-    The window is E_min + degeneracy_tol * max(1, spectral range): the
-    spectrum is exactly degenerate in exact arithmetic and the tolerance
+    The window is E_min + DEGENERACY_TOL * max(1, spectral range): the
+    multiplet is exactly degenerate in exact arithmetic and the tolerance
     only absorbs floating-point spread.
     """
-    if not spectra:
-        raise ValueError("no spectra given")
-    energies = _flat_energies(spectra)
-    e_min = min(energy for energy, _, _ in energies)
-    e_max = max(energy for energy, _, _ in energies)
-    threshold = e_min + degeneracy_tol * max(1.0, e_max - e_min)
-    members = [(n_up, k) for energy, n_up, k in energies if energy <= threshold]
-    weight = 1.0 / len(members)
-    return MixedStateSpec(
-        temperature=0.0, terms=tuple((n_up, k, weight) for n_up, k in members)
-    )
+    e_min = float(energies.min())
+    return energies <= e_min + DEGENERACY_TOL * max(1.0, float(energies.max()) - e_min)
 
 
-def gibbs_weights(
-    spectra: list[SectorSpectrum],
-    temperature: float,
-    degeneracy_tol: float = DEFAULT_DEGENERACY_TOL,
-) -> MixedStateSpec:
-    """Boltzmann mixture over all eigenstates; T = 0 falls back to the ground multiplet.
-
-    Energies are shifted by E_min before exponentiation so weights stay
-    finite at low temperature.
-    """
-    if temperature < 0.0:
-        raise ValueError(f"temperature must be >= 0, got {temperature}")
-    if temperature == 0.0:
-        return ground_subspace(spectra, degeneracy_tol)
-    energies = _flat_energies(spectra)
-    e_min = min(energy for energy, _, _ in energies)
-    factors = [
-        (np.exp(-(energy - e_min) / temperature), n_up, k) for energy, n_up, k in energies
-    ]
-    partition = sum(factor for factor, _, _ in factors)
-    return MixedStateSpec(
-        temperature=temperature,
-        terms=tuple((n_up, k, factor / partition) for factor, n_up, k in factors),
-    )
-
-
-def ground_degeneracy(
-    spectra: list[SectorSpectrum], degeneracy_tol: float = DEFAULT_DEGENERACY_TOL
-) -> int:
-    return len(ground_subspace(spectra, degeneracy_tol).terms)
+def energy_gap(spectra: list[SectorSpectrum]) -> float:
+    """Gap from the ground multiplet to the first state above it (0 if none)."""
+    energies = np.concatenate([spectrum.eigenvalues for spectrum in spectra])
+    above = energies[~ground_window(energies)]
+    return float(above.min() - energies.min()) if above.size else 0.0

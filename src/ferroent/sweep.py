@@ -1,4 +1,4 @@
-"""Parameter-grid sweeps and verification reports over spin-graph families.
+"""The thermal engine, parameter-grid sweeps and verification reports.
 
 A sweep covers the Cartesian grid of geometry x chain length x couplings
 x temperature x field exactly once, computing the raw (unclamped) pair
@@ -44,7 +44,7 @@ from typing import IO, Iterable
 
 import numpy as np
 
-from .analytic import universal_rdm
+from .analytic import UNIVERSAL_ENTRIES
 from .graphs import (
     ChainParams,
     SpinGraph,
@@ -57,17 +57,8 @@ from .graphs import (
     ring_chain,
     star_graph,
 )
-from .rdm import (
-    eigenstate_pair_entries,
-    pair_rdm_mixed,
-    pair_trace_tables,
-)
-from .spectra import (
-    DEFAULT_DEGENERACY_TOL,
-    SectorSpectrum,
-    full_spectrum,
-    ground_subspace,
-)
+from .rdm import eigenstate_pair_entries, pair_trace_tables
+from .spectra import full_spectrum, ground_window
 
 RAW_CONCURRENCE_THRESHOLD = 1e-12
 UNIVERSAL_RDM_TOL = 1e-10
@@ -147,7 +138,6 @@ class SweepConfig:
     t_grid: tuple[float, ...] | dict = (0.0,)
     b_grid: tuple[float, ...] | dict = (0.0,)
     pairs: str | tuple[tuple[int, int], ...] = "all"
-    degeneracy_tol: float = DEFAULT_DEGENERACY_TOL
 
     def __post_init__(self) -> None:
         if not self.geometries:
@@ -167,7 +157,7 @@ class SweepConfig:
     def from_dict(cls, data: dict) -> "SweepConfig":
         known = {
             "geometries", "n_values", "g1", "g2_values", "g3_values",
-            "t_grid", "b_grid", "pairs", "degeneracy_tol",
+            "t_grid", "b_grid", "pairs",
         }
         unknown = set(data) - known
         if unknown:
@@ -215,22 +205,24 @@ class _Task:
     t_values: tuple[float, ...]
     b_values: tuple[float, ...]
     pairs: tuple[tuple[int, int], ...]
-    degeneracy_tol: float
 
 
 class GraphThermalEngine:
-    """Per-graph cache turning (T, B) points into pair entries cheaply.
+    """The one route from a graph's spectrum to thermal weights and pair entries.
 
-    The graph is diagonalized once at zero field; a field B only shifts
-    each sector's eigenvalues by B * (n_up - N/2) and leaves eigenvectors
-    untouched, so thermal weights at any (T, B) reuse the same
-    eigenbasis.  Pair-trace index tables convert a weight vector into
-    X-form entries with one dense contraction per pair.
+    Every command that needs weights or pair RDMs builds one engine per
+    graph.  The graph is diagonalized once at zero field; a field B only
+    shifts each sector's eigenvalues by B * (n_up - N/2) and leaves
+    eigenvectors untouched, so thermal weights at any (T, B) reuse the
+    same eigenbasis.  Temperature is in coupling units (Boltzmann
+    constant 1); T = 0 is the uniform mixture over the ground window of
+    ``spectra.ground_window``, not a limit of Boltzmann factors.
+    Pair-trace index tables convert a weight vector into X-form entries
+    with one dense contraction per pair.
     """
 
-    def __init__(self, graph: SpinGraph, degeneracy_tol: float = DEFAULT_DEGENERACY_TOL):
+    def __init__(self, graph: SpinGraph):
         self.graph = graph
-        self.degeneracy_tol = degeneracy_tol
         self.spectra = full_spectrum(graph, b_field=0.0)
         self.energies = np.concatenate([s.eigenvalues for s in self.spectra])
         self.sz = np.concatenate(
@@ -250,22 +242,24 @@ class GraphThermalEngine:
         return stack
 
     def weights(self, temperature: float, b_field: float) -> np.ndarray:
-        """Thermal weights over the flat eigenstate ordering at (T, B)."""
+        """Thermal weights over the flat eigenstate ordering at (T, B).
+
+        Energies are shifted by E_min before exponentiation so weights
+        stay finite at low temperature.
+        """
+        if not temperature >= 0.0:  # also rejects NaN
+            raise ValueError(f"temperature must be >= 0, got {temperature}")
         shifted = self.energies + b_field * self.sz
-        e_min = float(shifted.min())
         if temperature == 0.0:
-            window = e_min + self.degeneracy_tol * max(1.0, float(shifted.max()) - e_min)
-            members = shifted <= window
+            members = ground_window(shifted)
             return members / members.sum()
-        factors = np.exp(-(shifted - e_min) / temperature)
+        factors = np.exp(-(shifted - float(shifted.min())) / temperature)
         return factors / factors.sum()
 
     def ground_info(self, b_field: float) -> tuple[float, int]:
         """(ground energy, ground degeneracy) at the given field."""
         shifted = self.energies + b_field * self.sz
-        e_min = float(shifted.min())
-        window = e_min + self.degeneracy_tol * max(1.0, float(shifted.max()) - e_min)
-        return e_min, int((shifted <= window).sum())
+        return float(shifted.min()), int(ground_window(shifted).sum())
 
     def pair_entries(
         self, weights: np.ndarray, pair: tuple[int, int]
@@ -279,7 +273,7 @@ class GraphThermalEngine:
 
 
 def _compute_task(task: _Task) -> tuple[int, list[dict]]:
-    engine = GraphThermalEngine(task.graph, task.degeneracy_tol)
+    engine = GraphThermalEngine(task.graph)
     records = []
     offset = 0
     for t in task.t_values:
@@ -346,7 +340,6 @@ def _expand_tasks(config: SweepConfig) -> list[_Task]:
                             t_values=t_values,
                             b_values=b_values,
                             pairs=pairs,
-                            degeneracy_tol=config.degeneracy_tol,
                         )
                     )
                     task_index += 1
@@ -479,33 +472,13 @@ class VerifyReport:
     max_raw_concurrence: float | None = None
     passed: bool = False
 
-    def to_dict(self) -> dict:
-        return {
-            "graph_id": self.graph_id,
-            "check": self.check,
-            "n_spins": self.n_spins,
-            "ferromagnetic": self.ferromagnetic,
-            "connected": self.connected,
-            "preconditions_ok": self.preconditions_ok,
-            "ground_energy": self.ground_energy,
-            "expected_ground_energy": self.expected_ground_energy,
-            "energy_ok": self.energy_ok,
-            "ground_degeneracy": self.ground_degeneracy,
-            "expected_degeneracy": self.expected_degeneracy,
-            "degeneracy_ok": self.degeneracy_ok,
-            "max_rdm_deviation": self.max_rdm_deviation,
-            "max_raw_concurrence": self.max_raw_concurrence,
-            "passed": self.passed,
-        }
-
 
 def _spectral_checks(
-    graph: SpinGraph, spectra: list[SectorSpectrum], degeneracy_tol: float
+    engine: GraphThermalEngine,
 ) -> tuple[float, float, bool, int, int | None, bool | None, bool]:
+    graph = engine.graph
     connected = is_connected(graph)
-    mixture = ground_subspace(spectra, degeneracy_tol)
-    degeneracy = len(mixture.terms)
-    e_min = min(float(s.eigenvalues[0]) for s in spectra)
+    e_min, degeneracy = engine.ground_info(0.0)
     expected_energy = 0.25 * graph.coupling_sum
     energy_ok = abs(e_min - expected_energy) <= 1e-10 * max(1.0, abs(expected_energy))
     expected_degeneracy = graph.n_spins + 1 if connected else None
@@ -521,44 +494,36 @@ def _spectral_checks(
     )
 
 
-def verify_universal(
-    graph: SpinGraph,
-    graph_id: str = "graph",
-    rdm_tol: float = UNIVERSAL_RDM_TOL,
-    raw_threshold: float = RAW_CONCURRENCE_THRESHOLD,
-    degeneracy_tol: float = DEFAULT_DEGENERACY_TOL,
-) -> VerifyReport:
+def verify_universal(engine: GraphThermalEngine, graph_id: str = "graph") -> VerifyReport:
     """Check that the zero-field ground mixture's pair RDMs all match the
-    universal separable form, entry-wise within rdm_tol, with raw pair
-    concurrence at most raw_threshold.
+    universal separable form, entry-wise within UNIVERSAL_RDM_TOL, with raw
+    pair concurrence at most RAW_CONCURRENCE_THRESHOLD.
 
     Requires a connected ferromagnetic graph; violations are flagged in
     the report (never silently ignored) and fail it.
     """
-    spectra = full_spectrum(graph, b_field=0.0)
+    graph = engine.graph
     e_min, expected_e, energy_ok, degeneracy, expected_d, degeneracy_ok, connected = (
-        _spectral_checks(graph, spectra, degeneracy_tol)
+        _spectral_checks(engine)
     )
     ferromagnetic = graph.is_ferromagnetic
     preconditions_ok = ferromagnetic and connected
 
-    mixture = ground_subspace(spectra, degeneracy_tol)
-    target = universal_rdm().matrix()
+    target = np.array(UNIVERSAL_ENTRIES, dtype=float)
     max_deviation = 0.0
     max_raw = -np.inf
-    engine = GraphThermalEngine(graph, degeneracy_tol)
     weights = engine.weights(0.0, 0.0)
     for pair in graph.pairs():
-        rho = pair_rdm_mixed(mixture, spectra, pair)
-        max_deviation = max(max_deviation, float(np.max(np.abs(rho - target))))
+        entries = np.array(engine.pair_entries(weights, pair))
+        max_deviation = max(max_deviation, float(np.max(np.abs(entries - target))))
         max_raw = max(max_raw, engine.raw_concurrence(weights, pair))
 
     passed = (
         preconditions_ok
         and energy_ok
         and bool(degeneracy_ok)
-        and max_deviation <= rdm_tol
-        and max_raw <= raw_threshold
+        and max_deviation <= UNIVERSAL_RDM_TOL
+        and max_raw <= RAW_CONCURRENCE_THRESHOLD
     )
     return VerifyReport(
         graph_id=graph_id,
@@ -579,11 +544,7 @@ def verify_universal(
     )
 
 
-def verify_degeneracy(
-    graph: SpinGraph,
-    graph_id: str = "graph",
-    degeneracy_tol: float = DEFAULT_DEGENERACY_TOL,
-) -> VerifyReport:
+def verify_degeneracy(engine: GraphThermalEngine, graph_id: str = "graph") -> VerifyReport:
     """Check ground degeneracy N+1 (connected graphs only) and ground energy
     equal to a quarter of the coupling sum.
 
@@ -591,9 +552,9 @@ def verify_degeneracy(
     assumes connectivity, while the energy identity holds for any
     ferromagnetic edge set.
     """
-    spectra = full_spectrum(graph, b_field=0.0)
+    graph = engine.graph
     e_min, expected_e, energy_ok, degeneracy, expected_d, degeneracy_ok, connected = (
-        _spectral_checks(graph, spectra, degeneracy_tol)
+        _spectral_checks(engine)
     )
     ferromagnetic = graph.is_ferromagnetic
     passed = ferromagnetic and energy_ok and (degeneracy_ok is not False)
@@ -615,14 +576,10 @@ def verify_degeneracy(
 
 
 def zero_temperature_scan(
-    graph: SpinGraph,
-    t_grid: Iterable[float],
-    b_field: float = 0.0,
-    threshold: float = RAW_CONCURRENCE_THRESHOLD,
-    degeneracy_tol: float = DEFAULT_DEGENERACY_TOL,
+    engine: GraphThermalEngine, t_grid: Iterable[float], b_field: float = 0.0
 ) -> float | None:
     """Scan temperatures upward from zero; return the largest prefix value
-    whose max pair concurrence stays at or below the threshold.
+    whose max pair concurrence stays at or below RAW_CONCURRENCE_THRESHOLD.
 
     Returns None when even the first grid point violates.  The grid must
     start at 0 and ascend.
@@ -632,13 +589,12 @@ def zero_temperature_scan(
         raise ValueError("temperature grid must start at 0")
     if any(t_values[k] > t_values[k + 1] for k in range(len(t_values) - 1)):
         raise ValueError("temperature grid must be ascending")
-    engine = GraphThermalEngine(graph, degeneracy_tol)
-    pairs = graph.pairs()
+    pairs = engine.graph.pairs()
     last_ok: float | None = None
     for t in t_values:
         weights = engine.weights(t, b_field)
         max_raw = max(engine.raw_concurrence(weights, pair) for pair in pairs)
-        if max_raw > threshold:
+        if max_raw > RAW_CONCURRENCE_THRESHOLD:
             break
         last_ok = t
     return last_ok

@@ -1,16 +1,22 @@
 """Independent brute-force reference implementations used only by tests.
 
-Everything here works on the full 2^N space with dense Kronecker products
-or explicit permutation matrices, deliberately avoiding the package's
-sector-blocked bitwise code paths.
+The Hamiltonian and full-space trace oracles work on the full 2^N space
+with dense Kronecker products or explicit permutation matrices,
+deliberately avoiding the package's sector-blocked bitwise code paths.
+The per-eigenstate partial trace and the Gibbs mixture below are the
+reference for the package's thermal engine: they loop over eigenstates
+one by one in Python instead of contracting index tables.
 """
 
 from __future__ import annotations
+
+from math import exp
 
 import numpy as np
 
 from ferroent.graphs import SpinGraph
 from ferroent.hilbert import SectorBasis
+from ferroent.spectra import SectorSpectrum
 
 # Single-site operators in the (down, up) ordering, so that the full-space
 # basis index equals the bitmask (bit i set = spin i up).
@@ -110,3 +116,83 @@ def naive_pair_rdm(full_vector: np.ndarray, n: int, pair: tuple[int, int]) -> np
                         bits2[kept_sites[1]],
                     ]
     return rho
+
+
+def _pair_category(mask: int, a: int, b: int) -> int:
+    bit_a = (mask >> a) & 1
+    bit_b = (mask >> b) & 1
+    return (1 - bit_a) * 2 + (1 - bit_b)
+
+
+def pair_rdm_pure(
+    vector: np.ndarray, basis: SectorBasis, pair: tuple[int, int]
+) -> np.ndarray:
+    """Trace a sector state down to the (a, b) pair.
+
+    Amplitudes are grouped by environment configuration (the mask with
+    bits a, b cleared); each group contributes the outer product of its
+    4-component pair amplitude vector.
+    """
+    a, b = pair
+    n = basis.n_spins
+    if a == b or not (0 <= a < n and 0 <= b < n):
+        raise ValueError(f"invalid pair {pair} for {n} spins")
+    if vector.shape != (len(basis),):
+        raise ValueError(
+            f"vector has shape {vector.shape}, sector dimension is {len(basis)}"
+        )
+    norm = np.linalg.norm(vector)
+    if abs(norm - 1.0) > 1e-10:
+        raise ValueError(f"state vector norm is {norm}, expected 1")
+    pair_bits = (1 << a) | (1 << b)
+    groups: dict[int, np.ndarray] = {}
+    for amplitude, mask in zip(vector, basis.states):
+        if amplitude == 0.0:
+            continue
+        env = mask & ~pair_bits
+        slot = groups.get(env)
+        if slot is None:
+            slot = np.zeros(4, dtype=complex)
+            groups[env] = slot
+        slot[_pair_category(mask, a, b)] += amplitude
+    rho = np.zeros((4, 4), dtype=complex)
+    for slot in groups.values():
+        rho += np.outer(slot, slot.conj())
+    return rho
+
+
+def pair_rdm_mixed(
+    terms, spectra: list[SectorSpectrum], pair: tuple[int, int]
+) -> np.ndarray:
+    """Weighted sum of pure-state pair RDMs over (n_up, index, weight) terms."""
+    by_sector = {spectrum.n_up: spectrum for spectrum in spectra}
+    rho = np.zeros((4, 4), dtype=complex)
+    for n_up, k, weight in terms:
+        if weight == 0.0:
+            continue
+        spectrum = by_sector[n_up]
+        rho += weight * pair_rdm_pure(spectrum.eigenvectors[:, k], spectrum.basis, pair)
+    return rho
+
+
+def gibbs_terms(
+    spectra: list[SectorSpectrum], temperature: float
+) -> list[tuple[int, int, float]]:
+    """(n_up, index, weight) Boltzmann terms over every eigenstate, sector order.
+
+    T = 0 gives the uniform mixture over the states within an absolute
+    1e-8 of the lowest energy, a window chosen independently of the
+    package's relative one.
+    """
+    states = [
+        (float(energy), spectrum.n_up, k)
+        for spectrum in spectra
+        for k, energy in enumerate(spectrum.eigenvalues)
+    ]
+    e_min = min(energy for energy, _, _ in states)
+    if temperature == 0.0:
+        factors = [float(energy - e_min <= 1e-8) for energy, _, _ in states]
+    else:
+        factors = [exp(-(energy - e_min) / temperature) for energy, _, _ in states]
+    total = sum(factors)
+    return [(n_up, k, f / total) for f, (_, n_up, k) in zip(factors, states)]

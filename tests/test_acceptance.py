@@ -22,10 +22,8 @@ from ferroent.rdm import (
     XStateRDM,
     concurrence_wootters,
     concurrence_x,
-    pair_rdm_mixed,
     sxsx_correlator,
 )
-from ferroent.spectra import full_spectrum, ground_subspace
 from ferroent.sweep import (
     GeometrySpec,
     GraphThermalEngine,
@@ -48,12 +46,10 @@ def test_criterion_1_universal_ground_rdm():
     worst_raw = -np.inf
     clamp_ok = True
     for graph_id, graph in builtin_graph_set():
-        spectra = full_spectrum(graph)
-        mixture = ground_subspace(spectra)
         engine = GraphThermalEngine(graph)
         weights = engine.weights(0.0, 0.0)
         for pair in graph.pairs():
-            rho = pair_rdm_mixed(mixture, spectra, pair)
+            rho = XStateRDM(*engine.pair_entries(weights, pair)).matrix()
             worst_deviation = max(worst_deviation, float(np.max(np.abs(rho - target))))
             raw = engine.raw_concurrence(weights, pair)
             worst_raw = max(worst_raw, raw)
@@ -70,9 +66,7 @@ def test_criterion_1_universal_ground_rdm():
 def test_criterion_2_ground_degeneracy_and_energy():
     failures = []
     for graph_id, graph in builtin_graph_set():
-        spectra = full_spectrum(graph)
-        degeneracy = len(ground_subspace(spectra).terms)
-        e_min = min(float(s.eigenvalues[0]) for s in spectra)
+        e_min, degeneracy = GraphThermalEngine(graph).ground_info(0.0)
         expected = 0.25 * graph.coupling_sum
         if degeneracy != graph.n_spins + 1:
             failures.append(f"{graph_id}: d={degeneracy} != {graph.n_spins + 1}")
@@ -228,12 +222,10 @@ def test_criterion_6_zero_entanglement_sweep():
 
 
 def test_criterion_7_detection_control():
-    graph = make_graph(2, [(0, 1, 1.0)])
-    spectra = full_spectrum(graph)
-    mixture = ground_subspace(spectra)
-    rho = pair_rdm_mixed(mixture, spectra, (0, 1))
+    engine = GraphThermalEngine(make_graph(2, [(0, 1, 1.0)]))
+    rho = XStateRDM(*engine.pair_entries(engine.weights(0.0, 0.0), (0, 1))).matrix()
     value = concurrence_wootters(rho)
-    passed = abs(value - 1.0) <= 1e-10 and len(mixture.terms) == 1
+    passed = abs(value - 1.0) <= 1e-10 and engine.ground_info(0.0)[1] == 1
     report(7, "detection-control", passed, f" (singlet concurrence {value!r})")
 
 

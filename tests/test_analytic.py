@@ -20,7 +20,8 @@ from ferroent.analytic import (
     zone_mixture_entries,
 )
 from ferroent.hilbert import dicke_vector, sector_basis
-from ferroent.rdm import concurrence_x, pair_rdm_pure, x_state_from_matrix
+from ferroent.rdm import concurrence_x, x_state_from_matrix
+from oracles import pair_rdm_pure
 
 
 class TestSymmetricEntries:

@@ -2,8 +2,11 @@ import json
 
 import pytest
 
+import ferroent.spectra
 from ferroent.cli import main
-from ferroent.graphs import make_graph, save_graph
+from ferroent.graphs import make_graph, random_graph, save_graph
+from ferroent.spectra import full_spectrum
+from oracles import gibbs_terms, pair_rdm_mixed
 
 
 def run_cli(*argv):
@@ -14,6 +17,17 @@ def write_edge_graph(tmp_path, coupling=-1.0):
     path = tmp_path / "edge.json"
     save_graph(make_graph(2, [(0, 1, coupling)]), str(path))
     return str(path)
+
+
+def read_rdm_csv(text):
+    """{(row, col): (real, imag text)} from the rdm command's CSV."""
+    entries = {}
+    for line in text.splitlines():
+        if line.startswith("#") or line.startswith("row"):
+            continue
+        row, col, re_part, im_part = line.split(",")
+        entries[(int(row), int(col))] = (float(re_part), im_part)
+    return entries
 
 
 class TestSpectrumCommand:
@@ -106,6 +120,26 @@ class TestRdmCommand:
     def test_bad_pair(self, capsys):
         assert run_cli("rdm", "--ring", "4", "--pair", "0", "7") == 2
         assert "invalid pair" in capsys.readouterr().err
+
+    def test_thermal_field_rdm_matches_oracle(self, tmp_path, capsys):
+        graph = random_graph(6, 0.6, (-2.0, -0.3), seed=5)
+        path = tmp_path / "g.json"
+        save_graph(graph, str(path))
+        temperature, b_field, pair = 0.7, 0.4, (4, 1)
+        assert run_cli("rdm", "--graph", str(path), "--pair", "4", "1",
+                       "-T", str(temperature), "--b-field", str(b_field)) == 0
+        entries = read_rdm_csv(capsys.readouterr().out)
+        spectra = full_spectrum(graph, b_field)
+        expected = pair_rdm_mixed(gibbs_terms(spectra, temperature), spectra, pair)
+        assert len(entries) == 16
+        for (row, col), (real, imag) in entries.items():
+            assert imag == "0"
+            assert abs(real - expected[row, col]) <= 1e-12
+
+    @pytest.mark.parametrize("temperature", ["-0.5", "nan"])
+    def test_negative_temperature_rejected(self, capsys, temperature):
+        assert run_cli("rdm", "--ring", "4", "--pair", "0", "1", "-T", temperature) == 2
+        assert "temperature" in capsys.readouterr().err
 
 
 class TestAnalyticCommand:
@@ -206,6 +240,21 @@ class TestSweepCommand:
         assert code == 0
         assert results.read_text() == complete
 
+    def test_negative_temperature_writes_nothing(self, tmp_path, capsys):
+        config = tmp_path / "sweep.json"
+        config.write_text(json.dumps({
+            "geometries": [{"kind": "ring"}],
+            "n_values": [4],
+            "t_grid": [0.0, -0.5],
+            "b_grid": [0.0],
+        }))
+        results = tmp_path / "out.jsonl"
+        code = run_cli("sweep", "--config", str(config), "--output", str(results),
+                       "--assert-zero")
+        assert code == 2
+        assert "temperature" in capsys.readouterr().err
+        assert results.read_text() == ""
+
     def test_bad_config_exits_2(self, tmp_path, capsys):
         config = tmp_path / "sweep.json"
         config.write_text(json.dumps({"geometries": [{"kind": "ring"}], "bogus": True}))
@@ -278,3 +327,38 @@ class TestUsageErrors:
         out = capsys.readouterr().out
         for command in ("spectrum", "rdm", "analytic", "figures", "sweep", "verify"):
             assert command in out
+
+
+class TestOneDiagonalizationPerCommand:
+    @pytest.mark.parametrize("command", [
+        ["verify", "--suite", "all"],
+        ["rdm", "--pair", "0", "3", "-T", "0.5", "--b-field", "0.2"],
+    ])
+    def test_eig_sym_calls(self, tmp_path, monkeypatch, capsys, command):
+        graph = random_graph(6, 0.5, (-2.0, -0.3), seed=8)
+        path = tmp_path / "g.json"
+        save_graph(graph, str(path))
+        calls = []
+        original = ferroent.spectra.eig_sym
+
+        def counting(matrix):
+            calls.append(matrix.shape[0])
+            return original(matrix)
+
+        monkeypatch.setattr(ferroent.spectra, "eig_sym", counting)
+        assert run_cli(*command, "--graph", str(path)) == 0
+        # one full_spectrum: every S^z sector block exactly once
+        assert len(calls) == graph.n_spins + 1
+
+
+class TestBrokenPipe:
+    def test_closed_stdout_exits_0(self, monkeypatch):
+        class ClosedPipe:
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def flush(self):
+                pass
+
+        monkeypatch.setattr("sys.stdout", ClosedPipe())
+        assert run_cli("spectrum", "--ring", "4") == 0

@@ -3,7 +3,6 @@ import pytest
 
 from ferroent.graphs import ChainParams, make_graph, random_graph, ring_chain, star_graph
 from ferroent.hilbert import (
-    apply_hamiltonian,
     build_sector_hamiltonian,
     dicke_vector,
     sector_basis,
@@ -114,28 +113,6 @@ class TestDickeVector:
         for g in graphs:
             for n_up in range(7):
                 v = dicke_vector(6, n_up)
-                hv = apply_hamiltonian(g, n_up, b_field, v)
+                hv = build_sector_hamiltonian(g, n_up, b_field) @ v
                 energy = 0.25 * g.coupling_sum + b_field * (n_up - 3.0)
                 assert hv == pytest.approx(energy * v, abs=1e-12)
-
-
-class TestApplyHamiltonian:
-    def test_zero_vector(self):
-        v = np.zeros(sector_dimension(4, 2))
-        assert np.array_equal(apply_hamiltonian(ring_chain(ChainParams(n_spins=4, g1=-1.0)), 2, 0.0, v), v)
-
-    def test_single_edge_explicit(self):
-        out = apply_hamiltonian(EDGE, 1, 0.0, np.array([1.0, 0.0]))
-        assert out == pytest.approx([0.25, -0.5])
-
-    def test_matches_dense_matrix(self):
-        g = random_graph(6, 0.5, (-2.0, -0.3), seed=1)
-        rng = np.random.default_rng(0)
-        for n_up in range(7):
-            h = build_sector_hamiltonian(g, n_up, 0.6)
-            v = rng.normal(size=h.shape[0])
-            assert apply_hamiltonian(g, n_up, 0.6, v) == pytest.approx(h @ v, rel=1e-12)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            apply_hamiltonian(EDGE, 1, 0.0, np.zeros(3))

@@ -11,15 +11,20 @@ from ferroent.rdm import (
     concurrence_x,
     concurrence_x_raw,
     eigenstate_pair_entries,
-    pair_rdm_mixed,
-    pair_rdm_pure,
     pair_trace_tables,
     sxsx_correlator,
     validate_rdm,
     x_state_from_matrix,
 )
-from ferroent.spectra import MixedStateSpec, full_spectrum, gibbs_weights, ground_subspace
-from oracles import embed_sector_vector, naive_pair_rdm
+from ferroent.spectra import full_spectrum
+from ferroent.sweep import GraphThermalEngine
+from oracles import (
+    embed_sector_vector,
+    gibbs_terms,
+    naive_pair_rdm,
+    pair_rdm_mixed,
+    pair_rdm_pure,
+)
 
 BELL = XStateRDM(alpha=0.0, beta=0.5, gamma=0.5, delta=0.5, epsilon=0.0)
 
@@ -34,6 +39,8 @@ def random_x_state(rng):
 
 
 class TestPairRdmPure:
+    """The per-eigenstate oracle, pinned to closed forms and the full-space trace."""
+
     def test_dicke_4_2_entries(self):
         rho = pair_rdm_pure(dicke_vector(4, 2), sector_basis(4, 2), (0, 1))
         state = x_state_from_matrix(rho)
@@ -75,10 +82,9 @@ class TestPairRdmPure:
             pair_rdm_pure(np.array([1.0, 1.0]), sector_basis(2, 1), (0, 1))
 
     def test_bad_pair_rejected(self):
-        with pytest.raises(ValueError):
-            pair_rdm_pure(np.array([1.0]), sector_basis(2, 0), (0, 2))
-        with pytest.raises(ValueError):
-            pair_rdm_pure(np.array([1.0]), sector_basis(2, 0), (1, 1))
+        for pair in [(0, 2), (1, 1), (-1, 0)]:
+            with pytest.raises(ValueError, match="invalid pair"):
+                pair_trace_tables(sector_basis(2, 1), pair)
 
     def test_x_pattern_zeros_for_eigenstates_and_thermal_states(self):
         g = random_graph(6, 0.5, (-2.0, -0.3), seed=21)
@@ -88,7 +94,7 @@ class TestPairRdmPure:
             rho = pair_rdm_pure(spectrum.eigenvectors[:, 0], spectrum.basis, (0, 4))
             for a, b in structural:
                 assert abs(rho[a, b]) <= 1e-12
-        thermal = pair_rdm_mixed(gibbs_weights(spectra, 0.7), spectra, (2, 5))
+        thermal = pair_rdm_mixed(gibbs_terms(spectra, 0.7), spectra, (2, 5))
         for a, b in structural:
             assert abs(thermal[a, b]) <= 1e-12
 
@@ -97,18 +103,15 @@ class TestPairRdmMixed:
     def test_single_state_spec_equals_pure(self):
         g = ring_chain(ChainParams(n_spins=5, g1=-1.0))
         spectra = full_spectrum(g)
-        spec = MixedStateSpec(temperature=0.0, terms=((2, 3, 1.0),))
         direct = pair_rdm_pure(spectra[2].eigenvectors[:, 3], spectra[2].basis, (1, 4))
-        assert pair_rdm_mixed(spec, spectra, (1, 4)) == pytest.approx(direct)
+        assert pair_rdm_mixed([(2, 3, 1.0)], spectra, (1, 4)) == pytest.approx(direct)
 
     def test_mirror_mixture_averages_entries(self):
         n, n_up = 6, 2
         spectra = full_spectrum(ring_chain(ChainParams(n_spins=n, g1=-1.0)))
         # lowest state of each mirror sector is the symmetric one
-        spec = MixedStateSpec(
-            temperature=0.0, terms=((n_up, 0, 0.5), (n - n_up, 0, 0.5))
-        )
-        mixed = pair_rdm_mixed(spec, spectra, (0, 3))
+        terms = [(n_up, 0, 0.5), (n - n_up, 0, 0.5)]
+        mixed = pair_rdm_mixed(terms, spectra, (0, 3))
         lo = pair_rdm_pure(spectra[n_up].eigenvectors[:, 0], spectra[n_up].basis, (0, 3))
         hi = pair_rdm_pure(
             spectra[n - n_up].eigenvectors[:, 0], spectra[n - n_up].basis, (0, 3)
@@ -118,7 +121,7 @@ class TestPairRdmMixed:
     def test_ground_mixture_is_universal(self):
         g = random_graph(7, 0.5, (-2.0, -0.2), seed=33)
         spectra = full_spectrum(g)
-        mixture = ground_subspace(spectra)
+        mixture = gibbs_terms(spectra, 0.0)
         target = np.diag([1 / 3, 1 / 6, 1 / 6, 1 / 3]).astype(complex)
         target[1, 2] = target[2, 1] = 1 / 6
         for pair in [(0, 1), (2, 6), (3, 4)]:
@@ -190,13 +193,15 @@ class TestConcurrenceWootters:
 
 class TestPairSymmetry:
     def test_concurrence_invariant_under_pair_swap(self):
-        g = random_graph(6, 0.5, (-2.0, -0.3), seed=17)
-        spectra = full_spectrum(g)
-        mixture = gibbs_weights(spectra, 0.9)
+        engine = GraphThermalEngine(random_graph(6, 0.5, (-2.0, -0.3), seed=17))
+        weights = engine.weights(0.9, 0.0)
+
+        def concurrence(pair):
+            state = XStateRDM(*engine.pair_entries(weights, pair))
+            return concurrence_wootters(state.matrix())
+
         for i, j in [(0, 3), (1, 5), (2, 4)]:
-            forward = concurrence_wootters(pair_rdm_mixed(mixture, spectra, (i, j)))
-            backward = concurrence_wootters(pair_rdm_mixed(mixture, spectra, (j, i)))
-            assert forward == pytest.approx(backward, abs=1e-12)
+            assert concurrence((i, j)) == pytest.approx(concurrence((j, i)), abs=1e-12)
 
 
 class TestCorrelator:

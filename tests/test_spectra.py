@@ -3,16 +3,8 @@ import pytest
 
 from ferroent.graphs import ChainParams, make_graph, random_graph, ring_chain
 from ferroent.hilbert import build_sector_hamiltonian
-from ferroent.spectra import (
-    MixedStateSpec,
-    eig_sym,
-    energy_gap,
-    full_spectrum,
-    gibbs_weights,
-    ground_degeneracy,
-    ground_energy,
-    ground_subspace,
-)
+from ferroent.spectra import eig_sym, energy_gap, full_spectrum, ground_window
+from ferroent.sweep import GraphThermalEngine
 
 EDGE = make_graph(2, [(0, 1, -1.0)])
 
@@ -95,76 +87,63 @@ class TestFullSpectrum:
 
     def test_ground_energy_is_quarter_coupling_sum(self):
         for g in TEST_GRAPHS:
-            spectra = full_spectrum(g)
+            energy, _ = GraphThermalEngine(g).ground_info(0.0)
             expected = 0.25 * g.coupling_sum
-            assert abs(ground_energy(spectra) - expected) <= 1e-10 * max(1.0, abs(expected))
+            assert abs(energy - expected) <= 1e-10 * max(1.0, abs(expected))
 
 
 class TestGroundSubspace:
     def test_triplet(self):
-        spec = ground_subspace(full_spectrum(EDGE))
-        assert len(spec.terms) == 3
-        assert all(w == pytest.approx(1 / 3) for _, _, w in spec.terms)
-        assert spec.temperature == 0.0
+        weights = GraphThermalEngine(EDGE).weights(0.0, 0.0)
+        members = weights[weights > 0.0]
+        assert len(members) == 3
+        assert members == pytest.approx([1 / 3] * 3)
 
     def test_ring5_has_six_states(self):
-        spectra = full_spectrum(ring_chain(ChainParams(n_spins=5, g1=-1.0)))
-        assert len(ground_subspace(spectra).terms) == 6
+        engine = GraphThermalEngine(ring_chain(ChainParams(n_spins=5, g1=-1.0)))
+        assert engine.ground_info(0.0)[1] == 6
 
     def test_disconnected_pair_of_triplets(self):
         g = make_graph(4, [(0, 1, -1.0), (2, 3, -1.0)])
-        assert ground_degeneracy(full_spectrum(g)) == 9
+        assert GraphThermalEngine(g).ground_info(0.0)[1] == 9
 
     def test_connected_ferromagnets_have_n_plus_one(self):
         for g in TEST_GRAPHS:
-            assert ground_degeneracy(full_spectrum(g)) == g.n_spins + 1
+            assert GraphThermalEngine(g).ground_info(0.0)[1] == g.n_spins + 1
+
+    def test_window_absorbs_rounding_but_not_a_split_level(self):
+        # relative to max(1, range): 1e-9 * 10 here
+        energies = np.array([-2.0, -2.0 + 5e-9, -2.0 + 2e-8, 8.0])
+        assert ground_window(energies).tolist() == [True, True, False, False]
 
 
 class TestGibbsWeights:
     def test_infinite_temperature_limit(self):
-        g = TEST_GRAPHS[0]
-        spec = gibbs_weights(full_spectrum(g), 1e12)
-        for _, _, w in spec.terms:
-            assert abs(w - 2.0**-4) < 1e-9
+        weights = GraphThermalEngine(TEST_GRAPHS[0]).weights(1e12, 0.0)
+        assert np.max(np.abs(weights - 2.0**-4)) < 1e-9
 
     def test_two_spin_boltzmann_ratio(self):
-        spectra = full_spectrum(EDGE)
-        spec = gibbs_weights(spectra, 1.0)
-        weights = {}
-        for n_up, k, w in spec.terms:
-            weights[(n_up, k)] = w
-        # singlet is the top state of the middle sector; gap is 1
-        assert weights[(1, 1)] / weights[(1, 0)] == pytest.approx(np.exp(-1.0), rel=1e-12)
+        # flat order: n_up = 0 | n_up = 1 (triplet, singlet) | n_up = 2; gap is 1
+        weights = GraphThermalEngine(EDGE).weights(1.0, 0.0)
+        assert weights[2] / weights[1] == pytest.approx(np.exp(-1.0), rel=1e-12)
 
     def test_zero_temperature_delegates_to_ground_subspace(self):
-        spectra = full_spectrum(ring_chain(ChainParams(n_spins=4, g1=-1.0)))
-        spec = gibbs_weights(spectra, 0.0)
-        assert len(spec.terms) == 5
-        assert all(w == pytest.approx(0.2) for _, _, w in spec.terms)
+        engine = GraphThermalEngine(ring_chain(ChainParams(n_spins=4, g1=-1.0)))
+        weights = engine.weights(0.0, 0.0)
+        assert np.count_nonzero(weights) == engine.ground_info(0.0)[1] == 5
+        assert weights[weights > 0.0] == pytest.approx([0.2] * 5)
 
     def test_continuity_near_zero(self):
         for g in TEST_GRAPHS:
-            spectra = full_spectrum(g)
-            cold = {(n, k): w for n, k, w in gibbs_weights(spectra, 1e-9).terms}
-            frozen = {(n, k): w for n, k, w in ground_subspace(spectra).terms}
-            for key, w in frozen.items():
-                assert abs(cold.get(key, 0.0) - w) < 1e-6
-            residual = sum(w for key, w in cold.items() if key not in frozen)
-            assert residual < 1e-6
+            engine = GraphThermalEngine(g)
+            cold = engine.weights(1e-9, 0.0)
+            frozen = engine.weights(0.0, 0.0)
+            assert np.max(np.abs(cold - frozen)) < 1e-6
+            assert cold[frozen == 0.0].sum() < 1e-6
 
     def test_negative_temperature_rejected(self):
         with pytest.raises(ValueError):
-            gibbs_weights(full_spectrum(EDGE), -0.1)
-
-
-class TestMixedStateSpec:
-    def test_rejects_negative_weight(self):
-        with pytest.raises(ValueError):
-            MixedStateSpec(temperature=0.0, terms=((0, 0, -0.1), (1, 0, 1.1)))
-
-    def test_rejects_unnormalized(self):
-        with pytest.raises(ValueError):
-            MixedStateSpec(temperature=0.0, terms=((0, 0, 0.5),))
+            GraphThermalEngine(EDGE).weights(-0.1, 0.0)
 
 
 def test_energy_gap_of_single_edge():

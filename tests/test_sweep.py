@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 
@@ -14,8 +15,8 @@ from ferroent.graphs import (
     save_graph,
     star_graph,
 )
-from ferroent.rdm import pair_rdm_mixed, x_state_from_matrix
-from ferroent.spectra import full_spectrum, gibbs_weights
+from ferroent.rdm import x_state_from_matrix
+from ferroent.spectra import full_spectrum
 from ferroent.sweep import (
     GeometrySpec,
     GraphThermalEngine,
@@ -26,6 +27,7 @@ from ferroent.sweep import (
     verify_universal,
     zero_temperature_scan,
 )
+from oracles import gibbs_terms, pair_rdm_mixed
 
 RING_CONFIG = SweepConfig(
     geometries=(GeometrySpec(kind="ring"),),
@@ -201,7 +203,7 @@ class TestThermalEngine:
         spectra = full_spectrum(g)
         for temperature in (0.0, 0.3, 2.0):
             flat = engine.weights(temperature, 0.0)
-            spec = gibbs_weights(spectra, temperature)
+            terms = gibbs_terms(spectra, temperature)
             lookup = {}
             position = 0
             for spectrum in spectra:
@@ -209,7 +211,7 @@ class TestThermalEngine:
                     lookup[(spectrum.n_up, k)] = position
                     position += 1
             reference = np.zeros_like(flat)
-            for n_up, k, w in spec.terms:
+            for n_up, k, w in terms:
                 reference[lookup[(n_up, k)]] = w
             assert flat == pytest.approx(reference, abs=1e-12)
 
@@ -218,7 +220,7 @@ class TestThermalEngine:
         engine = GraphThermalEngine(g)
         temperature, b_field = 0.8, 1.3
         spectra_b = full_spectrum(g, b_field=b_field)
-        mixture = gibbs_weights(spectra_b, temperature)
+        mixture = gibbs_terms(spectra_b, temperature)
         weights = engine.weights(temperature, b_field)
         for pair in [(0, 1), (1, 4), (2, 3)]:
             rho = pair_rdm_mixed(mixture, spectra_b, pair)
@@ -242,34 +244,35 @@ class TestThermalEngine:
 
 class TestVerifyUniversal:
     def test_cube(self):
-        report = verify_universal(cube_graph(-1.0), "cube")
+        report = verify_universal(GraphThermalEngine(cube_graph(-1.0)), "cube")
         assert report.passed
         assert report.ground_degeneracy == 9
         assert report.max_rdm_deviation <= 1e-10
         assert report.max_raw_concurrence <= 1e-12
 
     def test_random_inhomogeneous(self):
-        report = verify_universal(random_graph(7, 0.5, (-1.5, -0.1), seed=42), "random7")
+        g = random_graph(7, 0.5, (-1.5, -0.1), seed=42)
+        report = verify_universal(GraphThermalEngine(g), "random7")
         assert report.passed
         assert report.max_rdm_deviation <= 1e-10
 
     def test_positive_coupling_flagged(self):
         g = make_graph(3, [(0, 1, -1.0), (1, 2, 0.5)])
-        report = verify_universal(g, "mixed-sign")
+        report = verify_universal(GraphThermalEngine(g), "mixed-sign")
         assert not report.ferromagnetic
         assert not report.preconditions_ok
         assert not report.passed
 
     def test_disconnected_flagged(self):
         g = make_graph(4, [(0, 1, -1.0), (2, 3, -1.0)])
-        report = verify_universal(g, "disjoint")
+        report = verify_universal(GraphThermalEngine(g), "disjoint")
         assert not report.connected
         assert not report.preconditions_ok
         assert not report.passed
 
     def test_report_serializes(self):
-        report = verify_universal(cube_graph(-1.0), "cube")
-        payload = report.to_dict()
+        report = verify_universal(GraphThermalEngine(cube_graph(-1.0)), "cube")
+        payload = dataclasses.asdict(report)
         assert payload["check"] == "universal"
         json.dumps(payload)
 
@@ -277,13 +280,13 @@ class TestVerifyUniversal:
 class TestVerifyDegeneracy:
     def test_open_path(self):
         g = open_chain(ChainParams(n_spins=5, g1=-1.0, periodic=False))
-        report = verify_degeneracy(g, "path5")
+        report = verify_degeneracy(GraphThermalEngine(g), "path5")
         assert report.passed
         assert report.ground_degeneracy == 6
         assert report.ground_energy == pytest.approx(-1.0, abs=1e-12)
 
     def test_star_with_zero_couplings_stays_connected(self):
-        report = verify_degeneracy(star_graph(6, -1.0), "star6")
+        report = verify_degeneracy(GraphThermalEngine(star_graph(6, -1.0)), "star6")
         assert report.passed
         assert report.ground_degeneracy == 7
         assert report.ground_energy == pytest.approx(-1.25, abs=1e-12)
@@ -294,7 +297,7 @@ class TestVerifyDegeneracy:
             [(0, 1, -1.0), (1, 2, -1.0), (0, 2, -1.0),
              (3, 4, -1.0), (4, 5, -1.0), (3, 5, -1.0)],
         )
-        report = verify_degeneracy(g, "triangles")
+        report = verify_degeneracy(GraphThermalEngine(g), "triangles")
         assert not report.connected
         assert report.expected_degeneracy is None
         assert report.degeneracy_ok is None
@@ -305,21 +308,21 @@ class TestVerifyDegeneracy:
 
 class TestZeroTemperatureScan:
     def test_ferromagnet_survives_whole_grid(self):
-        g = ring_chain(ChainParams(n_spins=5, g1=-1.0))
+        engine = GraphThermalEngine(ring_chain(ChainParams(n_spins=5, g1=-1.0)))
         grid = [5.0 * k / 20 for k in range(21)]
-        assert zero_temperature_scan(g, grid) == grid[-1]
+        assert zero_temperature_scan(engine, grid) == grid[-1]
 
     def test_single_point_grid(self):
-        g = ring_chain(ChainParams(n_spins=4, g1=-1.0))
-        assert zero_temperature_scan(g, [0.0]) == 0.0
+        engine = GraphThermalEngine(ring_chain(ChainParams(n_spins=4, g1=-1.0)))
+        assert zero_temperature_scan(engine, [0.0]) == 0.0
 
     def test_antiferromagnet_fails_immediately(self):
-        g = make_graph(2, [(0, 1, 1.0)])
-        assert zero_temperature_scan(g, [0.0, 0.5]) is None
+        engine = GraphThermalEngine(make_graph(2, [(0, 1, 1.0)]))
+        assert zero_temperature_scan(engine, [0.0, 0.5]) is None
 
     def test_grid_must_start_at_zero(self):
-        g = make_graph(2, [(0, 1, -1.0)])
+        engine = GraphThermalEngine(make_graph(2, [(0, 1, -1.0)]))
         with pytest.raises(ValueError):
-            zero_temperature_scan(g, [0.5, 1.0])
+            zero_temperature_scan(engine, [0.5, 1.0])
         with pytest.raises(ValueError):
-            zero_temperature_scan(g, [0.0, 2.0, 1.0])
+            zero_temperature_scan(engine, [0.0, 2.0, 1.0])
