@@ -151,9 +151,9 @@ def _cmd_rdm(args: argparse.Namespace) -> int:
     i, j = args.pair
     if not (0 <= i < graph.n_spins and 0 <= j < graph.n_spins) or i == j:
         raise SystemExit(f"ferroent: invalid pair ({i}, {j}) for {graph.n_spins} spins")
-    engine = GraphThermalEngine(graph)
+    engine = GraphThermalEngine(graph, pairs=[(i, j)])
     weights = engine.weights(args.temperature, args.b_field)
-    alpha, beta, gamma, delta, epsilon = engine.pair_entries(weights, (i, j))
+    [(alpha, beta, gamma, delta, epsilon)] = engine.pair_entries(weights)
     rho = np.diag([alpha, beta, delta, epsilon])
     rho[1, 2] = rho[2, 1] = gamma
     out, close = _open_output(args.output)

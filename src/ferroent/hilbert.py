@@ -4,7 +4,9 @@ Basis states are N-bit integers; bit i set means spin i points up.  The
 isotropic exchange Hamiltonian commutes with total S^z, so it is block
 diagonal over the sectors of fixed up-spin count n_up.  Within a sector,
 states are ordered by ascending integer value; this ordering is part of
-the on-disk contract for exported eigenvectors.
+the on-disk contract for exported eigenvectors.  Each sector is one
+ascending numpy mask array, and everything built on it (Hamiltonian
+blocks, pair entries) is derived with bit operations on that array.
 """
 
 from __future__ import annotations
@@ -20,18 +22,17 @@ from .graphs import SpinGraph
 
 @dataclass(frozen=True)
 class SectorBasis:
-    """All N-bit masks with exactly n_up bits set, ascending."""
+    """All N-bit masks with exactly n_up bits set, as an ascending int64 array.
+
+    The position of a mask is ``np.searchsorted(masks, mask)``.
+    """
 
     n_spins: int
     n_up: int
-    states: tuple[int, ...]
+    masks: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.states)
-
-    def index(self) -> dict[int, int]:
-        """Mask -> position lookup for this sector's ordering."""
-        return {mask: k for k, mask in enumerate(self.states)}
+        return len(self.masks)
 
     @property
     def sz(self) -> float:
@@ -47,10 +48,10 @@ def sector_basis(n_spins: int, n_up: int) -> SectorBasis:
     """Enumerate the n_up sector in ascending mask order."""
     if not (0 <= n_up <= n_spins):
         raise ValueError(f"n_up must be in [0, {n_spins}], got {n_up}")
-    states = sorted(
+    masks = sorted(
         sum(1 << bit for bit in chosen) for chosen in combinations(range(n_spins), n_up)
     )
-    return SectorBasis(n_spins=n_spins, n_up=n_up, states=tuple(states))
+    return SectorBasis(n_spins=n_spins, n_up=n_up, masks=np.array(masks, dtype=np.int64))
 
 
 def build_sector_hamiltonian(
@@ -65,20 +66,22 @@ def build_sector_hamiltonian(
     symmetric by construction.
     """
     basis = sector_basis(graph.n_spins, n_up)
-    index = basis.index()
+    masks = basis.masks
     dim = len(basis)
+    sites = np.array([(i, j) for i, j, _ in graph.edges], dtype=np.int64).reshape(-1, 2)
+    couplings = np.array([coupling for _, _, coupling in graph.edges], dtype=float)
+    # antiparallel[e, k]: the spins of edge e differ in basis state k
+    antiparallel = (((masks >> sites[:, :1]) ^ (masks >> sites[:, 1:])) & 1).astype(bool)
+    quarter = 0.25 * couplings[:, None]
+    diagonal = np.full(dim, b_field * basis.sz)
+    for term in np.where(antiparallel, -quarter, quarter):
+        diagonal += term  # edge by edge: a sum over axis 0 may add in another order
+    edge, row = np.nonzero(antiparallel)
+    flips = (1 << sites[:, 0]) | (1 << sites[:, 1])
+    column = np.searchsorted(masks, masks[row] ^ flips[edge])
     matrix = np.zeros((dim, dim))
-    field_shift = b_field * basis.sz
-    for k, mask in enumerate(basis.states):
-        diagonal = field_shift
-        for i, j, coupling in graph.edges:
-            if ((mask >> i) ^ (mask >> j)) & 1:
-                diagonal -= 0.25 * coupling
-                swapped = mask ^ ((1 << i) | (1 << j))
-                matrix[k, index[swapped]] += 0.5 * coupling
-            else:
-                diagonal += 0.25 * coupling
-        matrix[k, k] += diagonal
+    matrix[row, column] += 0.5 * couplings[edge]
+    matrix[np.diag_indices(dim)] += diagonal
     return matrix
 
 

@@ -1,4 +1,4 @@
-"""Pair trace tables, two-spin reduced density matrices, Wootters concurrence.
+"""Two-spin reduced density matrices of sector eigenstates, Wootters concurrence.
 
 Pair basis convention, fixed everywhere in this package: for an ordered
 pair (a, b) the four product states are indexed
@@ -8,9 +8,10 @@ pair (a, b) the four product states are indexed
 so entry (0, 0) is the probability of both spins up and (3, 3) of both
 spins down.  States drawn from a fixed-S^z sector give the sparse "X"
 pattern: diagonal plus a single coherence between indices 1 and 2, so a
-pair state is fully described by five entries.  ``pair_trace_tables``
-and ``eigenstate_pair_entries`` compute those entries for every
-eigenvector of a sector at once.
+pair state is fully described by five entries.
+``eigenstate_pair_entries`` computes those entries for every eigenvector
+of a sector and every requested pair at once, from bit operations on the
+sector's mask array.
 
 Concurrence is reported in two flavors: the clamped value in [0, 1]
 (the entanglement monotone) and the raw, unclamped combination, which
@@ -21,12 +22,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import sqrt
+from typing import Sequence
 
 import numpy as np
 
 from .hilbert import SectorBasis
 
 HERMITICITY_TOL = 1e-12
+SPARSITY_TOL = 1e-12
 TRACE_TOL = 1e-10
 POSITIVITY_TOL = 1e-10
 
@@ -101,11 +104,11 @@ def validate_rdm(rho: np.ndarray) -> None:
         raise ValueError("matrix has an eigenvalue below -1e-10")
 
 
-def x_state_from_matrix(rho: np.ndarray, sparsity_tol: float = 1e-12) -> XStateRDM:
-    """Extract X-form entries, requiring the structural zeros to hold."""
+def x_state_from_matrix(rho: np.ndarray) -> XStateRDM:
+    """Extract X-form entries, requiring the structural zeros to hold to SPARSITY_TOL."""
     structural_zeros = [(0, 1), (0, 2), (0, 3), (1, 3), (2, 3)]
     for a, b in structural_zeros:
-        if abs(rho[a, b]) > sparsity_tol or abs(rho[b, a]) > sparsity_tol:
+        if abs(rho[a, b]) > SPARSITY_TOL or abs(rho[b, a]) > SPARSITY_TOL:
             raise ValueError(f"entry ({a}, {b}) = {rho[a, b]} breaks the X pattern")
     return XStateRDM(
         alpha=rho[0, 0].real,
@@ -116,63 +119,53 @@ def x_state_from_matrix(rho: np.ndarray, sparsity_tol: float = 1e-12) -> XStateR
     )
 
 
-@dataclass(frozen=True)
-class PairTraceTables:
-    """Precomputed index arrays mapping one sector basis onto pair categories.
-
-    For eigenvector matrices this turns per-state partial traces into a
-    handful of vectorized reductions; the coherence pairs each (a up,
-    b down) position with the swapped position sharing its environment.
-    """
-
-    up_up: np.ndarray
-    up_down: np.ndarray
-    down_up_partner: np.ndarray
-    down_down: np.ndarray
-
-
-def pair_trace_tables(basis: SectorBasis, pair: tuple[int, int]) -> PairTraceTables:
-    a, b = pair
-    n = basis.n_spins
-    if a == b or not (0 <= a < n and 0 <= b < n):
-        raise ValueError(f"invalid pair {pair} for {n} spins")
-    index = basis.index()
-    up_up, up_down, partner, down_down = [], [], [], []
-    for k, mask in enumerate(basis.states):
-        bit_a = (mask >> a) & 1
-        bit_b = (mask >> b) & 1
-        if bit_a and bit_b:
-            up_up.append(k)
-        elif not bit_a and not bit_b:
-            down_down.append(k)
-        elif bit_a:
-            up_down.append(k)
-            partner.append(index[mask ^ ((1 << a) | (1 << b))])
-    return PairTraceTables(
-        up_up=np.array(up_up, dtype=np.intp),
-        up_down=np.array(up_down, dtype=np.intp),
-        down_up_partner=np.array(partner, dtype=np.intp),
-        down_down=np.array(down_down, dtype=np.intp),
-    )
+def _positions(selected: np.ndarray) -> np.ndarray:
+    """Ascending column positions of each row's set entries; all rows have as many."""
+    return np.nonzero(selected)[1].reshape(len(selected), np.count_nonzero(selected[0]))
 
 
 def eigenstate_pair_entries(
-    eigenvectors: np.ndarray, tables: PairTraceTables
+    basis: SectorBasis, eigenvectors: np.ndarray, pairs: Sequence[tuple[int, int]]
 ) -> np.ndarray:
-    """X-form entries (alpha, beta, gamma, delta, epsilon) per eigenvector column.
+    """X-form entries (alpha, beta, gamma, delta, epsilon) per pair and eigenvector column.
 
-    Returns an array of shape (n_states, 5); real input vectors give the
-    real coherence gamma.
+    Returns an array of shape (n_pairs, n_states, 5); real input vectors
+    give the real coherence gamma.  A pair (a, b) may come in either
+    order: beta is always the weight of "a up, b down".  The category of
+    every basis state for every pair comes from bit operations on the
+    sector's mask array; each population is a sum of squared amplitudes
+    over its rows, and the coherence pairs each (a up, b down) row with
+    its swapped partner, found by ``np.searchsorted``.
     """
+    n = basis.n_spins
+    for a, b in pairs:
+        if a == b or not (0 <= a < n and 0 <= b < n):
+            raise ValueError(f"invalid pair {(a, b)} for {n} spins")
+    masks = basis.masks
+    sites = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    bit_a = (masks >> sites[:, :1]) & 1
+    bit_b = (masks >> sites[:, 1:]) & 1
+    up_down = _positions(bit_a > bit_b)
+    flips = (1 << sites[:, :1]) | (1 << sites[:, 1:])
+    partner = np.searchsorted(masks, masks[up_down] ^ flips)
     squared = eigenvectors**2
-    alpha = squared[tables.up_up, :].sum(axis=0)
-    beta = squared[tables.up_down, :].sum(axis=0)
-    delta = squared[tables.down_up_partner, :].sum(axis=0)
-    epsilon = squared[tables.down_down, :].sum(axis=0)
-    gamma = (
-        eigenvectors[tables.up_down, :] * eigenvectors[tables.down_up_partner, :]
-    ).sum(axis=0)
-    return np.stack([alpha, beta, gamma, delta, epsilon], axis=1)
+
+    def populations(rows: np.ndarray) -> np.ndarray:
+        return np.array([squared[r].sum(axis=0) for r in rows])
+
+    gamma = np.array(
+        [(eigenvectors[r] * eigenvectors[q]).sum(axis=0) for r, q in zip(up_down, partner)]
+    )
+    return np.stack(
+        [
+            populations(_positions(bit_a & bit_b)),
+            populations(up_down),
+            gamma,
+            populations(partner),
+            populations(_positions((bit_a | bit_b) == 0)),
+        ],
+        axis=2,
+    )
 
 
 def concurrence_x_raw(state: XStateRDM) -> float:

@@ -14,7 +14,7 @@ import numpy as np
 from .graphs import SpinGraph
 from .hilbert import SectorBasis, build_sector_hamiltonian, sector_basis
 
-DEFAULT_N_SPINS_CAP = 14
+N_SPINS_CAP = 14
 DEGENERACY_TOL = 1e-9
 
 _SYMMETRY_TOL = 1e-14
@@ -49,13 +49,11 @@ def eig_sym(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return eigenvalues, eigenvectors
 
 
-def full_spectrum(
-    graph: SpinGraph, b_field: float = 0.0, n_spins_cap: int = DEFAULT_N_SPINS_CAP
-) -> list[SectorSpectrum]:
-    """Diagonalize every S^z sector; 2^N eigenvalues in total."""
+def full_spectrum(graph: SpinGraph, b_field: float = 0.0) -> list[SectorSpectrum]:
+    """Diagonalize every S^z sector; 2^N eigenvalues in total, N <= N_SPINS_CAP."""
     n = graph.n_spins
-    if n > n_spins_cap:
-        raise ValueError(f"n_spins={n} exceeds the solver cap of {n_spins_cap}")
+    if n > N_SPINS_CAP:
+        raise ValueError(f"n_spins={n} exceeds the solver cap of {N_SPINS_CAP}")
     spectra = []
     for n_up in range(n + 1):
         basis = sector_basis(n, n_up)

@@ -39,7 +39,6 @@ from __future__ import annotations
 import json
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
-from math import sqrt
 from typing import IO, Iterable
 
 import numpy as np
@@ -57,7 +56,7 @@ from .graphs import (
     ring_chain,
     star_graph,
 )
-from .rdm import eigenstate_pair_entries, pair_trace_tables
+from .rdm import eigenstate_pair_entries
 from .spectra import full_spectrum, ground_window
 
 RAW_CONCURRENCE_THRESHOLD = 1e-12
@@ -211,35 +210,32 @@ class GraphThermalEngine:
     """The one route from a graph's spectrum to thermal weights and pair entries.
 
     Every command that needs weights or pair RDMs builds one engine per
-    graph.  The graph is diagonalized once at zero field; a field B only
-    shifts each sector's eigenvalues by B * (n_up - N/2) and leaves
-    eigenvectors untouched, so thermal weights at any (T, B) reuse the
-    same eigenbasis.  Temperature is in coupling units (Boltzmann
-    constant 1); T = 0 is the uniform mixture over the ground window of
-    ``spectra.ground_window``, not a limit of Boltzmann factors.
-    Pair-trace index tables convert a weight vector into X-form entries
-    with one dense contraction per pair.
+    graph, for the pairs it reports (all pairs of the graph by default).
+    The graph is diagonalized once at zero field; a field B only shifts
+    each sector's eigenvalues by B * (n_up - N/2) and leaves eigenvectors
+    untouched, so thermal weights at any (T, B) reuse the same eigenbasis.
+    Temperature is in coupling units (Boltzmann constant 1); T = 0 is the
+    uniform mixture over the ground window of ``spectra.ground_window``,
+    not a limit of Boltzmann factors.  The X-form entries of every
+    eigenstate for every pair are kept in one (n_pairs, 2^N, 5) stack, so
+    a weight vector becomes the entries of all pairs in one contraction.
     """
 
-    def __init__(self, graph: SpinGraph):
+    def __init__(self, graph: SpinGraph, pairs: Iterable[tuple[int, int]] | None = None):
         self.graph = graph
-        self.spectra = full_spectrum(graph, b_field=0.0)
-        self.energies = np.concatenate([s.eigenvalues for s in self.spectra])
-        self.sz = np.concatenate(
-            [np.full(len(s.eigenvalues), s.basis.sz) for s in self.spectra]
+        self.pairs = tuple(graph.pairs() if pairs is None else pairs)
+        if not self.pairs:
+            raise ValueError(
+                f"no spin pairs to evaluate on the {graph.n_spins}-spin graph; "
+                "pair entanglement needs at least 2 spins and one pair"
+            )
+        spectra = full_spectrum(graph, b_field=0.0)
+        self.energies = np.concatenate([s.eigenvalues for s in spectra])
+        self.sz = np.concatenate([np.full(len(s.eigenvalues), s.basis.sz) for s in spectra])
+        self.stack = np.concatenate(
+            [eigenstate_pair_entries(s.basis, s.eigenvectors, self.pairs) for s in spectra],
+            axis=1,
         )
-        self._entry_stacks: dict[tuple[int, int], np.ndarray] = {}
-
-    def _stack(self, pair: tuple[int, int]) -> np.ndarray:
-        stack = self._entry_stacks.get(pair)
-        if stack is None:
-            blocks = [
-                eigenstate_pair_entries(s.eigenvectors, pair_trace_tables(s.basis, pair))
-                for s in self.spectra
-            ]
-            stack = np.concatenate(blocks, axis=0)
-            self._entry_stacks[pair] = stack
-        return stack
 
     def weights(self, temperature: float, b_field: float) -> np.ndarray:
         """Thermal weights over the flat eigenstate ordering at (T, B).
@@ -261,31 +257,25 @@ class GraphThermalEngine:
         shifted = self.energies + b_field * self.sz
         return float(shifted.min()), int(ground_window(shifted).sum())
 
-    def pair_entries(
-        self, weights: np.ndarray, pair: tuple[int, int]
-    ) -> tuple[float, float, float, float, float]:
-        alpha, beta, gamma, delta, epsilon = weights @ self._stack(pair)
-        return float(alpha), float(beta), float(gamma), float(delta), float(epsilon)
+    def pair_entries(self, weights: np.ndarray) -> np.ndarray:
+        """(alpha, beta, gamma, delta, epsilon) rows, one per engine pair: (n_pairs, 5)."""
+        return weights @ self.stack
 
-    def raw_concurrence(self, weights: np.ndarray, pair: tuple[int, int]) -> float:
-        alpha, _, gamma, _, epsilon = self.pair_entries(weights, pair)
-        return 2.0 * (abs(gamma) - sqrt(max(alpha * epsilon, 0.0)))
+    def raw_concurrence(self, weights: np.ndarray) -> np.ndarray:
+        """Unclamped X-state concurrence 2(|gamma| - sqrt(alpha epsilon)) per engine pair."""
+        alpha, _, gamma, _, epsilon = self.pair_entries(weights).T
+        return 2.0 * (np.abs(gamma) - np.sqrt(np.maximum(alpha * epsilon, 0.0)))
 
 
 def _compute_task(task: _Task) -> tuple[int, list[dict]]:
-    engine = GraphThermalEngine(task.graph)
+    engine = GraphThermalEngine(task.graph, task.pairs)
     records = []
     offset = 0
     for t in task.t_values:
         for b in task.b_values:
             weights = engine.weights(t, b)
             ground_e, ground_d = engine.ground_info(b)
-            pair_rows = []
-            max_raw = -np.inf
-            for pair in task.pairs:
-                raw = engine.raw_concurrence(weights, pair)
-                pair_rows.append([pair[0], pair[1], raw])
-                max_raw = max(max_raw, raw)
+            raw = engine.raw_concurrence(weights)
             records.append(
                 {
                     "index": task.record_base + offset,
@@ -298,8 +288,8 @@ def _compute_task(task: _Task) -> tuple[int, list[dict]]:
                     "b": b,
                     "ground_energy": ground_e,
                     "ground_degeneracy": ground_d,
-                    "max_concurrence": max_raw,
-                    "pairs": pair_rows,
+                    "max_concurrence": float(raw.max()),
+                    "pairs": [[i, j, r] for (i, j), r in zip(task.pairs, raw.tolist())],
                 }
             )
             offset += 1
@@ -495,9 +485,10 @@ def _spectral_checks(
 
 
 def verify_universal(engine: GraphThermalEngine, graph_id: str = "graph") -> VerifyReport:
-    """Check that the zero-field ground mixture's pair RDMs all match the
-    universal separable form, entry-wise within UNIVERSAL_RDM_TOL, with raw
-    pair concurrence at most RAW_CONCURRENCE_THRESHOLD.
+    """Check that the zero-field ground mixture's RDMs of the engine's pairs
+    all match the universal separable form, entry-wise within
+    UNIVERSAL_RDM_TOL, with raw pair concurrence at most
+    RAW_CONCURRENCE_THRESHOLD.
 
     Requires a connected ferromagnetic graph; violations are flagged in
     the report (never silently ignored) and fail it.
@@ -509,14 +500,10 @@ def verify_universal(engine: GraphThermalEngine, graph_id: str = "graph") -> Ver
     ferromagnetic = graph.is_ferromagnetic
     preconditions_ok = ferromagnetic and connected
 
-    target = np.array(UNIVERSAL_ENTRIES, dtype=float)
-    max_deviation = 0.0
-    max_raw = -np.inf
     weights = engine.weights(0.0, 0.0)
-    for pair in graph.pairs():
-        entries = np.array(engine.pair_entries(weights, pair))
-        max_deviation = max(max_deviation, float(np.max(np.abs(entries - target))))
-        max_raw = max(max_raw, engine.raw_concurrence(weights, pair))
+    target = np.array(UNIVERSAL_ENTRIES, dtype=float)
+    max_deviation = float(np.max(np.abs(engine.pair_entries(weights) - target)))
+    max_raw = float(np.max(engine.raw_concurrence(weights)))
 
     passed = (
         preconditions_ok
@@ -539,7 +526,7 @@ def verify_universal(engine: GraphThermalEngine, graph_id: str = "graph") -> Ver
         expected_degeneracy=expected_d,
         degeneracy_ok=degeneracy_ok,
         max_rdm_deviation=max_deviation,
-        max_raw_concurrence=float(max_raw),
+        max_raw_concurrence=max_raw,
         passed=passed,
     )
 
@@ -589,12 +576,10 @@ def zero_temperature_scan(
         raise ValueError("temperature grid must start at 0")
     if any(t_values[k] > t_values[k + 1] for k in range(len(t_values) - 1)):
         raise ValueError("temperature grid must be ascending")
-    pairs = engine.graph.pairs()
     last_ok: float | None = None
     for t in t_values:
         weights = engine.weights(t, b_field)
-        max_raw = max(engine.raw_concurrence(weights, pair) for pair in pairs)
-        if max_raw > RAW_CONCURRENCE_THRESHOLD:
+        if np.max(engine.raw_concurrence(weights)) > RAW_CONCURRENCE_THRESHOLD:
             break
         last_ok = t
     return last_ok

@@ -5,7 +5,7 @@ with dense Kronecker products or explicit permutation matrices,
 deliberately avoiding the package's sector-blocked bitwise code paths.
 The per-eigenstate partial trace and the Gibbs mixture below are the
 reference for the package's thermal engine: they loop over eigenstates
-one by one in Python instead of contracting index tables.
+one by one in Python instead of contracting the engine's entry stack.
 """
 
 from __future__ import annotations
@@ -77,14 +77,14 @@ def permutation_hamiltonian(graph: SpinGraph, b_field: float = 0.0) -> np.ndarra
 def embed_sector_vector(vector: np.ndarray, basis: SectorBasis) -> np.ndarray:
     """Lift a sector vector onto the full 2^N space."""
     full = np.zeros(2**basis.n_spins, dtype=complex)
-    for amplitude, mask in zip(vector, basis.states):
+    for amplitude, mask in zip(vector, basis.masks):
         full[mask] = amplitude
     return full
 
 
 def sector_block(full_matrix: np.ndarray, basis: SectorBasis) -> np.ndarray:
     """Restrict a full-space operator to one sector's rows and columns."""
-    idx = np.array(basis.states, dtype=np.intp)
+    idx = np.array(basis.masks, dtype=np.intp)
     return full_matrix[np.ix_(idx, idx)]
 
 
@@ -146,7 +146,7 @@ def pair_rdm_pure(
         raise ValueError(f"state vector norm is {norm}, expected 1")
     pair_bits = (1 << a) | (1 << b)
     groups: dict[int, np.ndarray] = {}
-    for amplitude, mask in zip(vector, basis.states):
+    for amplitude, mask in zip(vector, basis.masks):
         if amplitude == 0.0:
             continue
         env = mask & ~pair_bits

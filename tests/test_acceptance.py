@@ -48,10 +48,9 @@ def test_criterion_1_universal_ground_rdm():
     for graph_id, graph in builtin_graph_set():
         engine = GraphThermalEngine(graph)
         weights = engine.weights(0.0, 0.0)
-        for pair in graph.pairs():
-            rho = XStateRDM(*engine.pair_entries(weights, pair)).matrix()
+        for row, raw in zip(engine.pair_entries(weights), engine.raw_concurrence(weights)):
+            rho = XStateRDM(*row).matrix()
             worst_deviation = max(worst_deviation, float(np.max(np.abs(rho - target))))
-            raw = engine.raw_concurrence(weights, pair)
             worst_raw = max(worst_raw, raw)
             clamp_ok &= max(0.0, raw) == 0.0
     passed = worst_deviation <= 1e-10 and worst_raw <= 1e-12 and clamp_ok
@@ -223,7 +222,8 @@ def test_criterion_6_zero_entanglement_sweep():
 
 def test_criterion_7_detection_control():
     engine = GraphThermalEngine(make_graph(2, [(0, 1, 1.0)]))
-    rho = XStateRDM(*engine.pair_entries(engine.weights(0.0, 0.0), (0, 1))).matrix()
+    [row] = engine.pair_entries(engine.weights(0.0, 0.0))  # the one pair (0, 1)
+    rho = XStateRDM(*row).matrix()
     value = concurrence_wootters(rho)
     passed = abs(value - 1.0) <= 1e-10 and engine.ground_info(0.0)[1] == 1
     report(7, "detection-control", passed, f" (singlet concurrence {value!r})")

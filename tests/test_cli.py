@@ -255,6 +255,21 @@ class TestSweepCommand:
         assert "temperature" in capsys.readouterr().err
         assert results.read_text() == ""
 
+    @pytest.mark.parametrize("pairless", ["one-spin file geometry", "empty pair list"])
+    def test_pairless_sweep_exits_2(self, tmp_path, capsys, pairless):
+        graph = tmp_path / "one.json"
+        graph.write_text(json.dumps({"n": 1, "edges": []}))
+        if pairless == "empty pair list":
+            data = {"geometries": [{"kind": "ring"}], "pairs": []}
+        else:
+            data = {"geometries": [{"kind": "file", "path": str(graph)}]}
+        config = tmp_path / "sweep.json"
+        config.write_text(json.dumps(data))
+        results = tmp_path / "out.jsonl"
+        assert run_cli("sweep", "--config", str(config), "--output", str(results)) == 2
+        assert "no spin pairs" in capsys.readouterr().err
+        assert results.read_text() == ""
+
     def test_bad_config_exits_2(self, tmp_path, capsys):
         config = tmp_path / "sweep.json"
         config.write_text(json.dumps({"geometries": [{"kind": "ring"}], "bogus": True}))
@@ -294,6 +309,17 @@ class TestVerifyCommand:
         code = run_cli("verify", "--suite", "sweep-zero", "--graph", path)
         assert code == 0
         assert "sweep-zero" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("suite", ["universal", "degeneracy", "sweep-zero", "all"])
+    def test_pairless_graph_exits_2(self, tmp_path, capsys, suite):
+        path = tmp_path / "one.json"
+        path.write_text(json.dumps({"n": 1, "edges": []}))
+        report_path = tmp_path / "report.json"
+        code = run_cli("verify", "--suite", suite, "--graph", str(path),
+                       "--json", str(report_path))
+        assert code == 2
+        assert "no spin pairs" in capsys.readouterr().err
+        assert not report_path.exists()
 
     def test_all_suites_on_builtin_set(self, tmp_path, capsys):
         report_path = tmp_path / "report.json"

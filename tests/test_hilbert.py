@@ -15,13 +15,13 @@ EDGE = make_graph(2, [(0, 1, -1.0)])
 
 class TestSectorBasis:
     def test_empty_sector(self):
-        assert sector_basis(4, 0).states == (0,)
+        assert sector_basis(4, 0).masks.tolist() == [0]
 
     def test_half_filled_four_spins(self):
-        assert sector_basis(4, 2).states == (0b0011, 0b0101, 0b0110, 0b1001, 0b1010, 0b1100)
+        assert sector_basis(4, 2).masks.tolist() == [0b0011, 0b0101, 0b0110, 0b1001, 0b1010, 0b1100]
 
     def test_full_sector(self):
-        assert sector_basis(3, 3).states == (0b111,)
+        assert sector_basis(3, 3).masks.tolist() == [0b111]
 
     def test_dimensions_sum_to_full_space(self):
         for n in range(1, 9):
@@ -29,8 +29,8 @@ class TestSectorBasis:
 
     def test_states_ascending(self):
         basis = sector_basis(7, 3)
-        assert list(basis.states) == sorted(basis.states)
-        assert all(int(m).bit_count() == 3 for m in basis.states)
+        assert basis.masks.tolist() == sorted(basis.masks.tolist())
+        assert all(int(m).bit_count() == 3 for m in basis.masks)
 
     def test_bad_n_up(self):
         with pytest.raises(ValueError):
@@ -70,6 +70,7 @@ class TestBuildHamiltonian:
             star_graph(5, -1.5),
             random_graph(6, 0.5, (-2.0, -0.3), seed=3),
             make_graph(4, [(0, 1, 1.0), (2, 3, -0.5)]),  # mixed signs on purpose
+            make_graph(3, []),  # no edges: the field term alone
         ]
         for g in graphs:
             full = kron_hamiltonian(g, b_field)

@@ -11,7 +11,6 @@ from ferroent.rdm import (
     concurrence_x,
     concurrence_x_raw,
     eigenstate_pair_entries,
-    pair_trace_tables,
     sxsx_correlator,
     validate_rdm,
     x_state_from_matrix,
@@ -84,7 +83,7 @@ class TestPairRdmPure:
     def test_bad_pair_rejected(self):
         for pair in [(0, 2), (1, 1), (-1, 0)]:
             with pytest.raises(ValueError, match="invalid pair"):
-                pair_trace_tables(sector_basis(2, 1), pair)
+                eigenstate_pair_entries(sector_basis(2, 1), np.eye(2), [pair])
 
     def test_x_pattern_zeros_for_eigenstates_and_thermal_states(self):
         g = random_graph(6, 0.5, (-2.0, -0.3), seed=21)
@@ -193,15 +192,17 @@ class TestConcurrenceWootters:
 
 class TestPairSymmetry:
     def test_concurrence_invariant_under_pair_swap(self):
-        engine = GraphThermalEngine(random_graph(6, 0.5, (-2.0, -0.3), seed=17))
-        weights = engine.weights(0.9, 0.0)
-
-        def concurrence(pair):
-            state = XStateRDM(*engine.pair_entries(weights, pair))
-            return concurrence_wootters(state.matrix())
-
-        for i, j in [(0, 3), (1, 5), (2, 4)]:
-            assert concurrence((i, j)) == pytest.approx(concurrence((j, i)), abs=1e-12)
+        pairs = [(0, 3), (1, 5), (2, 4)]
+        reversed_pairs = [(j, i) for i, j in pairs]
+        engine = GraphThermalEngine(
+            random_graph(6, 0.5, (-2.0, -0.3), seed=17), pairs + reversed_pairs
+        )
+        concurrence = [
+            concurrence_wootters(XStateRDM(*row).matrix())
+            for row in engine.pair_entries(engine.weights(0.9, 0.0))
+        ]
+        for k in range(len(pairs)):
+            assert concurrence[k] == pytest.approx(concurrence[k + len(pairs)], abs=1e-12)
 
 
 class TestCorrelator:
@@ -228,17 +229,18 @@ class TestVectorizedEntries:
     def test_matches_pair_rdm_pure_per_eigenstate(self):
         g = random_graph(7, 0.4, (-2.0, -0.2), seed=29)
         spectra = full_spectrum(g)
+        pairs = g.pairs() + [(j, i) for i, j in g.pairs()]  # reversed pairs too
         for spectrum in spectra:
-            for pair in [(0, 1), (2, 6)]:
-                tables = pair_trace_tables(spectrum.basis, pair)
-                stack = eigenstate_pair_entries(spectrum.eigenvectors, tables)
+            stack = eigenstate_pair_entries(spectrum.basis, spectrum.eigenvectors, pairs)
+            assert stack.shape == (len(pairs), len(spectrum.eigenvalues), 5)
+            for pair, entries in zip(pairs, stack):
                 for k in (0, len(spectrum.eigenvalues) - 1):
                     rho = pair_rdm_pure(spectrum.eigenvectors[:, k], spectrum.basis, pair)
                     expected = np.array(
                         [rho[0, 0].real, rho[1, 1].real, rho[1, 2].real,
                          rho[2, 2].real, rho[3, 3].real]
                     )
-                    assert stack[k] == pytest.approx(expected, abs=1e-13)
+                    assert entries[k] == pytest.approx(expected, abs=1e-13)
 
 
 class TestValidateRdm:

@@ -83,7 +83,7 @@ class TestFullSpectrum:
 
     def test_cap(self):
         with pytest.raises(ValueError):
-            full_spectrum(EDGE, n_spins_cap=1)
+            full_spectrum(make_graph(15, []))
 
     def test_ground_energy_is_quarter_coupling_sum(self):
         for g in TEST_GRAPHS:

@@ -217,20 +217,32 @@ class TestThermalEngine:
 
     def test_entries_match_mixed_rdm_with_field(self):
         g = open_chain(ChainParams(n_spins=5, g1=-1.0, g2=-0.5, periodic=False))
-        engine = GraphThermalEngine(g)
+        pairs = [(0, 1), (1, 4), (2, 3)]
+        engine = GraphThermalEngine(g, pairs)
         temperature, b_field = 0.8, 1.3
         spectra_b = full_spectrum(g, b_field=b_field)
         mixture = gibbs_terms(spectra_b, temperature)
         weights = engine.weights(temperature, b_field)
-        for pair in [(0, 1), (1, 4), (2, 3)]:
+        for pair, row in zip(pairs, engine.pair_entries(weights)):
             rho = pair_rdm_mixed(mixture, spectra_b, pair)
             state = x_state_from_matrix(rho)
-            alpha, beta, gamma, delta, epsilon = engine.pair_entries(weights, pair)
+            alpha, beta, gamma, delta, epsilon = row
             assert alpha == pytest.approx(state.alpha, abs=1e-12)
             assert beta == pytest.approx(state.beta, abs=1e-12)
             assert gamma == pytest.approx(state.gamma.real, abs=1e-12)
             assert delta == pytest.approx(state.delta, abs=1e-12)
             assert epsilon == pytest.approx(state.epsilon, abs=1e-12)
+
+    def test_one_pair_engine_matches_all_pairs_engine_exactly(self):
+        g = random_graph(6, 0.5, (-2.0, -0.3), seed=23)
+        everything = GraphThermalEngine(g)
+        weights = everything.weights(0.7, 0.4)
+        rows = everything.pair_entries(weights)
+        raws = everything.raw_concurrence(weights)
+        for k, pair in enumerate(g.pairs()):
+            single = GraphThermalEngine(g, [pair])
+            assert np.array_equal(single.pair_entries(single.weights(0.7, 0.4))[0], rows[k])
+            assert single.raw_concurrence(single.weights(0.7, 0.4))[0] == raws[k]
 
     def test_ground_info_with_field_splits_multiplet(self):
         g = ring_chain(ChainParams(n_spins=4, g1=-1.0))
