@@ -32,10 +32,12 @@ from .hilbert import build_sector_hamiltonian
 from .spectra import energy_gap, full_spectrum
 from .sweep import (
     RAW_CONCURRENCE_THRESHOLD,
+    SUMMARY_HEADER,
     GraphThermalEngine,
     SweepConfig,
     builtin_graph_set,
     run_sweep,
+    summary_row,
     verify_degeneracy,
     verify_universal,
     zero_temperature_scan,
@@ -226,6 +228,37 @@ def _cmd_figures(args: argparse.Namespace) -> int:
     return 0
 
 
+def _resume_point(path: str) -> list[str]:
+    """The summary rows of the records already in a partial JSON-lines output.
+
+    A record is complete when its line ends in a newline and parses as
+    JSON; whatever follows the last complete record (a line torn by an
+    interrupted write) is truncated away, so appended records start on a
+    fresh line.  Record k must sit on line k + 1 with index k; any other
+    file is refused (exit 2).  A missing file holds no records.
+    """
+    try:
+        with open(path, "rb") as handle:
+            lines = handle.read().split(b"\n")
+    except FileNotFoundError:
+        return []
+    rows: list[str] = []
+    size = 0
+    for number, line in enumerate(lines[:-1]):  # lines[-1] has no newline: torn or empty
+        try:
+            record = json.loads(line)
+        except ValueError:
+            continue
+        if number != len(rows) or not isinstance(record, dict) or record.get("index") != number:
+            raise SystemExit(f"ferroent: cannot resume {path!r}: line {len(rows) + 1} "
+                             f"is not record {len(rows)} of a sweep")
+        rows.append(summary_row(record))
+        size += len(line) + 1
+    with open(path, "r+b") as handle:
+        handle.truncate(size)
+    return rows
+
+
 def _cmd_sweep(args: argparse.Namespace) -> int:
     try:
         config = SweepConfig.from_file(args.config)
@@ -233,18 +266,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise SystemExit(f"ferroent: cannot read config: {err}") from err
     except (ValueError, KeyError, TypeError, json.JSONDecodeError) as err:
         raise SystemExit(f"ferroent: bad config {args.config!r}: {err}") from err
-    skip = 0
-    mode = "w"
-    if args.resume and args.output is not None:
-        try:
-            with open(args.output, "r", encoding="utf-8") as handle:
-                skip = sum(1 for _ in handle)
-            mode = "a"
-        except OSError:
-            skip = 0
-    output = open(args.output, mode, encoding="utf-8") if args.output else None
+    rows = _resume_point(args.output) if args.resume and args.output is not None else []
+    skip = len(rows)
+    output = open(args.output, "a" if skip else "w", encoding="utf-8") if args.output else None
     summary = open(args.summary, "w", encoding="utf-8") if args.summary else None
     try:
+        if summary is not None and skip:
+            # rebuilt from the kept records, so it matches the output whatever it held
+            summary.write(SUMMARY_HEADER + "".join(rows))
         result = run_sweep(
             config,
             output=output,

@@ -7,6 +7,13 @@ states are ordered by ascending integer value; this ordering is part of
 the on-disk contract for exported eigenvectors.  Each sector is one
 ascending numpy mask array, and everything built on it (Hamiltonian
 blocks, pair entries) is derived with bit operations on that array.
+
+The global spin flip maps sector n_up onto sector N - n_up: the flipped
+sector's masks are the complements of this sector's masks in reverse
+order (``SectorBasis.flipped``).  The exchange terms only ask whether two
+spins are parallel, which the flip keeps, so at zero field
+``build_sector_hamiltonian(graph, N - k)`` is exactly
+``build_sector_hamiltonian(graph, k)[::-1, ::-1]``, bit for bit.
 """
 
 from __future__ import annotations
@@ -38,6 +45,15 @@ class SectorBasis:
     def sz(self) -> float:
         """Total z-spin eigenvalue of the sector, n_up - N/2."""
         return self.n_up - 0.5 * self.n_spins
+
+    def flipped(self) -> "SectorBasis":
+        """The sector N - n_up: complemented masks, reversed to stay ascending.
+
+        Position p here and position len - 1 - p there hold globally
+        spin-flipped states.
+        """
+        full = (1 << self.n_spins) - 1
+        return SectorBasis(self.n_spins, self.n_spins - self.n_up, full ^ self.masks[::-1])
 
 
 def sector_dimension(n_spins: int, n_up: int) -> int:

@@ -135,7 +135,10 @@ def eigenstate_pair_entries(
     every basis state for every pair comes from bit operations on the
     sector's mask array; each population is a sum of squared amplitudes
     over its rows, and the coherence pairs each (a up, b down) row with
-    its swapped partner, found by ``np.searchsorted``.
+    its swapped partner, found by ``np.searchsorted``.  Each category is
+    gathered for many pairs at once, as (pairs, rows, states), and summed
+    over its rows in ascending row order; the pairs go in chunks so that
+    this temporary never outgrows the sector's eigenvector block.
     """
     n = basis.n_spins
     for a, b in pairs:
@@ -148,24 +151,22 @@ def eigenstate_pair_entries(
     up_down = _positions(bit_a > bit_b)
     flips = (1 << sites[:, :1]) | (1 << sites[:, 1:])
     partner = np.searchsorted(masks, masks[up_down] ^ flips)
-    squared = eigenvectors**2
+    entries = np.empty((len(sites), eigenvectors.shape[1], 5), dtype=eigenvectors.dtype)
 
-    def populations(rows: np.ndarray) -> np.ndarray:
-        return np.array([squared[r].sum(axis=0) for r in rows])
+    def gather(column: int, rows: np.ndarray, partner_rows: np.ndarray | None = None) -> None:
+        step = max(1, len(masks) // max(1, rows.shape[1]))
+        for first in range(0, len(sites), step):
+            chunk = slice(first, first + step)
+            terms = eigenvectors[rows[chunk]]
+            terms *= terms if partner_rows is None else eigenvectors[partner_rows[chunk]]
+            entries[chunk, :, column] = terms.sum(axis=1)
 
-    gamma = np.array(
-        [(eigenvectors[r] * eigenvectors[q]).sum(axis=0) for r, q in zip(up_down, partner)]
-    )
-    return np.stack(
-        [
-            populations(_positions(bit_a & bit_b)),
-            populations(up_down),
-            gamma,
-            populations(partner),
-            populations(_positions((bit_a | bit_b) == 0)),
-        ],
-        axis=2,
-    )
+    gather(0, _positions(bit_a & bit_b))
+    gather(1, up_down)
+    gather(2, up_down, partner)
+    gather(3, partner)
+    gather(4, _positions((bit_a | bit_b) == 0))
+    return entries
 
 
 def concurrence_x_raw(state: XStateRDM) -> float:

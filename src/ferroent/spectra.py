@@ -1,5 +1,8 @@
 """Sector eigendecomposition and the ground-window rule.
 
+``full_spectrum`` diagonalizes the sectors n_up <= N // 2 and takes the
+others from the global spin flip, which maps sector k onto sector N - k.
+
 The ground multiplet is identified from a flat array of energies by one
 rule, ``ground_window``; the thermal engine, the gap report and the
 verification suites all use it.
@@ -50,19 +53,34 @@ def eig_sym(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def full_spectrum(graph: SpinGraph, b_field: float = 0.0) -> list[SectorSpectrum]:
-    """Diagonalize every S^z sector; 2^N eigenvalues in total, N <= N_SPINS_CAP."""
+    """Spectra of every S^z sector, n_up = 0..N; 2^N eigenvalues, N <= N_SPINS_CAP.
+
+    Only the sectors n_up <= N // 2 are diagonalized, at zero field.  The
+    global spin flip gives the rest: sector N - k has sector k's
+    eigenvalues, in the same order, and eigenvectors ``V_k[::-1]`` (a view
+    of sector k's array), because its Hamiltonian block is sector k's with
+    rows and columns reversed (see ``hilbert``).  A field B commutes with
+    every block and only adds B * S^z to each sector's eigenvalues.
+    """
     n = graph.n_spins
     if n > N_SPINS_CAP:
         raise ValueError(f"n_spins={n} exceeds the solver cap of {N_SPINS_CAP}")
-    spectra = []
-    for n_up in range(n + 1):
-        basis = sector_basis(n, n_up)
-        matrix = build_sector_hamiltonian(graph, n_up, b_field)
-        eigenvalues, eigenvectors = eig_sym(matrix)
-        spectra.append(
-            SectorSpectrum(basis=basis, eigenvalues=eigenvalues, eigenvectors=eigenvectors)
+    # Largest block first, so no smaller sector's eigenvectors are held
+    # while its eigh (and LAPACK workspace) sets the peak memory.
+    lower = []
+    for n_up in reversed(range(n // 2 + 1)):
+        eigenvalues, eigenvectors = eig_sym(build_sector_hamiltonian(graph, n_up))
+        lower.insert(0, (sector_basis(n, n_up), eigenvalues, eigenvectors))
+    mirrored = [
+        (basis.flipped(), eigenvalues, eigenvectors[::-1])
+        for basis, eigenvalues, eigenvectors in reversed(lower[: (n + 1) // 2])
+    ]
+    return [
+        SectorSpectrum(
+            basis=basis, eigenvalues=eigenvalues + b_field * basis.sz, eigenvectors=eigenvectors
         )
-    return spectra
+        for basis, eigenvalues, eigenvectors in lower + mirrored
+    ]
 
 
 def ground_window(energies: np.ndarray) -> np.ndarray:

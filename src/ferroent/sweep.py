@@ -5,7 +5,9 @@ x temperature x field exactly once, computing the raw (unclamped) pair
 concurrence of the thermal state at every point.  Results stream to a
 JSON-lines file, one record per line, in ascending grid-index order, so
 identical configs produce byte-identical files and an interrupted sweep
-can resume from the line count.
+can resume after its last complete record.  Each graph instance is one
+task: one thermal engine, whose weight vectors for all of the task's
+(T, B) points are contracted against the entry stack at once.
 
 Config files are JSON with the following keys (all grids nonempty):
 
@@ -61,6 +63,8 @@ from .spectra import full_spectrum, ground_window
 
 RAW_CONCURRENCE_THRESHOLD = 1e-12
 UNIVERSAL_RDM_TOL = 1e-10
+
+_POINTS_PER_CONTRACTION = 256
 
 _CHAIN_KINDS = ("ring", "open")
 _SIZED_KINDS = ("ring", "open", "random")
@@ -218,7 +222,12 @@ class GraphThermalEngine:
     uniform mixture over the ground window of ``spectra.ground_window``,
     not a limit of Boltzmann factors.  The X-form entries of every
     eigenstate for every pair are kept in one (n_pairs, 2^N, 5) stack, so
-    a weight vector becomes the entries of all pairs in one contraction.
+    weight vectors become the entries of all pairs in one contraction.
+    Entries are gathered only for the sectors n_up <= N // 2; the spin
+    flip that mirrors sector k onto sector N - k (``full_spectrum``) swaps
+    up and down on both sites, so the mirrored sector's entries are sector
+    k's with (alpha, beta, gamma, delta, epsilon) -> (epsilon, delta,
+    gamma, beta, alpha).
     """
 
     def __init__(self, graph: SpinGraph, pairs: Iterable[tuple[int, int]] | None = None):
@@ -229,13 +238,22 @@ class GraphThermalEngine:
                 f"no spin pairs to evaluate on the {graph.n_spins}-spin graph; "
                 "pair entanglement needs at least 2 spins and one pair"
             )
-        spectra = full_spectrum(graph, b_field=0.0)
-        self.energies = np.concatenate([s.eigenvalues for s in spectra])
-        self.sz = np.concatenate([np.full(len(s.eigenvalues), s.basis.sz) for s in spectra])
-        self.stack = np.concatenate(
-            [eigenstate_pair_entries(s.basis, s.eigenvectors, self.pairs) for s in spectra],
-            axis=1,
-        )
+        n = graph.n_spins
+        self.energies = np.empty(2**n)
+        self.sz = np.empty(2**n)
+        self.stack = np.empty((len(self.pairs), 2**n, 5))
+        start = 0
+        for spectrum in full_spectrum(graph, b_field=0.0):
+            stop = start + len(spectrum.eigenvalues)
+            self.energies[start:stop] = spectrum.eigenvalues
+            self.sz[start:stop] = spectrum.basis.sz
+            if spectrum.n_up <= n // 2:
+                self.stack[:, start:stop] = eigenstate_pair_entries(
+                    spectrum.basis, spectrum.eigenvectors, self.pairs
+                )
+            else:  # sector k = N - n_up ends where this one starts, counted from the top
+                self.stack[:, start:stop] = self.stack[:, 2**n - stop : 2**n - start, ::-1]
+            start = stop
 
     def weights(self, temperature: float, b_field: float) -> np.ndarray:
         """Thermal weights over the flat eigenstate ordering at (T, B).
@@ -258,24 +276,42 @@ class GraphThermalEngine:
         return float(shifted.min()), int(ground_window(shifted).sum())
 
     def pair_entries(self, weights: np.ndarray) -> np.ndarray:
-        """(alpha, beta, gamma, delta, epsilon) rows, one per engine pair: (n_pairs, 5)."""
+        """(alpha, beta, gamma, delta, epsilon) per engine pair and weight vector.
+
+        One weight vector (2^N,) gives (n_pairs, 5); a stack of them
+        (points, 2^N) gives (n_pairs, points, 5).
+        """
         return weights @ self.stack
 
     def raw_concurrence(self, weights: np.ndarray) -> np.ndarray:
-        """Unclamped X-state concurrence 2(|gamma| - sqrt(alpha epsilon)) per engine pair."""
-        alpha, _, gamma, _, epsilon = self.pair_entries(weights).T
+        """Unclamped X-state concurrence 2(|gamma| - sqrt(alpha epsilon)).
+
+        (n_pairs,) for one weight vector, (n_pairs, points) for a stack.
+        """
+        entries = self.pair_entries(weights)
+        alpha, gamma, epsilon = entries[..., 0], entries[..., 2], entries[..., 4]
         return 2.0 * (np.abs(gamma) - np.sqrt(np.maximum(alpha * epsilon, 0.0)))
 
 
 def _compute_task(task: _Task) -> tuple[int, list[dict]]:
+    """All records of one graph instance: one weight matrix, one contraction.
+
+    Points run T-major, B-minor.  The ground energy and degeneracy depend
+    on B only and are computed once per field value.  Grids larger than
+    _POINTS_PER_CONTRACTION points are contracted in blocks of that many,
+    which bounds the weight matrix.
+    """
     engine = GraphThermalEngine(task.graph, task.pairs)
+    points = [(t, b) for t in task.t_values for b in task.b_values]
+    ground = [engine.ground_info(b) for b in task.b_values]
     records = []
-    offset = 0
-    for t in task.t_values:
-        for b in task.b_values:
-            weights = engine.weights(t, b)
-            ground_e, ground_d = engine.ground_info(b)
-            raw = engine.raw_concurrence(weights)
+    for first in range(0, len(points), _POINTS_PER_CONTRACTION):
+        block = points[first : first + _POINTS_PER_CONTRACTION]
+        raw = engine.raw_concurrence(np.array([engine.weights(t, b) for t, b in block]))
+        for offset, ((t, b), column, maximum) in enumerate(
+            zip(block, raw.T.tolist(), raw.max(axis=0).tolist()), start=first
+        ):
+            ground_e, ground_d = ground[offset % len(task.b_values)]
             records.append(
                 {
                     "index": task.record_base + offset,
@@ -288,11 +324,10 @@ def _compute_task(task: _Task) -> tuple[int, list[dict]]:
                     "b": b,
                     "ground_energy": ground_e,
                     "ground_degeneracy": ground_d,
-                    "max_concurrence": float(raw.max()),
-                    "pairs": [[i, j, r] for (i, j), r in zip(task.pairs, raw.tolist())],
+                    "max_concurrence": maximum,
+                    "pairs": [[i, j, r] for (i, j), r in zip(task.pairs, column)],
                 }
             )
-            offset += 1
     return task.index, records
 
 
@@ -345,6 +380,24 @@ class SweepResult:
     threshold: float
 
 
+SUMMARY_HEADER = "index,geometry,n_spins,g1,g2,g3,t,b,max_concurrence\n"
+
+
+def summary_row(record: dict) -> str:
+    """The CSV summary line of one JSON-lines record."""
+    return "%d,%s,%d,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g\n" % (
+        record["index"],
+        record["geometry"],
+        record["n_spins"],
+        record["g1"],
+        record["g2"],
+        record["g3"],
+        record["t"],
+        record["b"],
+        record["max_concurrence"],
+    )
+
+
 def run_sweep(
     config: SweepConfig,
     output: IO[str] | None = None,
@@ -358,18 +411,21 @@ def run_sweep(
     Tasks (one per graph instance) run on a process pool when workers > 1;
     completed tasks are buffered and flushed strictly in index order, so
     output files are reproducible byte for byte.  ``skip_records`` resumes
-    an interrupted sweep: pass the line count of a partial output file and
-    open it for append; grid points already on disk are not recomputed,
-    and the returned statistics cover only the new records.  A "violation"
-    is a record whose max raw concurrence exceeds the threshold.
+    an interrupted sweep: pass the count of complete records in a partial
+    output file and open it for append; grid points already on disk are
+    not recomputed.  The summary gets its header only when nothing is
+    skipped; a resumed summary continues the rows of the skipped records.
+    The returned statistics cover only the records written by this call.
+    A "violation" is a record whose max raw concurrence exceeds the
+    threshold.
     """
     tasks = [
         task
         for task in _expand_tasks(config)
         if task.record_base + len(task.t_values) * len(task.b_values) > skip_records
     ]
-    if summary is not None:
-        summary.write("index,geometry,n_spins,g1,g2,g3,t,b,max_concurrence\n")
+    if summary is not None and skip_records == 0:
+        summary.write(SUMMARY_HEADER)
     state = SweepResult(
         records_written=0, max_concurrence=-np.inf, violations=0, threshold=threshold
     )
@@ -378,28 +434,15 @@ def run_sweep(
 
     def emit(records: list[dict]) -> None:
         for record in records:
+            if record["index"] < skip_records:
+                continue
             state.max_concurrence = max(state.max_concurrence, record["max_concurrence"])
             if record["max_concurrence"] > threshold:
                 state.violations += 1
-            if record["index"] < skip_records:
-                continue
             if output is not None:
                 output.write(json.dumps(record) + "\n")
             if summary is not None:
-                summary.write(
-                    "%d,%s,%d,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g\n"
-                    % (
-                        record["index"],
-                        record["geometry"],
-                        record["n_spins"],
-                        record["g1"],
-                        record["g2"],
-                        record["g3"],
-                        record["t"],
-                        record["b"],
-                        record["max_concurrence"],
-                    )
-                )
+                summary.write(summary_row(record))
             state.records_written += 1
 
     if workers <= 1:

@@ -95,6 +95,39 @@ class TestBuildHamiltonian:
             assert low == pytest.approx(high, abs=1e-12)
 
 
+def mixed_graphs(seed):
+    """Seeded mixed-sign graphs: dense, sparse (mostly disconnected) and edge-free."""
+    rng = np.random.default_rng(seed)
+    graphs = []
+    for n in range(1, 9):
+        for density in (0.8, 0.3, 0.0):
+            edges = [
+                (i, j, float(rng.uniform(-2.0, 1.5)))
+                for i in range(n)
+                for j in range(i + 1, n)
+                if rng.random() < density
+            ]
+            graphs.append(make_graph(n, edges))
+    return graphs
+
+
+class TestSpinFlipMirror:
+    def test_flipped_basis_is_the_complement_sector(self):
+        for n in range(1, 9):
+            for n_up in range(n + 1):
+                flipped = sector_basis(n, n_up).flipped()
+                assert flipped.n_up == n - n_up
+                assert flipped.masks.tolist() == sector_basis(n, n - n_up).masks.tolist()
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_mirror_block_is_bitwise_reversed(self, seed):
+        for g in mixed_graphs(seed):
+            n = g.n_spins
+            for n_up in range(n + 1):
+                h = build_sector_hamiltonian(g, n_up)
+                assert np.array_equal(build_sector_hamiltonian(g, n - n_up), h[::-1, ::-1])
+
+
 class TestDickeVector:
     def test_boundary_sectors_are_single_states(self):
         assert np.array_equal(dicke_vector(5, 0), [1.0])

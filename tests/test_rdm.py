@@ -243,6 +243,17 @@ class TestVectorizedEntries:
                     assert entries[k] == pytest.approx(expected, abs=1e-13)
 
 
+    def test_all_pair_gathers_equal_one_pair_gathers_exactly(self):
+        # chunks of pairs sum each category in the same row order as one pair alone
+        g = random_graph(8, 0.5, (-2.0, -0.2), seed=31)
+        pairs = g.pairs() + [(j, i) for i, j in g.pairs()]
+        for spectrum in full_spectrum(g):
+            stack = eigenstate_pair_entries(spectrum.basis, spectrum.eigenvectors, pairs)
+            for pair, entries in zip(pairs, stack):
+                single = eigenstate_pair_entries(spectrum.basis, spectrum.eigenvectors, [pair])
+                assert np.array_equal(single[0], entries)
+
+
 class TestValidateRdm:
     def test_accepts_valid(self):
         validate_rdm(BELL.matrix())

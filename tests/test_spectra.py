@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ferroent.graphs import ChainParams, make_graph, random_graph, ring_chain
-from ferroent.hilbert import build_sector_hamiltonian
+from ferroent.hilbert import build_sector_hamiltonian, sector_basis
 from ferroent.spectra import eig_sym, energy_gap, full_spectrum, ground_window
 from ferroent.sweep import GraphThermalEngine
 
@@ -80,6 +80,36 @@ class TestFullSpectrum:
         for s_low in spectra:
             s_high = spectra[g.n_spins - s_low.n_up]
             assert s_low.eigenvalues == pytest.approx(s_high.eigenvalues, abs=1e-11)
+
+    @pytest.mark.parametrize("b_field", [0.0, -0.6])
+    def test_every_sector_solves_its_own_block(self, b_field):
+        # sectors above N // 2 come from the spin flip; each must still be
+        # an orthonormal eigenbasis of its own block, on its own basis
+        for g in TEST_GRAPHS + [make_graph(5, [(0, 1, 1.0), (2, 3, -0.7)])]:
+            for spectrum in full_spectrum(g, b_field):
+                n_up = spectrum.n_up
+                assert spectrum.basis.masks.tolist() == sector_basis(g.n_spins, n_up).masks.tolist()
+                h = build_sector_hamiltonian(g, n_up, b_field)
+                vectors, values = spectrum.eigenvectors, spectrum.eigenvalues
+                assert np.all(np.diff(values) >= 0.0)
+                assert np.max(np.abs(h @ vectors - vectors * values)) <= 1e-12
+                assert np.max(np.abs(vectors.T @ vectors - np.eye(len(values)))) <= 1e-12
+
+    def test_mirrored_sectors_are_views_of_their_partners(self):
+        for g in TEST_GRAPHS:
+            n = g.n_spins
+            spectra = full_spectrum(g)
+            for low in spectra[: (n + 1) // 2]:
+                high = spectra[n - low.n_up]
+                assert np.array_equal(high.eigenvalues, low.eigenvalues)
+                assert np.shares_memory(high.eigenvectors, low.eigenvectors)
+                assert np.array_equal(high.eigenvectors, low.eigenvectors[::-1])
+
+    def test_field_shifts_zero_field_eigenvalues(self):
+        g = TEST_GRAPHS[3]
+        for zero, shifted in zip(full_spectrum(g), full_spectrum(g, 1.3)):
+            assert np.array_equal(shifted.eigenvalues, zero.eigenvalues + 1.3 * zero.basis.sz)
+            assert np.array_equal(shifted.eigenvectors, zero.eigenvectors)
 
     def test_cap(self):
         with pytest.raises(ValueError):

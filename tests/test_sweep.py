@@ -27,7 +27,7 @@ from ferroent.sweep import (
     verify_universal,
     zero_temperature_scan,
 )
-from oracles import gibbs_terms, pair_rdm_mixed
+from oracles import gibbs_terms, pair_rdm_mixed, pair_rdm_pure
 
 RING_CONFIG = SweepConfig(
     geometries=(GeometrySpec(kind="ring"),),
@@ -177,6 +177,25 @@ class TestRunSweep:
         assert result.records_written == 5
         assert tail_output == "".join(full_output.splitlines(keepends=True)[7:])
 
+    def test_resumed_statistics_count_written_records_only(self, tmp_path):
+        # an antiferromagnetic dimer: entangled at low T, not at high T
+        path = tmp_path / "af.json"
+        save_graph(make_graph(2, [(0, 1, 1.0)]), str(path))
+        dimer = GeometrySpec(kind="file", path=str(path))
+        config = SweepConfig(geometries=(dimer, dimer), t_grid=(0.0, 0.2, 100.0),
+                             b_grid=(0.0,))
+        _, full_output, full_summary = run_to_strings(config)
+        # skip the first task and the first record of the second one
+        result, output, summary = run_to_strings(config, skip_records=4)
+        records = [json.loads(line) for line in output.splitlines()]
+        assert [r["index"] for r in records] == [4, 5]
+        assert result.records_written == 2
+        assert result.violations == sum(r["max_concurrence"] > 1e-12 for r in records) == 1
+        assert result.max_concurrence == max(r["max_concurrence"] for r in records)
+        assert output == "".join(full_output.splitlines(keepends=True)[4:])
+        # no header: a resumed summary continues the rows already written
+        assert summary == "".join(full_summary.splitlines(keepends=True)[5:])
+
     def test_summary_columns(self):
         _, _, summary = run_to_strings(RING_CONFIG)
         lines = summary.strip().splitlines()
@@ -243,6 +262,51 @@ class TestThermalEngine:
             single = GraphThermalEngine(g, [pair])
             assert np.array_equal(single.pair_entries(single.weights(0.7, 0.4))[0], rows[k])
             assert single.raw_concurrence(single.weights(0.7, 0.4))[0] == raws[k]
+
+    @pytest.mark.parametrize("n_spins", [6, 7])
+    def test_stack_matches_oracle_on_every_sector(self, n_spins):
+        # sectors above N // 2 hold mirrored entries; check all against the
+        # per-eigenstate partial trace of full_spectrum's eigenvectors
+        g = random_graph(n_spins, 0.5, (-2.0, -0.2), seed=40 + n_spins)
+        pairs = [(0, 1), (n_spins - 1, 2), (3, 1), (2, 5)]
+        engine = GraphThermalEngine(g, pairs)
+        position = 0
+        for spectrum in full_spectrum(g):
+            for k in range(len(spectrum.eigenvalues)):
+                assert engine.energies[position] == spectrum.eigenvalues[k]
+                assert engine.sz[position] == spectrum.basis.sz
+                for pair, entries in zip(pairs, engine.stack[:, position]):
+                    rho = pair_rdm_pure(spectrum.eigenvectors[:, k], spectrum.basis, pair)
+                    expected = [rho[0, 0].real, rho[1, 1].real, rho[1, 2].real,
+                                rho[2, 2].real, rho[3, 3].real]
+                    assert np.max(np.abs(entries - expected)) <= 1e-12
+                position += 1
+        assert position == 2**n_spins
+
+    def test_batched_raw_concurrence_matches_per_point(self):
+        g = open_chain(ChainParams(n_spins=6, g1=-1.0, g2=-0.7, periodic=False))
+        engine = GraphThermalEngine(g)
+        points = [(t, b) for t in (0.0, 0.4, 2.5) for b in (0.0, 0.9, 3.0)]
+        weights = np.array([engine.weights(t, b) for t, b in points])
+        assert engine.pair_entries(weights).shape == (len(engine.pairs), len(points), 5)
+        batched = engine.raw_concurrence(weights)
+        assert batched.shape == (len(engine.pairs), len(points))
+        for column, row in zip(batched.T, weights):
+            assert np.max(np.abs(column - engine.raw_concurrence(row))) <= 1e-15
+
+    def test_sweep_records_match_per_point_contraction(self):
+        _, output, _ = run_to_strings(RING_CONFIG)
+        records = [json.loads(line) for line in output.splitlines()]
+        engines = {}
+        for record in records:
+            g = build_geometry(GeometrySpec(kind="ring"), 4, -1.0, record["g2"], 0.0)
+            engine = engines.setdefault(record["g2"], GraphThermalEngine(g))
+            raw = engine.raw_concurrence(engine.weights(record["t"], record["b"]))
+            assert [[i, j] for i, j, _ in record["pairs"]] == [list(p) for p in engine.pairs]
+            assert np.max(np.abs([r for _, _, r in record["pairs"]] - raw)) <= 1e-15
+            assert (record["ground_energy"], record["ground_degeneracy"]) == engine.ground_info(
+                record["b"]
+            )
 
     def test_ground_info_with_field_splits_multiplet(self):
         g = ring_chain(ChainParams(n_spins=4, g1=-1.0))
