@@ -1,9 +1,11 @@
 """Exact diagonalization and pair-entanglement analysis of spin graphs.
 
 The package diagonalizes isotropic exchange models on arbitrary weighted
-graphs by total-S^z sector, reduces thermal or ground states to two-spin
-density matrices, and evaluates Wootters concurrence both numerically and
-from closed-form expressions for the completely symmetric states.
+graphs in the central total-S^z sector, labels each level with its total
+spin and rebuilds every other sector from SU(2) symmetry, reduces thermal
+or ground states to two-spin density matrices, and evaluates Wootters
+concurrence both numerically and from closed-form expressions for the
+completely symmetric states.
 """
 
 from .analytic import (
@@ -50,7 +52,8 @@ from .rdm import (
     x_state_from_matrix,
 )
 from .spectra import (
-    SectorSpectrum,
+    CentralSpectrum,
+    SpinLabelError,
     eig_sym,
     energy_gap,
     full_spectrum,

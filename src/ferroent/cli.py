@@ -132,16 +132,15 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
             if close:
                 out.close()
         return 0
-    spectra = full_spectrum(graph, b_field=args.b_field)
+    spectrum = full_spectrum(graph, b_field=args.b_field)
     out, close = _open_output(args.output)
     try:
-        ground_energy = min(float(spectrum.eigenvalues[0]) for spectrum in spectra)
-        out.write("# ground_energy=" + _FMT % ground_energy + "\n")
-        out.write("# gap=" + _FMT % energy_gap(spectra) + "\n")
+        out.write("# ground_energy=" + _FMT % spectrum.energies.min() + "\n")
+        out.write("# gap=" + _FMT % energy_gap(spectrum) + "\n")
         out.write("n_up,index,eigenvalue\n")
-        for spectrum in spectra:
-            for k, value in enumerate(spectrum.eigenvalues):
-                out.write("%d,%d,%s\n" % (spectrum.n_up, k, _FMT % value))
+        for n_up in range(graph.n_spins + 1):
+            for k, value in enumerate(spectrum.sector_eigenvalues(n_up)):
+                out.write("%d,%d,%s\n" % (n_up, k, _FMT % value))
     finally:
         if close:
             out.close()
@@ -334,10 +333,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         if report.max_rdm_deviation is not None:
             extra = ", rdm dev %.3e" % report.max_rdm_deviation
         print(
-            "[%s] %s %s: E0=%s (expected %s), degeneracy %d (expected %s)%s"
+            "[%s] %s %s: E0=%s (expected %s), degeneracy %d (expected %s), ground S %g%s"
             % (status, report.check, report.graph_id,
                _FMT % report.ground_energy, _FMT % report.expected_ground_energy,
-               report.ground_degeneracy, report.expected_degeneracy, extra)
+               report.ground_degeneracy, report.expected_degeneracy, report.ground_spin, extra)
         )
         if not report.preconditions_ok:
             print("       precondition failure: ferromagnetic=%s connected=%s"

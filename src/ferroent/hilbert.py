@@ -10,16 +10,18 @@ blocks, pair entries) is derived with bit operations on that array.
 
 The global spin flip maps sector n_up onto sector N - n_up: the flipped
 sector's masks are the complements of this sector's masks in reverse
-order (``SectorBasis.flipped``).  The exchange terms only ask whether two
-spins are parallel, which the flip keeps, so at zero field
-``build_sector_hamiltonian(graph, N - k)`` is exactly
-``build_sector_hamiltonian(graph, k)[::-1, ::-1]``, bit for bit.
+order.  The exchange terms only ask whether two spins are parallel, which
+the flip keeps, so at zero field ``build_sector_hamiltonian(graph, N - k)``
+is exactly ``build_sector_hamiltonian(graph, k)[::-1, ::-1]``, bit for
+bit.  For even N the central sector k = N/2 is its own mirror: its block
+is centrosymmetric, which ``spectra`` uses to split it by flip parity.
+Only that central sector is ever diagonalized (see ``spectra``); the
+other blocks are built for tests and for ``spectrum --dump-sector``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from math import comb, sqrt
 
 import numpy as np
@@ -46,15 +48,6 @@ class SectorBasis:
         """Total z-spin eigenvalue of the sector, n_up - N/2."""
         return self.n_up - 0.5 * self.n_spins
 
-    def flipped(self) -> "SectorBasis":
-        """The sector N - n_up: complemented masks, reversed to stay ascending.
-
-        Position p here and position len - 1 - p there hold globally
-        spin-flipped states.
-        """
-        full = (1 << self.n_spins) - 1
-        return SectorBasis(self.n_spins, self.n_spins - self.n_up, full ^ self.masks[::-1])
-
 
 def sector_dimension(n_spins: int, n_up: int) -> int:
     return comb(n_spins, n_up)
@@ -64,14 +57,15 @@ def sector_basis(n_spins: int, n_up: int) -> SectorBasis:
     """Enumerate the n_up sector in ascending mask order."""
     if not (0 <= n_up <= n_spins):
         raise ValueError(f"n_up must be in [0, {n_spins}], got {n_up}")
-    masks = sorted(
-        sum(1 << bit for bit in chosen) for chosen in combinations(range(n_spins), n_up)
-    )
-    return SectorBasis(n_spins=n_spins, n_up=n_up, masks=np.array(masks, dtype=np.int64))
+    states = np.arange(1 << n_spins, dtype=np.int64)
+    ones = np.zeros_like(states)
+    for bit in range(n_spins):
+        ones += (states >> bit) & 1
+    return SectorBasis(n_spins=n_spins, n_up=n_up, masks=states[ones == n_up])
 
 
 def build_sector_hamiltonian(
-    graph: SpinGraph, n_up: int, b_field: float = 0.0
+    graph: SpinGraph, n_up: int, b_field: float = 0.0, basis: SectorBasis | None = None
 ) -> np.ndarray:
     """Dense symmetric matrix of the exchange + field Hamiltonian on one sector.
 
@@ -79,9 +73,11 @@ def build_sector_hamiltonian(
     the diagonal; antiparallel takes -J/4 on the diagonal plus J/2 on the
     off-diagonal linking it to the state with i, j swapped.  The field adds
     B * (n_up - N/2) to every diagonal entry.  The result is exactly
-    symmetric by construction.
+    symmetric by construction.  ``basis`` passes the sector's basis when
+    the caller has already enumerated it.
     """
-    basis = sector_basis(graph.n_spins, n_up)
+    if basis is None:
+        basis = sector_basis(graph.n_spins, n_up)
     masks = basis.masks
     dim = len(basis)
     sites = np.array([(i, j) for i, j, _ in graph.edges], dtype=np.int64).reshape(-1, 2)

@@ -11,7 +11,7 @@ pattern: diagonal plus a single coherence between indices 1 and 2, so a
 pair state is fully described by five entries.
 ``eigenstate_pair_entries`` computes those entries for every eigenvector
 of a sector and every requested pair at once, from bit operations on the
-sector's mask array.
+sector's mask array and two matrix products.
 
 Concurrence is reported in two flavors: the clamped value in [0, 1]
 (the entanglement monotone) and the raw, unclamped combination, which
@@ -26,12 +26,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .hilbert import SectorBasis
+from .hilbert import SectorBasis, sector_basis
 
 HERMITICITY_TOL = 1e-12
 SPARSITY_TOL = 1e-12
 TRACE_TOL = 1e-10
 POSITIVITY_TOL = 1e-10
+
+_STATES_PER_BLOCK = 64
 
 # (sigma_y x sigma_y) is real: the double-spin-flip conjugation matrix.
 _FLIP = np.array(
@@ -119,53 +121,61 @@ def x_state_from_matrix(rho: np.ndarray) -> XStateRDM:
     )
 
 
-def _positions(selected: np.ndarray) -> np.ndarray:
-    """Ascending column positions of each row's set entries; all rows have as many."""
-    return np.nonzero(selected)[1].reshape(len(selected), np.count_nonzero(selected[0]))
-
-
 def eigenstate_pair_entries(
     basis: SectorBasis, eigenvectors: np.ndarray, pairs: Sequence[tuple[int, int]]
 ) -> np.ndarray:
     """X-form entries (alpha, beta, gamma, delta, epsilon) per pair and eigenvector column.
 
-    Returns an array of shape (n_pairs, n_states, 5); real input vectors
-    give the real coherence gamma.  A pair (a, b) may come in either
-    order: beta is always the weight of "a up, b down".  The category of
-    every basis state for every pair comes from bit operations on the
-    sector's mask array; each population is a sum of squared amplitudes
-    over its rows, and the coherence pairs each (a up, b down) row with
-    its swapped partner, found by ``np.searchsorted``.  Each category is
-    gathered for many pairs at once, as (pairs, rows, states), and summed
-    over its rows in ascending row order; the pairs go in chunks so that
-    this temporary never outgrows the sector's eigenvector block.
+    Returns an array of shape (n_pairs, n_states, 5) for real eigenvectors.
+    A pair (a, b) may come in either order: beta is always the weight of
+    "a up, b down".  Each population is a sum of squared amplitudes over
+    the basis states of its category: one matrix product of the category
+    indicators with the squared eigenvectors, so an exact zero stays
+    exact.  The coherence is gamma = <S_a^- v, S_b^- v>: the lowered
+    states S_a^- v of all sites, in the sector below, are the columns of
+    one matrix per eigenvector, whose Gram matrix holds every pair.  Both
+    are computed for every pair a < b, whichever pairs are asked for, so
+    an entry does not depend on the other pairs requested.  Eigenvectors
+    go in blocks of _STATES_PER_BLOCK columns.
     """
     n = basis.n_spins
     for a, b in pairs:
         if a == b or not (0 <= a < n and 0 <= b < n):
             raise ValueError(f"invalid pair {(a, b)} for {n} spins")
-    masks = basis.masks
     sites = np.array(pairs, dtype=np.int64).reshape(-1, 2)
-    bit_a = (masks >> sites[:, :1]) & 1
-    bit_b = (masks >> sites[:, 1:]) & 1
-    up_down = _positions(bit_a > bit_b)
-    flips = (1 << sites[:, :1]) | (1 << sites[:, 1:])
-    partner = np.searchsorted(masks, masks[up_down] ^ flips)
-    entries = np.empty((len(sites), eigenvectors.shape[1], 5), dtype=eigenvectors.dtype)
-
-    def gather(column: int, rows: np.ndarray, partner_rows: np.ndarray | None = None) -> None:
-        step = max(1, len(masks) // max(1, rows.shape[1]))
-        for first in range(0, len(sites), step):
-            chunk = slice(first, first + step)
-            terms = eigenvectors[rows[chunk]]
-            terms *= terms if partner_rows is None else eigenvectors[partner_rows[chunk]]
-            entries[chunk, :, column] = terms.sum(axis=1)
-
-    gather(0, _positions(bit_a & bit_b))
-    gather(1, up_down)
-    gather(2, up_down, partner)
-    gather(3, partner)
-    gather(4, _positions((bit_a | bit_b) == 0))
+    entries = np.empty((len(sites), eigenvectors.shape[1], 5))
+    if not len(sites):
+        return entries
+    masks = basis.masks
+    bits = 1 << np.arange(n)
+    up = (masks[:, None] & bits) != 0
+    first, second = np.triu_indices(n, 1)
+    up_a, up_b = up[:, first], up[:, second]
+    categories = [up_a & up_b, up_a & ~up_b, ~up_a & up_b, ~up_a & ~up_b]
+    indicators = np.concatenate(categories, axis=1).T.astype(float)  # (4 pairs, rows)
+    # raised[q, a]: row of mask q + site a for q in the sector below, or
+    # the zero row len(masks) if site a is already up in q
+    below = sector_basis(n, basis.n_up - 1).masks if basis.n_up else masks[:0]
+    free = (below[:, None] & bits) == 0
+    raised = np.where(free, np.searchsorted(masks, below[:, None] | bits), len(masks))
+    low, high = sites.min(axis=1), sites.max(axis=1)
+    index = low * n - low * (low + 1) // 2 + high - low - 1  # position in the a < b order
+    swapped = (sites[:, 0] > sites[:, 1])[:, None]
+    padded = np.zeros((min(_STATES_PER_BLOCK, eigenvectors.shape[1]), len(masks) + 1))
+    for start in range(0, eigenvectors.shape[1], _STATES_PER_BLOCK):
+        block = eigenvectors[:, start : start + _STATES_PER_BLOCK]
+        stop = start + block.shape[1]
+        both_up, up_down, down_up, both_down = (
+            (indicators @ (block * block)).reshape(4, len(first), -1)[:, index]
+        )
+        padded[: block.shape[1], :-1] = block.T
+        lowered = np.take(padded[: block.shape[1]], raised, axis=1)  # (states, rows below, sites)
+        hops = lowered.transpose(0, 2, 1) @ lowered
+        entries[:, start:stop, 0] = both_up
+        entries[:, start:stop, 1] = np.where(swapped, down_up, up_down)
+        entries[:, start:stop, 2] = hops[:, low, high].T
+        entries[:, start:stop, 3] = np.where(swapped, up_down, down_up)
+        entries[:, start:stop, 4] = both_down
     return entries
 
 

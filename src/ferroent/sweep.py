@@ -6,8 +6,11 @@ concurrence of the thermal state at every point.  Results stream to a
 JSON-lines file, one record per line, in ascending grid-index order, so
 identical configs produce byte-identical files and an interrupted sweep
 can resume after its last complete record.  Each graph instance is one
-task: one thermal engine, whose weight vectors for all of the task's
-(T, B) points are contracted against the entry stack at once.
+task: one thermal engine, built from one solve of the graph's central
+S^z sector (every other sector follows from the spin multiplets, see
+``GraphThermalEngine``).  The task's weight vectors are computed once per
+field value for all temperatures and contracted against the engine's
+entry stack at once.
 
 Config files are JSON with the following keys (all grids nonempty):
 
@@ -41,7 +44,7 @@ from __future__ import annotations
 import json
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
-from typing import IO, Iterable
+from typing import IO, Iterable, Sequence
 
 import numpy as np
 
@@ -58,7 +61,6 @@ from .graphs import (
     ring_chain,
     star_graph,
 )
-from .rdm import eigenstate_pair_entries
 from .spectra import full_spectrum, ground_window
 
 RAW_CONCURRENCE_THRESHOLD = 1e-12
@@ -215,19 +217,30 @@ class GraphThermalEngine:
 
     Every command that needs weights or pair RDMs builds one engine per
     graph, for the pairs it reports (all pairs of the graph by default).
-    The graph is diagonalized once at zero field; a field B only shifts
-    each sector's eigenvalues by B * (n_up - N/2) and leaves eigenvectors
-    untouched, so thermal weights at any (T, B) reuse the same eigenbasis.
-    Temperature is in coupling units (Boltzmann constant 1); T = 0 is the
-    uniform mixture over the ground window of ``spectra.ground_window``,
-    not a limit of Boltzmann factors.  The X-form entries of every
-    eigenstate for every pair are kept in one (n_pairs, 2^N, 5) stack, so
-    weight vectors become the entries of all pairs in one contraction.
-    Entries are gathered only for the sectors n_up <= N // 2; the spin
-    flip that mirrors sector k onto sector N - k (``full_spectrum``) swaps
-    up and down on both sites, so the mirrored sector's entries are sector
-    k's with (alpha, beta, gamma, delta, epsilon) -> (epsilon, delta,
-    gamma, beta, alpha).
+    The graph's central S^z sector is diagonalized once at zero field
+    (``full_spectrum``); a field B only shifts each level by B * S^z and
+    leaves eigenvectors untouched, so thermal weights at any (T, B) reuse
+    the same spectrum.  Temperature is in coupling units (Boltzmann
+    constant 1); T = 0 is the uniform mixture over the ground window of
+    ``spectra.ground_window``, not a limit of Boltzmann factors.
+
+    The flat layout runs sector by sector, n_up = 0..N, ascending within
+    each sector: ``energies``, ``sz`` = M = n_up - N/2, the spin label
+    ``spin`` = S, and the X-form entries of every eigenstate for every
+    pair in one (n_pairs, 2^N, 5) ``stack``, so weight vectors become the
+    entries of all pairs in one contraction.  The central sector's entries
+    are gathered from its eigenvectors; every other member |S, M> of a
+    multiplet gets its entries from the central member's pair correlations
+    c = <S_a . S_b> and zz = <S^z_a S^z_b> by the Wigner-Eckart theorem,
+    with g_a = <S . S_a> / S(S+1) and <S . S_a> = 3/4 + sum_{c != a} c_ac:
+
+        z_a(M) = M g_a                 (0 for S = 0)
+        zz(M) = c/3 + (3M^2 - S(S+1)) (zz(M0) - c/3) / (3 M0^2 - S(S+1))
+        gamma = c - zz,  alpha, epsilon = 1/4 +- M (g_a + g_b) / 2 + zz,
+        beta, delta = 1/4 +- M (g_a - g_b) / 2 - zz.
+
+    The rank-2 part of zz is 0 where its denominator is (S = 0 at even
+    N, S = 1/2 at odd N).
     """
 
     def __init__(self, graph: SpinGraph, pairs: Iterable[tuple[int, int]] | None = None):
@@ -239,36 +252,83 @@ class GraphThermalEngine:
                 "pair entanglement needs at least 2 spins and one pair"
             )
         n = graph.n_spins
+        for a, b in self.pairs:
+            if a == b or not (0 <= a < n and 0 <= b < n):
+                raise ValueError(f"invalid pair {(a, b)} for {n} spins")
+        spectrum = full_spectrum(graph)
+        self.spin_residual = spectrum.spin_residual
+        spin = spectrum.spins
+        casimir = spin * (spin + 1.0)
+
+        # central pair correlations c = <S_a . S_b> (gamma = xx + yy) and zz
+        alpha, beta, gamma, delta, epsilon = np.moveaxis(spectrum.pair_entries, 2, 0)
+        zz_all = 0.25 * (alpha + epsilon - beta - delta)
+        c_all = gamma + zz_all
+        along = np.full((n, len(spin)), 0.75)  # <S . S_a>
+        for k, (a, b) in enumerate(graph.pairs()):
+            along[a] += c_all[k]
+            along[b] += c_all[k]
+        g = np.divide(along, casimir, out=np.zeros_like(along), where=casimir > 0.0)
+
+        position = {pair: k for k, pair in enumerate(graph.pairs())}
+        rows = [position[min(a, b), max(a, b)] for a, b in self.pairs]
+        central = spectrum.pair_entries[rows]
+        reversed_pairs = np.array([a > b for a, b in self.pairs])
+        central[reversed_pairs] = central[reversed_pairs][..., [0, 3, 2, 1, 4]]  # beta <-> delta
+        c, zz = c_all[rows], zz_all[rows]
+        sites = np.array(self.pairs)
+        g_a, g_b = g[sites[:, 0]], g[sites[:, 1]]
+        m0 = n // 2 - 0.5 * n
+        denominator = 3.0 * m0 * m0 - casimir
+        rank2 = np.divide(
+            zz - c / 3.0, denominator, out=np.zeros_like(zz), where=denominator != 0.0
+        )
+
         self.energies = np.empty(2**n)
         self.sz = np.empty(2**n)
+        self.spin = np.empty(2**n)
         self.stack = np.empty((len(self.pairs), 2**n, 5))
         start = 0
-        for spectrum in full_spectrum(graph, b_field=0.0):
-            stop = start + len(spectrum.eigenvalues)
-            self.energies[start:stop] = spectrum.eigenvalues
-            self.sz[start:stop] = spectrum.basis.sz
-            if spectrum.n_up <= n // 2:
-                self.stack[:, start:stop] = eigenstate_pair_entries(
-                    spectrum.basis, spectrum.eigenvectors, self.pairs
+        for n_up, columns in enumerate(spectrum.sector_columns):
+            stop = start + len(columns)
+            m = n_up - 0.5 * n
+            self.energies[start:stop] = spectrum.eigenvalues[columns]
+            self.sz[start:stop] = m
+            self.spin[start:stop] = spin[columns]
+            if n_up == n // 2:
+                self.stack[:, start:stop] = central
+            else:
+                self.stack[:, start:stop] = _member_entries(
+                    c[:, columns], rank2[:, columns], casimir[columns],
+                    g_a[:, columns], g_b[:, columns], m, n_up, n,
                 )
-            else:  # sector k = N - n_up ends where this one starts, counted from the top
-                self.stack[:, start:stop] = self.stack[:, 2**n - stop : 2**n - start, ::-1]
             start = stop
 
     def weights(self, temperature: float, b_field: float) -> np.ndarray:
-        """Thermal weights over the flat eigenstate ordering at (T, B).
+        """Thermal weights over the flat eigenstate ordering at (T, B)."""
+        return self.field_weights((temperature,), b_field)[0]
 
-        Energies are shifted by E_min before exponentiation so weights
-        stay finite at low temperature.
+    def field_weights(self, temperatures: Sequence[float], b_field: float) -> np.ndarray:
+        """Thermal weights at each temperature for one field, (temperatures, 2^N).
+
+        The shifted energies, their minimum and the ground window are
+        computed once for the field.  Energies are shifted by E_min before
+        exponentiation so weights stay finite at low temperature; each row
+        is bitwise the row ``weights`` gives for its temperature alone.
         """
-        if not temperature >= 0.0:  # also rejects NaN
+        t = np.array(temperatures, dtype=float)
+        for temperature in t[~(t >= 0.0)]:  # also rejects NaN
             raise ValueError(f"temperature must be >= 0, got {temperature}")
         shifted = self.energies + b_field * self.sz
-        if temperature == 0.0:
+        rows = np.empty((len(t), len(shifted)))
+        hot = t > 0.0
+        if hot.any():
+            factors = np.exp(-(shifted - float(shifted.min()))[None, :] / t[hot, None])
+            rows[hot] = factors / factors.sum(axis=1, keepdims=True)
+        if not hot.all():
             members = ground_window(shifted)
-            return members / members.sum()
-        factors = np.exp(-(shifted - float(shifted.min())) / temperature)
-        return factors / factors.sum()
+            rows[~hot] = members / members.sum()
+        return rows
 
     def ground_info(self, b_field: float) -> tuple[float, int]:
         """(ground energy, ground degeneracy) at the given field."""
@@ -293,21 +353,58 @@ class GraphThermalEngine:
         return 2.0 * (np.abs(gamma) - np.sqrt(np.maximum(alpha * epsilon, 0.0)))
 
 
+def _member_entries(
+    c: np.ndarray,
+    rank2: np.ndarray,
+    casimir: np.ndarray,
+    g_a: np.ndarray,
+    g_b: np.ndarray,
+    m: float,
+    n_up: int,
+    n: int,
+) -> np.ndarray:
+    """(pairs, states, 5) entries of the multiplet members |S, M = m> in sector n_up.
+
+    The arguments are the central states' c, rank-2 part of zz, S(S+1) and
+    g of both sites (see ``GraphThermalEngine``), restricted to S >= |m|.
+    """
+    zz = c / 3.0 + (3.0 * m * m - casimir) * rank2
+    z_sum, z_diff = 0.5 * m * (g_a + g_b), 0.5 * m * (g_a - g_b)
+    entries = np.stack(
+        [0.25 + z_sum + zz, 0.25 + z_diff - zz, c - zz, 0.25 - z_diff - zz, 0.25 - z_sum + zz],
+        axis=-1,
+    )
+    # kinematic zeros, exact as in a sum over no basis states: no pair is
+    # both up below 2 up spins, nor both down below 2 down spins
+    if n_up < 2:
+        entries[..., 0] = 0.0
+    if n - n_up < 2:
+        entries[..., 4] = 0.0
+    if n_up in (0, n):
+        entries[..., 1:4] = 0.0
+    return entries
+
+
 def _compute_task(task: _Task) -> tuple[int, list[dict]]:
     """All records of one graph instance: one weight matrix, one contraction.
 
-    Points run T-major, B-minor.  The ground energy and degeneracy depend
-    on B only and are computed once per field value.  Grids larger than
-    _POINTS_PER_CONTRACTION points are contracted in blocks of that many,
+    Points run T-major, B-minor.  The weights, ground energy and ground
+    degeneracy are computed per field value, for many temperatures at
+    once.  The points go in blocks of whole temperature rows, at most
+    _POINTS_PER_CONTRACTION points (or one row, if a row holds more),
     which bounds the weight matrix.
     """
     engine = GraphThermalEngine(task.graph, task.pairs)
     points = [(t, b) for t in task.t_values for b in task.b_values]
     ground = [engine.ground_info(b) for b in task.b_values]
+    t_step = max(1, _POINTS_PER_CONTRACTION // len(task.b_values))
     records = []
-    for first in range(0, len(points), _POINTS_PER_CONTRACTION):
-        block = points[first : first + _POINTS_PER_CONTRACTION]
-        raw = engine.raw_concurrence(np.array([engine.weights(t, b) for t, b in block]))
+    for t_first in range(0, len(task.t_values), t_step):
+        t_block = task.t_values[t_first : t_first + t_step]
+        weights = np.stack([engine.field_weights(t_block, b) for b in task.b_values], axis=1)
+        raw = engine.raw_concurrence(weights.reshape(-1, len(engine.energies)))
+        first = t_first * len(task.b_values)
+        block = points[first : first + raw.shape[1]]
         for offset, ((t, b), column, maximum) in enumerate(
             zip(block, raw.T.tolist(), raw.max(axis=0).tolist()), start=first
         ):
@@ -501,6 +598,8 @@ class VerifyReport:
     ground_degeneracy: int
     expected_degeneracy: int | None
     degeneracy_ok: bool | None
+    ground_spin: float
+    spin_residual: float
     max_rdm_deviation: float | None = None
     max_raw_concurrence: float | None = None
     passed: bool = False
@@ -508,7 +607,7 @@ class VerifyReport:
 
 def _spectral_checks(
     engine: GraphThermalEngine,
-) -> tuple[float, float, bool, int, int | None, bool | None, bool]:
+) -> tuple[float, float, bool, int, int | None, bool | None, bool, float]:
     graph = engine.graph
     connected = is_connected(graph)
     e_min, degeneracy = engine.ground_info(0.0)
@@ -516,6 +615,8 @@ def _spectral_checks(
     energy_ok = abs(e_min - expected_energy) <= 1e-10 * max(1.0, abs(expected_energy))
     expected_degeneracy = graph.n_spins + 1 if connected else None
     degeneracy_ok = (degeneracy == expected_degeneracy) if connected else None
+    # the smallest S in the window: N/2 only if it holds the aligned multiplet alone
+    ground_spin = float(engine.spin[ground_window(engine.energies)].min())
     return (
         e_min,
         expected_energy,
@@ -524,6 +625,7 @@ def _spectral_checks(
         expected_degeneracy,
         degeneracy_ok,
         connected,
+        ground_spin,
     )
 
 
@@ -537,7 +639,7 @@ def verify_universal(engine: GraphThermalEngine, graph_id: str = "graph") -> Ver
     the report (never silently ignored) and fail it.
     """
     graph = engine.graph
-    e_min, expected_e, energy_ok, degeneracy, expected_d, degeneracy_ok, connected = (
+    e_min, expected_e, energy_ok, degeneracy, expected_d, degeneracy_ok, connected, spin = (
         _spectral_checks(engine)
     )
     ferromagnetic = graph.is_ferromagnetic
@@ -568,6 +670,8 @@ def verify_universal(engine: GraphThermalEngine, graph_id: str = "graph") -> Ver
         ground_degeneracy=degeneracy,
         expected_degeneracy=expected_d,
         degeneracy_ok=degeneracy_ok,
+        ground_spin=spin,
+        spin_residual=engine.spin_residual,
         max_rdm_deviation=max_deviation,
         max_raw_concurrence=max_raw,
         passed=passed,
@@ -575,19 +679,20 @@ def verify_universal(engine: GraphThermalEngine, graph_id: str = "graph") -> Ver
 
 
 def verify_degeneracy(engine: GraphThermalEngine, graph_id: str = "graph") -> VerifyReport:
-    """Check ground degeneracy N+1 (connected graphs only) and ground energy
-    equal to a quarter of the coupling sum.
+    """Check ground degeneracy N+1 and ground spin N/2 (connected graphs
+    only) and ground energy equal to a quarter of the coupling sum.
 
-    Disconnected graphs get expected_degeneracy None: the N+1 count
-    assumes connectivity, while the energy identity holds for any
-    ferromagnetic edge set.
+    Disconnected graphs get expected_degeneracy None: the N+1 count and
+    the single S = N/2 multiplet assume connectivity, while the energy
+    identity holds for any ferromagnetic edge set.
     """
     graph = engine.graph
-    e_min, expected_e, energy_ok, degeneracy, expected_d, degeneracy_ok, connected = (
+    e_min, expected_e, energy_ok, degeneracy, expected_d, degeneracy_ok, connected, spin = (
         _spectral_checks(engine)
     )
     ferromagnetic = graph.is_ferromagnetic
-    passed = ferromagnetic and energy_ok and (degeneracy_ok is not False)
+    spin_ok = not connected or spin == 0.5 * graph.n_spins
+    passed = ferromagnetic and energy_ok and (degeneracy_ok is not False) and spin_ok
     return VerifyReport(
         graph_id=graph_id,
         check="degeneracy",
@@ -601,6 +706,8 @@ def verify_degeneracy(engine: GraphThermalEngine, graph_id: str = "graph") -> Ve
         ground_degeneracy=degeneracy,
         expected_degeneracy=expected_d,
         degeneracy_ok=degeneracy_ok,
+        ground_spin=spin,
+        spin_residual=engine.spin_residual,
         passed=passed,
     )
 
@@ -619,10 +726,6 @@ def zero_temperature_scan(
         raise ValueError("temperature grid must start at 0")
     if any(t_values[k] > t_values[k + 1] for k in range(len(t_values) - 1)):
         raise ValueError("temperature grid must be ascending")
-    last_ok: float | None = None
-    for t in t_values:
-        weights = engine.weights(t, b_field)
-        if np.max(engine.raw_concurrence(weights)) > RAW_CONCURRENCE_THRESHOLD:
-            break
-        last_ok = t
-    return last_ok
+    raw = engine.raw_concurrence(engine.field_weights(t_values, b_field))
+    clean = int(np.argmin(np.append(raw.max(axis=0) <= RAW_CONCURRENCE_THRESHOLD, False)))
+    return t_values[clean - 1] if clean else None

@@ -3,6 +3,9 @@
 The Hamiltonian and full-space trace oracles work on the full 2^N space
 with dense Kronecker products or explicit permutation matrices,
 deliberately avoiding the package's sector-blocked bitwise code paths.
+The per-sector dense ED solves every S^z sector on its own, with no use
+of SU(2) or the spin flip: it is the reference for the package's
+central-sector solve and its Wigner-Eckart rebuild of the other sectors.
 The per-eigenstate partial trace and the Gibbs mixture below are the
 reference for the package's thermal engine: they loop over eigenstates
 one by one in Python instead of contracting the engine's entry stack.
@@ -10,13 +13,14 @@ one by one in Python instead of contracting the engine's entry stack.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from math import exp
 
 import numpy as np
 
 from ferroent.graphs import SpinGraph
-from ferroent.hilbert import SectorBasis
-from ferroent.spectra import SectorSpectrum
+from ferroent.hilbert import SectorBasis, build_sector_hamiltonian, sector_basis
+from ferroent.rdm import eigenstate_pair_entries
 
 # Single-site operators in the (down, up) ordering, so that the full-space
 # basis index equals the bitmask (bit i set = spin i up).
@@ -72,6 +76,57 @@ def permutation_hamiltonian(graph: SpinGraph, b_field: float = 0.0) -> np.ndarra
         for mask in range(dim):
             ham[mask, mask] += b_field * (int(mask).bit_count() - 0.5 * n)
     return ham
+
+
+@dataclass(frozen=True)
+class SectorSpectrum:
+    """Eigendecomposition of one S^z block: ascending eigenvalues, orthonormal columns."""
+
+    basis: SectorBasis
+    eigenvalues: np.ndarray
+    eigenvectors: np.ndarray
+
+    @property
+    def n_up(self) -> int:
+        return self.basis.n_up
+
+
+def sector_spectra(graph: SpinGraph, b_field: float = 0.0) -> list[SectorSpectrum]:
+    """Every sector n_up = 0..N diagonalized on its own, field included."""
+    spectra = []
+    for n_up in range(graph.n_spins + 1):
+        values, vectors = np.linalg.eigh(build_sector_hamiltonian(graph, n_up, b_field))
+        spectra.append(SectorSpectrum(sector_basis(graph.n_spins, n_up), values, vectors))
+    return spectra
+
+
+def sector_thermal_entries(
+    graph: SpinGraph, pairs, temperatures, b_field: float
+) -> np.ndarray:
+    """(temperatures, pairs, 5) thermal X-form entries from the per-sector ED.
+
+    T = 0 is the uniform mixture over the states within an absolute 1e-8
+    of the lowest energy, as in ``gibbs_terms``.
+    """
+    spectra = sector_spectra(graph, b_field)
+    energies = np.concatenate([spectrum.eigenvalues for spectrum in spectra]) - min(
+        float(spectrum.eigenvalues.min()) for spectrum in spectra
+    )
+    stack = np.concatenate(
+        [
+            eigenstate_pair_entries(spectrum.basis, spectrum.eigenvectors, pairs)
+            for spectrum in spectra
+        ],
+        axis=1,
+    )
+    rows = []
+    for temperature in temperatures:
+        if temperature == 0.0:
+            factors = (energies <= 1e-8).astype(float)
+        else:
+            factors = np.exp(-energies / temperature)
+        rows.append(np.einsum("k,pkc->pc", factors / factors.sum(), stack))
+    return np.array(rows)
 
 
 def embed_sector_vector(vector: np.ndarray, basis: SectorBasis) -> np.ndarray:

@@ -5,8 +5,7 @@ import pytest
 import ferroent.spectra
 from ferroent.cli import main
 from ferroent.graphs import make_graph, random_graph, save_graph
-from ferroent.spectra import full_spectrum
-from oracles import gibbs_terms, pair_rdm_mixed
+from oracles import gibbs_terms, pair_rdm_mixed, sector_spectra
 
 
 def run_cli(*argv):
@@ -129,7 +128,7 @@ class TestRdmCommand:
         assert run_cli("rdm", "--graph", str(path), "--pair", "4", "1",
                        "-T", str(temperature), "--b-field", str(b_field)) == 0
         entries = read_rdm_csv(capsys.readouterr().out)
-        spectra = full_spectrum(graph, b_field)
+        spectra = sector_spectra(graph, b_field)
         expected = pair_rdm_mixed(gibbs_terms(spectra, temperature), spectra, pair)
         assert len(entries) == 16
         for (row, col), (real, imag) in entries.items():
@@ -417,9 +416,28 @@ class TestOneDiagonalizationPerCommand:
 
         monkeypatch.setattr(ferroent.spectra, "eig_sym", counting)
         assert run_cli(*command, "--graph", str(path)) == 0
-        # one full_spectrum: sectors n_up <= N // 2 exactly once each; the
-        # spin flip supplies the rest
-        assert len(calls) == graph.n_spins // 2 + 1
+        # one full_spectrum: the central sector's two flip-parity blocks,
+        # and this graph has no degenerate cluster to make pure-S
+        assert calls == [10, 10]
+
+    @pytest.mark.parametrize("command", [
+        ["verify", "--suite", "all"],
+        ["rdm", "--pair", "0", "3", "-T", "0.5", "--b-field", "0.2"],
+    ])
+    def test_eig_sym_calls_odd_n(self, tmp_path, monkeypatch, capsys, command):
+        graph = random_graph(7, 0.5, (-2.0, -0.3), seed=8)
+        path = tmp_path / "g.json"
+        save_graph(graph, str(path))
+        calls = []
+        original = ferroent.spectra.eig_sym
+
+        def counting(matrix):
+            calls.append(matrix.shape[0])
+            return original(matrix)
+
+        monkeypatch.setattr(ferroent.spectra, "eig_sym", counting)
+        assert run_cli(*command, "--graph", str(path)) == 0
+        assert calls == [35]  # the central sector n_up = 3, one block
 
 
 class TestBrokenPipe:

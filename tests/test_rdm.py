@@ -15,7 +15,6 @@ from ferroent.rdm import (
     validate_rdm,
     x_state_from_matrix,
 )
-from ferroent.spectra import full_spectrum
 from ferroent.sweep import GraphThermalEngine
 from oracles import (
     embed_sector_vector,
@@ -23,6 +22,7 @@ from oracles import (
     naive_pair_rdm,
     pair_rdm_mixed,
     pair_rdm_pure,
+    sector_spectra,
 )
 
 BELL = XStateRDM(alpha=0.0, beta=0.5, gamma=0.5, delta=0.5, epsilon=0.0)
@@ -87,7 +87,7 @@ class TestPairRdmPure:
 
     def test_x_pattern_zeros_for_eigenstates_and_thermal_states(self):
         g = random_graph(6, 0.5, (-2.0, -0.3), seed=21)
-        spectra = full_spectrum(g, b_field=0.4)
+        spectra = sector_spectra(g, b_field=0.4)
         structural = [(0, 1), (0, 2), (0, 3), (1, 0), (2, 0), (3, 0), (1, 3), (2, 3), (3, 1), (3, 2)]
         for spectrum in spectra[:3]:
             rho = pair_rdm_pure(spectrum.eigenvectors[:, 0], spectrum.basis, (0, 4))
@@ -101,13 +101,13 @@ class TestPairRdmPure:
 class TestPairRdmMixed:
     def test_single_state_spec_equals_pure(self):
         g = ring_chain(ChainParams(n_spins=5, g1=-1.0))
-        spectra = full_spectrum(g)
+        spectra = sector_spectra(g)
         direct = pair_rdm_pure(spectra[2].eigenvectors[:, 3], spectra[2].basis, (1, 4))
         assert pair_rdm_mixed([(2, 3, 1.0)], spectra, (1, 4)) == pytest.approx(direct)
 
     def test_mirror_mixture_averages_entries(self):
         n, n_up = 6, 2
-        spectra = full_spectrum(ring_chain(ChainParams(n_spins=n, g1=-1.0)))
+        spectra = sector_spectra(ring_chain(ChainParams(n_spins=n, g1=-1.0)))
         # lowest state of each mirror sector is the symmetric one
         terms = [(n_up, 0, 0.5), (n - n_up, 0, 0.5)]
         mixed = pair_rdm_mixed(terms, spectra, (0, 3))
@@ -119,7 +119,7 @@ class TestPairRdmMixed:
 
     def test_ground_mixture_is_universal(self):
         g = random_graph(7, 0.5, (-2.0, -0.2), seed=33)
-        spectra = full_spectrum(g)
+        spectra = sector_spectra(g)
         mixture = gibbs_terms(spectra, 0.0)
         target = np.diag([1 / 3, 1 / 6, 1 / 6, 1 / 3]).astype(complex)
         target[1, 2] = target[2, 1] = 1 / 6
@@ -228,7 +228,7 @@ class TestCorrelator:
 class TestVectorizedEntries:
     def test_matches_pair_rdm_pure_per_eigenstate(self):
         g = random_graph(7, 0.4, (-2.0, -0.2), seed=29)
-        spectra = full_spectrum(g)
+        spectra = sector_spectra(g)
         pairs = g.pairs() + [(j, i) for i, j in g.pairs()]  # reversed pairs too
         for spectrum in spectra:
             stack = eigenstate_pair_entries(spectrum.basis, spectrum.eigenvectors, pairs)
@@ -247,7 +247,7 @@ class TestVectorizedEntries:
         # chunks of pairs sum each category in the same row order as one pair alone
         g = random_graph(8, 0.5, (-2.0, -0.2), seed=31)
         pairs = g.pairs() + [(j, i) for i, j in g.pairs()]
-        for spectrum in full_spectrum(g):
+        for spectrum in sector_spectra(g):
             stack = eigenstate_pair_entries(spectrum.basis, spectrum.eigenvectors, pairs)
             for pair, entries in zip(pairs, stack):
                 single = eigenstate_pair_entries(spectrum.basis, spectrum.eigenvectors, [pair])

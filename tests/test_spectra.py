@@ -1,10 +1,31 @@
+from math import comb
+
 import numpy as np
 import pytest
 
-from ferroent.graphs import ChainParams, make_graph, random_graph, ring_chain
+import ferroent.spectra
+from ferroent.graphs import (
+    ChainParams,
+    cube_graph,
+    grid_graph,
+    is_connected,
+    make_graph,
+    open_chain,
+    random_graph,
+    ring_chain,
+    star_graph,
+)
 from ferroent.hilbert import build_sector_hamiltonian, sector_basis
-from ferroent.spectra import eig_sym, energy_gap, full_spectrum, ground_window
-from ferroent.sweep import GraphThermalEngine
+from ferroent.spectra import (
+    SPIN_LABEL_TOL,
+    SpinLabelError,
+    eig_sym,
+    energy_gap,
+    full_spectrum,
+    ground_window,
+)
+from ferroent.sweep import GraphThermalEngine, builtin_graph_set
+from oracles import sector_spectra, sector_thermal_entries
 
 EDGE = make_graph(2, [(0, 1, -1.0)])
 
@@ -59,57 +80,63 @@ class TestEigSym:
 
 class TestFullSpectrum:
     def test_two_spin_edge(self):
-        spectra = full_spectrum(EDGE)
-        values = sorted(v for s in spectra for v in s.eigenvalues)
+        values = sorted(full_spectrum(EDGE).energies)
         assert values == pytest.approx([-0.25, -0.25, -0.25, 0.75])
 
     def test_ring3_ground_multiplicity(self):
-        spectra = full_spectrum(ring_chain(ChainParams(n_spins=3, g1=-1.0)))
-        values = sorted(v for s in spectra for v in s.eigenvalues)
+        values = sorted(full_spectrum(ring_chain(ChainParams(n_spins=3, g1=-1.0))).energies)
         assert values[0] == pytest.approx(-0.75, abs=1e-12)
         assert sum(1 for v in values if abs(v + 0.75) < 1e-10) == 4
 
     def test_total_count_is_full_space(self):
         for g in TEST_GRAPHS:
-            spectra = full_spectrum(g)
-            assert sum(len(s.eigenvalues) for s in spectra) == 2**g.n_spins
+            assert len(full_spectrum(g).energies) == 2**g.n_spins
 
     def test_flip_symmetry_at_zero_field(self):
         g = TEST_GRAPHS[1]
-        spectra = full_spectrum(g)
-        for s_low in spectra:
-            s_high = spectra[g.n_spins - s_low.n_up]
-            assert s_low.eigenvalues == pytest.approx(s_high.eigenvalues, abs=1e-11)
+        spectrum = full_spectrum(g)
+        for n_up in range(g.n_spins + 1):
+            high = spectrum.sector_eigenvalues(g.n_spins - n_up)
+            assert np.array_equal(spectrum.sector_eigenvalues(n_up), high)
 
     @pytest.mark.parametrize("b_field", [0.0, -0.6])
     def test_every_sector_solves_its_own_block(self, b_field):
-        # sectors above N // 2 come from the spin flip; each must still be
-        # an orthonormal eigenbasis of its own block, on its own basis
+        # every sector's levels are its own block's eigenvalues; the central
+        # eigenvectors are an orthonormal eigenbasis of the central block
         for g in TEST_GRAPHS + [make_graph(5, [(0, 1, 1.0), (2, 3, -0.7)])]:
-            for spectrum in full_spectrum(g, b_field):
-                n_up = spectrum.n_up
-                assert spectrum.basis.masks.tolist() == sector_basis(g.n_spins, n_up).masks.tolist()
+            spectrum = full_spectrum(g, b_field)
+            for n_up in range(g.n_spins + 1):
                 h = build_sector_hamiltonian(g, n_up, b_field)
-                vectors, values = spectrum.eigenvectors, spectrum.eigenvalues
+                values = spectrum.sector_eigenvalues(n_up)
                 assert np.all(np.diff(values) >= 0.0)
-                assert np.max(np.abs(h @ vectors - vectors * values)) <= 1e-12
-                assert np.max(np.abs(vectors.T @ vectors - np.eye(len(values)))) <= 1e-12
+                assert np.max(np.abs(values - np.linalg.eigvalsh(h))) <= 1e-12
+            n_up = g.n_spins // 2
+            assert spectrum.basis.masks.tolist() == sector_basis(g.n_spins, n_up).masks.tolist()
+            h = build_sector_hamiltonian(g, n_up, b_field)
+            vectors = spectrum.eigenvectors
+            values = spectrum.sector_eigenvalues(n_up)
+            assert np.max(np.abs(h @ vectors - vectors * values)) <= 1e-12
+            assert np.max(np.abs(vectors.T @ vectors - np.eye(len(values)))) <= 1e-12
 
-    def test_mirrored_sectors_are_views_of_their_partners(self):
-        for g in TEST_GRAPHS:
-            n = g.n_spins
-            spectra = full_spectrum(g)
-            for low in spectra[: (n + 1) // 2]:
-                high = spectra[n - low.n_up]
-                assert np.array_equal(high.eigenvalues, low.eigenvalues)
-                assert np.shares_memory(high.eigenvectors, low.eigenvectors)
-                assert np.array_equal(high.eigenvectors, low.eigenvectors[::-1])
+    def test_central_eigenvectors_have_flip_parity(self):
+        # even N: each column is [x; +-x[::-1]] / sqrt(2), so reversing its
+        # rows gives it back exactly, up to the sign
+        for g in TEST_GRAPHS[:3] + [cube_graph(-1.0)]:
+            vectors = full_spectrum(g).eigenvectors
+            for column in vectors.T:
+                assert np.array_equal(column[::-1], column) or np.array_equal(
+                    column[::-1], -column
+                )
 
     def test_field_shifts_zero_field_eigenvalues(self):
         g = TEST_GRAPHS[3]
-        for zero, shifted in zip(full_spectrum(g), full_spectrum(g, 1.3)):
-            assert np.array_equal(shifted.eigenvalues, zero.eigenvalues + 1.3 * zero.basis.sz)
-            assert np.array_equal(shifted.eigenvectors, zero.eigenvectors)
+        zero, shifted = full_spectrum(g), full_spectrum(g, 1.3)
+        for n_up in range(g.n_spins + 1):
+            sz = n_up - 0.5 * g.n_spins
+            assert np.array_equal(
+                shifted.sector_eigenvalues(n_up), zero.sector_eigenvalues(n_up) + 1.3 * sz
+            )
+        assert np.array_equal(shifted.eigenvectors, zero.eigenvectors)
 
     def test_cap(self):
         with pytest.raises(ValueError):
@@ -178,3 +205,145 @@ class TestGibbsWeights:
 
 def test_energy_gap_of_single_edge():
     assert energy_gap(full_spectrum(EDGE)) == pytest.approx(1.0)
+
+
+def _oracle_graphs():
+    """The built-in set, the README sweep's ring/open coupling grid at N = 6 and 7,
+    and the graphs without a single ferromagnetic multiplet for a ground state."""
+    graphs = [(name, g) for name, g in builtin_graph_set()]
+    for n in (6, 7):
+        for g2 in (-4.0, -3.0, -2.0, -1.0, 0.0):
+            for g3 in (-4.0, -3.0, -2.0, -1.0, 0.0):
+                for periodic in (True, False):
+                    chain = ring_chain if periodic else open_chain
+                    params = ChainParams(n_spins=n, g1=-1.0, g2=g2, g3=g3, periodic=periodic)
+                    graphs.append((f"{'ring' if periodic else 'open'}{n}-{g2}-{g3}", chain(params)))
+    graphs += [
+        ("star6", star_graph(6, -1.0)),
+        ("dimers", make_graph(6, [(0, 1, -1.0), (2, 3, -1.0), (4, 5, -1.0)])),
+        ("afm-ring6", ring_chain(ChainParams(n_spins=6, g1=1.0))),
+        ("edge-free5", make_graph(5, [])),
+        ("edge2", EDGE),
+        ("path3", make_graph(3, [(0, 1, -1.0), (1, 2, -0.5)])),
+    ]
+    return graphs
+
+
+ORACLE_GRAPHS = _oracle_graphs()
+
+
+class TestCentralSector:
+    @pytest.mark.parametrize("name, g", ORACLE_GRAPHS, ids=[name for name, _ in ORACLE_GRAPHS])
+    def test_engine_matches_per_sector_oracle(self, name, g):
+        # sector eigenvalues and thermal pair entries of the central-sector
+        # engine against every sector diagonalized on its own
+        spectrum = full_spectrum(g)
+        for oracle in sector_spectra(g):
+            values = spectrum.sector_eigenvalues(oracle.n_up)
+            assert np.max(np.abs(values - oracle.eigenvalues)) <= 1e-12
+        engine = GraphThermalEngine(g, g.pairs() + [(j, i) for i, j in g.pairs()[:3]])
+        temperatures = (0.0, 0.3, 1.0, 5.0)
+        for b_field in (0.0, 0.4, -1.1):
+            expected = sector_thermal_entries(g, engine.pairs, temperatures, b_field)
+            for temperature, rows in zip(temperatures, expected):
+                entries = engine.pair_entries(engine.weights(temperature, b_field))
+                assert np.max(np.abs(entries - rows)) <= 1e-12
+
+    @pytest.mark.parametrize("name, g", ORACLE_GRAPHS, ids=[name for name, _ in ORACLE_GRAPHS])
+    def test_multiplet_bookkeeping(self, name, g):
+        n = g.n_spins
+        spectrum = full_spectrum(g)
+        assert spectrum.spin_residual <= SPIN_LABEL_TOL
+        assert np.sum(2 * spectrum.spins + 1) == 2**n
+        for n_up in range(n + 1):
+            assert len(spectrum.sector_eigenvalues(n_up)) == comb(n, n_up)
+        engine = GraphThermalEngine(g)
+        for n_up in range(n + 1):
+            assert np.count_nonzero(engine.sz == n_up - 0.5 * n) == comb(n, n_up)
+        if g.is_ferromagnetic and is_connected(g):
+            assert spectrum.spins[0] == 0.5 * n
+            assert np.all(spectrum.spins[1:] < 0.5 * n)
+
+    def test_degenerate_clusters_are_pure_spin(self):
+        # the cube and the periodic 3x3 grid have many multiplets of different
+        # S at one energy; every column must still be an S^2 eigenvector
+        for g in (cube_graph(-1.0), grid_graph(3, 3, True, -1.0), star_graph(6, -1.0)):
+            spectrum = full_spectrum(g)
+            n = g.n_spins
+            complete = make_graph(n, [(a, b, 2.0) for a, b in g.pairs()])
+            square = build_sector_hamiltonian(complete, n // 2) + 0.75 * n * np.eye(
+                len(spectrum.basis)
+            )
+            vectors = spectrum.eigenvectors
+            casimir = spectrum.spins * (spectrum.spins + 1.0)
+            assert np.max(np.abs(square @ vectors - vectors * casimir)) <= 1e-12
+            h = build_sector_hamiltonian(g, n // 2)
+            assert np.max(np.abs(h @ vectors - vectors * spectrum.eigenvalues)) <= 1e-12
+
+    def test_close_levels_of_different_spin_stay_pure(self):
+        # LAPACK mixes levels 3.6e-6 apart by ~1e-10; without the first-order
+        # step a column of this graph is 6e-10 away from an S^2 eigenvector
+        g = random_graph(10, 0.5, (-2.0, -0.1), seed=12)
+        spectrum = full_spectrum(g)
+        complete = make_graph(10, [(a, b, 2.0) for a, b in g.pairs()])
+        square = build_sector_hamiltonian(complete, 5) + 7.5 * np.eye(len(spectrum.basis))
+        vectors = spectrum.eigenvectors
+        casimir = spectrum.spins * (spectrum.spins + 1.0)
+        assert np.max(np.abs(square @ vectors - vectors * casimir)) <= 1e-12
+
+    def test_near_crossing_of_spin_multiplets_matches_oracle(self):
+        # ring 8 with J1 = -1 and J2 = x: at this x the lowest S = 4 and S = 2
+        # levels are 1.8e-7 apart, outside the cluster window; a first-order
+        # admixture of one in the other would reach the rebuilt sectors
+        n, x = 8, 0.269747464991
+        g = make_graph(
+            n,
+            [(min(i, (i + k) % n), max(i, (i + k) % n), c)
+             for i in range(n) for k, c in ((1, -1.0), (2, x))],
+        )
+        engine = GraphThermalEngine(g)
+        temperatures = (0.0, 0.001, 0.01, 0.1)
+        for b_field in (0.01, 0.1):
+            expected = sector_thermal_entries(g, engine.pairs, temperatures, b_field)
+            for temperature, rows in zip(temperatures, expected):
+                entries = engine.pair_entries(engine.weights(temperature, b_field))
+                assert np.max(np.abs(entries - rows)) <= 1e-12
+
+    @staticmethod
+    def _labels_one_too_high(monkeypatch):
+        original = ferroent.spectra._spin_of
+
+        def raised(squares, n):
+            return original(squares, n) + 1
+
+        monkeypatch.setattr(ferroent.spectra, "_spin_of", raised)
+
+    def test_label_residual_fails_by_name(self, monkeypatch):
+        # labels one S too high no longer match <S^2>
+        self._labels_one_too_high(monkeypatch)
+        with pytest.raises(SpinLabelError, match="S\\(S\\+1\\)"):
+            full_spectrum(TEST_GRAPHS[2])
+
+    def test_sector_counts_fail_by_name(self, monkeypatch):
+        self._labels_one_too_high(monkeypatch)
+        monkeypatch.setattr(ferroent.spectra, "SPIN_LABEL_TOL", np.inf)
+        with pytest.raises(SpinLabelError, match="expected C\\(6, 0\\) = 1"):
+            full_spectrum(TEST_GRAPHS[2])
+
+    def test_kinematic_zeros_are_exact(self):
+        # below two up spins no pair is both up (and mirrored for down); the
+        # polarized state's raw concurrence 2(|gamma| - sqrt(alpha epsilon))
+        # would otherwise read the square root of a rounding error
+        for g in (random_graph(7, 0.5, (-2.0, -0.3), seed=5), TEST_GRAPHS[1]):
+            n = g.n_spins
+            engine = GraphThermalEngine(g)
+            for n_up in (0, 1, n - 1, n):
+                block = engine.stack[:, engine.sz == n_up - 0.5 * n]
+                if n_up < 2:
+                    assert np.all(block[..., 0] == 0.0)
+                if n - n_up < 2:
+                    assert np.all(block[..., 4] == 0.0)
+                if n_up in (0, n):
+                    assert np.all(block[..., 1:4] == 0.0)
+            weights = engine.weights(0.0, 0.8)
+            assert np.all(engine.raw_concurrence(weights) == 0.0)

@@ -5,6 +5,8 @@ import json
 import numpy as np
 import pytest
 
+import ferroent.sweep
+
 from ferroent.graphs import (
     ChainParams,
     cube_graph,
@@ -16,18 +18,19 @@ from ferroent.graphs import (
     star_graph,
 )
 from ferroent.rdm import x_state_from_matrix
-from ferroent.spectra import full_spectrum
+from ferroent.spectra import full_spectrum, ground_window
 from ferroent.sweep import (
     GeometrySpec,
     GraphThermalEngine,
     SweepConfig,
     build_geometry,
+    builtin_graph_set,
     run_sweep,
     verify_degeneracy,
     verify_universal,
     zero_temperature_scan,
 )
-from oracles import gibbs_terms, pair_rdm_mixed, pair_rdm_pure
+from oracles import gibbs_terms, pair_rdm_mixed, pair_rdm_pure, sector_spectra
 
 RING_CONFIG = SweepConfig(
     geometries=(GeometrySpec(kind="ring"),),
@@ -138,6 +141,30 @@ class TestRunSweep:
         _, parallel, _ = run_to_strings(config, workers=2)
         assert serial == parallel
 
+    @pytest.mark.parametrize("limit", [4, 1])
+    def test_contraction_blocks_of_whole_temperature_rows(self, monkeypatch, limit):
+        # 3 temperatures x 2 fields: blocks of 2 rows (4 points), or of one
+        # row (2 points) when a row alone exceeds the limit
+        config = SweepConfig(
+            geometries=(GeometrySpec(kind="ring"),),
+            n_values=(5,),
+            t_grid=(0.0, 0.5, 2.0),
+            b_grid=(0.0, 1.0),
+        )
+        _, whole, _ = run_to_strings(config)
+        monkeypatch.setattr(ferroent.sweep, "_POINTS_PER_CONTRACTION", limit)
+        _, blocked, _ = run_to_strings(config)
+        keys = ("index", "t", "b", "ground_energy", "ground_degeneracy")
+
+        def split(text):
+            records = [json.loads(line) for line in text.splitlines()]
+            coordinates = [[record[key] for key in keys] for record in records]
+            return coordinates, np.array([[r for _, _, r in rec["pairs"]] for rec in records])
+
+        (coordinates, raw), (expected_coordinates, expected_raw) = split(blocked), split(whole)
+        assert coordinates == expected_coordinates
+        assert np.max(np.abs(raw - expected_raw)) <= 1e-15
+
     def test_ferromagnetic_sweep_has_no_entanglement(self):
         result, output, _ = run_to_strings(RING_CONFIG)
         assert result.violations == 0
@@ -219,7 +246,7 @@ class TestThermalEngine:
     def test_weights_match_gibbs_module(self):
         g = random_graph(6, 0.5, (-2.0, -0.3), seed=19)
         engine = GraphThermalEngine(g)
-        spectra = full_spectrum(g)
+        spectra = sector_spectra(g)
         for temperature in (0.0, 0.3, 2.0):
             flat = engine.weights(temperature, 0.0)
             terms = gibbs_terms(spectra, temperature)
@@ -239,7 +266,7 @@ class TestThermalEngine:
         pairs = [(0, 1), (1, 4), (2, 3)]
         engine = GraphThermalEngine(g, pairs)
         temperature, b_field = 0.8, 1.3
-        spectra_b = full_spectrum(g, b_field=b_field)
+        spectra_b = sector_spectra(g, b_field=b_field)
         mixture = gibbs_terms(spectra_b, temperature)
         weights = engine.weights(temperature, b_field)
         for pair, row in zip(pairs, engine.pair_entries(weights)):
@@ -265,15 +292,17 @@ class TestThermalEngine:
 
     @pytest.mark.parametrize("n_spins", [6, 7])
     def test_stack_matches_oracle_on_every_sector(self, n_spins):
-        # sectors above N // 2 hold mirrored entries; check all against the
-        # per-eigenstate partial trace of full_spectrum's eigenvectors
+        # every sector but the central one holds Wigner-Eckart entries; check
+        # all against the per-eigenstate partial trace of the per-sector ED
+        # (no level of this graph is degenerate within a sector)
         g = random_graph(n_spins, 0.5, (-2.0, -0.2), seed=40 + n_spins)
         pairs = [(0, 1), (n_spins - 1, 2), (3, 1), (2, 5)]
         engine = GraphThermalEngine(g, pairs)
+        central = full_spectrum(g)
         position = 0
-        for spectrum in full_spectrum(g):
+        for spectrum in sector_spectra(g):
             for k in range(len(spectrum.eigenvalues)):
-                assert engine.energies[position] == spectrum.eigenvalues[k]
+                assert engine.energies[position] == central.sector_eigenvalues(spectrum.n_up)[k]
                 assert engine.sz[position] == spectrum.basis.sz
                 for pair, entries in zip(pairs, engine.stack[:, position]):
                     rho = pair_rdm_pure(spectrum.eigenvectors[:, k], spectrum.basis, pair)
@@ -307,6 +336,31 @@ class TestThermalEngine:
             assert (record["ground_energy"], record["ground_degeneracy"]) == engine.ground_info(
                 record["b"]
             )
+
+    def test_field_weights_rows_equal_per_point_weights_bitwise(self):
+        # one weight row per temperature at a fixed field must be bit for bit
+        # the per-point computation: shifted energies, minimum, exp, sum
+        g = open_chain(ChainParams(n_spins=6, g1=-1.0, g2=-0.7, periodic=False))
+        engine = GraphThermalEngine(g)
+        temperatures = (0.0, 1e-3, 0.4, 2.5, 6.0)
+        for b_field in (0.0, 0.9, -3.0):
+            rows = engine.field_weights(temperatures, b_field)
+            shifted = engine.energies + b_field * engine.sz
+            for temperature, row in zip(temperatures, rows):
+                if temperature == 0.0:
+                    members = ground_window(shifted)
+                    expected = members / members.sum()
+                else:
+                    factors = np.exp(-(shifted - float(shifted.min())) / temperature)
+                    expected = factors / factors.sum()
+                assert np.array_equal(row, expected)
+                assert np.array_equal(row, engine.weights(temperature, b_field))
+
+    def test_field_weights_reject_negative_and_nan(self):
+        engine = GraphThermalEngine(make_graph(2, [(0, 1, -1.0)]))
+        for bad in (-0.1, float("nan")):
+            with pytest.raises(ValueError, match="temperature"):
+                engine.field_weights((0.0, bad, 1.0), 0.0)
 
     def test_ground_info_with_field_splits_multiplet(self):
         g = ring_chain(ChainParams(n_spins=4, g1=-1.0))
@@ -382,7 +436,45 @@ class TestVerifyDegeneracy:
         assert report.energy_ok  # quarter coupling sum holds per component
 
 
+class TestGroundSpin:
+    def test_connected_ferromagnets_have_spin_half_n(self):
+        for graph_id, g in builtin_graph_set():
+            report = verify_degeneracy(GraphThermalEngine(g), graph_id)
+            assert report.passed
+            assert report.ground_spin == 0.5 * g.n_spins
+            assert report.spin_residual <= 1e-6
+
+    def test_wrong_ground_spin_fails_the_degeneracy_suite(self):
+        engine = GraphThermalEngine(ring_chain(ChainParams(n_spins=5, g1=-1.0)))
+        assert verify_degeneracy(engine).passed
+        engine.spin = np.full_like(engine.spin, 0.5)
+        report = verify_degeneracy(engine)
+        assert report.ground_spin == 0.5
+        assert not report.passed
+
+    def test_disconnected_ground_window_holds_lower_spins(self):
+        g = make_graph(4, [(0, 1, -1.0), (2, 3, -1.0)])  # two triplets: S = 0, 1, 2
+        report = verify_degeneracy(GraphThermalEngine(g), "dimers")
+        assert report.ground_spin == 0.0
+        assert report.passed  # no single-multiplet claim for a disconnected graph
+
+    def test_report_fields_serialize(self):
+        engine = GraphThermalEngine(cube_graph(-1.0))
+        for report in (verify_universal(engine, "cube"), verify_degeneracy(engine, "cube")):
+            payload = json.loads(json.dumps(dataclasses.asdict(report)))
+            assert payload["ground_spin"] == 4.0
+            assert 0.0 <= payload["spin_residual"] <= 1e-6
+
+
 class TestZeroTemperatureScan:
+    def test_scan_stops_at_the_first_entangled_temperature(self):
+        # antiferromagnetic dimer in a field above J: the polarized T = 0
+        # ground state is a product, the singlet admixed at T = 0.1 is not;
+        # the scan keeps the clean prefix even if a later point is clean again
+        engine = GraphThermalEngine(make_graph(2, [(0, 1, 1.0)]))
+        assert zero_temperature_scan(engine, [0.0, 0.1, 100.0], b_field=1.5) == 0.0
+
+
     def test_ferromagnet_survives_whole_grid(self):
         engine = GraphThermalEngine(ring_chain(ChainParams(n_spins=5, g1=-1.0)))
         grid = [5.0 * k / 20 for k in range(21)]
