@@ -38,6 +38,7 @@ from .graphs import (
 from .hilbert import (
     SectorBasis,
     build_sector_hamiltonian,
+    central_spin_basis,
     dicke_vector,
     sector_basis,
     sector_dimension,

@@ -17,11 +17,17 @@ bit.  For even N the central sector k = N/2 is its own mirror: its block
 is centrosymmetric, which ``spectra`` uses to split it by flip parity.
 Only that central sector is ever diagonalized (see ``spectra``); the
 other blocks are built for tests and for ``spectrum --dump-sector``.
+
+``central_spin_basis`` gives the central sector an orthonormal basis of
+total-spin eigenvectors grouped by S, built from Clebsch-Gordan
+coefficients one spin at a time with no diagonalization, so ``spectra``
+can solve one block per S.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb, sqrt
 
 import numpy as np
@@ -72,10 +78,13 @@ def build_sector_hamiltonian(
     Per edge (i, j, J): a basis state with spins i, j parallel takes +J/4 on
     the diagonal; antiparallel takes -J/4 on the diagonal plus J/2 on the
     off-diagonal linking it to the state with i, j swapped.  The field adds
-    B * (n_up - N/2) to every diagonal entry.  The result is exactly
-    symmetric by construction.  ``basis`` passes the sector's basis when
-    the caller has already enumerated it.
+    B * (n_up - N/2) to every diagonal entry; a non-finite B raises
+    ValueError.  The result is exactly symmetric by construction.
+    ``basis`` passes the sector's basis when the caller has already
+    enumerated it.
     """
+    if not np.isfinite(b_field):
+        raise ValueError(f"the field must be finite, got {b_field}")
     if basis is None:
         basis = sector_basis(graph.n_spins, n_up)
     masks = basis.masks
@@ -95,6 +104,76 @@ def build_sector_hamiltonian(
     matrix[row, column] += 0.5 * couplings[edge]
     matrix[np.diag_indices(dim)] += diagonal
     return matrix
+
+
+def _coupled_sector(n_spins: int, n_up: int) -> tuple[np.ndarray, dict[int, tuple[int, int]]]:
+    """Orthonormal spin-adapted basis of one sector, its columns grouped by S ascending.
+
+    Returns the square matrix over the sector's ascending masks and the
+    column span (first, last) of each group, keyed by 2S.  The spins are
+    coupled one at a time (sequential coupling, the Yamanouchi basis):
+    the masks of sector (k + 1, n) are those of (k, n), spin k down,
+    followed by those of (k, n - 1) + 2^k, spin k up, so a column of spin
+    S is two Clebsch-Gordan-scaled columns of spin S' = S -+ 1/2, one per
+    part.  A group's columns keep one coupling-path order in every sector.
+    """
+    # sectors[n]: (matrix, groups) of sector (k, n), for the n that reach n_up
+    sectors = {0: (np.ones((1, 1)), {0: (0, 1)})}
+    for k in range(n_spins):
+        grown = {}
+        for n in range(max(0, n_up - (n_spins - k - 1)), min(k + 1, n_up) + 1):
+            down, up = sectors.get(n), sectors.get(n - 1)
+            rows_down = 0 if down is None else len(down[0])
+            rows = rows_down + (0 if up is None else len(up[0]))
+            matrix = np.zeros((rows, rows))
+            groups, column = {}, 0
+            twice_m = 2 * n - k - 1
+            for twice_s in range(abs(twice_m), k + 2, 2):
+                start = column
+                for parent, sign in ((twice_s - 1, 1), (twice_s + 1, -1)):
+                    # <S', M - m/2; 1/2, m/2 | S, M> for S' = S - sign/2, spin k down (m = -1)
+                    # or up (m = 1); negative only for S' = S + 1/2 and spin k up
+                    width = 0
+                    for child, m, offset in ((down, -1, 0), (up, 1, rows_down)):
+                        if child is None or parent not in child[1]:
+                            continue
+                        first, last = child[1][parent]
+                        width = last - first
+                        scale = sqrt((parent + sign * m * twice_m + 1) / (2.0 * parent + 2.0))
+                        part = child[0][:, first:last]
+                        matrix[offset : offset + len(part), column : column + width] = (
+                            -scale if sign < 0 < m else scale
+                        ) * part
+                    column += width
+                groups[twice_s] = (start, column)
+            grown[n] = (matrix, groups)
+        sectors = grown
+    return sectors[n_up]
+
+
+@lru_cache(maxsize=None)
+def central_spin_basis(n_spins: int) -> tuple[tuple[float, np.ndarray], ...]:
+    """(S, columns) for each total spin S of the central sector n_up = N // 2, S ascending.
+
+    Each S has C(N, N/2 - S) - C(N, N/2 - S - 1) orthonormal columns of
+    spin S.  For odd N they are vectors over the central sector's masks.
+    For even N a spin-S vector has flip parity p = (-1)^(N/2 - S): it is
+    [y; p y[::-1]] / sqrt(2), and only y, over the first half of the
+    masks, is kept.  Those masks, spin N - 1 down, are sector (N - 1, N/2),
+    and both Clebsch-Gordan factors onto M = 0 are 1/sqrt(2), so the y of
+    spin S are that sector's two adjacent groups of spin S -+ 1/2.  The
+    result is cached per N; its arrays are read-only views of one matrix.
+    """
+    if n_spins % 2:
+        matrix, spans = _coupled_sector(n_spins, n_spins // 2)
+    else:
+        matrix, groups = _coupled_sector(n_spins - 1, n_spins // 2)
+        spans = {}
+        for twice_s in range(0, n_spins + 1, 2):
+            members = [groups[t] for t in (twice_s - 1, twice_s + 1) if t in groups]
+            spans[twice_s] = (members[0][0], members[-1][1])
+    matrix.flags.writeable = False
+    return tuple((0.5 * twice_s, matrix[:, first:last]) for twice_s, (first, last) in spans.items())
 
 
 def dicke_vector(n_spins: int, n_up: int) -> np.ndarray:

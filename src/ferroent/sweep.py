@@ -61,6 +61,7 @@ from .graphs import (
     ring_chain,
     star_graph,
 )
+from .rdm import eigenstate_pair_entries
 from .spectra import full_spectrum, ground_window
 
 RAW_CONCURRENCE_THRESHOLD = 1e-12
@@ -261,7 +262,10 @@ class GraphThermalEngine:
         casimir = spin * (spin + 1.0)
 
         # central pair correlations c = <S_a . S_b> (gamma = xx + yy) and zz
-        alpha, beta, gamma, delta, epsilon = np.moveaxis(spectrum.pair_entries, 2, 0)
+        entries = eigenstate_pair_entries(spectrum.basis, spectrum.eigenvectors, graph.pairs())
+        eigenvalues, sector_columns = spectrum.eigenvalues, spectrum.sector_columns
+        del spectrum  # free the eigenvectors before the stack is built
+        alpha, beta, gamma, delta, epsilon = np.moveaxis(entries, 2, 0)
         zz_all = 0.25 * (alpha + epsilon - beta - delta)
         c_all = gamma + zz_all
         along = np.full((n, len(spin)), 0.75)  # <S . S_a>
@@ -272,7 +276,7 @@ class GraphThermalEngine:
 
         position = {pair: k for k, pair in enumerate(graph.pairs())}
         rows = [position[min(a, b), max(a, b)] for a, b in self.pairs]
-        central = spectrum.pair_entries[rows]
+        central = entries[rows]
         reversed_pairs = np.array([a > b for a, b in self.pairs])
         central[reversed_pairs] = central[reversed_pairs][..., [0, 3, 2, 1, 4]]  # beta <-> delta
         c, zz = c_all[rows], zz_all[rows]
@@ -289,10 +293,10 @@ class GraphThermalEngine:
         self.spin = np.empty(2**n)
         self.stack = np.empty((len(self.pairs), 2**n, 5))
         start = 0
-        for n_up, columns in enumerate(spectrum.sector_columns):
+        for n_up, columns in enumerate(sector_columns):
             stop = start + len(columns)
             m = n_up - 0.5 * n
-            self.energies[start:stop] = spectrum.eigenvalues[columns]
+            self.energies[start:stop] = eigenvalues[columns]
             self.sz[start:stop] = m
             self.spin[start:stop] = spin[columns]
             if n_up == n // 2:
@@ -303,6 +307,12 @@ class GraphThermalEngine:
                     g_a[:, columns], g_b[:, columns], m, n_up, n,
                 )
             start = stop
+
+    def _shifted(self, b_field: float) -> np.ndarray:
+        """The flat energies at field B; a non-finite B raises ValueError."""
+        if not np.isfinite(b_field):
+            raise ValueError(f"the field must be finite, got {b_field}")
+        return self.energies + b_field * self.sz
 
     def weights(self, temperature: float, b_field: float) -> np.ndarray:
         """Thermal weights over the flat eigenstate ordering at (T, B)."""
@@ -319,7 +329,7 @@ class GraphThermalEngine:
         t = np.array(temperatures, dtype=float)
         for temperature in t[~(t >= 0.0)]:  # also rejects NaN
             raise ValueError(f"temperature must be >= 0, got {temperature}")
-        shifted = self.energies + b_field * self.sz
+        shifted = self._shifted(b_field)
         rows = np.empty((len(t), len(shifted)))
         hot = t > 0.0
         if hot.any():
@@ -332,7 +342,7 @@ class GraphThermalEngine:
 
     def ground_info(self, b_field: float) -> tuple[float, int]:
         """(ground energy, ground degeneracy) at the given field."""
-        shifted = self.energies + b_field * self.sz
+        shifted = self._shifted(b_field)
         return float(shifted.min()), int(ground_window(shifted).sum())
 
     def pair_entries(self, weights: np.ndarray) -> np.ndarray:
@@ -605,28 +615,27 @@ class VerifyReport:
     passed: bool = False
 
 
-def _spectral_checks(
-    engine: GraphThermalEngine,
-) -> tuple[float, float, bool, int, int | None, bool | None, bool, float]:
+def _spectral_fields(engine: GraphThermalEngine, graph_id: str) -> dict:
+    """The VerifyReport fields both suites share: ground energy, degeneracy and spin."""
     graph = engine.graph
     connected = is_connected(graph)
     e_min, degeneracy = engine.ground_info(0.0)
     expected_energy = 0.25 * graph.coupling_sum
-    energy_ok = abs(e_min - expected_energy) <= 1e-10 * max(1.0, abs(expected_energy))
-    expected_degeneracy = graph.n_spins + 1 if connected else None
-    degeneracy_ok = (degeneracy == expected_degeneracy) if connected else None
-    # the smallest S in the window: N/2 only if it holds the aligned multiplet alone
-    ground_spin = float(engine.spin[ground_window(engine.energies)].min())
-    return (
-        e_min,
-        expected_energy,
-        energy_ok,
-        degeneracy,
-        expected_degeneracy,
-        degeneracy_ok,
-        connected,
-        ground_spin,
-    )
+    return {
+        "graph_id": graph_id,
+        "n_spins": graph.n_spins,
+        "ferromagnetic": graph.is_ferromagnetic,
+        "connected": connected,
+        "ground_energy": e_min,
+        "expected_ground_energy": expected_energy,
+        "energy_ok": abs(e_min - expected_energy) <= 1e-10 * max(1.0, abs(expected_energy)),
+        "ground_degeneracy": degeneracy,
+        "expected_degeneracy": graph.n_spins + 1 if connected else None,
+        "degeneracy_ok": degeneracy == graph.n_spins + 1 if connected else None,
+        # the smallest S in the window: N/2 only if it holds the aligned multiplet alone
+        "ground_spin": float(engine.spin[ground_window(engine.energies)].min()),
+        "spin_residual": engine.spin_residual,
+    }
 
 
 def verify_universal(engine: GraphThermalEngine, graph_id: str = "graph") -> VerifyReport:
@@ -638,43 +647,26 @@ def verify_universal(engine: GraphThermalEngine, graph_id: str = "graph") -> Ver
     Requires a connected ferromagnetic graph; violations are flagged in
     the report (never silently ignored) and fail it.
     """
-    graph = engine.graph
-    e_min, expected_e, energy_ok, degeneracy, expected_d, degeneracy_ok, connected, spin = (
-        _spectral_checks(engine)
-    )
-    ferromagnetic = graph.is_ferromagnetic
-    preconditions_ok = ferromagnetic and connected
-
+    fields = _spectral_fields(engine, graph_id)
+    preconditions_ok = fields["ferromagnetic"] and fields["connected"]
     weights = engine.weights(0.0, 0.0)
     target = np.array(UNIVERSAL_ENTRIES, dtype=float)
     max_deviation = float(np.max(np.abs(engine.pair_entries(weights) - target)))
     max_raw = float(np.max(engine.raw_concurrence(weights)))
-
     passed = (
         preconditions_ok
-        and energy_ok
-        and bool(degeneracy_ok)
+        and fields["energy_ok"]
+        and bool(fields["degeneracy_ok"])
         and max_deviation <= UNIVERSAL_RDM_TOL
         and max_raw <= RAW_CONCURRENCE_THRESHOLD
     )
     return VerifyReport(
-        graph_id=graph_id,
         check="universal",
-        n_spins=graph.n_spins,
-        ferromagnetic=ferromagnetic,
-        connected=connected,
         preconditions_ok=preconditions_ok,
-        ground_energy=e_min,
-        expected_ground_energy=expected_e,
-        energy_ok=energy_ok,
-        ground_degeneracy=degeneracy,
-        expected_degeneracy=expected_d,
-        degeneracy_ok=degeneracy_ok,
-        ground_spin=spin,
-        spin_residual=engine.spin_residual,
         max_rdm_deviation=max_deviation,
         max_raw_concurrence=max_raw,
         passed=passed,
+        **fields,
     )
 
 
@@ -686,29 +678,16 @@ def verify_degeneracy(engine: GraphThermalEngine, graph_id: str = "graph") -> Ve
     the single S = N/2 multiplet assume connectivity, while the energy
     identity holds for any ferromagnetic edge set.
     """
-    graph = engine.graph
-    e_min, expected_e, energy_ok, degeneracy, expected_d, degeneracy_ok, connected, spin = (
-        _spectral_checks(engine)
+    fields = _spectral_fields(engine, graph_id)
+    spin_ok = not fields["connected"] or fields["ground_spin"] == 0.5 * fields["n_spins"]
+    passed = (
+        fields["ferromagnetic"]
+        and fields["energy_ok"]
+        and fields["degeneracy_ok"] is not False
+        and spin_ok
     )
-    ferromagnetic = graph.is_ferromagnetic
-    spin_ok = not connected or spin == 0.5 * graph.n_spins
-    passed = ferromagnetic and energy_ok and (degeneracy_ok is not False) and spin_ok
     return VerifyReport(
-        graph_id=graph_id,
-        check="degeneracy",
-        n_spins=graph.n_spins,
-        ferromagnetic=ferromagnetic,
-        connected=connected,
-        preconditions_ok=ferromagnetic,
-        ground_energy=e_min,
-        expected_ground_energy=expected_e,
-        energy_ok=energy_ok,
-        ground_degeneracy=degeneracy,
-        expected_degeneracy=expected_d,
-        degeneracy_ok=degeneracy_ok,
-        ground_spin=spin,
-        spin_residual=engine.spin_residual,
-        passed=passed,
+        check="degeneracy", preconditions_ok=fields["ferromagnetic"], passed=passed, **fields
     )
 
 

@@ -221,6 +221,17 @@ class TestSweepCommand:
         assert code == 1
         assert "FAIL" in capsys.readouterr().err
 
+    def test_non_finite_field_exits_2_without_records(self, tmp_path, capsys):
+        config = tmp_path / "sweep.json"
+        config.write_text('{"geometries": [{"kind": "ring"}], "n_values": [4], '
+                          '"t_grid": [0.0, 1.0], "b_grid": [NaN, Infinity]}')
+        results = tmp_path / "out.jsonl"
+        code = run_cli("sweep", "--config", str(config), "--output", str(results),
+                       "--assert-zero")
+        assert code == 2
+        assert "field must be finite" in capsys.readouterr().err
+        assert results.read_text() == ""
+
     def test_resume_appends_missing_records(self, tmp_path, capsys):
         config = tmp_path / "sweep.json"
         config.write_text(json.dumps({
@@ -398,6 +409,20 @@ class TestUsageErrors:
             assert command in out
 
 
+class TestNonFiniteField:
+    @pytest.mark.parametrize("command", [
+        ["rdm", "--ring", "4", "--pair", "0", "1", "-T", "1", "--b-field", "nan"],
+        ["spectrum", "--ring", "4", "--b-field", "nan"],
+        ["spectrum", "--ring", "4", "--b-field", "inf", "--dump-sector", "2"],
+        ["verify", "--suite", "sweep-zero", "--b-field=-inf"],
+    ])
+    def test_exits_2_and_prints_nothing(self, capsys, command):
+        assert run_cli(*command) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "field must be finite" in captured.err
+
+
 class TestOneDiagonalizationPerCommand:
     @pytest.mark.parametrize("command", [
         ["verify", "--suite", "all"],
@@ -416,9 +441,9 @@ class TestOneDiagonalizationPerCommand:
 
         monkeypatch.setattr(ferroent.spectra, "eig_sym", counting)
         assert run_cli(*command, "--graph", str(path)) == 0
-        # one full_spectrum: the central sector's two flip-parity blocks,
-        # and this graph has no degenerate cluster to make pure-S
-        assert calls == [10, 10]
+        # one full_spectrum: one block per S = 0..3 of the central sector,
+        # C(6, 3 - S) - C(6, 2 - S) columns each
+        assert calls == [5, 9, 5, 1]
 
     @pytest.mark.parametrize("command", [
         ["verify", "--suite", "all"],
@@ -437,7 +462,7 @@ class TestOneDiagonalizationPerCommand:
 
         monkeypatch.setattr(ferroent.spectra, "eig_sym", counting)
         assert run_cli(*command, "--graph", str(path)) == 0
-        assert calls == [35]  # the central sector n_up = 3, one block
+        assert calls == [14, 14, 6, 1]  # the central sector n_up = 3, S = 1/2..7/2
 
 
 class TestBrokenPipe:

@@ -1,9 +1,13 @@
+from math import comb
+
 import numpy as np
 import pytest
 
 from ferroent.graphs import ChainParams, make_graph, random_graph, ring_chain, star_graph
 from ferroent.hilbert import (
+    _coupled_sector,
     build_sector_hamiltonian,
+    central_spin_basis,
     dicke_vector,
     sector_basis,
     sector_dimension,
@@ -128,6 +132,66 @@ class TestSpinFlipMirror:
             for n_up in range(n + 1):
                 h = build_sector_hamiltonian(g, n_up)
                 assert np.array_equal(build_sector_hamiltonian(g, n - n_up), h[::-1, ::-1])
+
+
+def central_columns(n):
+    """The spins and the full central-sector columns of ``central_spin_basis(n)``."""
+    spins, columns = [], []
+    for spin, block in central_spin_basis(n):
+        if n % 2 == 0:  # [y; p y[::-1]] / sqrt(2), p = (-1)^(N/2 - S)
+            block = np.vstack([block, (-1.0) ** (n // 2 - spin) * block[::-1]]) * np.sqrt(0.5)
+        spins += [spin] * block.shape[1]
+        columns.append(block)
+    return np.array(spins), np.hstack(columns)
+
+
+def total_spin_square(n):
+    """S^2 on the central sector: the complete graph with J = 2, plus 3N/4."""
+    complete = make_graph(n, [(a, b, 2.0) for a in range(n) for b in range(a + 1, n)])
+    return build_sector_hamiltonian(complete, n // 2) + 0.75 * n * np.eye(comb(n, n // 2))
+
+
+SPIN_BASIS_SIZES = list(range(1, 13))
+
+
+class TestCentralSpinBasis:
+    @pytest.mark.parametrize("n", SPIN_BASIS_SIZES)
+    def test_columns_are_orthonormal(self, n):
+        _, columns = central_columns(n)
+        assert columns.shape == (comb(n, n // 2), comb(n, n // 2))
+        assert np.max(np.abs(columns.T @ columns - np.eye(columns.shape[1]))) <= 1e-13
+
+    @pytest.mark.parametrize("n", SPIN_BASIS_SIZES)
+    def test_columns_are_total_spin_eigenvectors(self, n):
+        spins, columns = central_columns(n)
+        residual = total_spin_square(n) @ columns - columns * (spins * (spins + 1.0))
+        assert np.max(np.abs(residual)) <= 1e-12
+
+    @pytest.mark.parametrize("n", SPIN_BASIS_SIZES)
+    def test_column_count_per_spin(self, n):
+        blocks = central_spin_basis(n)
+        assert [spin for spin, _ in blocks] == [n / 2 - k for k in range(n // 2, -1, -1)]
+        for spin, block in blocks:
+            k = round(n / 2 - spin)
+            assert block.shape[1] == comb(n, k) - (comb(n, k - 1) if k else 0)
+
+    @pytest.mark.parametrize("n", [m for m in SPIN_BASIS_SIZES if m % 2 == 0])
+    def test_even_n_columns_have_flip_parity(self, n):
+        # the unfolded coupled basis of the central sector: a spin-S column is
+        # (-1)^(N/2 - S) times its reversed self, and its first half is the
+        # kept column of ``central_spin_basis`` over sqrt(2)
+        matrix, groups = _coupled_sector(n, n // 2)
+        half = len(matrix) // 2
+        for (spin, kept), (twice_s, (first, last)) in zip(central_spin_basis(n), groups.items()):
+            assert twice_s == 2 * spin
+            columns = matrix[:, first:last]
+            assert np.array_equal(columns[::-1], (-1.0) ** (n // 2 - spin) * columns)
+            assert np.max(np.abs(kept - np.sqrt(2.0) * columns[:half])) <= 1e-15
+
+    def test_cached_per_n_and_read_only(self):
+        assert central_spin_basis(6) is central_spin_basis(6)
+        for _, block in central_spin_basis(6):
+            assert not block.flags.writeable
 
 
 class TestDickeVector:

@@ -311,12 +311,13 @@ class TestCentralSector:
 
     @staticmethod
     def _labels_one_too_high(monkeypatch):
-        original = ferroent.spectra._spin_of
+        # the spin basis hands every group of columns a label one too high
+        original = ferroent.spectra.central_spin_basis
 
-        def raised(squares, n):
-            return original(squares, n) + 1
+        def raised(n):
+            return tuple((spin + 1, columns) for spin, columns in original(n))
 
-        monkeypatch.setattr(ferroent.spectra, "_spin_of", raised)
+        monkeypatch.setattr(ferroent.spectra, "central_spin_basis", raised)
 
     def test_label_residual_fails_by_name(self, monkeypatch):
         # labels one S too high no longer match <S^2>

@@ -362,6 +362,26 @@ class TestThermalEngine:
             with pytest.raises(ValueError, match="temperature"):
                 engine.field_weights((0.0, bad, 1.0), 0.0)
 
+    @pytest.mark.parametrize("field", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_field_rejected(self, field):
+        engine = GraphThermalEngine(make_graph(2, [(0, 1, -1.0)]))
+        with pytest.raises(ValueError, match="field must be finite"):
+            engine.field_weights((0.0, 1.0), field)
+        with pytest.raises(ValueError, match="field must be finite"):
+            engine.ground_info(field)
+        with pytest.raises(ValueError, match="field must be finite"):
+            full_spectrum(engine.graph, b_field=field)
+
+    def test_non_finite_field_grid_writes_no_record(self):
+        config = SweepConfig.from_dict(json.loads(
+            '{"geometries": [{"kind": "ring"}], "n_values": [4], '
+            '"t_grid": [0.0, 1.0], "b_grid": [NaN, Infinity]}'
+        ))
+        output = io.StringIO()
+        with pytest.raises(ValueError, match="field must be finite"):
+            run_sweep(config, output=output)
+        assert output.getvalue() == ""
+
     def test_ground_info_with_field_splits_multiplet(self):
         g = ring_chain(ChainParams(n_spins=4, g1=-1.0))
         engine = GraphThermalEngine(g)
