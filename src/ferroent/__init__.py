@@ -3,9 +3,9 @@
 The package diagonalizes isotropic exchange models on arbitrary weighted
 graphs in the central total-S^z sector, labels each level with its total
 spin and rebuilds every other sector from SU(2) symmetry, reduces thermal
-or ground states to two-spin density matrices, and evaluates Wootters
-concurrence both numerically and from closed-form expressions for the
-completely symmetric states.
+or ground states to two-spin density matrices, and evaluates their
+X-state (Wootters) concurrence.  Closed-form expressions for the
+completely symmetric states are the exact analytic anchor.
 """
 
 from .analytic import (
@@ -17,7 +17,6 @@ from .analytic import (
     figure2_data,
     ground_mixture_entries,
     symmetric_rdm_entries,
-    universal_rdm,
     zone,
     zone_mixture_concurrence,
 )
@@ -39,18 +38,7 @@ from .hilbert import (
     SectorBasis,
     build_sector_hamiltonian,
     central_spin_basis,
-    dicke_vector,
     sector_basis,
-    sector_dimension,
-)
-from .rdm import (
-    XStateRDM,
-    concurrence_wootters,
-    concurrence_wootters_raw,
-    concurrence_x,
-    concurrence_x_raw,
-    sxsx_correlator,
-    x_state_from_matrix,
 )
 from .spectra import (
     CentralSpectrum,

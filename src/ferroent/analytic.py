@@ -13,7 +13,10 @@ entries are
     epsilon = (N-n)(N-n-1) / (N(N-1))    both down
 
 and the equal mixture of all N+1 symmetric states has the universal
-entries (1/3, 1/6, 1/6, 1/6, 1/3) for every N.
+entries ``UNIVERSAL_ENTRIES`` = (1/3, 1/6, 1/6, 1/6, 1/3) for every N.
+The module stays exact and standalone: it returns entries, not density
+matrices, and its concurrences are evaluated in closed form, so the
+numerical pair states of ``rdm`` and ``sweep`` can be checked against it.
 """
 
 from __future__ import annotations
@@ -21,8 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import sqrt
-
-from .rdm import XStateRDM
 
 
 @dataclass(frozen=True)
@@ -36,15 +37,6 @@ class SymmetricRdmEntries:
     gamma: Fraction
     delta: Fraction
     epsilon: Fraction
-
-    def to_x_state(self) -> XStateRDM:
-        return XStateRDM(
-            alpha=float(self.alpha),
-            beta=float(self.beta),
-            gamma=float(self.gamma),
-            delta=float(self.delta),
-            epsilon=float(self.epsilon),
-        )
 
 
 UNIVERSAL_ENTRIES = (
@@ -69,21 +61,6 @@ def symmetric_rdm_entries(n_total: int, n_up: int) -> SymmetricRdmEntries:
         gamma=Fraction(n_up * n_down, denom),
         delta=Fraction(n_up * n_down, denom),
         epsilon=Fraction(n_down * (n_down - 1), denom),
-    )
-
-
-def universal_rdm() -> XStateRDM:
-    """The pair state shared by every isotropic ferromagnet's ground mixture.
-
-    Entries (1/3, 1/6, 1/6, 1/6, 1/3); separable, concurrence zero.
-    """
-    alpha, beta, gamma, delta, epsilon = UNIVERSAL_ENTRIES
-    return XStateRDM(
-        alpha=float(alpha),
-        beta=float(beta),
-        gamma=float(gamma),
-        delta=float(delta),
-        epsilon=float(epsilon),
     )
 
 

@@ -75,14 +75,19 @@ def _add_graph_arguments(parser: argparse.ArgumentParser) -> None:
                         help="wrap the grid into a torus")
 
 
+def _load_graph_file(path: str) -> SpinGraph:
+    """Load a graph JSON file; an unreadable or malformed file is an input error (exit 2)."""
+    try:
+        return load_graph(path)
+    except OSError as err:
+        raise SystemExit(f"ferroent: cannot read graph file: {err}") from err
+    except (ValueError, KeyError, TypeError) as err:
+        raise SystemExit(f"ferroent: malformed graph file {path!r}: {err}") from err
+
+
 def _graph_from_args(args: argparse.Namespace) -> SpinGraph:
     if args.graph is not None:
-        try:
-            return load_graph(args.graph)
-        except OSError as err:
-            raise SystemExit(f"ferroent: cannot read graph file: {err}") from err
-        except (ValueError, KeyError, json.JSONDecodeError) as err:
-            raise SystemExit(f"ferroent: malformed graph file {args.graph!r}: {err}") from err
+        return _load_graph_file(args.graph)
     if args.ring is not None:
         return ring_chain(ChainParams(n_spins=args.ring, g1=args.g1, g2=args.g2,
                                       g3=args.g3, periodic=True))
@@ -150,8 +155,6 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
 def _cmd_rdm(args: argparse.Namespace) -> int:
     graph = _graph_from_args(args)
     i, j = args.pair
-    if not (0 <= i < graph.n_spins and 0 <= j < graph.n_spins) or i == j:
-        raise SystemExit(f"ferroent: invalid pair ({i}, {j}) for {graph.n_spins} spins")
     engine = GraphThermalEngine(graph, pairs=[(i, j)])
     weights = engine.weights(args.temperature, args.b_field)
     [(alpha, beta, gamma, delta, epsilon)] = engine.pair_entries(weights)
@@ -299,12 +302,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     if args.graph_files:
-        graphs = []
-        for path in args.graph_files:
-            try:
-                graphs.append((path, load_graph(path)))
-            except OSError as err:
-                raise SystemExit(f"ferroent: cannot read graph file: {err}") from err
+        graphs = [(path, _load_graph_file(path)) for path in args.graph_files]
     else:
         graphs = builtin_graph_set()
 

@@ -8,6 +8,7 @@ ferromagnetic.  Graphs are immutable after construction.
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass
 
@@ -33,7 +34,7 @@ class SpinGraph:
                 raise ValueError(f"edge ({i}, {j}) violates 0 <= i < j < {self.n_spins}")
             if (i, j) in seen:
                 raise ValueError(f"duplicate edge ({i}, {j})")
-            if coupling != coupling:  # NaN
+            if not math.isfinite(coupling):
                 raise ValueError(f"edge ({i}, {j}) has non-finite coupling")
             seen.add((i, j))
 
@@ -85,16 +86,14 @@ def make_graph(n_spins: int, couplings: list[tuple[int, int, float]]) -> SpinGra
 class ChainParams:
     """Couplings of a spin chain with up to third-neighbor exchange.
 
-    g1, g2, g3 couple each spin to its first, second and third neighbor;
-    b_field is a homogeneous z-axis field carried separately from the edge
-    set (it enters the Hamiltonian builder, not the graph).
+    g1, g2, g3 couple each spin to its first, second and third neighbor.
+    A magnetic field is not part of a graph; commands take it separately.
     """
 
     n_spins: int
     g1: float
     g2: float = 0.0
     g3: float = 0.0
-    b_field: float = 0.0
     periodic: bool = True
 
     def __post_init__(self) -> None:

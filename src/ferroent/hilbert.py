@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, sqrt
+from math import sqrt
 
 import numpy as np
 
@@ -53,10 +53,6 @@ class SectorBasis:
     def sz(self) -> float:
         """Total z-spin eigenvalue of the sector, n_up - N/2."""
         return self.n_up - 0.5 * self.n_spins
-
-
-def sector_dimension(n_spins: int, n_up: int) -> int:
-    return comb(n_spins, n_up)
 
 
 def sector_basis(n_spins: int, n_up: int) -> SectorBasis:
@@ -175,10 +171,3 @@ def central_spin_basis(n_spins: int) -> tuple[tuple[float, np.ndarray], ...]:
     matrix.flags.writeable = False
     return tuple((0.5 * twice_s, matrix[:, first:last]) for twice_s, (first, last) in spans.items())
 
-
-def dicke_vector(n_spins: int, n_up: int) -> np.ndarray:
-    """Uniform superposition over the n_up sector (a completely symmetric state)."""
-    if not (0 <= n_up <= n_spins):
-        raise ValueError(f"n_up must be in [0, {n_spins}], got {n_up}")
-    dim = sector_dimension(n_spins, n_up)
-    return np.full(dim, 1.0 / sqrt(dim))

@@ -262,7 +262,7 @@ class GraphThermalEngine:
         casimir = spin * (spin + 1.0)
 
         # central pair correlations c = <S_a . S_b> (gamma = xx + yy) and zz
-        entries = eigenstate_pair_entries(spectrum.basis, spectrum.eigenvectors, graph.pairs())
+        entries = eigenstate_pair_entries(spectrum.basis, spectrum.eigenvectors)
         eigenvalues, sector_columns = spectrum.eigenvalues, spectrum.sector_columns
         del spectrum  # free the eigenvectors before the stack is built
         alpha, beta, gamma, delta, epsilon = np.moveaxis(entries, 2, 0)

@@ -9,18 +9,47 @@ central-sector solve and its Wigner-Eckart rebuild of the other sectors.
 The per-eigenstate partial trace and the Gibbs mixture below are the
 reference for the package's thermal engine: they loop over eigenstates
 one by one in Python instead of contracting the engine's entry stack.
+The general two-qubit concurrence (Wootters, PRL 80, 2245 (1998)), from
+the spectrum of rho times its spin-flipped conjugate, is the reference
+for the package's X-state formula 2(|gamma| - sqrt(alpha epsilon)); the
+``XStateRDM`` record and the density-matrix validators go with it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import exp
+from math import comb, exp, sqrt
 
 import numpy as np
 
 from ferroent.graphs import SpinGraph
 from ferroent.hilbert import SectorBasis, build_sector_hamiltonian, sector_basis
 from ferroent.rdm import eigenstate_pair_entries
+
+HERMITICITY_TOL = 1e-12
+SPARSITY_TOL = 1e-12
+TRACE_TOL = 1e-10
+POSITIVITY_TOL = 1e-10
+
+# (sigma_y x sigma_y) is real: the double-spin-flip conjugation matrix.
+_FLIP = np.array(
+    [
+        [0.0, 0.0, 0.0, -1.0],
+        [0.0, 0.0, 1.0, 0.0],
+        [0.0, 1.0, 0.0, 0.0],
+        [-1.0, 0.0, 0.0, 0.0],
+    ]
+)
+
+# S^x tensor S^x in the pair basis (each factor is sigma_x / 2).
+_SXSX = 0.25 * np.array(
+    [
+        [0.0, 0.0, 0.0, 1.0],
+        [0.0, 0.0, 1.0, 0.0],
+        [0.0, 1.0, 0.0, 0.0],
+        [1.0, 0.0, 0.0, 0.0],
+    ]
+)
 
 # Single-site operators in the (down, up) ordering, so that the full-space
 # basis index equals the bitmask (bit i set = spin i up).
@@ -114,10 +143,18 @@ def sector_thermal_entries(
     )
     stack = np.concatenate(
         [
-            eigenstate_pair_entries(spectrum.basis, spectrum.eigenvectors, pairs)
+            eigenstate_pair_entries(spectrum.basis, spectrum.eigenvectors)
             for spectrum in spectra
         ],
         axis=1,
+    )
+    # rows come for pairs a < b; a reversed pair (b, a) swaps beta and delta
+    position = {pair: k for k, pair in enumerate(graph.pairs())}
+    stack = np.stack(
+        [
+            stack[position[a, b]] if a < b else stack[position[b, a]][:, [0, 3, 2, 1, 4]]
+            for a, b in pairs
+        ]
     )
     rows = []
     for temperature in temperatures:
@@ -251,3 +288,121 @@ def gibbs_terms(
         factors = [exp(-(energy - e_min) / temperature) for energy, _, _ in states]
     total = sum(factors)
     return [(n_up, k, f / total) for f, (_, n_up, k) in zip(factors, states)]
+
+
+def dicke_vector(n_spins: int, n_up: int) -> np.ndarray:
+    """Uniform superposition over the n_up sector (a completely symmetric state)."""
+    if not (0 <= n_up <= n_spins):
+        raise ValueError(f"n_up must be in [0, {n_spins}], got {n_up}")
+    dim = comb(n_spins, n_up)
+    return np.full(dim, 1.0 / sqrt(dim))
+
+
+@dataclass(frozen=True)
+class XStateRDM:
+    """Two-qubit state with the fixed-S^z sparsity: diagonal plus one coherence.
+
+    alpha, beta, delta, epsilon sit on the diagonal in pair-basis order;
+    gamma is the (1, 2) coherence.
+    """
+
+    alpha: float
+    beta: float
+    gamma: complex
+    delta: float
+    epsilon: float
+
+    def __post_init__(self) -> None:
+        populations = (self.alpha, self.beta, self.delta, self.epsilon)
+        if any(p < -POSITIVITY_TOL for p in populations):
+            raise ValueError(f"negative population in {populations}")
+        total = self.alpha + self.beta + self.delta + self.epsilon
+        if abs(total - 1.0) > 1e-10:
+            raise ValueError(f"populations sum to {total}, expected 1")
+        bound = sqrt(max(self.beta * self.delta, 0.0))
+        if abs(self.gamma) > bound + POSITIVITY_TOL:
+            raise ValueError(
+                f"|gamma|={abs(self.gamma)} exceeds sqrt(beta*delta)={bound}"
+            )
+
+    def matrix(self) -> np.ndarray:
+        rho = np.zeros((4, 4), dtype=complex)
+        rho[0, 0] = self.alpha
+        rho[1, 1] = self.beta
+        rho[1, 2] = self.gamma
+        rho[2, 1] = np.conj(self.gamma)
+        rho[2, 2] = self.delta
+        rho[3, 3] = self.epsilon
+        return rho
+
+
+def validate_rdm(rho: np.ndarray) -> None:
+    """Check the density-matrix contract: Hermitian, unit trace, positive."""
+    if rho.shape != (4, 4):
+        raise ValueError(f"expected a 4x4 matrix, got {rho.shape}")
+    if np.max(np.abs(rho - rho.conj().T)) > HERMITICITY_TOL:
+        raise ValueError("matrix is not Hermitian to within 1e-12")
+    if abs(np.trace(rho).real - 1.0) > TRACE_TOL:
+        raise ValueError(f"trace is {np.trace(rho)}, expected 1")
+    if np.min(np.linalg.eigvalsh((rho + rho.conj().T) / 2.0)) < -POSITIVITY_TOL:
+        raise ValueError("matrix has an eigenvalue below -1e-10")
+
+
+def x_state_from_matrix(rho: np.ndarray) -> XStateRDM:
+    """Extract X-form entries, requiring the structural zeros to hold to SPARSITY_TOL."""
+    structural_zeros = [(0, 1), (0, 2), (0, 3), (1, 3), (2, 3)]
+    for a, b in structural_zeros:
+        if abs(rho[a, b]) > SPARSITY_TOL or abs(rho[b, a]) > SPARSITY_TOL:
+            raise ValueError(f"entry ({a}, {b}) = {rho[a, b]} breaks the X pattern")
+    return XStateRDM(
+        alpha=rho[0, 0].real,
+        beta=rho[1, 1].real,
+        gamma=complex(rho[1, 2]),
+        delta=rho[2, 2].real,
+        epsilon=rho[3, 3].real,
+    )
+
+
+def concurrence_x_raw(state: XStateRDM) -> float:
+    """Unclamped X-state combination 2(|gamma| - sqrt(alpha * epsilon))."""
+    return 2.0 * (abs(state.gamma) - sqrt(max(state.alpha * state.epsilon, 0.0)))
+
+
+def concurrence_x(state: XStateRDM) -> float:
+    """X-state concurrence 2 max(0, |gamma| - sqrt(alpha * epsilon)), in [0, 1]."""
+    return min(max(0.0, concurrence_x_raw(state)), 1.0)
+
+
+def _psd_sqrt(rho: np.ndarray) -> np.ndarray:
+    eigenvalues, eigenvectors = np.linalg.eigh(rho)
+    rooted = np.sqrt(np.clip(eigenvalues, 0.0, None))
+    return (eigenvectors * rooted) @ eigenvectors.conj().T
+
+
+def concurrence_wootters_raw(rho: np.ndarray) -> float:
+    """General two-qubit concurrence before clamping.
+
+    The eigenvalues of rho * rho_tilde are taken from the Hermitian
+    equivalent sqrt(rho) * rho_tilde * sqrt(rho), which shares its
+    spectrum and keeps the roots real; tiny negative eigenvalues from
+    rounding are clipped.
+    """
+    validate_rdm(rho)
+    flipped = _FLIP @ rho.conj() @ _FLIP
+    root = _psd_sqrt(rho)
+    product = root @ flipped @ root
+    mu = np.linalg.eigvalsh((product + product.conj().T) / 2.0)
+    if np.min(mu) < -POSITIVITY_TOL:
+        raise ValueError(f"spin-flip product has eigenvalue {np.min(mu)} below -1e-10")
+    lam = np.sqrt(np.clip(mu, 0.0, None))[::-1]
+    return float(lam[0] - lam[1] - lam[2] - lam[3])
+
+
+def concurrence_wootters(rho: np.ndarray) -> float:
+    """General two-qubit concurrence, clamped to [0, 1]."""
+    return min(max(0.0, concurrence_wootters_raw(rho)), 1.0)
+
+
+def sxsx_correlator(rho: np.ndarray) -> float:
+    """Expectation of S^x tensor S^x; equals Re(gamma)/2 for X states."""
+    return float(np.trace(rho @ _SXSX).real)

@@ -11,19 +11,12 @@ from ferroent.analytic import (
     concurrence_symmetric,
     ground_mixture_entries,
     symmetric_rdm_entries,
-    universal_rdm,
     zone,
     zone_mixture_concurrence,
 )
 from ferroent.cli import main as cli_main
 from ferroent.graphs import make_graph
-from ferroent.hilbert import dicke_vector, sector_basis
-from ferroent.rdm import (
-    XStateRDM,
-    concurrence_wootters,
-    concurrence_x,
-    sxsx_correlator,
-)
+from ferroent.hilbert import sector_basis
 from ferroent.sweep import (
     GeometrySpec,
     GraphThermalEngine,
@@ -31,7 +24,17 @@ from ferroent.sweep import (
     builtin_graph_set,
     run_sweep,
 )
-from oracles import embed_sector_vector, naive_pair_rdm
+from oracles import (
+    XStateRDM,
+    concurrence_wootters,
+    concurrence_x,
+    dicke_vector,
+    embed_sector_vector,
+    naive_pair_rdm,
+    sxsx_correlator,
+)
+
+UNIVERSAL = XStateRDM(*map(float, UNIVERSAL_ENTRIES))
 
 
 def report(number, name, passed, detail=""):
@@ -41,7 +44,7 @@ def report(number, name, passed, detail=""):
 
 
 def test_criterion_1_universal_ground_rdm():
-    target = universal_rdm().matrix()
+    target = UNIVERSAL.matrix()
     worst_deviation = 0.0
     worst_raw = -np.inf
     clamp_ok = True
@@ -102,7 +105,9 @@ def test_criterion_3_analytic_numeric_equivalence():
     worst_formula = 0.0
     for n_total in range(2, 201):
         for n_up in range(n_total + 1):
-            state = symmetric_rdm_entries(n_total, n_up).to_x_state()
+            entries = symmetric_rdm_entries(n_total, n_up)
+            state = XStateRDM(*map(float, (entries.alpha, entries.beta, entries.gamma,
+                                           entries.delta, entries.epsilon)))
             worst_formula = max(
                 worst_formula,
                 abs(concurrence_symmetric(n_total, n_up) - concurrence_x(state)),
@@ -254,7 +259,7 @@ def test_criterion_8_oracle_equivalence():
 
 
 def test_criterion_9_correlator():
-    value = sxsx_correlator(universal_rdm().matrix())
+    value = sxsx_correlator(UNIVERSAL.matrix())
     passed = abs(value - 1.0 / 12.0) <= 1e-12
     report(9, "universal-correlator", passed, f" (<SxSx> = {value!r})")
 

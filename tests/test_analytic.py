@@ -14,14 +14,14 @@ from ferroent.analytic import (
     ground_mixture_entries,
     mean_entries,
     symmetric_rdm_entries,
-    universal_rdm,
     zone,
     zone_mixture_concurrence,
     zone_mixture_entries,
 )
-from ferroent.hilbert import dicke_vector, sector_basis
-from ferroent.rdm import concurrence_x, x_state_from_matrix
-from oracles import pair_rdm_pure
+from ferroent.hilbert import sector_basis
+from oracles import XStateRDM, concurrence_x, dicke_vector, pair_rdm_pure, x_state_from_matrix
+
+UNIVERSAL = XStateRDM(*map(float, UNIVERSAL_ENTRIES))
 
 
 class TestSymmetricEntries:
@@ -76,10 +76,10 @@ class TestUniversalForm:
             assert ground_mixture_entries(n_total) == UNIVERSAL_ENTRIES
 
     def test_universal_concurrence_is_zero(self):
-        assert concurrence_x(universal_rdm()) == 0.0
+        assert concurrence_x(UNIVERSAL) == 0.0
 
     def test_matrix_entries(self):
-        rho = universal_rdm().matrix()
+        rho = UNIVERSAL.matrix()
         assert rho[0, 0] == pytest.approx(1 / 3)
         assert rho[1, 2] == pytest.approx(1 / 6)
         assert rho[3, 3] == pytest.approx(1 / 3)
@@ -100,7 +100,9 @@ class TestConcurrenceSymmetric:
     def test_matches_x_formula_up_to_200(self):
         for n_total in list(range(2, 31)) + [64, 100, 150, 200]:
             for n_up in range(n_total + 1):
-                state = symmetric_rdm_entries(n_total, n_up).to_x_state()
+                entries = symmetric_rdm_entries(n_total, n_up)
+                state = XStateRDM(*map(float, (entries.alpha, entries.beta, entries.gamma,
+                                               entries.delta, entries.epsilon)))
                 assert abs(
                     concurrence_symmetric(n_total, n_up) - concurrence_x(state)
                 ) <= 1e-12

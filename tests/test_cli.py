@@ -99,6 +99,14 @@ class TestGraphCommand:
         assert payload["n"] == 8
         assert len(payload["edges"]) == 12
 
+    @pytest.mark.parametrize("coupling", ["inf", "-inf", "nan"])
+    def test_non_finite_coupling_exits_2(self, capsys, coupling):
+        # an Infinity edge would not even be valid JSON
+        assert run_cli("graph", "--ring", "4", f"--g1={coupling}") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "non-finite coupling" in captured.err
+
 
 class TestRdmCommand:
     def test_ground_rdm_is_universal(self, capsys):
@@ -363,6 +371,22 @@ class TestVerifyCommand:
         code = run_cli("verify", "--suite", "sweep-zero", "--graph", path)
         assert code == 0
         assert "sweep-zero" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["verify", "rdm"])
+    @pytest.mark.parametrize("content", ['{"edges": []}', '{"n": 2, "edges": 5}', "[1, 2]",
+                                         '{"n": 2, "edges": [[0, 1, Infinity]]}', "{"])
+    def test_malformed_graph_file_exits_2(self, tmp_path, capsys, command, content):
+        path = tmp_path / "bad.json"
+        path.write_text(content)
+        extra = ["--pair", "0", "1"] if command == "rdm" else []
+        assert run_cli(command, "--graph", str(path), *extra) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "malformed graph file" in captured.err
+
+    def test_missing_graph_file_exits_2(self, tmp_path, capsys):
+        assert run_cli("verify", "--graph", str(tmp_path / "absent.json")) == 2
+        assert "cannot read graph file" in capsys.readouterr().err
 
     @pytest.mark.parametrize("suite", ["universal", "degeneracy", "sweep-zero", "all"])
     def test_pairless_graph_exits_2(self, tmp_path, capsys, suite):

@@ -169,6 +169,13 @@ class TestSpinGraphInvariants:
         with pytest.raises(ValueError):
             SpinGraph(n_spins=3, edges=((0, 1, -1.0), (0, 1, -2.0)))
 
+    @pytest.mark.parametrize("coupling", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_coupling_rejected(self, coupling):
+        with pytest.raises(ValueError, match="non-finite coupling"):
+            SpinGraph(n_spins=3, edges=((0, 1, -1.0), (1, 2, coupling)))
+        with pytest.raises(ValueError, match="non-finite coupling"):
+            ring_chain(ChainParams(n_spins=4, g1=coupling))
+
     def test_edges_sorted(self):
         g = make_graph(4, [(2, 3, -1.0), (0, 1, -1.0)])
         assert g.edges == ((0, 1, -1.0), (2, 3, -1.0))

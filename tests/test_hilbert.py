@@ -8,11 +8,9 @@ from ferroent.hilbert import (
     _coupled_sector,
     build_sector_hamiltonian,
     central_spin_basis,
-    dicke_vector,
     sector_basis,
-    sector_dimension,
 )
-from oracles import kron_hamiltonian, permutation_hamiltonian, sector_block
+from oracles import dicke_vector, kron_hamiltonian, permutation_hamiltonian, sector_block
 
 EDGE = make_graph(2, [(0, 1, -1.0)])
 
@@ -29,7 +27,7 @@ class TestSectorBasis:
 
     def test_dimensions_sum_to_full_space(self):
         for n in range(1, 9):
-            assert sum(sector_dimension(n, k) for k in range(n + 1)) == 2**n
+            assert sum(comb(n, k) for k in range(n + 1)) == 2**n
 
     def test_states_ascending(self):
         basis = sector_basis(7, 3)

@@ -2,27 +2,26 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ferroent.graphs import ChainParams, random_graph, ring_chain
-from ferroent.hilbert import dicke_vector, sector_basis
-from ferroent.rdm import (
+from ferroent.graphs import ChainParams, make_graph, random_graph, ring_chain
+from ferroent.hilbert import sector_basis
+from ferroent.rdm import eigenstate_pair_entries
+from ferroent.sweep import GraphThermalEngine
+from oracles import (
     XStateRDM,
     concurrence_wootters,
     concurrence_wootters_raw,
     concurrence_x,
     concurrence_x_raw,
-    eigenstate_pair_entries,
-    sxsx_correlator,
-    validate_rdm,
-    x_state_from_matrix,
-)
-from ferroent.sweep import GraphThermalEngine
-from oracles import (
+    dicke_vector,
     embed_sector_vector,
     gibbs_terms,
     naive_pair_rdm,
     pair_rdm_mixed,
     pair_rdm_pure,
     sector_spectra,
+    sxsx_correlator,
+    validate_rdm,
+    x_state_from_matrix,
 )
 
 BELL = XStateRDM(alpha=0.0, beta=0.5, gamma=0.5, delta=0.5, epsilon=0.0)
@@ -83,7 +82,7 @@ class TestPairRdmPure:
     def test_bad_pair_rejected(self):
         for pair in [(0, 2), (1, 1), (-1, 0)]:
             with pytest.raises(ValueError, match="invalid pair"):
-                eigenstate_pair_entries(sector_basis(2, 1), np.eye(2), [pair])
+                GraphThermalEngine(make_graph(2, [(0, 1, -1.0)]), [pair])
 
     def test_x_pattern_zeros_for_eigenstates_and_thermal_states(self):
         g = random_graph(6, 0.5, (-2.0, -0.3), seed=21)
@@ -229,29 +228,20 @@ class TestVectorizedEntries:
     def test_matches_pair_rdm_pure_per_eigenstate(self):
         g = random_graph(7, 0.4, (-2.0, -0.2), seed=29)
         spectra = sector_spectra(g)
-        pairs = g.pairs() + [(j, i) for i, j in g.pairs()]  # reversed pairs too
+        pairs = g.pairs()
         for spectrum in spectra:
-            stack = eigenstate_pair_entries(spectrum.basis, spectrum.eigenvectors, pairs)
+            stack = eigenstate_pair_entries(spectrum.basis, spectrum.eigenvectors)
             assert stack.shape == (len(pairs), len(spectrum.eigenvalues), 5)
-            for pair, entries in zip(pairs, stack):
-                for k in (0, len(spectrum.eigenvalues) - 1):
-                    rho = pair_rdm_pure(spectrum.eigenvectors[:, k], spectrum.basis, pair)
-                    expected = np.array(
-                        [rho[0, 0].real, rho[1, 1].real, rho[1, 2].real,
-                         rho[2, 2].real, rho[3, 3].real]
-                    )
-                    assert entries[k] == pytest.approx(expected, abs=1e-13)
-
-
-    def test_all_pair_gathers_equal_one_pair_gathers_exactly(self):
-        # chunks of pairs sum each category in the same row order as one pair alone
-        g = random_graph(8, 0.5, (-2.0, -0.2), seed=31)
-        pairs = g.pairs() + [(j, i) for i, j in g.pairs()]
-        for spectrum in sector_spectra(g):
-            stack = eigenstate_pair_entries(spectrum.basis, spectrum.eigenvectors, pairs)
-            for pair, entries in zip(pairs, stack):
-                single = eigenstate_pair_entries(spectrum.basis, spectrum.eigenvectors, [pair])
-                assert np.array_equal(single[0], entries)
+            for (a, b), entries in zip(pairs, stack):
+                # the reversed pair (b, a) is the same state with beta and delta swapped
+                for pair, rows in (((a, b), entries), ((b, a), entries[:, [0, 3, 2, 1, 4]])):
+                    for k in (0, len(spectrum.eigenvalues) - 1):
+                        rho = pair_rdm_pure(spectrum.eigenvectors[:, k], spectrum.basis, pair)
+                        expected = np.array(
+                            [rho[0, 0].real, rho[1, 1].real, rho[1, 2].real,
+                             rho[2, 2].real, rho[3, 3].real]
+                        )
+                        assert rows[k] == pytest.approx(expected, abs=1e-13)
 
 
 class TestValidateRdm:

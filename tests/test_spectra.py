@@ -348,3 +348,41 @@ class TestCentralSector:
                     assert np.all(block[..., 1:4] == 0.0)
             weights = engine.weights(0.0, 0.8)
             assert np.all(engine.raw_concurrence(weights) == 0.0)
+
+
+def _mixed_sign_graph(n, probability, seed):
+    """Seeded graph with couplings drawn from [-1.5, 1], both signs, so ground
+    states of every total spin occur."""
+    rng = np.random.default_rng(seed)
+    return make_graph(
+        n,
+        [(a, b, float(rng.uniform(-1.5, 1.0)))
+         for a in range(n) for b in range(a + 1, n) if rng.random() < probability],
+    )
+
+
+MIXED_SIGN_GRAPHS = [
+    (f"mixed{n}-s{seed}", _mixed_sign_graph(n, 0.6, seed)) for n in range(2, 11) for seed in (3, 4)
+] + [("mixed12-s5", _mixed_sign_graph(12, 0.3, 5))]
+
+
+@pytest.mark.parametrize(
+    "name, g",
+    ORACLE_GRAPHS + MIXED_SIGN_GRAPHS,
+    ids=[name for name, _ in ORACLE_GRAPHS + MIXED_SIGN_GRAPHS],
+)
+def test_zero_field_pair_states_are_werner_states(name, g):
+    # At B = 0 the thermal state commutes with every global rotation, so
+    # each pair state is a Werner state: alpha = epsilon, beta = delta,
+    # gamma = alpha - beta and zz = c / 3, with c = <S_a . S_b> = gamma + zz.
+    # The engine's central gather and its Wigner-Eckart rebuild of the
+    # other sectors must both keep that, for either order of a pair.
+    pairs = g.pairs() + [(j, i) for i, j in g.pairs()]
+    engine = GraphThermalEngine(g, pairs)
+    for temperature in (0.0, 0.3, 1.0, 5.0):
+        entries = engine.pair_entries(engine.weights(temperature, 0.0))
+        alpha, beta, gamma, delta, epsilon = entries.T
+        zz = 0.25 * (alpha + epsilon - beta - delta)
+        c = gamma + zz
+        for residual in (alpha - epsilon, beta - delta, gamma - (alpha - beta), zz - c / 3.0):
+            assert np.max(np.abs(residual)) <= 1e-13

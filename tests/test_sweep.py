@@ -17,7 +17,6 @@ from ferroent.graphs import (
     save_graph,
     star_graph,
 )
-from ferroent.rdm import x_state_from_matrix
 from ferroent.spectra import full_spectrum, ground_window
 from ferroent.sweep import (
     GeometrySpec,
@@ -30,7 +29,7 @@ from ferroent.sweep import (
     verify_universal,
     zero_temperature_scan,
 )
-from oracles import gibbs_terms, pair_rdm_mixed, pair_rdm_pure, sector_spectra
+from oracles import gibbs_terms, pair_rdm_mixed, pair_rdm_pure, sector_spectra, x_state_from_matrix
 
 RING_CONFIG = SweepConfig(
     geometries=(GeometrySpec(kind="ring"),),
