@@ -76,13 +76,14 @@ def _add_graph_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _load_graph_file(path: str) -> SpinGraph:
-    """Load a graph JSON file; an unreadable or malformed file is an input error (exit 2)."""
+    """Load a graph JSON file; an unreadable file is an input error (exit 2).
+
+    A malformed one raises ValueError, which ``main`` also turns into exit 2.
+    """
     try:
         return load_graph(path)
     except OSError as err:
         raise SystemExit(f"ferroent: cannot read graph file: {err}") from err
-    except (ValueError, KeyError, TypeError) as err:
-        raise SystemExit(f"ferroent: malformed graph file {path!r}: {err}") from err
 
 
 def _graph_from_args(args: argparse.Namespace) -> SpinGraph:

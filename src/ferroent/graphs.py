@@ -57,7 +57,15 @@ class SpinGraph:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SpinGraph":
-        return make_graph(int(data["n"]), [(int(i), int(j), float(c)) for i, j, c in data["edges"]])
+        """The graph of {"n": N, "edges": [[i, j, J], ...]}; ValueError if it is not one."""
+        try:
+            return make_graph(
+                int(data["n"]), [(int(i), int(j), float(c)) for i, j, c in data["edges"]]
+            )
+        except (KeyError, TypeError) as err:
+            raise ValueError(
+                f'expected {{"n": N, "edges": [[i, j, J], ...]}}: {type(err).__name__}: {err}'
+            ) from err
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict())
@@ -250,9 +258,15 @@ def is_connected(graph: SpinGraph) -> bool:
 
 
 def load_graph(path: str) -> SpinGraph:
-    """Read a graph from a JSON file {"n": N, "edges": [[i, j, J], ...]}."""
+    """Read a graph from a JSON file {"n": N, "edges": [[i, j, J], ...]}.
+
+    A file that is not such a graph raises ValueError naming the file.
+    """
     with open(path, "r", encoding="utf-8") as handle:
-        return SpinGraph.from_dict(json.load(handle))
+        try:
+            return SpinGraph.from_dict(json.load(handle))
+        except ValueError as err:
+            raise ValueError(f"malformed graph file {path!r}: {err}") from err
 
 
 def save_graph(graph: SpinGraph, path: str) -> None:

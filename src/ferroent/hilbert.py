@@ -67,7 +67,11 @@ def sector_basis(n_spins: int, n_up: int) -> SectorBasis:
 
 
 def build_sector_hamiltonian(
-    graph: SpinGraph, n_up: int, b_field: float = 0.0, basis: SectorBasis | None = None
+    graph: SpinGraph,
+    n_up: int,
+    b_field: float = 0.0,
+    basis: SectorBasis | None = None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Dense symmetric matrix of the exchange + field Hamiltonian on one sector.
 
@@ -77,7 +81,8 @@ def build_sector_hamiltonian(
     B * (n_up - N/2) to every diagonal entry; a non-finite B raises
     ValueError.  The result is exactly symmetric by construction.
     ``basis`` passes the sector's basis when the caller has already
-    enumerated it.
+    enumerated it; ``out``, a zero (dim, dim) array to write the matrix
+    into.
     """
     if not np.isfinite(b_field):
         raise ValueError(f"the field must be finite, got {b_field}")
@@ -96,7 +101,7 @@ def build_sector_hamiltonian(
     edge, row = np.nonzero(antiparallel)
     flips = (1 << sites[:, 0]) | (1 << sites[:, 1])
     column = np.searchsorted(masks, masks[row] ^ flips[edge])
-    matrix = np.zeros((dim, dim))
+    matrix = np.zeros((dim, dim)) if out is None else out
     matrix[row, column] += 0.5 * couplings[edge]
     matrix[np.diag_indices(dim)] += diagonal
     return matrix

@@ -4,7 +4,9 @@ Every Hamiltonian here is isotropic exchange: it commutes with total S^2,
 so each eigenstate is a member |S, M> of a spin multiplet, and each
 multiplet has exactly one member in the central sector n_up = N // 2
 (S^z = 0 for even N, -1/2 for odd N).  ``full_spectrum`` therefore builds
-and diagonalizes that one block.  Sector n_up holds the central levels
+and diagonalizes that one block; ``full_spectra`` does it for a batch of
+graphs of one N at once, with one ``eigh`` call per S for all of them,
+and ``full_spectrum`` is its batch of one.  Sector n_up holds the central levels
 with S >= |n_up - N/2|, at the same energies; a field B adds B * S^z.
 
 For even N the central block is centrosymmetric, H == H[::-1, ::-1]: the
@@ -17,7 +19,7 @@ eigenvectors x give the central ones [x; +x[::-1]] / sqrt(2) and
 H is solved in ``hilbert.central_spin_basis``, orthonormal columns built
 from Clebsch-Gordan coefficients and grouped by S: it is projected onto
 each group (within its parity block for even N) and diagonalized there,
-one ``eigh`` per S, so every eigenvector is pure-S by construction and
+one ``eigh`` per S over the batch's stack, so every eigenvector is pure-S by construction and
 takes its group's S as its label.  The label is checked on the returned
 columns: <S^2> = |S^+ v|^2 + M(M + 1) must be within SPIN_LABEL_TOL of
 S(S+1).
@@ -29,8 +31,9 @@ verification suites all use it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import comb
+from typing import Sequence
 
 import numpy as np
 
@@ -56,70 +59,101 @@ class CentralSpectrum:
     ``eigenvalues`` ascend; column k of ``eigenvectors`` is a state of spin
     ``spins[k]``.  ``sector_columns[n_up]`` lists, ascending, the columns
     whose multiplet reaches sector n_up; ``spin_residual`` is
-    max |<S^2> - S(S+1)| over the columns.
+    max |<S^2> - S(S+1)| over the columns.  A batch of G graphs
+    (``full_spectra``) has a graph axis in every array: eigenvalues,
+    spins and sector columns are (G, ...), the eigenvectors (dim, G, dim),
+    and the residuals (G,); ``member`` picks one graph's spectrum.
     """
 
     basis: SectorBasis
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     spins: np.ndarray
-    spin_residual: float
+    spin_residual: float | np.ndarray
     sector_columns: tuple[np.ndarray, ...]
     b_field: float = 0.0
+
+    def member(self, k: int) -> "CentralSpectrum":
+        """The spectrum of graph k of a batch."""
+        return replace(
+            self,
+            eigenvalues=self.eigenvalues[k],
+            eigenvectors=self.eigenvectors[:, k],
+            spins=self.spins[k],
+            spin_residual=float(self.spin_residual[k]),
+            sector_columns=tuple(columns[k] for columns in self.sector_columns),
+        )
 
     def sector_eigenvalues(self, n_up: int) -> np.ndarray:
         """Ascending eigenvalues of sector n_up, the field's B * S^z included."""
         sz = n_up - 0.5 * self.basis.n_spins
-        return self.eigenvalues[self.sector_columns[n_up]] + self.b_field * sz
+        levels = np.take_along_axis(self.eigenvalues, self.sector_columns[n_up], -1)
+        return levels + self.b_field * sz
 
     @property
     def energies(self) -> np.ndarray:
         """All 2^N eigenvalues, sector by sector (n_up = 0..N)."""
         return np.concatenate(
-            [self.sector_eigenvalues(n_up) for n_up in range(len(self.sector_columns))]
+            [self.sector_eigenvalues(n_up) for n_up in range(len(self.sector_columns))], axis=-1
         )
 
 
 def eig_sym(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a real symmetric matrix, eigenvalues ascending.
+    """Eigendecomposition of a real symmetric matrix, or of a stack (G, k, k) of them.
 
-    Validates symmetry and finiteness, then defers to LAPACK's symmetric
-    solver; non-convergence surfaces as a LinAlgError from the backend.
+    Eigenvalues ascend along the last axis.  Validates symmetry and
+    finiteness, then defers to LAPACK's symmetric solver, one matrix at a
+    time; non-convergence surfaces as a LinAlgError from the backend.
     """
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {matrix.shape}")
+    if matrix.ndim not in (2, 3) or matrix.shape[-1] != matrix.shape[-2]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {matrix.shape}")
     if not np.all(np.isfinite(matrix)):
         raise ValueError("matrix has non-finite entries")
-    if matrix.shape[0] > 1 and np.max(np.abs(matrix - matrix.T)) > _SYMMETRY_TOL:
+    if matrix.shape[-1] > 1 and np.max(np.abs(matrix - matrix.swapaxes(-1, -2))) > _SYMMETRY_TOL:
         raise ValueError("matrix is not symmetric to within 1e-14")
     eigenvalues, eigenvectors = np.linalg.eigh(matrix)
     return eigenvalues, eigenvectors
 
 
-def _parity_blocks(matrix: np.ndarray, n_spins: int) -> list[np.ndarray]:
-    """The flip-parity blocks (+, -) of a central block for even N; the block itself for odd N."""
-    if n_spins % 2:
-        return [matrix]
-    half = len(matrix) // 2
-    upper, mirrored = matrix[:half, :half], matrix[:half, half:][:, ::-1]
-    return [upper + mirrored, upper - mirrored]
+def _stacked_blocks(graphs: Sequence[SpinGraph], basis: SectorBasis) -> list[np.ndarray]:
+    """The flip-parity blocks (+, -) of every graph's central block for even N, each
+    stacked over the graphs as (G, dim / 2, dim / 2); the central blocks (G, dim, dim)
+    for odd N."""
+    n, dim = basis.n_spins, len(basis)
+    if n % 2:
+        stacked = np.zeros((len(graphs), dim, dim))
+        for graph, matrix in zip(graphs, stacked):
+            build_sector_hamiltonian(graph, n // 2, basis=basis, out=matrix)
+        return [stacked]
+    half = dim // 2
+    plus, minus = np.empty((2, len(graphs), half, half))
+    for k, graph in enumerate(graphs):
+        matrix = build_sector_hamiltonian(graph, n // 2, basis=basis)
+        upper, mirrored = matrix[:half, :half], matrix[:half, half:][:, ::-1]
+        np.add(upper, mirrored, out=plus[k])
+        np.subtract(upper, mirrored, out=minus[k])
+    return [plus, minus]
 
 
 def _symmetric(matrix: np.ndarray) -> np.ndarray:
-    return 0.5 * (matrix + matrix.T)
+    return 0.5 * (matrix + matrix.swapaxes(-1, -2))
 
 
 def _central_eigenpairs(
-    graph: SpinGraph, basis: SectorBasis
+    graphs: Sequence[SpinGraph], basis: SectorBasis
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Ascending eigenvalues of the central block, its eigenvectors and their spins.
+    """Each graph's central eigenvalues (G, dim), ascending, eigenvectors and spins.
+
+    The eigenvectors are (dim, G, dim), the spins (G, dim).
 
     H is projected onto each spin-S block of ``central_spin_basis`` (for
-    even N, the flip-parity block of that S), diagonalized there, and the
-    eigenvectors are carried back; a column's S is its block's.
+    even N, the flip-parity block of that S), and the projections of all
+    graphs are diagonalized by one ``eig_sym`` call per S; the
+    eigenvectors are carried back, and a column's S is its block's.
+    Every step acts on each graph's matrices alone, as for one graph.
     """
-    n, half = graph.n_spins, len(basis) // 2
-    blocks = _parity_blocks(build_sector_hamiltonian(graph, n // 2, basis=basis), n)
+    n, half = basis.n_spins, len(basis) // 2
+    blocks = _stacked_blocks(graphs, basis)
     spin_blocks = central_spin_basis(n)
     # the block of each S: for even N its flip parity (-1)^(N/2 - S), 0 for + and 1 for -
     parities = [0 if n % 2 else int(n // 2 - spin) % 2 for spin, _ in spin_blocks]
@@ -128,35 +162,38 @@ def _central_eigenpairs(
         for parity, (_, columns) in zip(parities, spin_blocks)
     ]
     del blocks  # free the parity blocks before the eigenvectors are assembled
-    eigenvalues = np.concatenate([values for values, _ in solved])
-    spins = np.repeat([spin for spin, _ in spin_blocks], [len(values) for values, _ in solved])
-    order = np.argsort(eigenvalues, kind="stable")
-    destination = np.empty_like(order)
-    destination[order] = np.arange(len(order))
-    eigenvectors = np.empty((len(basis), len(basis)))
+    eigenvalues = np.concatenate([values for values, _ in solved], axis=1)
+    spins = np.repeat([spin for spin, _ in spin_blocks], [values.shape[1] for values, _ in solved])
+    order = np.argsort(eigenvalues, axis=1, kind="stable")
+    destination = np.argsort(order, axis=1) + len(basis) * np.arange(len(graphs))[:, None]
+    # the batch's eigenvectors side by side: column k of graph j is column j * dim + k
+    eigenvectors = np.empty((len(basis), len(graphs), len(basis)))
+    side_by_side = eigenvectors.reshape(len(basis), -1)
     start = 0
     for parity, (_, columns), (values, turn) in zip(parities, spin_blocks, solved):
-        targets = destination[start : start + len(values)]
-        start += len(values)
-        vectors = columns @ turn
+        targets = destination[:, start : start + values.shape[1]]
+        start += values.shape[1]
+        vectors = (columns @ turn).transpose(1, 0, 2)  # (rows, G, k)
         if n % 2:
-            eigenvectors[:, targets] = vectors
+            side_by_side[:, targets] = vectors
             continue
         vectors *= np.sqrt(0.5)
-        eigenvectors[:half, targets] = vectors
+        side_by_side[:half, targets] = vectors
         if parity:
             np.negative(vectors, out=vectors)
-        eigenvectors[half:, targets] = vectors[::-1]
-    return eigenvalues[order], eigenvectors, spins[order]
+        side_by_side[half:, targets] = vectors[::-1]
+    return np.sort(eigenvalues, axis=1, kind="stable"), eigenvectors, spins[order]
 
 
-def _spin_residual(basis: SectorBasis, vectors: np.ndarray, spins: np.ndarray) -> float:
-    """max |<S^2> - S(S+1)| over the columns, with <S^2> = |S^+ v|^2 + M(M + 1).
+def _spin_residual(basis: SectorBasis, vectors: np.ndarray, spins: np.ndarray) -> np.ndarray:
+    """max |<S^2> - S(S+1)| over each graph's columns, with <S^2> = |S^+ v|^2 + M(M + 1).
 
+    ``vectors`` is (dim, G, dim) and ``spins`` (G, dim); returns (G,).
     S^+ v is one gather-sum into the sector above: each of its masks
     collects the central masks with one of its up spins lowered.
     """
     n, m = basis.n_spins, basis.sz
+    vectors = vectors.reshape(len(basis), -1)
     above = sector_basis(n, basis.n_up + 1).masks
     bits = 1 << np.arange(n)
     lowered = above[:, None] ^ bits
@@ -172,59 +209,76 @@ def _spin_residual(basis: SectorBasis, vectors: np.ndarray, spins: np.ndarray) -
         np.square(raised, out=raised)
         # a pairwise sum along rows: down the columns, ring 14 gained 3.9e-12 of rounding
         squares[start : start + step] = np.ascontiguousarray(raised.T).sum(axis=1)
-    return float(np.max(np.abs(squares + m * (m + 1.0) - spins * (spins + 1.0))))
+    squares = squares.reshape(spins.shape)
+    return np.max(np.abs(squares + m * (m + 1.0) - spins * (spins + 1.0)), axis=1)
 
 
-def full_spectrum(graph: SpinGraph, b_field: float = 0.0) -> CentralSpectrum:
-    """The spectrum of every S^z sector from one solve of the central sector, N <= N_SPINS_CAP.
+def full_spectra(graphs: Sequence[SpinGraph], b_field: float = 0.0) -> CentralSpectrum:
+    """The spectra of a batch of graphs of one spin count N <= N_SPINS_CAP, solved together.
 
-    The central block is diagonalized at zero field, one spin-S block at a
-    time.  Raises ValueError for a non-finite field, and SpinLabelError if
-    a column's <S^2> is off its label by more than SPIN_LABEL_TOL or a
-    sector would not get C(N, n_up) levels.
+    Every array of the result has a leading graph axis (see
+    ``CentralSpectrum``); ``full_spectrum`` is the batch of one.  The
+    central blocks are diagonalized at zero field, one spin-S block at a
+    time for all graphs at once.  Raises ValueError for a non-finite field
+    or mixed spin counts, and SpinLabelError if a column's <S^2> is off
+    its label by more than SPIN_LABEL_TOL or a sector would not get
+    C(N, n_up) levels.
     """
-    n = graph.n_spins
+    n = graphs[0].n_spins
+    if any(graph.n_spins != n for graph in graphs):
+        raise ValueError("a batch of spectra needs graphs of one spin count")
     if n > N_SPINS_CAP:
         raise ValueError(f"n_spins={n} exceeds the solver cap of {N_SPINS_CAP}")
     if not np.isfinite(b_field):
         raise ValueError(f"the field must be finite, got {b_field}")
     basis = sector_basis(n, n // 2)
-    eigenvalues, eigenvectors, spins = _central_eigenpairs(graph, basis)
-    residual = _spin_residual(basis, eigenvectors, spins)
-    if residual > SPIN_LABEL_TOL:
+    eigenvalues, eigenvectors, spins = _central_eigenpairs(graphs, basis)
+    residuals = _spin_residual(basis, eigenvectors, spins)
+    if residuals.max() > SPIN_LABEL_TOL:
         raise SpinLabelError(
-            f"<S^2> of a central eigenvector is {residual:.3g} away from its S(S+1) "
+            f"<S^2> of a central eigenvector is {residuals.max():.3g} away from its S(S+1) "
             f"(tolerance {SPIN_LABEL_TOL:g})"
         )
-    sector_columns = tuple(
-        np.flatnonzero(2.0 * spins >= abs(2 * n_up - n)) for n_up in range(n + 1)
-    )
-    for n_up, columns in enumerate(sector_columns):
-        if len(columns) != comb(n, n_up):
+    sector_columns = []
+    for n_up in range(n + 1):
+        # each graph's spins are a permutation of the same labels, so of the same count
+        columns = np.nonzero(2.0 * spins >= abs(2 * n_up - n))[1]
+        if len(columns) != len(graphs) * comb(n, n_up):
             raise SpinLabelError(
-                f"the spin labels give sector n_up={n_up} {len(columns)} levels, "
+                f"the spin labels give sector n_up={n_up} {len(columns) // len(graphs)} levels, "
                 f"expected C({n}, {n_up}) = {comb(n, n_up)}"
             )
+        sector_columns.append(columns.reshape(len(graphs), -1))
     return CentralSpectrum(
         basis=basis,
         eigenvalues=eigenvalues,
         eigenvectors=eigenvectors,
         spins=spins,
-        spin_residual=residual,
-        sector_columns=sector_columns,
+        spin_residual=residuals,
+        sector_columns=tuple(sector_columns),
         b_field=b_field,
     )
 
 
+def full_spectrum(graph: SpinGraph, b_field: float = 0.0) -> CentralSpectrum:
+    """The spectrum of every S^z sector of one graph from one solve of its central sector.
+
+    A batch of one (``full_spectra``), with the graph axis dropped.
+    """
+    return full_spectra([graph], b_field).member(0)
+
+
 def ground_window(energies: np.ndarray) -> np.ndarray:
-    """Mask of the flat energies that belong to the ground multiplet.
+    """Mask of the flat energies that belong to the ground multiplet, along the last axis.
 
     The window is E_min + DEGENERACY_TOL * max(1, spectral range): the
     multiplet is exactly degenerate in exact arithmetic and the tolerance
-    only absorbs floating-point spread.
+    only absorbs floating-point spread.  A stack (G, 2^N) gets one window
+    per graph.
     """
-    e_min = float(energies.min())
-    return energies <= e_min + DEGENERACY_TOL * max(1.0, float(energies.max()) - e_min)
+    e_min = np.minimum.reduce(energies, axis=-1, keepdims=True)
+    span = np.maximum.reduce(energies, axis=-1, keepdims=True) - e_min
+    return energies <= e_min + DEGENERACY_TOL * np.maximum(span, 1.0)
 
 
 def energy_gap(spectrum: CentralSpectrum) -> float:

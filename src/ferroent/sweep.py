@@ -5,12 +5,17 @@ x temperature x field exactly once, computing the raw (unclamped) pair
 concurrence of the thermal state at every point.  Results stream to a
 JSON-lines file, one record per line, in ascending grid-index order, so
 identical configs produce byte-identical files and an interrupted sweep
-can resume after its last complete record.  Each graph instance is one
-task: one thermal engine, built from one solve of the graph's central
-S^z sector (every other sector follows from the spin multiplets, see
-``GraphThermalEngine``).  The task's weight vectors are computed once per
-field value for all temperatures and contracted against the engine's
-entry stack at once.
+can resume after its last complete record.  The work goes in batches:
+consecutive graph instances of one geometry and one chain length (a
+chain kind's g2 x g3 block), which share the pair list and the T and B
+grids, up to _BATCH_ENTRIES entry-stack elements and at least one graph.
+A batch is one task: one thermal engine, built from one stacked solve of
+its graphs' central S^z sectors (every other sector follows from the
+spin multiplets, see ``GraphThermalEngine``).  Its weight vectors are
+computed once per field value for all temperatures and all graphs and
+contracted against the engine's entry stack at once; the records are
+then written graph by graph.  Batch bounds depend on the config alone,
+so the worker count and a resume point do not change the output.
 
 Config files are JSON with the following keys (all grids nonempty):
 
@@ -42,9 +47,8 @@ own size and ignore n_values, g1, g2 and g3.
 from __future__ import annotations
 
 import json
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -62,12 +66,13 @@ from .graphs import (
     star_graph,
 )
 from .rdm import eigenstate_pair_entries
-from .spectra import full_spectrum, ground_window
+from .spectra import full_spectra, ground_window
 
 RAW_CONCURRENCE_THRESHOLD = 1e-12
 UNIVERSAL_RDM_TOL = 1e-10
 
 _POINTS_PER_CONTRACTION = 256
+_BATCH_ENTRIES = 1 << 17  # entry-stack elements (pairs x 2^N x 5) of one sweep batch
 
 _CHAIN_KINDS = ("ring", "open")
 _SIZED_KINDS = ("ring", "open", "random")
@@ -200,26 +205,35 @@ def _resolve_grid(grid: tuple[float, ...] | dict, n_spins: int) -> tuple[float, 
 
 
 @dataclass(frozen=True)
-class _Task:
+class _Batch:
+    """Consecutive graph instances of one geometry and one spin count, computed together.
+
+    They share the pair list and the T and B grids; ``couplings`` holds
+    each graph's (g1, g2, g3) record coordinates.
+    """
+
     index: int
     record_base: int
     geometry_label: str
-    graph: SpinGraph
-    g1: float
-    g2: float
-    g3: float
+    graphs: tuple[SpinGraph, ...]
+    couplings: tuple[tuple[float, float, float], ...]
     t_values: tuple[float, ...]
     b_values: tuple[float, ...]
     pairs: tuple[tuple[int, int], ...]
 
+    @property
+    def n_records(self) -> int:
+        return len(self.graphs) * len(self.t_values) * len(self.b_values)
+
 
 class GraphThermalEngine:
-    """The one route from a graph's spectrum to thermal weights and pair entries.
+    """The one route from graph spectra to thermal weights and pair entries.
 
-    Every command that needs weights or pair RDMs builds one engine per
-    graph, for the pairs it reports (all pairs of the graph by default).
-    The graph's central S^z sector is diagonalized once at zero field
-    (``full_spectrum``); a field B only shifts each level by B * S^z and
+    Every command that needs weights or pair RDMs builds one engine, for
+    one graph or for a batch of graphs of one spin count, and for the pairs
+    it reports (all pairs of the graph by default).  The central S^z
+    sectors are diagonalized once at zero field, a batch's together
+    (``full_spectra``); a field B only shifts each level by B * S^z and
     leaves eigenvectors untouched, so thermal weights at any (T, B) reuse
     the same spectrum.  Temperature is in coupling units (Boltzmann
     constant 1); T = 0 is the uniform mixture over the ground window of
@@ -229,8 +243,15 @@ class GraphThermalEngine:
     each sector: ``energies``, ``sz`` = M = n_up - N/2, the spin label
     ``spin`` = S, and the X-form entries of every eigenstate for every
     pair in one (n_pairs, 2^N, 5) ``stack``, so weight vectors become the
-    entries of all pairs in one contraction.  The central sector's entries
-    are gathered from its eigenvectors; every other member |S, M> of a
+    entries of all pairs in one contraction.  An engine built from a
+    sequence of G graphs has a graph axis after the pair axis: ``energies``
+    and ``spin`` are (G, 2^N), ``stack`` is (n_pairs, G, 2^N, 5) and
+    ``spin_residual`` is (G,); its weights are (G, points, 2^N), and every
+    result gains the same axis.  ``sz`` is shared, and every quantity is
+    still computed from its own graph alone.
+
+    The central sector's entries are gathered from its eigenvectors, a
+    batch's side by side in one call; every other member |S, M> of a
     multiplet gets its entries from the central member's pair correlations
     c = <S_a . S_b> and zz = <S^z_a S^z_b> by the Wigner-Eckart theorem,
     with g_a = <S . S_a> / S(S+1) and <S . S_a> = 3/4 + sum_{c != a} c_ac:
@@ -244,37 +265,45 @@ class GraphThermalEngine:
     N, S = 1/2 at odd N).
     """
 
-    def __init__(self, graph: SpinGraph, pairs: Iterable[tuple[int, int]] | None = None):
-        self.graph = graph
-        self.pairs = tuple(graph.pairs() if pairs is None else pairs)
+    def __init__(
+        self,
+        graphs: SpinGraph | Sequence[SpinGraph],
+        pairs: Iterable[tuple[int, int]] | None = None,
+    ):
+        single = isinstance(graphs, SpinGraph)
+        self.graphs = (graphs,) if single else tuple(graphs)
+        self.pairs = tuple(self.graph.pairs() if pairs is None else pairs)
+        n = self.graph.n_spins
         if not self.pairs:
             raise ValueError(
-                f"no spin pairs to evaluate on the {graph.n_spins}-spin graph; "
+                f"no spin pairs to evaluate on the {n}-spin graph; "
                 "pair entanglement needs at least 2 spins and one pair"
             )
-        n = graph.n_spins
         for a, b in self.pairs:
             if a == b or not (0 <= a < n and 0 <= b < n):
                 raise ValueError(f"invalid pair {(a, b)} for {n} spins")
-        spectrum = full_spectrum(graph)
-        self.spin_residual = spectrum.spin_residual
-        spin = spectrum.spins
+        spectrum = full_spectra(self.graphs)
+        count, dim = spectrum.spins.shape
+        # the batch's central columns side by side: column k of graph j is j * dim + k
+        offsets = dim * np.arange(count)[:, None]
+        sector_columns = [columns + offsets for columns in spectrum.sector_columns]
+        eigenvalues, spin = spectrum.eigenvalues.reshape(-1), spectrum.spins.reshape(-1)
         casimir = spin * (spin + 1.0)
+        residual = spectrum.spin_residual
 
         # central pair correlations c = <S_a . S_b> (gamma = xx + yy) and zz
-        entries = eigenstate_pair_entries(spectrum.basis, spectrum.eigenvectors)
-        eigenvalues, sector_columns = spectrum.eigenvalues, spectrum.sector_columns
+        entries = eigenstate_pair_entries(spectrum.basis, spectrum.eigenvectors.reshape(dim, -1))
         del spectrum  # free the eigenvectors before the stack is built
         alpha, beta, gamma, delta, epsilon = np.moveaxis(entries, 2, 0)
         zz_all = 0.25 * (alpha + epsilon - beta - delta)
         c_all = gamma + zz_all
         along = np.full((n, len(spin)), 0.75)  # <S . S_a>
-        for k, (a, b) in enumerate(graph.pairs()):
+        for k, (a, b) in enumerate(self.graph.pairs()):
             along[a] += c_all[k]
             along[b] += c_all[k]
         g = np.divide(along, casimir, out=np.zeros_like(along), where=casimir > 0.0)
 
-        position = {pair: k for k, pair in enumerate(graph.pairs())}
+        position = {pair: k for k, pair in enumerate(self.graph.pairs())}
         rows = [position[min(a, b), max(a, b)] for a, b in self.pairs]
         central = entries[rows]
         reversed_pairs = np.array([a > b for a, b in self.pairs])
@@ -288,25 +317,34 @@ class GraphThermalEngine:
             zz - c / 3.0, denominator, out=np.zeros_like(zz), where=denominator != 0.0
         )
 
-        self.energies = np.empty(2**n)
+        energies = np.empty((count, 2**n))
         self.sz = np.empty(2**n)
-        self.spin = np.empty(2**n)
-        self.stack = np.empty((len(self.pairs), 2**n, 5))
+        spins = np.empty((count, 2**n))
+        stack = np.empty((len(self.pairs), count, 2**n, 5))
         start = 0
         for n_up, columns in enumerate(sector_columns):
-            stop = start + len(columns)
+            stop = start + columns.shape[1]
             m = n_up - 0.5 * n
-            self.energies[start:stop] = eigenvalues[columns]
+            energies[:, start:stop] = eigenvalues[columns]
             self.sz[start:stop] = m
-            self.spin[start:stop] = spin[columns]
+            spins[:, start:stop] = spin[columns]
             if n_up == n // 2:
-                self.stack[:, start:stop] = central
+                stack[:, :, start:stop] = central.reshape(len(self.pairs), count, dim, 5)
             else:
-                self.stack[:, start:stop] = _member_entries(
+                stack[:, :, start:stop] = _member_entries(
                     c[:, columns], rank2[:, columns], casimir[columns],
                     g_a[:, columns], g_b[:, columns], m, n_up, n,
                 )
             start = stop
+        if single:
+            energies, spins, stack = energies[0], spins[0], stack[:, 0]
+            residual = float(residual[0])
+        self.energies, self.spin, self.stack, self.spin_residual = energies, spins, stack, residual
+
+    @property
+    def graph(self) -> SpinGraph:
+        """The engine's graph; the first of a batch."""
+        return self.graphs[0]
 
     def _shifted(self, b_field: float) -> np.ndarray:
         """The flat energies at field B; a non-finite B raises ValueError."""
@@ -316,12 +354,13 @@ class GraphThermalEngine:
 
     def weights(self, temperature: float, b_field: float) -> np.ndarray:
         """Thermal weights over the flat eigenstate ordering at (T, B)."""
-        return self.field_weights((temperature,), b_field)[0]
+        return self.field_weights((temperature,), b_field)[..., 0, :]
 
     def field_weights(self, temperatures: Sequence[float], b_field: float) -> np.ndarray:
         """Thermal weights at each temperature for one field, (temperatures, 2^N).
 
-        The shifted energies, their minimum and the ground window are
+        A batch gets (G, temperatures, 2^N), each graph's rows from its own
+        levels.  The shifted energies, their minimum and the ground window are
         computed once for the field.  Energies are shifted by E_min before
         exponentiation so weights stay finite at low temperature; each row
         is bitwise the row ``weights`` gives for its temperature alone.
@@ -330,33 +369,36 @@ class GraphThermalEngine:
         for temperature in t[~(t >= 0.0)]:  # also rejects NaN
             raise ValueError(f"temperature must be >= 0, got {temperature}")
         shifted = self._shifted(b_field)
-        rows = np.empty((len(t), len(shifted)))
+        rows = np.empty(shifted.shape[:-1] + (len(t), shifted.shape[-1]))
         hot = t > 0.0
         if hot.any():
-            factors = np.exp(-(shifted - float(shifted.min()))[None, :] / t[hot, None])
-            rows[hot] = factors / factors.sum(axis=1, keepdims=True)
+            lowest = shifted.min(axis=-1, keepdims=True)
+            factors = np.exp(-(shifted - lowest)[..., None, :] / t[hot, None])
+            rows[..., hot, :] = factors / factors.sum(axis=-1, keepdims=True)
         if not hot.all():
             members = ground_window(shifted)
-            rows[~hot] = members / members.sum()
+            rows[..., ~hot, :] = (members / members.sum(axis=-1, keepdims=True))[..., None, :]
         return rows
 
-    def ground_info(self, b_field: float) -> tuple[float, int]:
-        """(ground energy, ground degeneracy) at the given field."""
+    def ground_info(self, b_field: float) -> tuple:
+        """(ground energy, ground degeneracy) at the given field; for a batch, two lists."""
         shifted = self._shifted(b_field)
-        return float(shifted.min()), int(ground_window(shifted).sum())
+        return shifted.min(axis=-1).tolist(), ground_window(shifted).sum(axis=-1).tolist()
 
     def pair_entries(self, weights: np.ndarray) -> np.ndarray:
         """(alpha, beta, gamma, delta, epsilon) per engine pair and weight vector.
 
         One weight vector (2^N,) gives (n_pairs, 5); a stack of them
-        (points, 2^N) gives (n_pairs, points, 5).
+        (points, 2^N) gives (n_pairs, points, 5), and a batch's
+        (G, points, 2^N) gives (n_pairs, G, points, 5).
         """
         return weights @ self.stack
 
     def raw_concurrence(self, weights: np.ndarray) -> np.ndarray:
         """Unclamped X-state concurrence 2(|gamma| - sqrt(alpha epsilon)).
 
-        (n_pairs,) for one weight vector, (n_pairs, points) for a stack.
+        (n_pairs,) for one weight vector, (n_pairs, points) for a stack,
+        (n_pairs, G, points) for a batch's.
         """
         entries = self.pair_entries(weights)
         alpha, gamma, epsilon = entries[..., 0], entries[..., 2], entries[..., 4]
@@ -395,88 +437,94 @@ def _member_entries(
     return entries
 
 
-def _compute_task(task: _Task) -> tuple[int, list[dict]]:
-    """All records of one graph instance: one weight matrix, one contraction.
+def _batch_records(batch: _Batch) -> Iterator[list[dict]]:
+    """The records of a batch, one list per graph: one engine, one weight stack per block.
 
-    Points run T-major, B-minor.  The weights, ground energy and ground
-    degeneracy are computed per field value, for many temperatures at
-    once.  The points go in blocks of whole temperature rows, at most
-    _POINTS_PER_CONTRACTION points (or one row, if a row holds more),
-    which bounds the weight matrix.
+    Points run T-major, B-minor.  The weights, ground energies and ground
+    degeneracies of all graphs are computed per field value, for many
+    temperatures at once.  The points go in blocks of whole temperature
+    rows, at most _POINTS_PER_CONTRACTION points over the batch's graphs
+    (or one row, if a row holds more), which bounds the weight stack; each
+    block is one contraction for every graph and pair.
     """
-    engine = GraphThermalEngine(task.graph, task.pairs)
-    points = [(t, b) for t in task.t_values for b in task.b_values]
-    ground = [engine.ground_info(b) for b in task.b_values]
-    t_step = max(1, _POINTS_PER_CONTRACTION // len(task.b_values))
-    records = []
-    for t_first in range(0, len(task.t_values), t_step):
-        t_block = task.t_values[t_first : t_first + t_step]
-        weights = np.stack([engine.field_weights(t_block, b) for b in task.b_values], axis=1)
-        raw = engine.raw_concurrence(weights.reshape(-1, len(engine.energies)))
-        first = t_first * len(task.b_values)
-        block = points[first : first + raw.shape[1]]
+    engine = GraphThermalEngine(batch.graphs, batch.pairs)
+    count, n_b = len(batch.graphs), len(batch.b_values)
+    points = [(t, b) for t in batch.t_values for b in batch.b_values]
+    ground = [engine.ground_info(b) for b in batch.b_values]
+    raw = np.empty((count, len(points), len(batch.pairs)))
+    t_step = max(1, _POINTS_PER_CONTRACTION // (count * n_b))
+    for t_first in range(0, len(batch.t_values), t_step):
+        t_block = batch.t_values[t_first : t_first + t_step]
+        weights = np.stack([engine.field_weights(t_block, b) for b in batch.b_values], axis=2)
+        block = engine.raw_concurrence(weights.reshape(count, -1, len(engine.sz)))
+        first = t_first * n_b
+        raw[:, first : first + block.shape[2]] = block.transpose(1, 2, 0)
+    for k, (graph, (g1, g2, g3)) in enumerate(zip(batch.graphs, batch.couplings)):
+        base = batch.record_base + k * len(points)
+        records = []
         for offset, ((t, b), column, maximum) in enumerate(
-            zip(block, raw.T.tolist(), raw.max(axis=0).tolist()), start=first
+            zip(points, raw[k].tolist(), raw[k].max(axis=1).tolist())
         ):
-            ground_e, ground_d = ground[offset % len(task.b_values)]
+            energies, degeneracies = ground[offset % n_b]
             records.append(
                 {
-                    "index": task.record_base + offset,
-                    "geometry": task.geometry_label,
-                    "n_spins": task.graph.n_spins,
-                    "g1": task.g1,
-                    "g2": task.g2,
-                    "g3": task.g3,
+                    "index": base + offset,
+                    "geometry": batch.geometry_label,
+                    "n_spins": graph.n_spins,
+                    "g1": g1,
+                    "g2": g2,
+                    "g3": g3,
                     "t": t,
                     "b": b,
-                    "ground_energy": ground_e,
-                    "ground_degeneracy": ground_d,
+                    "ground_energy": energies[k],
+                    "ground_degeneracy": degeneracies[k],
                     "max_concurrence": maximum,
-                    "pairs": [[i, j, r] for (i, j), r in zip(task.pairs, column)],
+                    "pairs": [[i, j, r] for (i, j), r in zip(batch.pairs, column)],
                 }
             )
-    return task.index, records
+        yield records
 
 
-def _expand_tasks(config: SweepConfig) -> list[_Task]:
+def _compute_batch(batch: _Batch) -> tuple[int, list[dict]]:
+    """All records of a batch, for a worker process."""
+    return batch.index, [record for records in _batch_records(batch) for record in records]
+
+
+def _expand_batches(config: SweepConfig) -> list[_Batch]:
     # Geometries that do not consume an axis collapse it to a single point:
     # only chain kinds see the coupling grids, only sized kinds see n_values.
-    tasks = []
+    # A batch holds at most _BATCH_ENTRIES entry-stack elements, and one graph
+    # at least; its bounds depend on the config alone.
+    batches: list[_Batch] = []
     record_base = 0
-    task_index = 0
     for spec in config.geometries:
         sizes = config.n_values if spec.kind in _SIZED_KINDS else (0,)
         chain = spec.kind in _CHAIN_KINDS
+        g1 = config.g1 if chain else 0.0
         g2_axis = config.g2_values if chain else (0.0,)
         g3_axis = config.g3_values if chain else (0.0,)
         for n in sizes:
-            for g2 in g2_axis:
-                for g3 in g3_axis:
-                    graph = build_geometry(spec, n, config.g1, g2, g3)
-                    t_values = _resolve_grid(config.t_grid, graph.n_spins)
-                    b_values = _resolve_grid(config.b_grid, graph.n_spins)
-                    pairs = (
-                        tuple(graph.pairs())
-                        if config.pairs == "all"
-                        else tuple(config.pairs)
-                    )
-                    tasks.append(
-                        _Task(
-                            index=task_index,
-                            record_base=record_base,
-                            geometry_label=spec.label(),
-                            graph=graph,
-                            g1=config.g1 if chain else 0.0,
-                            g2=g2,
-                            g3=g3,
-                            t_values=t_values,
-                            b_values=b_values,
-                            pairs=pairs,
-                        )
-                    )
-                    task_index += 1
-                    record_base += len(t_values) * len(b_values)
-    return tasks
+            couplings = [(g1, g2, g3) for g2 in g2_axis for g3 in g3_axis]
+            graphs = [build_geometry(spec, n, config.g1, g2, g3) for _, g2, g3 in couplings]
+            n_spins = graphs[0].n_spins
+            t_values = _resolve_grid(config.t_grid, n_spins)
+            b_values = _resolve_grid(config.b_grid, n_spins)
+            pairs = tuple(graphs[0].pairs()) if config.pairs == "all" else tuple(config.pairs)
+            size = max(1, _BATCH_ENTRIES // (5 * max(1, len(pairs)) * 2**n_spins))
+            for first in range(0, len(graphs), size):
+                batch = _Batch(
+                    index=len(batches),
+                    record_base=record_base,
+                    geometry_label=spec.label(),
+                    graphs=tuple(graphs[first : first + size]),
+                    couplings=tuple(couplings[first : first + size]),
+                    t_values=t_values,
+                    b_values=b_values,
+                    pairs=pairs,
+                )
+                batches.append(batch)
+                record_base += batch.n_records
+    return batches
 
 
 @dataclass
@@ -515,28 +563,30 @@ def run_sweep(
 ) -> SweepResult:
     """Execute the full grid, streaming JSON-lines records in index order.
 
-    Tasks (one per graph instance) run on a process pool when workers > 1;
-    completed tasks are buffered and flushed strictly in index order, so
-    output files are reproducible byte for byte.  ``skip_records`` resumes
-    an interrupted sweep: pass the count of complete records in a partial
-    output file and open it for append; grid points already on disk are
-    not recomputed.  The summary gets its header only when nothing is
-    skipped; a resumed summary continues the rows of the skipped records.
-    The returned statistics cover only the records written by this call.
-    A "violation" is a record whose max raw concurrence exceeds the
+    Batches (see ``_expand_batches``) run on a process pool when
+    workers > 1; completed batches are buffered and flushed strictly in
+    index order, so output files are reproducible byte for byte.
+    ``skip_records`` resumes an interrupted sweep: pass the count of
+    complete records in a partial output file and open it for append;
+    batches wholly on disk are not recomputed, and a batch the resume
+    point cuts is computed whole, as in the uninterrupted sweep.  The
+    summary gets its header only when nothing is skipped; a resumed
+    summary continues the rows of the skipped records.  The returned
+    statistics cover only the records written by this call.  A
+    "violation" is a record whose max raw concurrence exceeds the
     threshold.
     """
-    tasks = [
-        task
-        for task in _expand_tasks(config)
-        if task.record_base + len(task.t_values) * len(task.b_values) > skip_records
+    batches = [
+        batch
+        for batch in _expand_batches(config)
+        if batch.record_base + batch.n_records > skip_records
     ]
     if summary is not None and skip_records == 0:
         summary.write(SUMMARY_HEADER)
     state = SweepResult(
         records_written=0, max_concurrence=-np.inf, violations=0, threshold=threshold
     )
-    if not tasks:
+    if not batches:
         return state
 
     def emit(records: list[dict]) -> None:
@@ -553,19 +603,23 @@ def run_sweep(
             state.records_written += 1
 
     if workers <= 1:
-        for task in tasks:
-            emit(_compute_task(task)[1])
+        for batch in batches:
+            for records in _batch_records(batch):
+                emit(records)
         return state
 
+    # imported here: the pool brings in multiprocessing, which no other path needs
+    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+
     pending: dict[int, list[dict]] = {}
-    next_to_write = tasks[0].index
+    next_to_write = batches[0].index
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = {pool.submit(_compute_task, task) for task in tasks}
+        futures = {pool.submit(_compute_batch, batch) for batch in batches}
         while futures:
             done, futures = wait(futures, return_when=FIRST_COMPLETED)
             for future in done:
-                task_index, records = future.result()
-                pending[task_index] = records
+                batch_index, records = future.result()
+                pending[batch_index] = records
             while next_to_write in pending:
                 emit(pending.pop(next_to_write))
                 next_to_write += 1

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -332,6 +335,21 @@ class TestSweepCommand:
         assert "no spin pairs" in capsys.readouterr().err
         assert results.read_text() == ""
 
+    @pytest.mark.parametrize("content", ['{"edges": []}', '{"n": 2, "edges": 5}', "[1, 2]",
+                                         '{"n": "two", "edges": []}', "{"])
+    def test_malformed_file_geometry_exits_2(self, tmp_path, capsys, content):
+        graph = tmp_path / "f.json"
+        graph.write_text(content)
+        config = tmp_path / "sweep.json"
+        config.write_text(json.dumps({"geometries": [{"kind": "file", "path": str(graph)}],
+                                      "t_grid": [0.0], "b_grid": [0.0]}))
+        results = tmp_path / "out.jsonl"
+        assert run_cli("sweep", "--config", str(config), "--output", str(results)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"malformed graph file {str(graph)!r}" in captured.err
+        assert results.read_text() == ""
+
     def test_bad_config_exits_2(self, tmp_path, capsys):
         config = tmp_path / "sweep.json"
         config.write_text(json.dumps({"geometries": [{"kind": "ring"}], "bogus": True}))
@@ -460,14 +478,14 @@ class TestOneDiagonalizationPerCommand:
         original = ferroent.spectra.eig_sym
 
         def counting(matrix):
-            calls.append(matrix.shape[0])
+            calls.append(matrix.shape)
             return original(matrix)
 
         monkeypatch.setattr(ferroent.spectra, "eig_sym", counting)
         assert run_cli(*command, "--graph", str(path)) == 0
-        # one full_spectrum: one block per S = 0..3 of the central sector,
-        # C(6, 3 - S) - C(6, 2 - S) columns each
-        assert calls == [5, 9, 5, 1]
+        # one solve, a batch of one graph: one block per S = 0..3 of the
+        # central sector, C(6, 3 - S) - C(6, 2 - S) columns each
+        assert calls == [(1, 5, 5), (1, 9, 9), (1, 5, 5), (1, 1, 1)]
 
     @pytest.mark.parametrize("command", [
         ["verify", "--suite", "all"],
@@ -481,12 +499,22 @@ class TestOneDiagonalizationPerCommand:
         original = ferroent.spectra.eig_sym
 
         def counting(matrix):
-            calls.append(matrix.shape[0])
+            calls.append(matrix.shape)
             return original(matrix)
 
         monkeypatch.setattr(ferroent.spectra, "eig_sym", counting)
         assert run_cli(*command, "--graph", str(path)) == 0
-        assert calls == [14, 14, 6, 1]  # the central sector n_up = 3, S = 1/2..7/2
+        # the central sector n_up = 3, S = 1/2..7/2, a batch of one graph
+        assert calls == [(1, 14, 14), (1, 14, 14), (1, 6, 6), (1, 1, 1)]
+
+
+def test_cli_import_leaves_the_process_pool_out():
+    # only ``sweep --workers`` above 1 starts a pool; no other command pays its import
+    code = "import sys, ferroent.cli; print('concurrent.futures.process' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=env, check=True)
+    assert result.stdout.strip() == "False"
 
 
 class TestBrokenPipe:

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+import ferroent.spectra
 import ferroent.sweep
 
 from ferroent.graphs import (
@@ -241,7 +242,129 @@ class TestRunSweep:
         assert result.records_written == 1
 
 
+def _split_records(text):
+    """The exact fields of each record, and the floats of all (ground energy, raw concurrences)."""
+    exact, floats = [], []
+    for line in text.splitlines():
+        record = json.loads(line)
+        pairs = record.pop("pairs")
+        floats += [record.pop("ground_energy"), record.pop("max_concurrence")]
+        floats += [raw for _, _, raw in pairs]
+        exact.append((record, [pair[:2] for pair in pairs]))
+    return exact, np.array(floats)
+
+
+BATCHED_CONFIG = SweepConfig(
+    geometries=(GeometrySpec(kind="ring"), GeometrySpec(kind="open")),
+    n_values=(4, 5),
+    g2_values=(-1.0, 0.0),
+    g3_values=(-2.0, 0.0),
+    t_grid=(0.0, 0.5, 2.0),
+    b_grid=(0.0, 1.0),
+)
+
+
+class TestBatches:
+    def test_graphs_of_different_scale_in_one_batch_match_their_own_sweeps(self):
+        config = SweepConfig(
+            geometries=(GeometrySpec(kind="ring"),),
+            n_values=(6,),
+            g2_values=(-4.0, 0.0),
+            g3_values=(-4.0, 0.0),
+            t_grid=(0.0, 0.3, 6.0),
+            b_grid=(0.0, 0.7),
+        )
+        [batch] = ferroent.sweep._expand_batches(config)
+        assert len(batch.graphs) == 4
+        _, together, _ = run_to_strings(config)
+        lines = together.splitlines()
+        points = 6
+        for k, (_, g2, g3) in enumerate(batch.couplings):
+            alone = dataclasses.replace(config, g2_values=(g2,), g3_values=(g3,))
+            _, text, _ = run_to_strings(alone)
+            exact, floats = _split_records("\n".join(lines[k * points : (k + 1) * points]))
+            expected_exact, expected_floats = _split_records(text)
+            for (record, pairs), (expected, expected_pairs) in zip(exact, expected_exact):
+                assert record["index"] == expected["index"] + k * points
+                # ground_degeneracy among them
+                assert dict(record, index=None) == dict(expected, index=None)
+                assert pairs == expected_pairs
+            assert np.max(np.abs(floats - expected_floats)) <= 1e-15
+
+    @pytest.mark.parametrize("budget", [1, 1 << 30])
+    def test_batch_budget_does_not_change_records(self, monkeypatch, budget):
+        batches = ferroent.sweep._expand_batches(BATCHED_CONFIG)
+        assert [len(batch.graphs) for batch in batches] == [4, 4, 4, 4]
+        _, expected, _ = run_to_strings(BATCHED_CONFIG)
+        monkeypatch.setattr(ferroent.sweep, "_BATCH_ENTRIES", budget)
+        sizes = [len(batch.graphs) for batch in ferroent.sweep._expand_batches(BATCHED_CONFIG)]
+        assert sizes == ([1] * 16 if budget == 1 else [4, 4, 4, 4])
+        _, output, _ = run_to_strings(BATCHED_CONFIG)
+        (exact, floats), (expected_exact, expected_floats) = (
+            _split_records(output), _split_records(expected)
+        )
+        assert exact == expected_exact
+        assert np.max(np.abs(floats - expected_floats)) <= 1e-15
+
+    def test_batch_bounds_depend_on_the_config_alone(self):
+        _, serial, serial_summary = run_to_strings(BATCHED_CONFIG, workers=1)
+        _, parallel, parallel_summary = run_to_strings(BATCHED_CONFIG, workers=2)
+        assert serial == parallel and serial_summary == parallel_summary
+        # record 9 is the fourth of the second graph of the first batch
+        lines = serial.splitlines(keepends=True)
+        for workers in (1, 2):
+            result, tail, _ = run_to_strings(BATCHED_CONFIG, workers=workers, skip_records=9)
+            assert tail == "".join(lines[9:])
+            assert result.records_written == len(lines) - 9
+
+    def test_one_eig_sym_call_per_spin_over_the_batch(self, monkeypatch):
+        shapes = []
+        original = ferroent.spectra.eig_sym
+
+        def counting(matrix):
+            shapes.append(matrix.shape)
+            return original(matrix)
+
+        monkeypatch.setattr(ferroent.spectra, "eig_sym", counting)
+        run_sweep(dataclasses.replace(BATCHED_CONFIG, geometries=(GeometrySpec(kind="ring"),)))
+        # N = 4: S = 0, 1, 2 with 2, 3, 1 levels; N = 5: S = 1/2, 3/2, 5/2 with 5, 4, 1
+        assert shapes == [(4, 2, 2), (4, 3, 3), (4, 1, 1), (4, 5, 5), (4, 4, 4), (4, 1, 1)]
+
+
 class TestThermalEngine:
+    def test_batch_engine_matches_one_graph_engines(self):
+        # a connected ferromagnet, two triangles (16-fold ground at B = 0) and
+        # an antiferromagnetic ring: every per-graph reduction differs
+        triangles = [(0, 1, -1.0), (1, 2, -1.0), (0, 2, -1.0),
+                     (3, 4, -1.0), (4, 5, -1.0), (3, 5, -1.0)]
+        graphs = [random_graph(6, 0.5, (-2.0, -0.3), seed=3), make_graph(6, triangles),
+                  ring_chain(ChainParams(n_spins=6, g1=1.0, g2=-0.3))]
+        pairs = [(0, 1), (4, 2), (3, 5)]
+        temperatures = (0.0, 0.4, 3.0)
+        batch = GraphThermalEngine(graphs, pairs)
+        assert batch.stack.shape == (3, 3, 64, 5)
+        for b_field in (0.0, 0.6):
+            weights = batch.field_weights(temperatures, b_field)
+            raw = batch.raw_concurrence(weights)
+            energies, degeneracies = batch.ground_info(b_field)
+            for k, graph in enumerate(graphs):
+                single = GraphThermalEngine(graph, pairs)
+                single_weights = single.field_weights(temperatures, b_field)
+                assert np.array_equal(weights[k], single_weights)
+                assert np.max(np.abs(raw[:, k] - single.raw_concurrence(single_weights))) <= 1e-15
+                assert (energies[k], degeneracies[k]) == single.ground_info(b_field)
+                assert np.array_equal(batch.energies[k], single.energies)
+                assert np.array_equal(batch.spin[k], single.spin)
+                assert np.array_equal(batch.sz, single.sz)
+                assert batch.spin_residual[k] == single.spin_residual
+                assert np.max(np.abs(batch.stack[:, k] - single.stack)) <= 1e-15
+        assert batch.ground_info(0.0)[1] == [7, 16, 1]
+
+    def test_batch_engine_needs_one_spin_count(self):
+        with pytest.raises(ValueError, match="one spin count"):
+            GraphThermalEngine([ring_chain(ChainParams(n_spins=4, g1=-1.0)),
+                                ring_chain(ChainParams(n_spins=5, g1=-1.0))], [(0, 1)])
+
     def test_weights_match_gibbs_module(self):
         g = random_graph(6, 0.5, (-2.0, -0.3), seed=19)
         engine = GraphThermalEngine(g)
