@@ -37,6 +37,7 @@ from .sweep import (
     SweepConfig,
     builtin_graph_set,
     run_sweep,
+    spectral_fields,
     summary_row,
     verify_degeneracy,
     verify_universal,
@@ -307,14 +308,17 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     else:
         graphs = builtin_graph_set()
 
-    # One engine per graph runs every selected suite; reports keep suite order.
+    # One engine per graph runs every selected suite, and the spectral fields
+    # of the universal and degeneracy reports are computed once for both;
+    # reports keep suite order.
     universal, degeneracy, scans = [], [], []
     for graph_id, graph in graphs:
         engine = GraphThermalEngine(graph)
+        fields = spectral_fields(engine, graph_id) if args.suite != "sweep-zero" else None
         if args.suite in ("universal", "all"):
-            universal.append(verify_universal(engine, graph_id=graph_id))
+            universal.append(verify_universal(engine, graph_id=graph_id, fields=fields))
         if args.suite in ("degeneracy", "all"):
-            degeneracy.append(verify_degeneracy(engine, graph_id=graph_id))
+            degeneracy.append(verify_degeneracy(engine, graph_id=graph_id, fields=fields))
         if args.suite in ("sweep-zero", "all"):
             t_grid = [graph.n_spins * k / 20.0 for k in range(21)]
             reached = zero_temperature_scan(engine, t_grid, b_field=args.b_field)

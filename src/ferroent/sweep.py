@@ -17,6 +17,19 @@ contracted against the engine's entry stack at once; the records are
 then written graph by graph.  Batch bounds depend on the config alone,
 so the worker count and a resume point do not change the output.
 
+Records go out as text, filled into per-graph formats (``_record_format``,
+``_summary_format``) with no record dict in between.  Each line is the
+``json.dumps`` text of the record
+
+    {"index", "geometry", "n_spins", "g1", "g2", "g3", "t", "b",
+     "ground_energy", "ground_degeneracy", "max_concurrence",
+     "pairs": [[i, j, raw concurrence], ...]}
+
+with the encoder's default separators and ASCII escapes, and each CSV
+summary row is ``summary_row`` of that record.  This layout is the
+on-disk contract; a test round-trips every line through the encoder.  A
+non-finite raw concurrence raises ValueError and is never written.
+
 Config files are JSON with the following keys (all grids nonempty):
 
     {
@@ -437,15 +450,68 @@ def _member_entries(
     return entries
 
 
-def _batch_records(batch: _Batch) -> Iterator[list[dict]]:
-    """The records of a batch, one list per graph: one engine, one weight stack per block.
+# one graph's records: (index of the first, JSON lines, CSV summary rows, max raw concurrences)
+_GraphText = tuple[int, list[str], list[str], list[float]]
 
-    Points run T-major, B-minor.  The weights, ground energies and ground
-    degeneracies of all graphs are computed per field value, for many
-    temperatures at once.  The points go in blocks of whole temperature
-    rows, at most _POINTS_PER_CONTRACTION points over the batch's graphs
-    (or one row, if a row holds more), which bounds the weight stack; each
-    block is one contraction for every graph and pair.
+SUMMARY_HEADER = "index,geometry,n_spins,g1,g2,g3,t,b,max_concurrence\n"
+
+
+def _record_format(
+    geometry: str, n_spins: int, g1: float, g2: float, g3: float,
+    pairs: Sequence[tuple[int, int]],
+) -> str:
+    """The JSON line of one graph's records, with the text of ``json.dumps(record)``.
+
+    The record index, the point ``"t": t, "b": b``, the ground energy and
+    degeneracy, the max raw concurrence and each pair's raw concurrence go
+    in; the floats must be finite Python floats, whose ``%r`` is their JSON
+    text (a numpy float's is not).
+    """
+    fixed = json.dumps({"geometry": geometry, "n_spins": n_spins, "g1": g1, "g2": g2, "g3": g3})
+    pair_slots = json.dumps([[i, j, None] for i, j in pairs]).replace("null", "%r")
+    return (
+        '{"index": %d, ' + fixed[1:-1].replace("%", "%%") + ', %s, "ground_energy": %r, '
+        '"ground_degeneracy": %d, "max_concurrence": %r, "pairs": ' + pair_slots + "}\n"
+    )
+
+
+def _summary_format(geometry: str, n_spins: int, g1: float, g2: float, g3: float) -> str:
+    """The CSV summary row of one graph's records.
+
+    The record index, the ``_summary_point`` of (t, b) and the max raw
+    concurrence go in.
+    """
+    fixed = "%s,%d,%.17g,%.17g,%.17g" % (geometry, n_spins, g1, g2, g3)
+    return "%d," + fixed.replace("%", "%%") + ",%s,%.17g\n"
+
+
+def _summary_point(t: float, b: float) -> str:
+    return "%.17g,%.17g" % (t, b)
+
+
+def summary_row(record: dict) -> str:
+    """The CSV summary line of one JSON-lines record."""
+    row = _summary_format(
+        record["geometry"], record["n_spins"], record["g1"], record["g2"], record["g3"]
+    )
+    return row % (record["index"], _summary_point(record["t"], record["b"]),
+                  record["max_concurrence"])
+
+
+def _batch_records(batch: _Batch) -> Iterator[_GraphText]:
+    """The records of a batch as text, one ``_GraphText`` per graph.
+
+    One engine, and one weight stack per block: points run T-major,
+    B-minor.  The weights, ground energies and ground degeneracies of all
+    graphs are computed per field value, for many temperatures at once.
+    The points go in blocks of whole temperature rows, at most
+    _POINTS_PER_CONTRACTION points over the batch's graphs (or one row, if
+    a row holds more), which bounds the weight stack; each block is one
+    contraction for every graph and pair.  A non-finite raw concurrence
+    raises ValueError before any record of the batch exists.  Each record
+    is then one line of ``_record_format`` and one row of
+    ``_summary_format``, filled with Python numbers; the maxima are each
+    record's max raw concurrence, for the run statistics.
     """
     engine = GraphThermalEngine(batch.graphs, batch.pairs)
     count, n_b = len(batch.graphs), len(batch.b_values)
@@ -459,35 +525,31 @@ def _batch_records(batch: _Batch) -> Iterator[list[dict]]:
         block = engine.raw_concurrence(weights.reshape(count, -1, len(engine.sz)))
         first = t_first * n_b
         raw[:, first : first + block.shape[2]] = block.transpose(1, 2, 0)
-    for k, (graph, (g1, g2, g3)) in enumerate(zip(batch.graphs, batch.couplings)):
+    if not np.isfinite(raw).all():
+        raise ValueError(
+            f"non-finite raw concurrence in the {batch.geometry_label} sweep batch "
+            f"from record {batch.record_base}"
+        )
+    json_points = [json.dumps({"t": t, "b": b})[1:-1] for t, b in points]
+    csv_points = [_summary_point(t, b) for t, b in points]
+    for k, (graph, couplings) in enumerate(zip(batch.graphs, batch.couplings)):
         base = batch.record_base + k * len(points)
-        records = []
-        for offset, ((t, b), column, maximum) in enumerate(
-            zip(points, raw[k].tolist(), raw[k].max(axis=1).tolist())
-        ):
-            energies, degeneracies = ground[offset % n_b]
-            records.append(
-                {
-                    "index": base + offset,
-                    "geometry": batch.geometry_label,
-                    "n_spins": graph.n_spins,
-                    "g1": g1,
-                    "g2": g2,
-                    "g3": g3,
-                    "t": t,
-                    "b": b,
-                    "ground_energy": energies[k],
-                    "ground_degeneracy": degeneracies[k],
-                    "max_concurrence": maximum,
-                    "pairs": [[i, j, r] for (i, j), r in zip(batch.pairs, column)],
-                }
-            )
-        yield records
+        line = _record_format(batch.geometry_label, graph.n_spins, *couplings, batch.pairs)
+        row = _summary_format(batch.geometry_label, graph.n_spins, *couplings)
+        levels = [(energies[k], degeneracies[k]) for energies, degeneracies in ground]
+        maxima = raw[k].max(axis=1).tolist()
+        lines, rows = [], []
+        for offset, (column, maximum) in enumerate(zip(raw[k].tolist(), maxima)):
+            energy, degeneracy = levels[offset % n_b]
+            lines.append(line % (base + offset, json_points[offset], energy, degeneracy,
+                                 maximum, *column))
+            rows.append(row % (base + offset, csv_points[offset], maximum))
+        yield base, lines, rows, maxima
 
 
-def _compute_batch(batch: _Batch) -> tuple[int, list[dict]]:
-    """All records of a batch, for a worker process."""
-    return batch.index, [record for records in _batch_records(batch) for record in records]
+def _compute_batch(batch: _Batch) -> tuple[int, list[_GraphText]]:
+    """The text records of a batch, for a worker process."""
+    return batch.index, list(_batch_records(batch))
 
 
 def _expand_batches(config: SweepConfig) -> list[_Batch]:
@@ -535,24 +597,6 @@ class SweepResult:
     threshold: float
 
 
-SUMMARY_HEADER = "index,geometry,n_spins,g1,g2,g3,t,b,max_concurrence\n"
-
-
-def summary_row(record: dict) -> str:
-    """The CSV summary line of one JSON-lines record."""
-    return "%d,%s,%d,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g\n" % (
-        record["index"],
-        record["geometry"],
-        record["n_spins"],
-        record["g1"],
-        record["g2"],
-        record["g3"],
-        record["t"],
-        record["b"],
-        record["max_concurrence"],
-    )
-
-
 def run_sweep(
     config: SweepConfig,
     output: IO[str] | None = None,
@@ -564,17 +608,20 @@ def run_sweep(
     """Execute the full grid, streaming JSON-lines records in index order.
 
     Batches (see ``_expand_batches``) run on a process pool when
-    workers > 1; completed batches are buffered and flushed strictly in
-    index order, so output files are reproducible byte for byte.
-    ``skip_records`` resumes an interrupted sweep: pass the count of
-    complete records in a partial output file and open it for append;
-    batches wholly on disk are not recomputed, and a batch the resume
-    point cuts is computed whole, as in the uninterrupted sweep.  The
-    summary gets its header only when nothing is skipped; a resumed
+    workers > 1, each returning its records as text; completed batches
+    are buffered and flushed strictly in index order, so output files are
+    reproducible byte for byte.  ``skip_records`` resumes an interrupted
+    sweep: pass the count of complete records in a partial output file
+    and open it for append; batches wholly on disk are not recomputed,
+    and a batch the resume point cuts is computed whole, as in the
+    uninterrupted sweep, and its lines before that point are dropped.
+    The summary gets its header only when nothing is skipped; a resumed
     summary continues the rows of the skipped records.  The returned
-    statistics cover only the records written by this call.  A
-    "violation" is a record whose max raw concurrence exceeds the
-    threshold.
+    statistics cover only the records written by this call and come from
+    each record's max raw concurrence.  A "violation" is a record whose
+    max raw concurrence exceeds the threshold.  A batch with a non-finite
+    raw concurrence raises ValueError before any of its records is
+    written.
     """
     batches = [
         batch
@@ -589,37 +636,38 @@ def run_sweep(
     if not batches:
         return state
 
-    def emit(records: list[dict]) -> None:
-        for record in records:
-            if record["index"] < skip_records:
-                continue
-            state.max_concurrence = max(state.max_concurrence, record["max_concurrence"])
-            if record["max_concurrence"] > threshold:
-                state.violations += 1
+    def emit(graphs: Iterable[_GraphText]) -> None:
+        for base, lines, rows, maxima in graphs:
+            if base < skip_records:  # records already on disk: cut at the resume point
+                cut = skip_records - base
+                lines, rows, maxima = lines[cut:], rows[cut:], maxima[cut:]
+                if not lines:
+                    continue
+            state.max_concurrence = max(state.max_concurrence, *maxima)
+            state.violations += sum(maximum > threshold for maximum in maxima)
             if output is not None:
-                output.write(json.dumps(record) + "\n")
+                output.write("".join(lines))
             if summary is not None:
-                summary.write(summary_row(record))
-            state.records_written += 1
+                summary.write("".join(rows))
+            state.records_written += len(lines)
 
     if workers <= 1:
         for batch in batches:
-            for records in _batch_records(batch):
-                emit(records)
+            emit(_batch_records(batch))
         return state
 
     # imported here: the pool brings in multiprocessing, which no other path needs
     from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 
-    pending: dict[int, list[dict]] = {}
+    pending: dict[int, list[_GraphText]] = {}
     next_to_write = batches[0].index
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = {pool.submit(_compute_batch, batch) for batch in batches}
         while futures:
             done, futures = wait(futures, return_when=FIRST_COMPLETED)
             for future in done:
-                batch_index, records = future.result()
-                pending[batch_index] = records
+                batch_index, graphs = future.result()
+                pending[batch_index] = graphs
             while next_to_write in pending:
                 emit(pending.pop(next_to_write))
                 next_to_write += 1
@@ -669,8 +717,11 @@ class VerifyReport:
     passed: bool = False
 
 
-def _spectral_fields(engine: GraphThermalEngine, graph_id: str) -> dict:
-    """The VerifyReport fields both suites share: ground energy, degeneracy and spin."""
+def spectral_fields(engine: GraphThermalEngine, graph_id: str) -> dict:
+    """The VerifyReport fields both suites share: ground energy, degeneracy and spin.
+
+    A caller running both suites computes them once and passes them to each.
+    """
     graph = engine.graph
     connected = is_connected(graph)
     e_min, degeneracy = engine.ground_info(0.0)
@@ -692,16 +743,20 @@ def _spectral_fields(engine: GraphThermalEngine, graph_id: str) -> dict:
     }
 
 
-def verify_universal(engine: GraphThermalEngine, graph_id: str = "graph") -> VerifyReport:
+def verify_universal(
+    engine: GraphThermalEngine, graph_id: str = "graph", fields: dict | None = None
+) -> VerifyReport:
     """Check that the zero-field ground mixture's RDMs of the engine's pairs
     all match the universal separable form, entry-wise within
     UNIVERSAL_RDM_TOL, with raw pair concurrence at most
     RAW_CONCURRENCE_THRESHOLD.
 
     Requires a connected ferromagnetic graph; violations are flagged in
-    the report (never silently ignored) and fail it.
+    the report (never silently ignored) and fail it.  ``fields`` are the
+    engine's ``spectral_fields``, computed here when not given.
     """
-    fields = _spectral_fields(engine, graph_id)
+    if fields is None:
+        fields = spectral_fields(engine, graph_id)
     preconditions_ok = fields["ferromagnetic"] and fields["connected"]
     weights = engine.weights(0.0, 0.0)
     target = np.array(UNIVERSAL_ENTRIES, dtype=float)
@@ -724,15 +779,19 @@ def verify_universal(engine: GraphThermalEngine, graph_id: str = "graph") -> Ver
     )
 
 
-def verify_degeneracy(engine: GraphThermalEngine, graph_id: str = "graph") -> VerifyReport:
+def verify_degeneracy(
+    engine: GraphThermalEngine, graph_id: str = "graph", fields: dict | None = None
+) -> VerifyReport:
     """Check ground degeneracy N+1 and ground spin N/2 (connected graphs
     only) and ground energy equal to a quarter of the coupling sum.
 
     Disconnected graphs get expected_degeneracy None: the N+1 count and
     the single S = N/2 multiplet assume connectivity, while the energy
-    identity holds for any ferromagnetic edge set.
+    identity holds for any ferromagnetic edge set.  ``fields`` are the
+    engine's ``spectral_fields``, computed here when not given.
     """
-    fields = _spectral_fields(engine, graph_id)
+    if fields is None:
+        fields = spectral_fields(engine, graph_id)
     spin_ok = not fields["connected"] or fields["ground_spin"] == 0.5 * fields["n_spins"]
     passed = (
         fields["ferromagnetic"]

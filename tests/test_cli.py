@@ -3,9 +3,11 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import ferroent.spectra
+import ferroent.sweep
 from ferroent.cli import main
 from ferroent.graphs import make_graph, random_graph, save_graph
 from oracles import gibbs_terms, pair_rdm_mixed, sector_spectra
@@ -243,6 +245,32 @@ class TestSweepCommand:
         assert "field must be finite" in capsys.readouterr().err
         assert results.read_text() == ""
 
+    def test_non_finite_raw_concurrence_exits_2_without_its_batch(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # the N = 5 batch yields NaN: the N = 4 records stay, none of N = 5 is written
+        config = tmp_path / "sweep.json"
+        config.write_text(json.dumps({"geometries": [{"kind": "ring"}], "n_values": [4, 5],
+                                      "t_grid": [0.0, 1.0], "b_grid": [0.0]}))
+        original = ferroent.sweep.GraphThermalEngine.raw_concurrence
+
+        def poisoned(engine, weights):
+            raw = original(engine, weights)
+            return raw * np.nan if engine.graph.n_spins == 5 else raw
+
+        monkeypatch.setattr(ferroent.sweep.GraphThermalEngine, "raw_concurrence", poisoned)
+        results, summary = tmp_path / "out.jsonl", tmp_path / "out.csv"
+        code = run_cli("sweep", "--config", str(config), "--output", str(results),
+                       "--summary", str(summary), "--assert-zero")
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "non-finite raw concurrence" in captured.err
+        assert "above threshold" not in captured.out
+        lines = results.read_text().splitlines()
+        assert [json.loads(line)["n_spins"] for line in lines] == [4, 4]
+        assert "NaN" not in results.read_text() and "nan" not in summary.read_text()
+        assert len(summary.read_text().splitlines()) == 3
+
     def test_resume_appends_missing_records(self, tmp_path, capsys):
         config = tmp_path / "sweep.json"
         config.write_text(json.dumps({
@@ -416,6 +444,18 @@ class TestVerifyCommand:
         assert code == 2
         assert "no spin pairs" in capsys.readouterr().err
         assert not report_path.exists()
+
+    def test_all_suites_check_connectivity_once_per_graph(self, monkeypatch, capsys):
+        calls = []
+        original = ferroent.sweep.is_connected
+
+        def counting(graph):
+            calls.append(graph.n_spins)
+            return original(graph)
+
+        monkeypatch.setattr(ferroent.sweep, "is_connected", counting)
+        assert run_cli("verify", "--suite", "all") == 0
+        assert calls == [graph.n_spins for _, graph in ferroent.sweep.builtin_graph_set()]
 
     def test_all_suites_on_builtin_set(self, tmp_path, capsys):
         report_path = tmp_path / "report.json"

@@ -26,6 +26,7 @@ from ferroent.sweep import (
     build_geometry,
     builtin_graph_set,
     run_sweep,
+    summary_row,
     verify_degeneracy,
     verify_universal,
     zero_temperature_scan,
@@ -240,6 +241,49 @@ class TestRunSweep:
         )
         result, _, _ = run_to_strings(config)
         assert result.records_written == 1
+
+
+def _encoder_configs(tmp_path):
+    """Configs whose record text the JSON encoder must reproduce exactly."""
+    graph_path = tmp_path / 'g 100%s %d "q" \u00e9.json'
+    save_graph(make_graph(3, [(0, 1, -1.0), (1, 2, -0.5)]), str(graph_path))
+    return {
+        "int couplings": {"geometries": [{"kind": "ring"}, {"kind": "open"}], "n_values": [4],
+                          "g1": -1, "g2_values": [0, -2], "g3_values": [0],
+                          "t_grid": {"points": 3, "max": "n"}, "b_grid": {"points": 2, "max": 1}},
+        "explicit grids": {"geometries": [{"kind": "cube"}], "t_grid": [0.0, 0.1, 1e-07, 3.5],
+                           "b_grid": [-1.25, 0.0, 2.0]},
+        "pair subset": {"geometries": [{"kind": "star", "n_spins": 5}],
+                        "t_grid": [0.0, 1.0], "b_grid": [0.0, 0.5],
+                        "pairs": [[0, 1], [3, 1], [2, 4]]},
+        "file path": {"geometries": [{"kind": "file", "path": str(graph_path)}],
+                      "t_grid": [0.0, 0.7], "b_grid": [0.0, 0.3]},
+    }
+
+
+@pytest.mark.parametrize("name", ["int couplings", "explicit grids", "pair subset", "file path"])
+def test_written_text_is_the_json_encoders(tmp_path, name):
+    # the line layout is the on-disk contract: each line must be the
+    # json.dumps of its own record and each CSV row that record's summary_row
+    config = SweepConfig.from_dict(_encoder_configs(tmp_path)[name])
+    _, output, summary = run_to_strings(config)
+    lines = output.splitlines(keepends=True)
+    rows = summary.splitlines(keepends=True)
+    assert rows[0] == ferroent.sweep.SUMMARY_HEADER
+    assert len(lines) == len(rows) - 1 > 0
+    for line, row in zip(lines, rows[1:]):
+        record = json.loads(line)
+        assert json.dumps(record) + "\n" == line
+        assert summary_row(record) == row
+    record = json.loads(lines[-1])
+    if name == "int couplings":
+        assert (record["g1"], record["g2"]) == (-1, -2)
+        assert '"g1": -1, "g2": -2, "g3": 0,' in lines[-1]
+    if name == "pair subset":
+        assert [pair[:2] for pair in record["pairs"]] == [[0, 1], [3, 1], [2, 4]]
+    if name == "file path":
+        assert record["geometry"] == "file:" + config.geometries[0].path
+        assert rows[-1].startswith(f"{record['index']},file:{config.geometries[0].path},3,")
 
 
 def _split_records(text):
