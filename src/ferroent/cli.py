@@ -11,6 +11,7 @@ import argparse
 import dataclasses
 import json
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 
 import numpy as np
@@ -25,7 +26,6 @@ from .graphs import (
     open_chain,
     random_graph,
     ring_chain,
-    save_graph,
     star_graph,
 )
 from .hilbert import build_sector_hamiltonian
@@ -36,9 +36,9 @@ from .sweep import (
     GraphThermalEngine,
     SweepConfig,
     builtin_graph_set,
+    resume_point,
     run_sweep,
     spectral_fields,
-    summary_row,
     verify_degeneracy,
     verify_universal,
     zero_temperature_scan,
@@ -109,18 +109,20 @@ def _graph_from_args(args: argparse.Namespace) -> SpinGraph:
     raise SystemExit("ferroent: no graph source given")
 
 
-def _open_output(path: str | None):
+@contextmanager
+def _output(path: str | None):
+    """The file to write a command's output to; no path or "-" is stdout, left open."""
     if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8"), True
+        yield sys.stdout
+    else:
+        with open(path, "w", encoding="utf-8") as handle:
+            yield handle
 
 
 def _cmd_graph(args: argparse.Namespace) -> int:
     graph = _graph_from_args(args)
-    if args.output is None or args.output == "-":
-        sys.stdout.write(graph.to_json() + "\n")
-    else:
-        save_graph(graph, args.output)
+    with _output(args.output) as out:
+        out.write(graph.to_json() + "\n")
     return 0
 
 
@@ -129,28 +131,20 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
     if args.dump_sector is not None:
         # debugging aid: the dense sector matrix instead of eigenvalues
         matrix = build_sector_hamiltonian(graph, args.dump_sector, args.b_field)
-        out, close = _open_output(args.output)
-        try:
+        with _output(args.output) as out:
             out.write("# sector n_up=%d, dimension %d, row-major\n"
                       % (args.dump_sector, matrix.shape[0]))
             for row in matrix:
                 out.write(",".join(_FMT % value for value in row) + "\n")
-        finally:
-            if close:
-                out.close()
         return 0
     spectrum = full_spectrum(graph, b_field=args.b_field)
-    out, close = _open_output(args.output)
-    try:
+    with _output(args.output) as out:
         out.write("# ground_energy=" + _FMT % spectrum.energies.min() + "\n")
         out.write("# gap=" + _FMT % energy_gap(spectrum) + "\n")
         out.write("n_up,index,eigenvalue\n")
         for n_up in range(graph.n_spins + 1):
             for k, value in enumerate(spectrum.sector_eigenvalues(n_up)):
                 out.write("%d,%d,%s\n" % (n_up, k, _FMT % value))
-    finally:
-        if close:
-            out.close()
     return 0
 
 
@@ -162,8 +156,7 @@ def _cmd_rdm(args: argparse.Namespace) -> int:
     [(alpha, beta, gamma, delta, epsilon)] = engine.pair_entries(weights)
     rho = np.diag([alpha, beta, delta, epsilon])
     rho[1, 2] = rho[2, 1] = gamma
-    out, close = _open_output(args.output)
-    try:
+    with _output(args.output) as out:
         out.write("# pair basis order: both-up, first-up, second-up, both-down\n")
         out.write("# pair=(%d,%d) temperature=%s b_field=%s\n"
                   % (i, j, _FMT % args.temperature, _FMT % args.b_field))
@@ -171,9 +164,6 @@ def _cmd_rdm(args: argparse.Namespace) -> int:
         for a in range(4):
             for b in range(4):
                 out.write("%d,%d,%s,0\n" % (a, b, _FMT % rho[a, b]))
-    finally:
-        if close:
-            out.close()
     return 0
 
 
@@ -182,8 +172,7 @@ def _fraction_str(value: Fraction) -> str:
 
 
 def _cmd_analytic(args: argparse.Namespace) -> int:
-    out, close = _open_output(args.output)
-    try:
+    with _output(args.output) as out:
         if args.zone:
             spec = analytic.zone(args.n)
             out.write("n_total,zone_lower,zone_upper,members,zone_mixture_concurrence\n")
@@ -209,15 +198,11 @@ def _cmd_analytic(args: argparse.Namespace) -> int:
                 _FMT % analytic.concurrence_symmetric(args.n, n),
                 _FMT % analytic.concurrence_pairwise_mixed(args.n, n),
             ))
-    finally:
-        if close:
-            out.close()
     return 0
 
 
 def _cmd_figures(args: argparse.Namespace) -> int:
-    out, close = _open_output(args.output)
-    try:
+    with _output(args.output) as out:
         if args.which == 1:
             out.write("n_up,concurrence_symmetric,concurrence_pairwise_mixed\n")
             for n, c_sym, c_mix in analytic.figure1_data(args.n):
@@ -226,41 +211,7 @@ def _cmd_figures(args: argparse.Namespace) -> int:
             out.write("n_total,zone_mixture_concurrence\n")
             for n, value in analytic.figure2_data(args.n_min, args.n_max):
                 out.write("%d,%s\n" % (n, _FMT % value))
-    finally:
-        if close:
-            out.close()
     return 0
-
-
-def _resume_point(path: str) -> list[str]:
-    """The summary rows of the records already in a partial JSON-lines output.
-
-    A record is complete when its line ends in a newline and parses as
-    JSON; whatever follows the last complete record (a line torn by an
-    interrupted write) is truncated away, so appended records start on a
-    fresh line.  Record k must sit on line k + 1 with index k; any other
-    file is refused (exit 2).  A missing file holds no records.
-    """
-    try:
-        with open(path, "rb") as handle:
-            lines = handle.read().split(b"\n")
-    except FileNotFoundError:
-        return []
-    rows: list[str] = []
-    size = 0
-    for number, line in enumerate(lines[:-1]):  # lines[-1] has no newline: torn or empty
-        try:
-            record = json.loads(line)
-        except ValueError:
-            continue
-        if number != len(rows) or not isinstance(record, dict) or record.get("index") != number:
-            raise SystemExit(f"ferroent: cannot resume {path!r}: line {len(rows) + 1} "
-                             f"is not record {len(rows)} of a sweep")
-        rows.append(summary_row(record))
-        size += len(line) + 1
-    with open(path, "r+b") as handle:
-        handle.truncate(size)
-    return rows
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -270,7 +221,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise SystemExit(f"ferroent: cannot read config: {err}") from err
     except (ValueError, KeyError, TypeError, json.JSONDecodeError) as err:
         raise SystemExit(f"ferroent: bad config {args.config!r}: {err}") from err
-    rows = _resume_point(args.output) if args.resume and args.output is not None else []
+    rows, maxima = resume_point(args.output, config) if args.resume and args.output else ([], [])
     skip = len(rows)
     output = open(args.output, "a" if skip else "w", encoding="utf-8") if args.output else None
     summary = open(args.summary, "w", encoding="utf-8") if args.summary else None
@@ -291,6 +242,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             output.close()
         if summary is not None:
             summary.close()
+    result.count(maxima)  # the statistics cover the kept records too
     print(
         "sweep: %d records, max raw concurrence %s, %d above threshold %s"
         % (result.records_written + skip, _FMT % result.max_concurrence,

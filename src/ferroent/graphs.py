@@ -70,10 +70,6 @@ class SpinGraph:
     def to_json(self) -> str:
         return json.dumps(self.to_dict())
 
-    @classmethod
-    def from_json(cls, text: str) -> "SpinGraph":
-        return cls.from_dict(json.loads(text))
-
 
 def make_graph(n_spins: int, couplings: list[tuple[int, int, float]]) -> SpinGraph:
     """Build a SpinGraph, summing parallel couplings onto one edge per pair.

@@ -5,8 +5,11 @@ isotropic exchange Hamiltonian commutes with total S^z, so it is block
 diagonal over the sectors of fixed up-spin count n_up.  Within a sector,
 states are ordered by ascending integer value; this ordering is part of
 the on-disk contract for exported eigenvectors.  Each sector is one
-ascending numpy mask array, and everything built on it (Hamiltonian
-blocks, pair entries) is derived with bit operations on that array.
+ascending numpy mask array, and everything built on it is derived with
+bit operations on that array.  Its Hamiltonian is assembled in one place,
+``sector_hops``, as a hop list; ``spectra`` fills its solve blocks from
+it, and ``build_sector_hamiltonian`` is its dense view, for tests and for
+``spectrum --dump-sector``.
 
 The global spin flip maps sector n_up onto sector N - n_up: the flipped
 sector's masks are the complements of this sector's masks in reverse
@@ -15,8 +18,7 @@ the flip keeps, so at zero field ``build_sector_hamiltonian(graph, N - k)``
 is exactly ``build_sector_hamiltonian(graph, k)[::-1, ::-1]``, bit for
 bit.  For even N the central sector k = N/2 is its own mirror: its block
 is centrosymmetric, which ``spectra`` uses to split it by flip parity.
-Only that central sector is ever diagonalized (see ``spectra``); the
-other blocks are built for tests and for ``spectrum --dump-sector``.
+Only that central sector is ever diagonalized (see ``spectra``).
 
 ``central_spin_basis`` gives the central sector an orthonormal basis of
 total-spin eigenvectors grouped by S, built from Clebsch-Gordan
@@ -66,44 +68,40 @@ def sector_basis(n_spins: int, n_up: int) -> SectorBasis:
     return SectorBasis(n_spins=n_spins, n_up=n_up, masks=states[ones == n_up])
 
 
-def build_sector_hamiltonian(
-    graph: SpinGraph,
-    n_up: int,
-    b_field: float = 0.0,
-    basis: SectorBasis | None = None,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """Dense symmetric matrix of the exchange + field Hamiltonian on one sector.
+def sector_hops(graph: SpinGraph, basis: SectorBasis) -> tuple[np.ndarray, ...]:
+    """The zero-field Hamiltonian of one sector: ``(diagonal, row, column, value)``.
 
-    Per edge (i, j, J): a basis state with spins i, j parallel takes +J/4 on
-    the diagonal; antiparallel takes -J/4 on the diagonal plus J/2 on the
-    off-diagonal linking it to the state with i, j swapped.  The field adds
-    B * (n_up - N/2) to every diagonal entry; a non-finite B raises
-    ValueError.  The result is exactly symmetric by construction.
-    ``basis`` passes the sector's basis when the caller has already
-    enumerated it; ``out``, a zero (dim, dim) array to write the matrix
-    into.
+    Per edge (i, j, J), a state with spins i, j parallel takes +J/4 on the
+    diagonal; antiparallel, -J/4 plus the hop H[row, column] = J/2 to the
+    state with i, j swapped.  Each (row, column) appears once.
     """
-    if not np.isfinite(b_field):
-        raise ValueError(f"the field must be finite, got {b_field}")
-    if basis is None:
-        basis = sector_basis(graph.n_spins, n_up)
     masks = basis.masks
-    dim = len(basis)
     sites = np.array([(i, j) for i, j, _ in graph.edges], dtype=np.int64).reshape(-1, 2)
     couplings = np.array([coupling for _, _, coupling in graph.edges], dtype=float)
     # antiparallel[e, k]: the spins of edge e differ in basis state k
     antiparallel = (((masks >> sites[:, :1]) ^ (masks >> sites[:, 1:])) & 1).astype(bool)
     quarter = 0.25 * couplings[:, None]
-    diagonal = np.full(dim, b_field * basis.sz)
+    diagonal = np.zeros(len(basis))
     for term in np.where(antiparallel, -quarter, quarter):
         diagonal += term  # edge by edge: a sum over axis 0 may add in another order
     edge, row = np.nonzero(antiparallel)
     flips = (1 << sites[:, 0]) | (1 << sites[:, 1])
     column = np.searchsorted(masks, masks[row] ^ flips[edge])
-    matrix = np.zeros((dim, dim)) if out is None else out
-    matrix[row, column] += 0.5 * couplings[edge]
-    matrix[np.diag_indices(dim)] += diagonal
+    return diagonal, row, column, 0.5 * couplings[edge]
+
+
+def build_sector_hamiltonian(graph: SpinGraph, n_up: int, b_field: float = 0.0) -> np.ndarray:
+    """Dense symmetric matrix of the exchange + field Hamiltonian on one sector.
+
+    The sector's ``sector_hops`` written out, plus B * (n_up - N/2) on the
+    diagonal; a non-finite B raises ValueError.  Exactly symmetric.
+    """
+    if not np.isfinite(b_field):
+        raise ValueError(f"the field must be finite, got {b_field}")
+    basis = sector_basis(graph.n_spins, n_up)
+    diagonal, row, column, value = sector_hops(graph, basis)
+    matrix = np.diag(diagonal + b_field * basis.sz)
+    matrix[row, column] += value
     return matrix
 
 

@@ -14,7 +14,8 @@ global spin flip maps the sector onto itself with its mask order
 reversed.  With A and C its upper-left and upper-right quarters it splits
 into the flip-parity blocks A + C[:, ::-1] and A - C[:, ::-1], whose
 eigenvectors x give the central ones [x; +x[::-1]] / sqrt(2) and
-[x; -x[::-1]] / sqrt(2).  Flip parity fixes S mod 2 at S^z = 0.
+[x; -x[::-1]] / sqrt(2).  Flip parity fixes S mod 2 at S^z = 0.  The
+blocks are filled from ``hilbert.sector_hops``; the dense H is never formed.
 
 H is solved in ``hilbert.central_spin_basis``, orthonormal columns built
 from Clebsch-Gordan coefficients and grouped by S: it is projected onto
@@ -38,7 +39,7 @@ from typing import Sequence
 import numpy as np
 
 from .graphs import SpinGraph
-from .hilbert import SectorBasis, build_sector_hamiltonian, central_spin_basis, sector_basis
+from .hilbert import SectorBasis, central_spin_basis, sector_basis, sector_hops
 
 N_SPINS_CAP = 14
 DEGENERACY_TOL = 1e-9
@@ -115,24 +116,30 @@ def eig_sym(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return eigenvalues, eigenvectors
 
 
-def _stacked_blocks(graphs: Sequence[SpinGraph], basis: SectorBasis) -> list[np.ndarray]:
-    """The flip-parity blocks (+, -) of every graph's central block for even N, each
-    stacked over the graphs as (G, dim / 2, dim / 2); the central blocks (G, dim, dim)
-    for odd N."""
-    n, dim = basis.n_spins, len(basis)
-    if n % 2:
-        stacked = np.zeros((len(graphs), dim, dim))
-        for graph, matrix in zip(graphs, stacked):
-            build_sector_hamiltonian(graph, n // 2, basis=basis, out=matrix)
-        return [stacked]
-    half = dim // 2
-    plus, minus = np.empty((2, len(graphs), half, half))
-    for k, graph in enumerate(graphs):
-        matrix = build_sector_hamiltonian(graph, n // 2, basis=basis)
-        upper, mirrored = matrix[:half, :half], matrix[:half, half:][:, ::-1]
-        np.add(upper, mirrored, out=plus[k])
-        np.subtract(upper, mirrored, out=minus[k])
-    return [plus, minus]
+def _stacked_blocks(graphs: Sequence[SpinGraph], basis: SectorBasis) -> np.ndarray:
+    """Every graph's central blocks, filled from all ``sector_hops`` at once, as (P, G, k, k).
+
+    Odd N: the central block, P = 1, k = dim.  Even N: the parity blocks
+    + and -, P = 2, k = dim / 2, from the hops out of the first k rows, with
+    a column c >= k folded onto dim - 1 - c and the block's sign.  An entry
+    gets at most one term of A and one of C: this is A +- C[:, ::-1] bit for bit.
+    """
+    dim = len(basis)
+    signs = (1.0,) if basis.n_spins % 2 else (1.0, -1.0)
+    size = dim // len(signs)
+    hops = [sector_hops(graph, basis) for graph in graphs]
+    member = np.repeat(np.arange(len(graphs)), [len(hop[1]) for hop in hops])  # each hop's graph
+    row, column, value = (np.concatenate(part) for part in list(zip(*hops))[1:])
+    kept = row < size
+    member, row, column, value = member[kept], row[kept], column[kept], value[kept]
+    folded = column >= size
+    column[folded] = dim - 1 - column[folded]
+    blocks = np.zeros((len(signs), len(graphs), size, size))
+    blocks[:, :, range(size), range(size)] += np.stack([hop[0][:size] for hop in hops])
+    for block, sign in zip(blocks, signs):
+        block[member[~folded], row[~folded], column[~folded]] += value[~folded]
+        block[member[folded], row[folded], column[folded]] += sign * value[folded]
+    return blocks
 
 
 def _symmetric(matrix: np.ndarray) -> np.ndarray:

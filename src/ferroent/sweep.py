@@ -179,11 +179,7 @@ class SweepConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SweepConfig":
-        known = {
-            "geometries", "n_values", "g1", "g2_values", "g3_values",
-            "t_grid", "b_grid", "pairs",
-        }
-        unknown = set(data) - known
+        unknown = set(data) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         kwargs = dict(data)
@@ -481,6 +477,8 @@ def _summary_format(geometry: str, n_spins: int, g1: float, g2: float, g3: float
     The record index, the ``_summary_point`` of (t, b) and the max raw
     concurrence go in.
     """
+    if any(char in geometry for char in ',"\r\n'):  # quoted as csv.writer quotes it
+        geometry = '"' + geometry.replace('"', '""') + '"'
     fixed = "%s,%d,%.17g,%.17g,%.17g" % (geometry, n_spins, g1, g2, g3)
     return "%d," + fixed.replace("%", "%%") + ",%s,%.17g\n"
 
@@ -596,6 +594,54 @@ class SweepResult:
     violations: int
     threshold: float
 
+    def count(self, maxima: Sequence[float]) -> None:
+        """Take records' max raw concurrences into the maximum and the violations."""
+        self.max_concurrence = max([self.max_concurrence, *maxima])
+        self.violations += sum(maximum > self.threshold for maximum in maxima)
+
+
+def resume_point(path: str, config: SweepConfig) -> tuple[list[str], list[float]]:
+    """The summary rows and max raw concurrences of the records already in a partial output.
+
+    A record is complete when its line ends in a newline and parses as
+    JSON; whatever follows the last complete record (a line torn by an
+    interrupted write) is truncated away, so appended records start on a
+    fresh line.  Record k must sit on line k + 1 with the grid point of
+    record k of ``config``, as the same JSON text, or ValueError is raised
+    before anything is truncated.  A missing file holds no records.
+    """
+    try:
+        with open(path, "rb") as handle:
+            lines = handle.read().split(b"\n")
+    except FileNotFoundError:
+        return [], []
+    keys = ("geometry", "n_spins", "g1", "g2", "g3", "t", "b")
+    points = enumerate(  # (index, (the keys' values)) of each record of the config
+        (batch.geometry_label, graph.n_spins, *couplings, t, b)
+        for batch in _expand_batches(config)
+        for graph, couplings in zip(batch.graphs, batch.couplings)
+        for t in batch.t_values
+        for b in batch.b_values
+    )
+    rows, maxima, size = [], [], 0
+    for number, line in enumerate(lines[:-1]):  # lines[-1] has no newline: torn or empty
+        try:
+            record = json.loads(line)
+        except ValueError:
+            continue
+        expected = json.dumps(next(points, None))  # as JSON text, so -1 and -1.0 differ
+        if number != len(rows) or not isinstance(record, dict) or expected != json.dumps(
+            (record.get("index"), tuple(map(record.get, keys)))
+        ):
+            raise ValueError(f"cannot resume {path!r}: line {len(rows) + 1} "
+                             f"is not record {len(rows)} of this config's sweep")
+        rows.append(summary_row(record))
+        maxima.append(record["max_concurrence"])
+        size += len(line) + 1
+    with open(path, "r+b") as handle:
+        handle.truncate(size)
+    return rows, maxima
+
 
 def run_sweep(
     config: SweepConfig,
@@ -618,7 +664,8 @@ def run_sweep(
     The summary gets its header only when nothing is skipped; a resumed
     summary continues the rows of the skipped records.  The returned
     statistics cover only the records written by this call and come from
-    each record's max raw concurrence.  A "violation" is a record whose
+    each record's max raw concurrence; ``SweepResult.count`` adds those of
+    the skipped records (see ``resume_point``).  A "violation" is a record whose
     max raw concurrence exceeds the threshold.  A batch with a non-finite
     raw concurrence raises ValueError before any of its records is
     written.
@@ -643,8 +690,7 @@ def run_sweep(
                 lines, rows, maxima = lines[cut:], rows[cut:], maxima[cut:]
                 if not lines:
                     continue
-            state.max_concurrence = max(state.max_concurrence, *maxima)
-            state.violations += sum(maximum > threshold for maximum in maxima)
+            state.count(maxima)
             if output is not None:
                 output.write("".join(lines))
             if summary is not None:

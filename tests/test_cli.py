@@ -333,6 +333,70 @@ class TestSweepCommand:
         assert "line 1 is not record 0" in capsys.readouterr().err
         assert results.read_text() == shuffled
 
+    def test_resume_refuses_another_config(self, tmp_path, capsys):
+        # two ring N = 4 records and a torn third, resumed with an open N = 5 config
+        config = tmp_path / "sweep.json"
+        config.write_text(json.dumps({
+            "geometries": [{"kind": "ring"}], "n_values": [4], "t_grid": [0.0, 1.0, 2.0],
+        }))
+        results = tmp_path / "out.jsonl"
+        assert run_cli("sweep", "--config", str(config), "--output", str(results)) == 0
+        partial = b"".join(results.read_bytes().splitlines(keepends=True)[:2]) + b'{"index": 2'
+        results.write_bytes(partial)
+        other = tmp_path / "other.json"
+        other.write_text(json.dumps({
+            "geometries": [{"kind": "open"}], "n_values": [5], "t_grid": [0.0, 1.0, 2.0],
+        }))
+        capsys.readouterr()
+        code = run_cli("sweep", "--config", str(other), "--output", str(results), "--resume")
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "line 1 is not record 0 of this config's sweep" in captured.err
+        assert "records" not in captured.out
+        assert results.read_bytes() == partial
+
+    @pytest.mark.parametrize(
+        "field, value", [("t", 2.0), ("g2", -0.5), ("n_spins", 5), ("g1", -1)]
+    )
+    def test_resume_refuses_a_moved_grid_point(self, tmp_path, capsys, field, value):
+        # record 1 is at t = 1.0, g1 = -1.0, g2 = 0.0 and n_spins = 4; an int
+        # g1 = -1 is the same number but not the same text
+        config = tmp_path / "sweep.json"
+        config.write_text(json.dumps({
+            "geometries": [{"kind": "ring"}], "n_values": [4], "t_grid": [0.0, 1.0],
+        }))
+        results = tmp_path / "out.jsonl"
+        assert run_cli("sweep", "--config", str(config), "--output", str(results)) == 0
+        first, second = results.read_text().splitlines(keepends=True)
+        record = json.loads(second)
+        record[field] = value
+        edited = first + json.dumps(record) + "\n"
+        results.write_text(edited)
+        code = run_cli("sweep", "--config", str(config), "--output", str(results), "--resume")
+        assert code == 2
+        assert "line 2 is not record 1" in capsys.readouterr().err
+        assert results.read_text() == edited
+
+    def test_resumed_statistics_cover_the_whole_file(self, tmp_path, capsys):
+        # an antiferromagnetic dimer is entangled at T = 0 only: record 0
+        # is the one above threshold, and a resume after it must still count it
+        graph = tmp_path / "dimer.json"
+        graph.write_text(json.dumps({"n": 2, "edges": [[0, 1, 1.0]]}))
+        config = tmp_path / "sweep.json"
+        config.write_text(json.dumps({
+            "geometries": [{"kind": "file", "path": str(graph)}], "t_grid": [0.0, 2.0],
+        }))
+        results = tmp_path / "out.jsonl"
+        sweep = ["sweep", "--config", str(config), "--output", str(results), "--assert-zero"]
+        capsys.readouterr()
+        assert run_cli(*sweep) == 1
+        complete, line = results.read_bytes(), capsys.readouterr().out
+        assert "1 above threshold" in line
+        results.write_bytes(complete.splitlines(keepends=True)[0])
+        assert run_cli(*sweep, "--resume") == 1
+        assert capsys.readouterr().out == line
+        assert results.read_bytes() == complete
+
     def test_negative_temperature_writes_nothing(self, tmp_path, capsys):
         config = tmp_path / "sweep.json"
         config.write_text(json.dumps({
@@ -555,6 +619,28 @@ def test_cli_import_leaves_the_process_pool_out():
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                             env=env, check=True)
     assert result.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("command", [
+    ["graph", "--ring", "5", "--g2", "-0.5"],
+    ["spectrum", "--ring", "4"],
+    ["spectrum", "--chain", "4", "--dump-sector", "2"],
+    ["rdm", "--ring", "4", "--pair", "0", "2", "-T", "1"],
+    ["analytic", "--n", "4"],
+    ["analytic", "--n", "6", "--zone"],
+    ["figures", "1", "--n", "5"],
+    ["figures", "2", "--n-max", "6"],
+])
+def test_file_output_is_the_stdout_text(tmp_path, capsys, command):
+    # one opener for every command: a file gets the bytes stdout gets, and
+    # stdout ("-" or no --output) is left open
+    target = tmp_path / "out.txt"
+    assert run_cli(*command, "--output", str(target)) == 0
+    assert run_cli(*command, "--output", "-") == 0
+    assert run_cli(*command) == 0
+    text = capsys.readouterr().out
+    assert text == 2 * target.read_text(encoding="utf-8") and text
+    assert not sys.stdout.closed
 
 
 class TestBrokenPipe:

@@ -9,6 +9,7 @@ from ferroent.hilbert import (
     build_sector_hamiltonian,
     central_spin_basis,
     sector_basis,
+    sector_hops,
 )
 from oracles import dicke_vector, kron_hamiltonian, permutation_hamiltonian, sector_block
 
@@ -88,6 +89,19 @@ class TestBuildHamiltonian:
             basis = sector_basis(6, n_up)
             h = build_sector_hamiltonian(g, n_up, 0.4)
             assert np.max(np.abs(h - sector_block(full, basis))) < 1e-13
+
+    def test_hop_list_holds_each_entry_once_with_its_transpose(self):
+        g = make_graph(6, [(0, 1, -1.0), (1, 2, 0.5), (0, 4, -2.0), (3, 5, 1.5)])
+        for n_up in range(7):
+            basis = sector_basis(6, n_up)
+            diagonal, row, column, value = sector_hops(g, basis)
+            entries = dict(zip(zip(row.tolist(), column.tolist()), value.tolist()))
+            assert len(entries) == len(row)
+            assert all(entries[c, r] == v for (r, c), v in entries.items())
+            assert all(r != c for r, c in entries)
+            h = build_sector_hamiltonian(g, n_up)
+            assert np.array_equal(np.diag(h), diagonal)
+            assert np.count_nonzero(h - np.diag(diagonal)) == len(row)
 
     def test_flip_symmetry_at_zero_field(self):
         g = random_graph(6, 0.5, (-2.0, -0.3), seed=4)

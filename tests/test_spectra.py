@@ -386,3 +386,37 @@ def test_zero_field_pair_states_are_werner_states(name, g):
         c = gamma + zz
         for residual in (alpha - epsilon, beta - delta, gamma - (alpha - beta), zz - c / 3.0):
             assert np.max(np.abs(residual)) <= 1e-13
+
+
+def _block_graphs(n, seed):
+    """Seeded graphs of N spins: mixed-sign dense, ferromagnetic split into two
+    components, and edge-free."""
+    rng = np.random.default_rng(seed)
+    mixed = [(a, b, float(rng.uniform(-2.0, 1.5)))
+             for a in range(n) for b in range(a + 1, n) if rng.random() < 0.5]
+    half = n // 2
+    split = [(a, b, float(rng.uniform(-2.0, -0.2)))
+             for a in range(n) for b in range(a + 1, n)
+             if (a < half) == (b < half) and rng.random() < 0.7]
+    return [make_graph(n, mixed), make_graph(n, split), make_graph(n, [])]
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_stacked_blocks_are_the_dense_central_block_bit_for_bit(n):
+    # the hop-list fill of one batch against the dense view: the central
+    # block for odd N, and A + C[:, ::-1], A - C[:, ::-1] of its quarters
+    # for even N (at N = 2 and 4 a folded hop of C lands on an entry of A)
+    graphs = _block_graphs(n, seed=100 + n) + [ring_chain(ChainParams(n_spins=n, g1=-1.0, g2=0.5))]
+    basis = sector_basis(n, n // 2)
+    blocks = ferroent.spectra._stacked_blocks(graphs, basis)
+    half = len(basis) // 2
+    for k, g in enumerate(graphs):
+        h = build_sector_hamiltonian(g, n // 2)
+        if n % 2:
+            assert blocks.shape == (1, len(graphs), len(basis), len(basis))
+            assert np.array_equal(blocks[0, k], h)
+            continue
+        upper, mirrored = h[:half, :half], h[:half, half:][:, ::-1]
+        assert blocks.shape == (2, len(graphs), half, half)
+        assert np.array_equal(blocks[0, k], upper + mirrored)
+        assert np.array_equal(blocks[1, k], upper - mirrored)

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import io
 import json
@@ -246,7 +247,9 @@ class TestRunSweep:
 def _encoder_configs(tmp_path):
     """Configs whose record text the JSON encoder must reproduce exactly."""
     graph_path = tmp_path / 'g 100%s %d "q" \u00e9.json'
-    save_graph(make_graph(3, [(0, 1, -1.0), (1, 2, -0.5)]), str(graph_path))
+    comma_path = tmp_path / "a,b.json"
+    for path in (graph_path, comma_path):
+        save_graph(make_graph(3, [(0, 1, -1.0), (1, 2, -0.5)]), str(path))
     return {
         "int couplings": {"geometries": [{"kind": "ring"}, {"kind": "open"}], "n_values": [4],
                           "g1": -1, "g2_values": [0, -2], "g3_values": [0],
@@ -258,13 +261,19 @@ def _encoder_configs(tmp_path):
                         "pairs": [[0, 1], [3, 1], [2, 4]]},
         "file path": {"geometries": [{"kind": "file", "path": str(graph_path)}],
                       "t_grid": [0.0, 0.7], "b_grid": [0.0, 0.3]},
+        "comma path": {"geometries": [{"kind": "file", "path": str(comma_path)}],
+                       "t_grid": [0.0, 0.7], "b_grid": [0.0]},
     }
 
 
-@pytest.mark.parametrize("name", ["int couplings", "explicit grids", "pair subset", "file path"])
+ENCODER_CONFIGS = ["int couplings", "explicit grids", "pair subset", "file path", "comma path"]
+
+
+@pytest.mark.parametrize("name", ENCODER_CONFIGS)
 def test_written_text_is_the_json_encoders(tmp_path, name):
     # the line layout is the on-disk contract: each line must be the
-    # json.dumps of its own record and each CSV row that record's summary_row
+    # json.dumps of its own record and each CSV row that record's summary_row,
+    # which csv.reader reads back as the record's nine fields
     config = SweepConfig.from_dict(_encoder_configs(tmp_path)[name])
     _, output, summary = run_to_strings(config)
     lines = output.splitlines(keepends=True)
@@ -275,6 +284,10 @@ def test_written_text_is_the_json_encoders(tmp_path, name):
         record = json.loads(line)
         assert json.dumps(record) + "\n" == line
         assert summary_row(record) == row
+        [fields] = csv.reader([row])
+        assert fields[:3] == [str(record["index"]), record["geometry"], str(record["n_spins"])]
+        keys = ("g1", "g2", "g3", "t", "b", "max_concurrence")
+        assert [float(field) for field in fields[3:]] == [record[key] for key in keys]
     record = json.loads(lines[-1])
     if name == "int couplings":
         assert (record["g1"], record["g2"]) == (-1, -2)
@@ -283,7 +296,8 @@ def test_written_text_is_the_json_encoders(tmp_path, name):
         assert [pair[:2] for pair in record["pairs"]] == [[0, 1], [3, 1], [2, 4]]
     if name == "file path":
         assert record["geometry"] == "file:" + config.geometries[0].path
-        assert rows[-1].startswith(f"{record['index']},file:{config.geometries[0].path},3,")
+        quoted = config.geometries[0].path.replace('"', '""')  # the path holds quotes
+        assert rows[-1].startswith(f'{record["index"]},"file:{quoted}",3,')
 
 
 def _split_records(text):
