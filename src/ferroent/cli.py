@@ -33,6 +33,7 @@ from .spectra import energy_gap, full_spectrum
 from .sweep import (
     RAW_CONCURRENCE_THRESHOLD,
     SUMMARY_HEADER,
+    WINDOW_GAP_RATIO_MIN,
     GraphThermalEngine,
     SweepConfig,
     builtin_graph_set,
@@ -296,6 +297,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         if not report.preconditions_ok:
             print("       precondition failure: ferromagnetic=%s connected=%s"
                   % (report.ferromagnetic, report.connected))
+        ratio = report.window_gap_ratio
+        if report.check == "degeneracy" and ratio is not None and ratio < WINDOW_GAP_RATIO_MIN:
+            print("       window gap failure: the next level is %.3g window widths above E0, "
+                  "below %g" % (ratio, WINDOW_GAP_RATIO_MIN))
     for scan in scans:
         status = "PASS" if scan["passed"] else "FAIL"
         print("[%s] sweep-zero %s: clean up to T=%s of %s"

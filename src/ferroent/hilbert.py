@@ -57,15 +57,21 @@ class SectorBasis:
         return self.n_up - 0.5 * self.n_spins
 
 
+@lru_cache(maxsize=None)
 def sector_basis(n_spins: int, n_up: int) -> SectorBasis:
-    """Enumerate the n_up sector in ascending mask order."""
+    """Enumerate the n_up sector in ascending mask order.
+
+    Cached per (N, n_up), like ``central_spin_basis``; the masks are read-only.
+    """
     if not (0 <= n_up <= n_spins):
         raise ValueError(f"n_up must be in [0, {n_spins}], got {n_up}")
     states = np.arange(1 << n_spins, dtype=np.int64)
     ones = np.zeros_like(states)
     for bit in range(n_spins):
         ones += (states >> bit) & 1
-    return SectorBasis(n_spins=n_spins, n_up=n_up, masks=states[ones == n_up])
+    masks = states[ones == n_up]
+    masks.flags.writeable = False
+    return SectorBasis(n_spins=n_spins, n_up=n_up, masks=masks)
 
 
 def sector_hops(graph: SpinGraph, basis: SectorBasis) -> tuple[np.ndarray, ...]:

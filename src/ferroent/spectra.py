@@ -3,11 +3,11 @@
 Every Hamiltonian here is isotropic exchange: it commutes with total S^2,
 so each eigenstate is a member |S, M> of a spin multiplet, and each
 multiplet has exactly one member in the central sector n_up = N // 2
-(S^z = 0 for even N, -1/2 for odd N).  ``full_spectrum`` therefore builds
-and diagonalizes that one block; ``full_spectra`` does it for a batch of
-graphs of one N at once, with one ``eigh`` call per S for all of them,
-and ``full_spectrum`` is its batch of one.  Sector n_up holds the central levels
-with S >= |n_up - N/2|, at the same energies; a field B adds B * S^z.
+(S^z = 0 for even N, -1/2 for odd N).  ``central_stream`` therefore
+builds and diagonalizes that one block, for a batch of graphs of one N
+at once, with one ``eigh`` call per S for all of them; ``full_spectrum``
+is its batch of one.  Sector n_up holds the central levels with
+S >= |n_up - N/2|, at the same energies; a field B adds B * S^z.
 
 For even N the central block is centrosymmetric, H == H[::-1, ::-1]: the
 global spin flip maps the sector onto itself with its mask order
@@ -20,10 +20,18 @@ blocks are filled from ``hilbert.sector_hops``; the dense H is never formed.
 H is solved in ``hilbert.central_spin_basis``, orthonormal columns built
 from Clebsch-Gordan coefficients and grouped by S: it is projected onto
 each group (within its parity block for even N) and diagonalized there,
-one ``eigh`` per S over the batch's stack, so every eigenvector is pure-S by construction and
-takes its group's S as its label.  The label is checked on the returned
-columns: <S^2> = |S^+ v|^2 + M(M + 1) must be within SPIN_LABEL_TOL of
-S(S+1).
+one ``eigh`` per S over the batch's stack, so every eigenvector is pure-S
+by construction and takes its group's S as its label.
+
+The eigenvectors are never held all at once.  ``central_stream`` carries
+them back in chunks of whole S groups, at most _CHUNK_ELEMENTS entries
+each (one chunk up to N = 11, four at N = 12, about one per S at
+N = 13 and 14), checks each chunk's labels, <S^2> =
+|S^+ v|^2 + M(M + 1) within SPIN_LABEL_TOL of S(S+1), and hands it to a
+consumer before it carries back the next: the thermal engine reduces
+each chunk to pair entries, and ``full_spectrum`` drops it.  So a
+``CentralSpectrum`` holds levels, spin labels and residuals, and no
+eigenvectors.
 
 The ground multiplet is identified from a flat array of energies by one
 rule, ``ground_window``; the thermal engine, the gap report and the
@@ -34,7 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from math import comb
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -47,6 +55,7 @@ SPIN_LABEL_TOL = 1e-6
 
 _SYMMETRY_TOL = 1e-14
 _GATHER_ELEMENTS = 1 << 20  # entries of S^+ V formed at once by the spin check
+_CHUNK_ELEMENTS = 1 << 18  # eigenvector entries carried back at once, unless one S group has more
 
 
 class SpinLabelError(RuntimeError):
@@ -57,18 +66,18 @@ class SpinLabelError(RuntimeError):
 class CentralSpectrum:
     """The central S^z block, solved at zero field, and the sectors it gives.
 
-    ``eigenvalues`` ascend; column k of ``eigenvectors`` is a state of spin
-    ``spins[k]``.  ``sector_columns[n_up]`` lists, ascending, the columns
-    whose multiplet reaches sector n_up; ``spin_residual`` is
-    max |<S^2> - S(S+1)| over the columns.  A batch of G graphs
-    (``full_spectra``) has a graph axis in every array: eigenvalues,
-    spins and sector columns are (G, ...), the eigenvectors (dim, G, dim),
+    It holds no eigenvectors: those go out chunk by chunk from
+    ``central_stream`` and are not kept.  ``eigenvalues`` ascend; level k
+    is a state of spin ``spins[k]``.  ``sector_columns[n_up]`` lists,
+    ascending, the levels whose multiplet reaches sector n_up;
+    ``spin_residual`` is max |<S^2> - S(S+1)| over the central
+    eigenvectors.  A batch of G graphs (``central_stream``) has a graph axis
+    in every array: eigenvalues, spins and sector columns are (G, ...),
     and the residuals (G,); ``member`` picks one graph's spectrum.
     """
 
     basis: SectorBasis
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
     spins: np.ndarray
     spin_residual: float | np.ndarray
     sector_columns: tuple[np.ndarray, ...]
@@ -79,7 +88,6 @@ class CentralSpectrum:
         return replace(
             self,
             eigenvalues=self.eigenvalues[k],
-            eigenvectors=self.eigenvectors[:, k],
             spins=self.spins[k],
             spin_residual=float(self.spin_residual[k]),
             sector_columns=tuple(columns[k] for columns in self.sector_columns),
@@ -146,72 +154,32 @@ def _symmetric(matrix: np.ndarray) -> np.ndarray:
     return 0.5 * (matrix + matrix.swapaxes(-1, -2))
 
 
-def _central_eigenpairs(
-    graphs: Sequence[SpinGraph], basis: SectorBasis
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each graph's central eigenvalues (G, dim), ascending, eigenvectors and spins.
-
-    The eigenvectors are (dim, G, dim), the spins (G, dim).
-
-    H is projected onto each spin-S block of ``central_spin_basis`` (for
-    even N, the flip-parity block of that S), and the projections of all
-    graphs are diagonalized by one ``eig_sym`` call per S; the
-    eigenvectors are carried back, and a column's S is its block's.
-    Every step acts on each graph's matrices alone, as for one graph.
-    """
-    n, half = basis.n_spins, len(basis) // 2
-    blocks = _stacked_blocks(graphs, basis)
-    spin_blocks = central_spin_basis(n)
-    # the block of each S: for even N its flip parity (-1)^(N/2 - S), 0 for + and 1 for -
-    parities = [0 if n % 2 else int(n // 2 - spin) % 2 for spin, _ in spin_blocks]
-    solved = [
-        eig_sym(_symmetric(columns.T @ (blocks[parity] @ columns)))
-        for parity, (_, columns) in zip(parities, spin_blocks)
-    ]
-    del blocks  # free the parity blocks before the eigenvectors are assembled
-    eigenvalues = np.concatenate([values for values, _ in solved], axis=1)
-    spins = np.repeat([spin for spin, _ in spin_blocks], [values.shape[1] for values, _ in solved])
-    order = np.argsort(eigenvalues, axis=1, kind="stable")
-    destination = np.argsort(order, axis=1) + len(basis) * np.arange(len(graphs))[:, None]
-    # the batch's eigenvectors side by side: column k of graph j is column j * dim + k
-    eigenvectors = np.empty((len(basis), len(graphs), len(basis)))
-    side_by_side = eigenvectors.reshape(len(basis), -1)
-    start = 0
-    for parity, (_, columns), (values, turn) in zip(parities, spin_blocks, solved):
-        targets = destination[:, start : start + values.shape[1]]
-        start += values.shape[1]
-        vectors = (columns @ turn).transpose(1, 0, 2)  # (rows, G, k)
-        if n % 2:
-            side_by_side[:, targets] = vectors
-            continue
-        vectors *= np.sqrt(0.5)
-        side_by_side[:half, targets] = vectors
-        if parity:
-            np.negative(vectors, out=vectors)
-        side_by_side[half:, targets] = vectors[::-1]
-    return np.sort(eigenvalues, axis=1, kind="stable"), eigenvectors, spins[order]
-
-
-def _spin_residual(basis: SectorBasis, vectors: np.ndarray, spins: np.ndarray) -> np.ndarray:
-    """max |<S^2> - S(S+1)| over each graph's columns, with <S^2> = |S^+ v|^2 + M(M + 1).
-
-    ``vectors`` is (dim, G, dim) and ``spins`` (G, dim); returns (G,).
-    S^+ v is one gather-sum into the sector above: each of its masks
-    collects the central masks with one of its up spins lowered.
-    """
-    n, m = basis.n_spins, basis.sz
-    vectors = vectors.reshape(len(basis), -1)
+def _raise_rows(basis: SectorBasis) -> np.ndarray:
+    """(masks above, n_up + 1): the rows of each mask above with one of its up spins lowered."""
+    n = basis.n_spins
     above = sector_basis(n, basis.n_up + 1).masks
     bits = 1 << np.arange(n)
     lowered = above[:, None] ^ bits
     rows = np.searchsorted(basis.masks, lowered[(above[:, None] & bits) != 0])
-    rows = rows.reshape(len(above), basis.n_up + 1)
+    return rows.reshape(len(above), basis.n_up + 1)
+
+
+def _spin_residual(
+    basis: SectorBasis, raise_rows: np.ndarray, vectors: np.ndarray, spins: np.ndarray
+) -> np.ndarray:
+    """max |<S^2> - S(S+1)| over each graph's columns, with <S^2> = |S^+ v|^2 + M(M + 1).
+
+    ``vectors`` is (dim, G * k), graph by graph, and ``spins`` (G, k);
+    returns (G,).  S^+ v is one gather-sum into the sector above over
+    ``_raise_rows``.
+    """
+    m = basis.sz
     squares = np.empty(vectors.shape[1])
-    step = max(1, _GATHER_ELEMENTS // len(above))
+    step = max(1, _GATHER_ELEMENTS // len(raise_rows))
     for start in range(0, vectors.shape[1], step):
         block = np.ascontiguousarray(vectors[:, start : start + step])
-        raised = block[rows[:, 0]]
-        for row in rows.T[1:]:
+        raised = block[raise_rows[:, 0]]
+        for row in raise_rows.T[1:]:
             raised += block[row]
         np.square(raised, out=raised)
         # a pairwise sum along rows: down the columns, ring 14 gained 3.9e-12 of rounding
@@ -220,16 +188,29 @@ def _spin_residual(basis: SectorBasis, vectors: np.ndarray, spins: np.ndarray) -
     return np.max(np.abs(squares + m * (m + 1.0) - spins * (spins + 1.0)), axis=1)
 
 
-def full_spectra(graphs: Sequence[SpinGraph], b_field: float = 0.0) -> CentralSpectrum:
-    """The spectra of a batch of graphs of one spin count N <= N_SPINS_CAP, solved together.
+def central_stream(
+    graphs: Sequence[SpinGraph],
+    b_field: float,
+    consume: Callable[[np.ndarray, np.ndarray], None],
+) -> CentralSpectrum:
+    """Solve a batch's central blocks and hand their eigenvectors to ``consume``, chunk by chunk.
 
-    Every array of the result has a leading graph axis (see
-    ``CentralSpectrum``); ``full_spectrum`` is the batch of one.  The
-    central blocks are diagonalized at zero field, one spin-S block at a
-    time for all graphs at once.  Raises ValueError for a non-finite field
-    or mixed spin counts, and SpinLabelError if a column's <S^2> is off
-    its label by more than SPIN_LABEL_TOL or a sector would not get
-    C(N, n_up) levels.
+    H is projected onto each spin-S block of ``central_spin_basis`` (for
+    even N, the flip-parity block of that S), and the projections of all
+    graphs are diagonalized by one ``eig_sym`` call per S; a column's S
+    is its block's.  Every step acts on each graph's matrices alone, as
+    for one graph.  The eigenvectors are then carried back in chunks of
+    whole S groups, at most _CHUNK_ELEMENTS entries each unless one group
+    is larger: each chunk is spin-checked and passed as ``consume(positions,
+    vectors)``, with ``vectors`` (dim, G * k), graph by graph, and
+    ``positions`` (G * k) the columns' places in the batch's energy-sorted
+    columns side by side (column k of graph j is j * dim + k).  No chunk
+    is kept: the sorted eigenvector matrix is never formed.
+
+    Returns the batch's ``CentralSpectrum``.  Raises ValueError for mixed
+    spin counts, N > N_SPINS_CAP or a non-finite field, and SpinLabelError
+    if a column's <S^2> is off its label by more than SPIN_LABEL_TOL or a
+    sector would not get C(N, n_up) levels.
     """
     n = graphs[0].n_spins
     if any(graph.n_spins != n for graph in graphs):
@@ -239,27 +220,78 @@ def full_spectra(graphs: Sequence[SpinGraph], b_field: float = 0.0) -> CentralSp
     if not np.isfinite(b_field):
         raise ValueError(f"the field must be finite, got {b_field}")
     basis = sector_basis(n, n // 2)
-    eigenvalues, eigenvectors, spins = _central_eigenpairs(graphs, basis)
-    residuals = _spin_residual(basis, eigenvectors, spins)
-    if residuals.max() > SPIN_LABEL_TOL:
-        raise SpinLabelError(
-            f"<S^2> of a central eigenvector is {residuals.max():.3g} away from its S(S+1) "
-            f"(tolerance {SPIN_LABEL_TOL:g})"
-        )
+    dim, half, count = len(basis), len(basis) // 2, len(graphs)
+    blocks = _stacked_blocks(graphs, basis)
+    spin_blocks = central_spin_basis(n)
+    # the block of each S: for even N its flip parity (-1)^(N/2 - S), 0 for + and 1 for -
+    parities = [0 if n % 2 else int(n // 2 - spin) % 2 for spin, _ in spin_blocks]
+    solved = [
+        eig_sym(_symmetric(columns.T @ (blocks[parity] @ columns)))
+        for parity, (_, columns) in zip(parities, spin_blocks)
+    ]
+    del blocks  # free the parity blocks before the eigenvectors are carried back
+    eigenvalues = np.concatenate([values for values, _ in solved], axis=1)
+    spins = np.repeat([spin for spin, _ in spin_blocks], [values.shape[1] for values, _ in solved])
+    order = np.argsort(eigenvalues, axis=1, kind="stable")
+    positions = np.argsort(order, axis=1) + dim * np.arange(count)[:, None]
+    spins = spins[order]
+    raise_rows = _raise_rows(basis)
+    residuals = np.zeros(count)
+    # (parity, columns, rotation) per S; each rotation is dropped once carried back
+    groups = [(parity, columns, turn)
+              for parity, (_, columns), (_, turn) in zip(parities, spin_blocks, solved)]
+    del solved
+    start = 0
+    while groups:
+        # whole S groups while the chunk stays within the budget, and one at least
+        chunk = [groups.pop(0)]
+        width = chunk[0][2].shape[-1]
+        while groups and dim * count * (width + groups[0][2].shape[-1]) <= _CHUNK_ELEMENTS:
+            width += groups[0][2].shape[-1]
+            chunk.append(groups.pop(0))
+        # the chunk's columns in energy order: graph j's go to j * width + their rank
+        chunk_positions = positions[:, start : start + width]
+        places = np.sort(chunk_positions, axis=1)
+        ranks = np.argsort(np.argsort(chunk_positions, axis=1), axis=1)
+        ranks += width * np.arange(count)[:, None]
+        vectors = np.empty((dim, count * width))
+        offset = 0
+        for parity, columns, turn in chunk:
+            targets = ranks[:, offset : offset + turn.shape[-1]]
+            offset += turn.shape[-1]
+            carried = (columns @ turn).transpose(1, 0, 2)  # (rows, G, k)
+            if n % 2:
+                vectors[:, targets] = carried
+                continue
+            carried *= np.sqrt(0.5)
+            vectors[:half, targets] = carried
+            if parity:
+                np.negative(carried, out=carried)
+            vectors[half:, targets] = carried[::-1]
+        del chunk, carried
+        residual = _spin_residual(basis, raise_rows, vectors, spins.reshape(-1)[places])
+        if residual.max() > SPIN_LABEL_TOL:
+            raise SpinLabelError(
+                f"<S^2> of a central eigenvector is {residual.max():.3g} away from its S(S+1) "
+                f"(tolerance {SPIN_LABEL_TOL:g})"
+            )
+        np.maximum(residuals, residual, out=residuals)
+        consume(places.reshape(-1), vectors)
+        del vectors
+        start += width
     sector_columns = []
     for n_up in range(n + 1):
         # each graph's spins are a permutation of the same labels, so of the same count
         columns = np.nonzero(2.0 * spins >= abs(2 * n_up - n))[1]
-        if len(columns) != len(graphs) * comb(n, n_up):
+        if len(columns) != count * comb(n, n_up):
             raise SpinLabelError(
-                f"the spin labels give sector n_up={n_up} {len(columns) // len(graphs)} levels, "
+                f"the spin labels give sector n_up={n_up} {len(columns) // count} levels, "
                 f"expected C({n}, {n_up}) = {comb(n, n_up)}"
             )
-        sector_columns.append(columns.reshape(len(graphs), -1))
+        sector_columns.append(columns.reshape(count, -1))
     return CentralSpectrum(
         basis=basis,
-        eigenvalues=eigenvalues,
-        eigenvectors=eigenvectors,
+        eigenvalues=np.sort(eigenvalues, axis=1, kind="stable"),
         spins=spins,
         spin_residual=residuals,
         sector_columns=tuple(sector_columns),
@@ -270,9 +302,13 @@ def full_spectra(graphs: Sequence[SpinGraph], b_field: float = 0.0) -> CentralSp
 def full_spectrum(graph: SpinGraph, b_field: float = 0.0) -> CentralSpectrum:
     """The spectrum of every S^z sector of one graph from one solve of its central sector.
 
-    A batch of one (``full_spectra``), with the graph axis dropped.
+    ``central_stream`` for a batch of one, whose eigenvector chunks are
+    spin-checked and dropped, with the graph axis dropped.  Raises
+    ValueError for N > N_SPINS_CAP or a non-finite field, and
+    SpinLabelError if a column's <S^2> is off its label by more than
+    SPIN_LABEL_TOL or a sector would not get C(N, n_up) levels.
     """
-    return full_spectra([graph], b_field).member(0)
+    return central_stream([graph], b_field, lambda positions, vectors: None).member(0)
 
 
 def ground_window(energies: np.ndarray) -> np.ndarray:
@@ -286,6 +322,20 @@ def ground_window(energies: np.ndarray) -> np.ndarray:
     e_min = np.minimum.reduce(energies, axis=-1, keepdims=True)
     span = np.maximum.reduce(energies, axis=-1, keepdims=True) - e_min
     return energies <= e_min + DEGENERACY_TOL * np.maximum(span, 1.0)
+
+
+def window_gap_ratio(energies: np.ndarray) -> float | None:
+    """(first level above the ground window - E0) / window width, for one graph's flat energies.
+
+    The width is ``ground_window``'s DEGENERACY_TOL * max(1, spectral
+    range).  A small ratio means a level sits close enough to the window
+    that a little more spread would have absorbed it; None if no level
+    lies above the window.
+    """
+    e_min = float(energies.min())
+    width = DEGENERACY_TOL * max(float(energies.max()) - e_min, 1.0)
+    above = energies[~ground_window(energies)]
+    return (float(above.min()) - e_min) / width if above.size else None
 
 
 def energy_gap(spectrum: CentralSpectrum) -> float:

@@ -78,11 +78,13 @@ from .graphs import (
     ring_chain,
     star_graph,
 )
+from .hilbert import sector_basis
 from .rdm import eigenstate_pair_entries
-from .spectra import full_spectra, ground_window
+from .spectra import central_stream, ground_window, window_gap_ratio
 
 RAW_CONCURRENCE_THRESHOLD = 1e-12
 UNIVERSAL_RDM_TOL = 1e-10
+WINDOW_GAP_RATIO_MIN = 100.0  # least (next level - E0) / ground-window width
 
 _POINTS_PER_CONTRACTION = 256
 _BATCH_ENTRIES = 1 << 17  # entry-stack elements (pairs x 2^N x 5) of one sweep batch
@@ -242,11 +244,11 @@ class GraphThermalEngine:
     one graph or for a batch of graphs of one spin count, and for the pairs
     it reports (all pairs of the graph by default).  The central S^z
     sectors are diagonalized once at zero field, a batch's together
-    (``full_spectra``); a field B only shifts each level by B * S^z and
-    leaves eigenvectors untouched, so thermal weights at any (T, B) reuse
-    the same spectrum.  Temperature is in coupling units (Boltzmann
-    constant 1); T = 0 is the uniform mixture over the ground window of
-    ``spectra.ground_window``, not a limit of Boltzmann factors.
+    (``spectra.central_stream``); a field B only shifts each level by
+    B * S^z and leaves eigenvectors untouched, so thermal weights at any
+    (T, B) reuse the same spectrum.  Temperature is in coupling units
+    (Boltzmann constant 1); T = 0 is the uniform mixture over the ground
+    window of ``spectra.ground_window``, not a limit of Boltzmann factors.
 
     The flat layout runs sector by sector, n_up = 0..N, ascending within
     each sector: ``energies``, ``sz`` = M = n_up - N/2, the spin label
@@ -260,8 +262,12 @@ class GraphThermalEngine:
     still computed from its own graph alone.
 
     The central sector's entries are gathered from its eigenvectors, a
-    batch's side by side in one call; every other member |S, M> of a
-    multiplet gets its entries from the central member's pair correlations
+    batch's side by side, as ``spectra.central_stream`` hands them over one
+    chunk of S groups at a time: each chunk is reduced to its entries for
+    the engine's pairs, c, zz and <S . S_a>, written to its energy-sorted
+    columns, and dropped, so no eigenvector matrix and no all-pairs entry
+    array outlives its chunk.  Every other member |S, M> of a multiplet
+    gets its entries from the central member's pair correlations
     c = <S_a . S_b> and zz = <S^z_a S^z_b> by the Wigner-Eckart theorem,
     with g_a = <S . S_a> / S(S+1) and <S . S_a> = 3/4 + sum_{c != a} c_ac:
 
@@ -291,33 +297,42 @@ class GraphThermalEngine:
         for a, b in self.pairs:
             if a == b or not (0 <= a < n and 0 <= b < n):
                 raise ValueError(f"invalid pair {(a, b)} for {n} spins")
-        spectrum = full_spectra(self.graphs)
-        count, dim = spectrum.spins.shape
-        # the batch's central columns side by side: column k of graph j is j * dim + k
+        basis = sector_basis(n, n // 2)
+        count, dim = len(self.graphs), len(basis)
+        all_pairs = self.graph.pairs()
+        position = {pair: k for k, pair in enumerate(all_pairs)}
+        rows = [position[min(a, b), max(a, b)] for a, b in self.pairs]
+        reversed_pairs = np.array([a > b for a, b in self.pairs])
+        # per central state, in the batch's energy-sorted columns side by side
+        # (column k of graph j is j * dim + k): the entries of the engine's pairs,
+        # their c = <S_a . S_b> (gamma = xx + yy) and zz, and <S . S_a> per site
+        central = np.empty((len(self.pairs), count * dim, 5))
+        c, zz = np.empty((len(self.pairs), count * dim)), np.empty((len(self.pairs), count * dim))
+        along = np.empty((n, count * dim))
+
+        def reduce(positions: np.ndarray, vectors: np.ndarray) -> None:
+            """Reduce one chunk of central eigenvectors to its columns of the arrays above."""
+            entries = eigenstate_pair_entries(basis, vectors)  # every pair a < b
+            alpha, beta, gamma, delta, epsilon = np.moveaxis(entries, 2, 0)
+            zz_all = 0.25 * (alpha + epsilon - beta - delta)
+            c_all = gamma + zz_all
+            chunk_along = np.full((n, len(positions)), 0.75)
+            for k, (a, b) in enumerate(all_pairs):
+                chunk_along[a] += c_all[k]
+                chunk_along[b] += c_all[k]
+            along[:, positions] = chunk_along
+            chosen = entries[rows]
+            chosen[reversed_pairs] = chosen[reversed_pairs][..., [0, 3, 2, 1, 4]]  # beta <-> delta
+            central[:, positions] = chosen
+            c[:, positions], zz[:, positions] = c_all[rows], zz_all[rows]
+
+        spectrum = central_stream(self.graphs, 0.0, reduce)
         offsets = dim * np.arange(count)[:, None]
         sector_columns = [columns + offsets for columns in spectrum.sector_columns]
         eigenvalues, spin = spectrum.eigenvalues.reshape(-1), spectrum.spins.reshape(-1)
         casimir = spin * (spin + 1.0)
         residual = spectrum.spin_residual
-
-        # central pair correlations c = <S_a . S_b> (gamma = xx + yy) and zz
-        entries = eigenstate_pair_entries(spectrum.basis, spectrum.eigenvectors.reshape(dim, -1))
-        del spectrum  # free the eigenvectors before the stack is built
-        alpha, beta, gamma, delta, epsilon = np.moveaxis(entries, 2, 0)
-        zz_all = 0.25 * (alpha + epsilon - beta - delta)
-        c_all = gamma + zz_all
-        along = np.full((n, len(spin)), 0.75)  # <S . S_a>
-        for k, (a, b) in enumerate(self.graph.pairs()):
-            along[a] += c_all[k]
-            along[b] += c_all[k]
         g = np.divide(along, casimir, out=np.zeros_like(along), where=casimir > 0.0)
-
-        position = {pair: k for k, pair in enumerate(self.graph.pairs())}
-        rows = [position[min(a, b), max(a, b)] for a, b in self.pairs]
-        central = entries[rows]
-        reversed_pairs = np.array([a > b for a, b in self.pairs])
-        central[reversed_pairs] = central[reversed_pairs][..., [0, 3, 2, 1, 4]]  # beta <-> delta
-        c, zz = c_all[rows], zz_all[rows]
         sites = np.array(self.pairs)
         g_a, g_b = g[sites[:, 0]], g[sites[:, 1]]
         m0 = n // 2 - 0.5 * n
@@ -325,26 +340,27 @@ class GraphThermalEngine:
         rank2 = np.divide(
             zz - c / 3.0, denominator, out=np.zeros_like(zz), where=denominator != 0.0
         )
+        del zz, along, g
 
         energies = np.empty((count, 2**n))
         self.sz = np.empty(2**n)
         spins = np.empty((count, 2**n))
         stack = np.empty((len(self.pairs), count, 2**n, 5))
-        start = 0
+        bounds = np.cumsum([0] + [columns.shape[1] for columns in sector_columns])
+        # the central sector first, so its entries are freed before the others are rebuilt
+        stack[:, :, bounds[n // 2] : bounds[n // 2 + 1]] = central.reshape(-1, count, dim, 5)
+        del central
         for n_up, columns in enumerate(sector_columns):
-            stop = start + columns.shape[1]
+            start, stop = bounds[n_up], bounds[n_up + 1]
             m = n_up - 0.5 * n
             energies[:, start:stop] = eigenvalues[columns]
             self.sz[start:stop] = m
             spins[:, start:stop] = spin[columns]
-            if n_up == n // 2:
-                stack[:, :, start:stop] = central.reshape(len(self.pairs), count, dim, 5)
-            else:
-                stack[:, :, start:stop] = _member_entries(
+            if n_up != n // 2:
+                _member_entries(
                     c[:, columns], rank2[:, columns], casimir[columns],
-                    g_a[:, columns], g_b[:, columns], m, n_up, n,
+                    g_a[:, columns], g_b[:, columns], m, n_up, n, stack[:, :, start:stop],
                 )
-            start = stop
         if single:
             energies, spins, stack = energies[0], spins[0], stack[:, 0]
             residual = float(residual[0])
@@ -423,27 +439,29 @@ def _member_entries(
     m: float,
     n_up: int,
     n: int,
-) -> np.ndarray:
-    """(pairs, states, 5) entries of the multiplet members |S, M = m> in sector n_up.
+    out: np.ndarray,
+) -> None:
+    """Write the (pairs, states, 5) entries of the multiplet members |S, M = m> in sector n_up.
 
     The arguments are the central states' c, rank-2 part of zz, S(S+1) and
-    g of both sites (see ``GraphThermalEngine``), restricted to S >= |m|.
+    g of both sites (see ``GraphThermalEngine``), restricted to S >= |m|;
+    ``out`` is the sector's slice of the engine's stack.
     """
     zz = c / 3.0 + (3.0 * m * m - casimir) * rank2
     z_sum, z_diff = 0.5 * m * (g_a + g_b), 0.5 * m * (g_a - g_b)
-    entries = np.stack(
-        [0.25 + z_sum + zz, 0.25 + z_diff - zz, c - zz, 0.25 - z_diff - zz, 0.25 - z_sum + zz],
-        axis=-1,
-    )
+    np.add(0.25 + z_sum, zz, out=out[..., 0])
+    np.subtract(0.25 + z_diff, zz, out=out[..., 1])
+    np.subtract(c, zz, out=out[..., 2])
+    np.subtract(0.25 - z_diff, zz, out=out[..., 3])
+    np.add(0.25 - z_sum, zz, out=out[..., 4])
     # kinematic zeros, exact as in a sum over no basis states: no pair is
     # both up below 2 up spins, nor both down below 2 down spins
     if n_up < 2:
-        entries[..., 0] = 0.0
+        out[..., 0] = 0.0
     if n - n_up < 2:
-        entries[..., 4] = 0.0
+        out[..., 4] = 0.0
     if n_up in (0, n):
-        entries[..., 1:4] = 0.0
-    return entries
+        out[..., 1:4] = 0.0
 
 
 # one graph's records: (index of the first, JSON lines, CSV summary rows, max raw concurrences)
@@ -758,6 +776,7 @@ class VerifyReport:
     degeneracy_ok: bool | None
     ground_spin: float
     spin_residual: float
+    window_gap_ratio: float | None
     max_rdm_deviation: float | None = None
     max_raw_concurrence: float | None = None
     passed: bool = False
@@ -786,6 +805,7 @@ def spectral_fields(engine: GraphThermalEngine, graph_id: str) -> dict:
         # the smallest S in the window: N/2 only if it holds the aligned multiplet alone
         "ground_spin": float(engine.spin[ground_window(engine.energies)].min()),
         "spin_residual": engine.spin_residual,
+        "window_gap_ratio": window_gap_ratio(engine.energies),
     }
 
 
@@ -829,21 +849,26 @@ def verify_degeneracy(
     engine: GraphThermalEngine, graph_id: str = "graph", fields: dict | None = None
 ) -> VerifyReport:
     """Check ground degeneracy N+1 and ground spin N/2 (connected graphs
-    only) and ground energy equal to a quarter of the coupling sum.
+    only) and ground energy equal to a quarter of the coupling sum, with
+    the next level at least WINDOW_GAP_RATIO_MIN window widths above E0.
 
     Disconnected graphs get expected_degeneracy None: the N+1 count and
     the single S = N/2 multiplet assume connectivity, while the energy
-    identity holds for any ferromagnetic edge set.  ``fields`` are the
-    engine's ``spectral_fields``, computed here when not given.
+    identity holds for any ferromagnetic edge set.  A level nearer the
+    ground window than the ratio allows fails the check for any graph,
+    since the degeneracy count could have absorbed it.  ``fields`` are
+    the engine's ``spectral_fields``, computed here when not given.
     """
     if fields is None:
         fields = spectral_fields(engine, graph_id)
     spin_ok = not fields["connected"] or fields["ground_spin"] == 0.5 * fields["n_spins"]
+    ratio = fields["window_gap_ratio"]
     passed = (
         fields["ferromagnetic"]
         and fields["energy_ok"]
         and fields["degeneracy_ok"] is not False
         and spin_ok
+        and (ratio is None or ratio >= WINDOW_GAP_RATIO_MIN)
     )
     return VerifyReport(
         check="degeneracy", preconditions_ok=fields["ferromagnetic"], passed=passed, **fields

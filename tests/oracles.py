@@ -25,6 +25,7 @@ import numpy as np
 from ferroent.graphs import SpinGraph
 from ferroent.hilbert import SectorBasis, build_sector_hamiltonian, sector_basis
 from ferroent.rdm import eigenstate_pair_entries
+from ferroent.spectra import CentralSpectrum, central_stream
 
 HERMITICITY_TOL = 1e-12
 SPARSITY_TOL = 1e-12
@@ -127,6 +128,24 @@ def sector_spectra(graph: SpinGraph, b_field: float = 0.0) -> list[SectorSpectru
         values, vectors = np.linalg.eigh(build_sector_hamiltonian(graph, n_up, b_field))
         spectra.append(SectorSpectrum(sector_basis(graph.n_spins, n_up), values, vectors))
     return spectra
+
+
+def central_eigenvectors(
+    graph: SpinGraph, b_field: float = 0.0
+) -> tuple[CentralSpectrum, np.ndarray]:
+    """``full_spectrum(graph, b_field)`` with its central eigenvectors as one matrix.
+
+    The package never holds them at once; this collects the chunks of
+    ``spectra.central_stream`` into the (dim, dim) matrix whose column k
+    belongs to the k-th lowest central level.
+    """
+    dim = comb(graph.n_spins, graph.n_spins // 2)
+    matrix = np.full((dim, dim), np.nan)
+
+    def collect(positions: np.ndarray, vectors: np.ndarray) -> None:
+        matrix[:, positions] = vectors
+
+    return central_stream([graph], b_field, collect).member(0), matrix
 
 
 def sector_thermal_entries(

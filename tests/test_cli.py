@@ -476,6 +476,23 @@ class TestVerifyCommand:
         assert payload["passed"] is True
         assert payload["reports"][0]["ground_degeneracy"] == 3
 
+    def test_level_near_the_ground_window_fails_by_name(self, tmp_path, capsys):
+        # an edge of J = -5e-8 puts the singlet 5e-8 above the ground triplet:
+        # 50 window widths of 1e-9; at J = -2e-7 it is 200 widths above
+        report_path = tmp_path / "report.json"
+        for coupling, ratio, code in ((-5e-8, 50.0, 1), (-2e-7, 200.0, 0)):
+            path = write_edge_graph(tmp_path, coupling)
+            assert run_cli("verify", "--suite", "all", "--graph", path,
+                           "--json", str(report_path)) == code
+            out = capsys.readouterr().out
+            universal, degeneracy = json.loads(report_path.read_text())["reports"]
+            for report in (universal, degeneracy):
+                assert report["window_gap_ratio"] == pytest.approx(ratio, rel=1e-6)
+                assert report["degeneracy_ok"] is True
+            assert universal["passed"] is True
+            assert degeneracy["passed"] is (code == 0)
+            assert ("window gap failure: the next level is 50 window widths" in out) is (code == 1)
+
     def test_sweep_zero_suite_on_single_graph(self, tmp_path, capsys):
         path = write_edge_graph(tmp_path)
         code = run_cli("verify", "--suite", "sweep-zero", "--graph", path)

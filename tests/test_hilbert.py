@@ -39,6 +39,13 @@ class TestSectorBasis:
         with pytest.raises(ValueError):
             sector_basis(4, 5)
 
+    def test_cached_with_read_only_masks(self):
+        basis = sector_basis(6, 3)
+        assert sector_basis(6, 3) is basis
+        assert not basis.masks.flags.writeable
+        with pytest.raises(ValueError):
+            basis.masks[0] = 0
+
 
 class TestBuildHamiltonian:
     def test_single_edge_midsector(self):

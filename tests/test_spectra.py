@@ -1,8 +1,10 @@
+import tracemalloc
 from math import comb
 
 import numpy as np
 import pytest
 
+import ferroent.rdm
 import ferroent.spectra
 from ferroent.graphs import (
     ChainParams,
@@ -15,7 +17,7 @@ from ferroent.graphs import (
     ring_chain,
     star_graph,
 )
-from ferroent.hilbert import build_sector_hamiltonian, sector_basis
+from ferroent.hilbert import build_sector_hamiltonian, central_spin_basis, sector_basis
 from ferroent.spectra import (
     SPIN_LABEL_TOL,
     SpinLabelError,
@@ -23,9 +25,10 @@ from ferroent.spectra import (
     energy_gap,
     full_spectrum,
     ground_window,
+    window_gap_ratio,
 )
 from ferroent.sweep import GraphThermalEngine, builtin_graph_set
-from oracles import sector_spectra, sector_thermal_entries
+from oracles import central_eigenvectors, sector_spectra, sector_thermal_entries
 
 EDGE = make_graph(2, [(0, 1, -1.0)])
 
@@ -104,7 +107,7 @@ class TestFullSpectrum:
         # every sector's levels are its own block's eigenvalues; the central
         # eigenvectors are an orthonormal eigenbasis of the central block
         for g in TEST_GRAPHS + [make_graph(5, [(0, 1, 1.0), (2, 3, -0.7)])]:
-            spectrum = full_spectrum(g, b_field)
+            spectrum, vectors = central_eigenvectors(g, b_field)
             for n_up in range(g.n_spins + 1):
                 h = build_sector_hamiltonian(g, n_up, b_field)
                 values = spectrum.sector_eigenvalues(n_up)
@@ -113,7 +116,6 @@ class TestFullSpectrum:
             n_up = g.n_spins // 2
             assert spectrum.basis.masks.tolist() == sector_basis(g.n_spins, n_up).masks.tolist()
             h = build_sector_hamiltonian(g, n_up, b_field)
-            vectors = spectrum.eigenvectors
             values = spectrum.sector_eigenvalues(n_up)
             assert np.max(np.abs(h @ vectors - vectors * values)) <= 1e-12
             assert np.max(np.abs(vectors.T @ vectors - np.eye(len(values)))) <= 1e-12
@@ -122,7 +124,7 @@ class TestFullSpectrum:
         # even N: each column is [x; +-x[::-1]] / sqrt(2), so reversing its
         # rows gives it back exactly, up to the sign
         for g in TEST_GRAPHS[:3] + [cube_graph(-1.0)]:
-            vectors = full_spectrum(g).eigenvectors
+            _, vectors = central_eigenvectors(g)
             for column in vectors.T:
                 assert np.array_equal(column[::-1], column) or np.array_equal(
                     column[::-1], -column
@@ -130,13 +132,15 @@ class TestFullSpectrum:
 
     def test_field_shifts_zero_field_eigenvalues(self):
         g = TEST_GRAPHS[3]
-        zero, shifted = full_spectrum(g), full_spectrum(g, 1.3)
+        (zero, vectors), (shifted, shifted_vectors) = (
+            central_eigenvectors(g), central_eigenvectors(g, 1.3)
+        )
         for n_up in range(g.n_spins + 1):
             sz = n_up - 0.5 * g.n_spins
             assert np.array_equal(
                 shifted.sector_eigenvalues(n_up), zero.sector_eigenvalues(n_up) + 1.3 * sz
             )
-        assert np.array_equal(shifted.eigenvectors, zero.eigenvectors)
+        assert np.array_equal(shifted_vectors, vectors)
 
     def test_cap(self):
         with pytest.raises(ValueError):
@@ -172,6 +176,9 @@ class TestGroundSubspace:
         # relative to max(1, range): 1e-9 * 10 here
         energies = np.array([-2.0, -2.0 + 5e-9, -2.0 + 2e-8, 8.0])
         assert ground_window(energies).tolist() == [True, True, False, False]
+        # the split level is 2e-8 above E0, 2 window widths of 1e-8
+        assert window_gap_ratio(energies) == pytest.approx(2.0, rel=1e-6)
+        assert window_gap_ratio(np.zeros(4)) is None  # no level above the window
 
 
 class TestGibbsWeights:
@@ -268,13 +275,12 @@ class TestCentralSector:
         # the cube and the periodic 3x3 grid have many multiplets of different
         # S at one energy; every column must still be an S^2 eigenvector
         for g in (cube_graph(-1.0), grid_graph(3, 3, True, -1.0), star_graph(6, -1.0)):
-            spectrum = full_spectrum(g)
+            spectrum, vectors = central_eigenvectors(g)
             n = g.n_spins
             complete = make_graph(n, [(a, b, 2.0) for a, b in g.pairs()])
             square = build_sector_hamiltonian(complete, n // 2) + 0.75 * n * np.eye(
                 len(spectrum.basis)
             )
-            vectors = spectrum.eigenvectors
             casimir = spectrum.spins * (spectrum.spins + 1.0)
             assert np.max(np.abs(square @ vectors - vectors * casimir)) <= 1e-12
             h = build_sector_hamiltonian(g, n // 2)
@@ -284,10 +290,9 @@ class TestCentralSector:
         # LAPACK mixes levels 3.6e-6 apart by ~1e-10; without the first-order
         # step a column of this graph is 6e-10 away from an S^2 eigenvector
         g = random_graph(10, 0.5, (-2.0, -0.1), seed=12)
-        spectrum = full_spectrum(g)
+        spectrum, vectors = central_eigenvectors(g)
         complete = make_graph(10, [(a, b, 2.0) for a, b in g.pairs()])
         square = build_sector_hamiltonian(complete, 5) + 7.5 * np.eye(len(spectrum.basis))
-        vectors = spectrum.eigenvectors
         casimir = spectrum.spins * (spectrum.spins + 1.0)
         assert np.max(np.abs(square @ vectors - vectors * casimir)) <= 1e-12
 
@@ -420,3 +425,42 @@ def test_stacked_blocks_are_the_dense_central_block_bit_for_bit(n):
         assert blocks.shape == (2, len(graphs), half, half)
         assert np.array_equal(blocks[0, k], upper + mirrored)
         assert np.array_equal(blocks[1, k], upper - mirrored)
+
+
+def test_one_chunk_per_spin_group_gives_the_same_engine(monkeypatch):
+    # a batch of two graphs, streamed as one chunk and then as one chunk per
+    # S group: every central column is handed over exactly once, and the
+    # engine agrees to rounding (BLAS may block the chunks' columns otherwise)
+    graphs = [TEST_GRAPHS[1], ring_chain(ChainParams(n_spins=6, g1=-1.0, g2=0.4))]
+    whole = GraphThermalEngine(graphs)
+    monkeypatch.setattr(ferroent.spectra, "_CHUNK_ELEMENTS", 1)
+    seen = []
+    spectrum = ferroent.spectra.central_stream(
+        graphs, 0.0, lambda positions, vectors: seen.append(positions)
+    )
+    assert len(seen) == len(ferroent.spectra.central_spin_basis(6))
+    assert sorted(np.concatenate(seen).tolist()) == list(range(2 * comb(6, 3)))
+    assert np.max(spectrum.spin_residual) <= SPIN_LABEL_TOL
+    chunked = GraphThermalEngine(graphs)
+    assert np.array_equal(chunked.energies, whole.energies)
+    assert np.array_equal(chunked.spin, whole.spin)
+    assert np.max(np.abs(chunked.stack - whole.stack)) <= 1e-14
+
+
+@pytest.mark.parametrize("build, bound_mb", [(full_spectrum, 11.0), (GraphThermalEngine, 24.0)])
+def test_ring_12_memory_peak(build, bound_mb):
+    # tracemalloc peak from cold caches.  The solve streams its eigenvectors
+    # in chunks and the engine reduces each chunk to pair entries, so neither
+    # holds the (924 x 924) sorted eigenvector matrix: 8.9 MB for the spectrum
+    # and 19.4 MB for the all-pairs engine, against 19.5 and 27.0 MB with the
+    # matrix formed; the bounds leave about 25%
+    g = ring_chain(ChainParams(n_spins=12, g1=-1.0))
+    for cache in (sector_basis, central_spin_basis, ferroent.rdm._pair_tables):
+        cache.cache_clear()
+    tracemalloc.start()
+    try:
+        build(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound_mb * 2**20

@@ -643,6 +643,7 @@ class TestGroundSpin:
             assert report.passed
             assert report.ground_spin == 0.5 * g.n_spins
             assert report.spin_residual <= 1e-6
+            assert report.window_gap_ratio >= 1e7
 
     def test_wrong_ground_spin_fails_the_degeneracy_suite(self):
         engine = GraphThermalEngine(ring_chain(ChainParams(n_spins=5, g1=-1.0)))
@@ -651,6 +652,25 @@ class TestGroundSpin:
         report = verify_degeneracy(engine)
         assert report.ground_spin == 0.5
         assert not report.passed
+
+    def test_level_just_above_the_window_fails_the_degeneracy_suite(self):
+        # the ring's ground multiplet plus a split injected above E0 at
+        # 1.2 and 0.8 window widths of 1e-9 * spectral range: the first is
+        # outside the window, the second inside
+        engine = GraphThermalEngine(ring_chain(ChainParams(n_spins=5, g1=-1.0)))
+        energies = engine.energies.copy()
+        e_min, width = energies.min(), 1e-9 * (energies.max() - energies.min())
+        excited = np.flatnonzero(energies > e_min + 1e-3)[0]
+        for split, ratio, degeneracy in ((1.2, 1.2, 6), (0.8, None, 7)):
+            engine.energies = energies.copy()
+            engine.energies[excited] = e_min + split * width
+            report = verify_degeneracy(engine)
+            assert report.ground_degeneracy == degeneracy
+            if ratio is None:
+                assert not report.degeneracy_ok  # absorbed: the count catches it
+            else:
+                assert report.window_gap_ratio == pytest.approx(ratio, rel=1e-6)
+                assert report.degeneracy_ok and not report.passed
 
     def test_disconnected_ground_window_holds_lower_spins(self):
         g = make_graph(4, [(0, 1, -1.0), (2, 3, -1.0)])  # two triplets: S = 0, 1, 2
