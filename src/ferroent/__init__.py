@@ -44,7 +44,6 @@ from .spectra import (
     CentralSpectrum,
     SpinLabelError,
     eig_sym,
-    energy_gap,
     full_spectrum,
 )
 from .sweep import (

@@ -29,7 +29,7 @@ from .graphs import (
     star_graph,
 )
 from .hilbert import build_sector_hamiltonian
-from .spectra import energy_gap, full_spectrum
+from .spectra import field_shifted, full_spectrum, ground_gap, sector_slices
 from .sweep import (
     RAW_CONCURRENCE_THRESHOLD,
     SUMMARY_HEADER,
@@ -138,13 +138,14 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
             for row in matrix:
                 out.write(",".join(_FMT % value for value in row) + "\n")
         return 0
-    spectrum = full_spectrum(graph, b_field=args.b_field)
+    spectrum = full_spectrum(graph)
+    energies = field_shifted(spectrum.energies, spectrum.sz, args.b_field)
     with _output(args.output) as out:
-        out.write("# ground_energy=" + _FMT % spectrum.energies.min() + "\n")
-        out.write("# gap=" + _FMT % energy_gap(spectrum) + "\n")
+        out.write("# ground_energy=" + _FMT % energies.min() + "\n")
+        out.write("# gap=" + _FMT % ground_gap(energies) + "\n")
         out.write("n_up,index,eigenvalue\n")
-        for n_up in range(graph.n_spins + 1):
-            for k, value in enumerate(spectrum.sector_eigenvalues(n_up)):
+        for n_up, sector in enumerate(sector_slices(graph.n_spins)):
+            for k, value in enumerate(energies[sector]):
                 out.write("%d,%d,%s\n" % (n_up, k, _FMT % value))
     return 0
 
@@ -216,6 +217,8 @@ def _cmd_figures(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    if not np.isfinite(args.threshold):  # a NaN threshold would count no violation
+        raise SystemExit(f"ferroent: the threshold must be finite, got {args.threshold}")
     try:
         config = SweepConfig.from_file(args.config)
     except OSError as err:
@@ -269,9 +272,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         engine = GraphThermalEngine(graph)
         fields = spectral_fields(engine, graph_id) if args.suite != "sweep-zero" else None
         if args.suite in ("universal", "all"):
-            universal.append(verify_universal(engine, graph_id=graph_id, fields=fields))
+            universal.append(verify_universal(engine, fields))
         if args.suite in ("degeneracy", "all"):
-            degeneracy.append(verify_degeneracy(engine, graph_id=graph_id, fields=fields))
+            degeneracy.append(verify_degeneracy(engine, fields))
         if args.suite in ("sweep-zero", "all"):
             t_grid = [graph.n_spins * k / 20.0 for k in range(21)]
             reached = zero_temperature_scan(engine, t_grid, b_field=args.b_field)

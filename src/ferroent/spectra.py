@@ -7,7 +7,9 @@ multiplet has exactly one member in the central sector n_up = N // 2
 builds and diagonalizes that one block, for a batch of graphs of one N
 at once, with one ``eigh`` call per S for all of them; ``full_spectrum``
 is its batch of one.  Sector n_up holds the central levels with
-S >= |n_up - N/2|, at the same energies; a field B adds B * S^z.
+S >= |n_up - N/2|, at the same energies, so the solve lays out every
+level of the 2^N states once, in one flat table (``CentralSpectrum``,
+``sector_slices``); a field B only adds B * S^z (``field_shifted``).
 
 For even N the central block is centrosymmetric, H == H[::-1, ::-1]: the
 global spin flip maps the sector onto itself with its mask order
@@ -34,13 +36,13 @@ each chunk to pair entries, and ``full_spectrum`` drops it.  So a
 eigenvectors.
 
 The ground multiplet is identified from a flat array of energies by one
-rule, ``ground_window``; the thermal engine, the gap report and the
-verification suites all use it.
+rule, ``ground_window``; the thermal engine, the gap (``ground_gap``)
+and the verification suites all use it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from math import comb
 from typing import Callable, Sequence
 
@@ -64,47 +66,38 @@ class SpinLabelError(RuntimeError):
 
 @dataclass(frozen=True)
 class CentralSpectrum:
-    """The central S^z block, solved at zero field, and the sectors it gives.
+    """Every level of a batch of graphs, from one solve of their central S^z block at zero field.
 
-    It holds no eigenvectors: those go out chunk by chunk from
-    ``central_stream`` and are not kept.  ``eigenvalues`` ascend; level k
-    is a state of spin ``spins[k]``.  ``sector_columns[n_up]`` lists,
-    ascending, the levels whose multiplet reaches sector n_up;
-    ``spin_residual`` is max |<S^2> - S(S+1)| over the central
-    eigenvectors.  A batch of G graphs (``central_stream``) has a graph axis
-    in every array: eigenvalues, spins and sector columns are (G, ...),
-    and the residuals (G,); ``member`` picks one graph's spectrum.
+    The flat layout runs sector by sector, n_up = 0..N (see
+    ``sector_slices``), ascending within each sector: flat state x has
+    the zero-field energy ``energies[j, x]`` in graph j, total spin
+    ``spin[j, x]`` and S^z = ``sz[x]`` = n_up - N/2, and its multiplet's
+    central member is column ``levels[j, x]`` = j * dim + k of the
+    batch's energy-sorted central columns side by side, the numbering
+    ``central_stream``'s consumer gets.  ``spin_residual[j]`` is max
+    |<S^2> - S(S+1)| over graph j's central eigenvectors.  Every array but
+    ``sz`` has the batch axis in front; ``full_spectrum`` drops it.  No
+    eigenvectors are kept.
     """
 
-    basis: SectorBasis
-    eigenvalues: np.ndarray
-    spins: np.ndarray
+    energies: np.ndarray
+    spin: np.ndarray
+    sz: np.ndarray
+    levels: np.ndarray
     spin_residual: float | np.ndarray
-    sector_columns: tuple[np.ndarray, ...]
-    b_field: float = 0.0
 
-    def member(self, k: int) -> "CentralSpectrum":
-        """The spectrum of graph k of a batch."""
-        return replace(
-            self,
-            eigenvalues=self.eigenvalues[k],
-            spins=self.spins[k],
-            spin_residual=float(self.spin_residual[k]),
-            sector_columns=tuple(columns[k] for columns in self.sector_columns),
-        )
 
-    def sector_eigenvalues(self, n_up: int) -> np.ndarray:
-        """Ascending eigenvalues of sector n_up, the field's B * S^z included."""
-        sz = n_up - 0.5 * self.basis.n_spins
-        levels = np.take_along_axis(self.eigenvalues, self.sector_columns[n_up], -1)
-        return levels + self.b_field * sz
+def sector_slices(n_spins: int) -> list[slice]:
+    """The slice of each sector n_up = 0..N in the flat layout, C(N, n_up) states long."""
+    bounds = np.cumsum([0] + [comb(n_spins, n_up) for n_up in range(n_spins + 1)]).tolist()
+    return [slice(start, stop) for start, stop in zip(bounds, bounds[1:])]
 
-    @property
-    def energies(self) -> np.ndarray:
-        """All 2^N eigenvalues, sector by sector (n_up = 0..N)."""
-        return np.concatenate(
-            [self.sector_eigenvalues(n_up) for n_up in range(len(self.sector_columns))], axis=-1
-        )
+
+def field_shifted(energies: np.ndarray, sz: np.ndarray, b_field: float) -> np.ndarray:
+    """The flat levels at field B: a field adds B * S^z.  A non-finite B raises ValueError."""
+    if not np.isfinite(b_field):
+        raise ValueError(f"the field must be finite, got {b_field}")
+    return energies + b_field * sz
 
 
 def eig_sym(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -189,9 +182,7 @@ def _spin_residual(
 
 
 def central_stream(
-    graphs: Sequence[SpinGraph],
-    b_field: float,
-    consume: Callable[[np.ndarray, np.ndarray], None],
+    graphs: Sequence[SpinGraph], consume: Callable[[np.ndarray, np.ndarray], None]
 ) -> CentralSpectrum:
     """Solve a batch's central blocks and hand their eigenvectors to ``consume``, chunk by chunk.
 
@@ -208,7 +199,7 @@ def central_stream(
     is kept: the sorted eigenvector matrix is never formed.
 
     Returns the batch's ``CentralSpectrum``.  Raises ValueError for mixed
-    spin counts, N > N_SPINS_CAP or a non-finite field, and SpinLabelError
+    spin counts or N > N_SPINS_CAP, and SpinLabelError
     if a column's <S^2> is off its label by more than SPIN_LABEL_TOL or a
     sector would not get C(N, n_up) levels.
     """
@@ -217,8 +208,6 @@ def central_stream(
         raise ValueError("a batch of spectra needs graphs of one spin count")
     if n > N_SPINS_CAP:
         raise ValueError(f"n_spins={n} exceeds the solver cap of {N_SPINS_CAP}")
-    if not np.isfinite(b_field):
-        raise ValueError(f"the field must be finite, got {b_field}")
     basis = sector_basis(n, n // 2)
     dim, half, count = len(basis), len(basis) // 2, len(graphs)
     blocks = _stacked_blocks(graphs, basis)
@@ -279,7 +268,7 @@ def central_stream(
         consume(places.reshape(-1), vectors)
         del vectors
         start += width
-    sector_columns = []
+    levels = []
     for n_up in range(n + 1):
         # each graph's spins are a permutation of the same labels, so of the same count
         columns = np.nonzero(2.0 * spins >= abs(2 * n_up - n))[1]
@@ -288,27 +277,30 @@ def central_stream(
                 f"the spin labels give sector n_up={n_up} {len(columns) // count} levels, "
                 f"expected C({n}, {n_up}) = {comb(n, n_up)}"
             )
-        sector_columns.append(columns.reshape(count, -1))
+        levels.append(columns.reshape(count, -1))
+    levels = np.concatenate(levels, axis=1)
     return CentralSpectrum(
-        basis=basis,
-        eigenvalues=np.sort(eigenvalues, axis=1, kind="stable"),
-        spins=spins,
+        energies=np.take_along_axis(np.sort(eigenvalues, axis=1, kind="stable"), levels, 1),
+        spin=np.take_along_axis(spins, levels, 1),
+        sz=np.repeat(np.arange(n + 1) - 0.5 * n, [comb(n, n_up) for n_up in range(n + 1)]),
+        levels=levels + dim * np.arange(count)[:, None],
         spin_residual=residuals,
-        sector_columns=tuple(sector_columns),
-        b_field=b_field,
     )
 
 
-def full_spectrum(graph: SpinGraph, b_field: float = 0.0) -> CentralSpectrum:
-    """The spectrum of every S^z sector of one graph from one solve of its central sector.
+def full_spectrum(graph: SpinGraph) -> CentralSpectrum:
+    """Every zero-field level of one graph, from one solve of its central S^z sector.
 
     ``central_stream`` for a batch of one, whose eigenvector chunks are
-    spin-checked and dropped, with the graph axis dropped.  Raises
-    ValueError for N > N_SPINS_CAP or a non-finite field, and
-    SpinLabelError if a column's <S^2> is off its label by more than
-    SPIN_LABEL_TOL or a sector would not get C(N, n_up) levels.
+    spin-checked and dropped, with the batch axis dropped.  Raises
+    ValueError for N > N_SPINS_CAP, and SpinLabelError if a column's
+    <S^2> is off its label by more than SPIN_LABEL_TOL or a sector would
+    not get C(N, n_up) levels.
     """
-    return central_stream([graph], b_field, lambda positions, vectors: None).member(0)
+    batch = central_stream([graph], lambda positions, vectors: None)
+    return CentralSpectrum(
+        batch.energies[0], batch.spin[0], batch.sz, batch.levels[0], float(batch.spin_residual[0])
+    )
 
 
 def ground_window(energies: np.ndarray) -> np.ndarray:
@@ -324,22 +316,20 @@ def ground_window(energies: np.ndarray) -> np.ndarray:
     return energies <= e_min + DEGENERACY_TOL * np.maximum(span, 1.0)
 
 
+def ground_gap(energies: np.ndarray) -> float:
+    """First level above ``ground_window`` less E0, for one graph's flat energies; 0 if none."""
+    above = energies[~ground_window(energies)]
+    return float(above.min() - energies.min()) if above.size else 0.0
+
+
 def window_gap_ratio(energies: np.ndarray) -> float | None:
-    """(first level above the ground window - E0) / window width, for one graph's flat energies.
+    """``ground_gap`` over the ground window's width, for one graph's flat energies.
 
     The width is ``ground_window``'s DEGENERACY_TOL * max(1, spectral
     range).  A small ratio means a level sits close enough to the window
     that a little more spread would have absorbed it; None if no level
-    lies above the window.
+    lies above the window (a level above it is at least one width up).
     """
-    e_min = float(energies.min())
-    width = DEGENERACY_TOL * max(float(energies.max()) - e_min, 1.0)
-    above = energies[~ground_window(energies)]
-    return (float(above.min()) - e_min) / width if above.size else None
-
-
-def energy_gap(spectrum: CentralSpectrum) -> float:
-    """Gap from the ground multiplet to the first state above it (0 if none)."""
-    energies = spectrum.energies
-    above = energies[~ground_window(energies)]
-    return float(above.min() - energies.min()) if above.size else 0.0
+    gap = ground_gap(energies)
+    width = DEGENERACY_TOL * max(float(energies.max()) - float(energies.min()), 1.0)
+    return gap / width if gap else None

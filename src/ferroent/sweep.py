@@ -53,8 +53,10 @@ Config files are JSON with the following keys (all grids nonempty):
     }
 
 The {"points": k, "max": "n"} form expands to k evenly spaced values from
-0 to the instance's spin count.  Grid/cube/star/file geometries fix their
-own size and ignore n_values, g1, g2 and g3.
+0 to the instance's spin count.  Every grid value (a list entry, the
+points or a numeric max) must be finite: the config is refused when it
+loads, since NaN or Infinity has no JSON text.  Grid/cube/star/file
+geometries fix their own size and ignore n_values, g1, g2 and g3.
 """
 
 from __future__ import annotations
@@ -80,7 +82,13 @@ from .graphs import (
 )
 from .hilbert import sector_basis
 from .rdm import eigenstate_pair_entries
-from .spectra import central_stream, ground_window, window_gap_ratio
+from .spectra import (
+    central_stream,
+    field_shifted,
+    ground_window,
+    sector_slices,
+    window_gap_ratio,
+)
 
 RAW_CONCURRENCE_THRESHOLD = 1e-12
 UNIVERSAL_RDM_TOL = 1e-10
@@ -173,6 +181,12 @@ class SweepConfig:
                 raise ValueError(f"{name} must be nonempty")
         for name in ("t_grid", "b_grid"):
             grid = getattr(self, name)
+            values = grid
+            if isinstance(grid, dict):
+                values = (grid.get("points", 0), grid.get("max", "n"))
+            # NaN or Infinity would reach the records, which must stay RFC 8259 JSON
+            if not all(value == "n" or np.isfinite(float(value)) for value in values):
+                raise ValueError(f"{name} values must be finite, got {list(values)}")
             if isinstance(grid, dict):
                 if int(grid.get("points", 0)) < 1:
                     raise ValueError(f"{name} needs at least one point")
@@ -250,16 +264,17 @@ class GraphThermalEngine:
     (Boltzmann constant 1); T = 0 is the uniform mixture over the ground
     window of ``spectra.ground_window``, not a limit of Boltzmann factors.
 
-    The flat layout runs sector by sector, n_up = 0..N, ascending within
-    each sector: ``energies``, ``sz`` = M = n_up - N/2, the spin label
-    ``spin`` = S, and the X-form entries of every eigenstate for every
-    pair in one (n_pairs, 2^N, 5) ``stack``, so weight vectors become the
-    entries of all pairs in one contraction.  An engine built from a
-    sequence of G graphs has a graph axis after the pair axis: ``energies``
-    and ``spin`` are (G, 2^N), ``stack`` is (n_pairs, G, 2^N, 5) and
-    ``spin_residual`` is (G,); its weights are (G, points, 2^N), and every
-    result gains the same axis.  ``sz`` is shared, and every quantity is
-    still computed from its own graph alone.
+    ``energies``, ``sz`` = M = n_up - N/2, the spin label ``spin`` = S and
+    ``spin_residual`` are the solve's ``spectra.CentralSpectrum`` as it
+    is, in its flat layout: sector by sector, n_up = 0..N, ascending
+    within each sector.  The X-form entries of every eigenstate for every
+    pair follow that layout in one (n_pairs, 2^N, 5) ``stack``, so weight
+    vectors become the entries of all pairs in one contraction.  An engine
+    built from a sequence of G graphs has a graph axis after the pair
+    axis: ``energies`` and ``spin`` are (G, 2^N), ``stack`` is
+    (n_pairs, G, 2^N, 5) and ``spin_residual`` is (G,); its weights are
+    (G, points, 2^N), and every result gains the same axis.  ``sz`` is
+    shared, and every quantity is still computed from its own graph alone.
 
     The central sector's entries are gathered from its eigenvectors, a
     batch's side by side, as ``spectra.central_stream`` hands them over one
@@ -267,7 +282,8 @@ class GraphThermalEngine:
     the engine's pairs, c, zz and <S . S_a>, written to its energy-sorted
     columns, and dropped, so no eigenvector matrix and no all-pairs entry
     array outlives its chunk.  Every other member |S, M> of a multiplet
-    gets its entries from the central member's pair correlations
+    gets its entries from those of the central member, the column that
+    the spectrum's ``levels`` names: from its pair correlations
     c = <S_a . S_b> and zz = <S^z_a S^z_b> by the Wigner-Eckart theorem,
     with g_a = <S . S_a> / S(S+1) and <S . S_a> = 3/4 + sum_{c != a} c_ac:
 
@@ -326,12 +342,11 @@ class GraphThermalEngine:
             central[:, positions] = chosen
             c[:, positions], zz[:, positions] = c_all[rows], zz_all[rows]
 
-        spectrum = central_stream(self.graphs, 0.0, reduce)
-        offsets = dim * np.arange(count)[:, None]
-        sector_columns = [columns + offsets for columns in spectrum.sector_columns]
-        eigenvalues, spin = spectrum.eigenvalues.reshape(-1), spectrum.spins.reshape(-1)
+        spectrum = central_stream(self.graphs, reduce)
+        sectors = sector_slices(n)
+        # the central sector holds every level once, in column order
+        spin = spectrum.spin[:, sectors[n // 2]].reshape(-1)
         casimir = spin * (spin + 1.0)
-        residual = spectrum.spin_residual
         g = np.divide(along, casimir, out=np.zeros_like(along), where=casimir > 0.0)
         sites = np.array(self.pairs)
         g_a, g_b = g[sites[:, 0]], g[sites[:, 1]]
@@ -342,29 +357,23 @@ class GraphThermalEngine:
         )
         del zz, along, g
 
-        energies = np.empty((count, 2**n))
-        self.sz = np.empty(2**n)
-        spins = np.empty((count, 2**n))
         stack = np.empty((len(self.pairs), count, 2**n, 5))
-        bounds = np.cumsum([0] + [columns.shape[1] for columns in sector_columns])
         # the central sector first, so its entries are freed before the others are rebuilt
-        stack[:, :, bounds[n // 2] : bounds[n // 2 + 1]] = central.reshape(-1, count, dim, 5)
+        stack[:, :, sectors[n // 2]] = central.reshape(-1, count, dim, 5)
         del central
-        for n_up, columns in enumerate(sector_columns):
-            start, stop = bounds[n_up], bounds[n_up + 1]
-            m = n_up - 0.5 * n
-            energies[:, start:stop] = eigenvalues[columns]
-            self.sz[start:stop] = m
-            spins[:, start:stop] = spin[columns]
+        for n_up, sector in enumerate(sectors):
             if n_up != n // 2:
+                columns = spectrum.levels[:, sector]
                 _member_entries(
                     c[:, columns], rank2[:, columns], casimir[columns],
-                    g_a[:, columns], g_b[:, columns], m, n_up, n, stack[:, :, start:stop],
+                    g_a[:, columns], g_b[:, columns], n_up - 0.5 * n, n_up, n,
+                    stack[:, :, sector],
                 )
+        self.energies, self.spin, self.sz = spectrum.energies, spectrum.spin, spectrum.sz
+        self.stack, self.spin_residual = stack, spectrum.spin_residual
         if single:
-            energies, spins, stack = energies[0], spins[0], stack[:, 0]
-            residual = float(residual[0])
-        self.energies, self.spin, self.stack, self.spin_residual = energies, spins, stack, residual
+            self.energies, self.spin, self.stack = self.energies[0], self.spin[0], stack[:, 0]
+            self.spin_residual = float(self.spin_residual[0])
 
     @property
     def graph(self) -> SpinGraph:
@@ -373,9 +382,7 @@ class GraphThermalEngine:
 
     def _shifted(self, b_field: float) -> np.ndarray:
         """The flat energies at field B; a non-finite B raises ValueError."""
-        if not np.isfinite(b_field):
-            raise ValueError(f"the field must be finite, got {b_field}")
-        return self.energies + b_field * self.sz
+        return field_shifted(self.energies, self.sz, b_field)
 
     def weights(self, temperature: float, b_field: float) -> np.ndarray:
         """Thermal weights over the flat eigenstate ordering at (T, B)."""
@@ -785,7 +792,7 @@ class VerifyReport:
 def spectral_fields(engine: GraphThermalEngine, graph_id: str) -> dict:
     """The VerifyReport fields both suites share: ground energy, degeneracy and spin.
 
-    A caller running both suites computes them once and passes them to each.
+    Both suites take them, so a caller running both computes them once.
     """
     graph = engine.graph
     connected = is_connected(graph)
@@ -809,9 +816,7 @@ def spectral_fields(engine: GraphThermalEngine, graph_id: str) -> dict:
     }
 
 
-def verify_universal(
-    engine: GraphThermalEngine, graph_id: str = "graph", fields: dict | None = None
-) -> VerifyReport:
+def verify_universal(engine: GraphThermalEngine, fields: dict) -> VerifyReport:
     """Check that the zero-field ground mixture's RDMs of the engine's pairs
     all match the universal separable form, entry-wise within
     UNIVERSAL_RDM_TOL, with raw pair concurrence at most
@@ -819,10 +824,8 @@ def verify_universal(
 
     Requires a connected ferromagnetic graph; violations are flagged in
     the report (never silently ignored) and fail it.  ``fields`` are the
-    engine's ``spectral_fields``, computed here when not given.
+    engine's ``spectral_fields``.
     """
-    if fields is None:
-        fields = spectral_fields(engine, graph_id)
     preconditions_ok = fields["ferromagnetic"] and fields["connected"]
     weights = engine.weights(0.0, 0.0)
     target = np.array(UNIVERSAL_ENTRIES, dtype=float)
@@ -845,9 +848,7 @@ def verify_universal(
     )
 
 
-def verify_degeneracy(
-    engine: GraphThermalEngine, graph_id: str = "graph", fields: dict | None = None
-) -> VerifyReport:
+def verify_degeneracy(engine: GraphThermalEngine, fields: dict) -> VerifyReport:
     """Check ground degeneracy N+1 and ground spin N/2 (connected graphs
     only) and ground energy equal to a quarter of the coupling sum, with
     the next level at least WINDOW_GAP_RATIO_MIN window widths above E0.
@@ -857,10 +858,8 @@ def verify_degeneracy(
     identity holds for any ferromagnetic edge set.  A level nearer the
     ground window than the ratio allows fails the check for any graph,
     since the degeneracy count could have absorbed it.  ``fields`` are
-    the engine's ``spectral_fields``, computed here when not given.
+    the engine's ``spectral_fields``.
     """
-    if fields is None:
-        fields = spectral_fields(engine, graph_id)
     spin_ok = not fields["connected"] or fields["ground_spin"] == 0.5 * fields["n_spins"]
     ratio = fields["window_gap_ratio"]
     passed = (

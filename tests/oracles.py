@@ -130,14 +130,14 @@ def sector_spectra(graph: SpinGraph, b_field: float = 0.0) -> list[SectorSpectru
     return spectra
 
 
-def central_eigenvectors(
-    graph: SpinGraph, b_field: float = 0.0
-) -> tuple[CentralSpectrum, np.ndarray]:
-    """``full_spectrum(graph, b_field)`` with its central eigenvectors as one matrix.
+def central_eigenvectors(graph: SpinGraph) -> tuple[CentralSpectrum, np.ndarray]:
+    """``full_spectrum(graph)`` with its central eigenvectors as one matrix.
 
     The package never holds them at once; this collects the chunks of
     ``spectra.central_stream`` into the (dim, dim) matrix whose column k
-    belongs to the k-th lowest central level.
+    belongs to the k-th lowest central level: flat state
+    ``sector_slices(N)[N // 2].start + k`` of the spectrum, and central
+    column k of its ``levels``.
     """
     dim = comb(graph.n_spins, graph.n_spins // 2)
     matrix = np.full((dim, dim), np.nan)
@@ -145,7 +145,11 @@ def central_eigenvectors(
     def collect(positions: np.ndarray, vectors: np.ndarray) -> None:
         matrix[:, positions] = vectors
 
-    return central_stream([graph], b_field, collect).member(0), matrix
+    batch = central_stream([graph], collect)
+    spectrum = CentralSpectrum(
+        batch.energies[0], batch.spin[0], batch.sz, batch.levels[0], float(batch.spin_residual[0])
+    )
+    return spectrum, matrix
 
 
 def sector_thermal_entries(

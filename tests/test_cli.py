@@ -46,6 +46,15 @@ class TestSpectrumCommand:
         assert "# ground_energy=" in out
         assert "# gap=" in out
 
+    def test_edge_free_graph_has_gap_0(self, tmp_path, capsys):
+        # every level is in the ground window, so none lies above it
+        path = tmp_path / "free.json"
+        save_graph(make_graph(5, []), str(path))
+        assert run_cli("spectrum", "--graph", str(path), "--b-field", "0") == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:3] == ["# ground_energy=0", "# gap=0", "n_up,index,eigenvalue"]
+        assert len(lines) == 2**5 + 3
+
     def test_missing_file_exits_2(self, tmp_path, capsys):
         assert run_cli("spectrum", "--graph", str(tmp_path / "nope.json")) == 2
         assert "cannot read" in capsys.readouterr().err
@@ -242,8 +251,40 @@ class TestSweepCommand:
         code = run_cli("sweep", "--config", str(config), "--output", str(results),
                        "--assert-zero")
         assert code == 2
-        assert "field must be finite" in capsys.readouterr().err
-        assert results.read_text() == ""
+        assert "b_grid values must be finite" in capsys.readouterr().err
+        assert not results.exists()  # refused when the config loads
+
+    @pytest.mark.parametrize("grid", [
+        '"t_grid": [0.0, 1e400]',
+        '"t_grid": {"points": 3, "max": 1e400}',
+        '"t_grid": {"points": NaN}',
+        '"t_grid": [0.0], "b_grid": {"points": -Infinity, "max": 1.0}',
+    ])
+    def test_non_finite_grid_exits_2_without_records(self, tmp_path, capsys, grid):
+        # an infinite t would be written as "t": Infinity, which is not JSON
+        config = tmp_path / "sweep.json"
+        config.write_text('{"geometries": [{"kind": "ring"}], "n_values": [4], ' + grid + "}")
+        results = tmp_path / "out.jsonl"
+        assert run_cli("sweep", "--config", str(config), "--output", str(results)) == 2
+        assert "grid values must be finite" in capsys.readouterr().err
+        assert not results.exists()
+
+    def test_non_finite_threshold_exits_2(self, tmp_path, capsys):
+        # a NaN threshold would count no record above it and turn --assert-zero off
+        config = tmp_path / "sweep.json"
+        config.write_text(json.dumps({"geometries": [{"kind": "ring"}], "n_values": [4],
+                                      "g1": 1.0, "t_grid": [0.0], "b_grid": [0.0]}))
+        results = tmp_path / "out.jsonl"
+        assert run_cli("sweep", "--config", str(config), "--assert-zero") == 1
+        assert "1 above threshold" in capsys.readouterr().out
+        for threshold in ("nan", "inf", "-inf"):
+            code = run_cli("sweep", "--config", str(config), "--output", str(results),
+                           "--assert-zero", f"--threshold={threshold}")
+            assert code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"threshold must be finite, got {threshold}" in captured.err
+            assert not results.exists()
 
     def test_non_finite_raw_concurrence_exits_2_without_its_batch(
         self, tmp_path, capsys, monkeypatch

@@ -21,10 +21,13 @@ from ferroent.hilbert import build_sector_hamiltonian, central_spin_basis, secto
 from ferroent.spectra import (
     SPIN_LABEL_TOL,
     SpinLabelError,
+    central_stream,
     eig_sym,
-    energy_gap,
+    field_shifted,
     full_spectrum,
+    ground_gap,
     ground_window,
+    sector_slices,
     window_gap_ratio,
 )
 from ferroent.sweep import GraphThermalEngine, builtin_graph_set
@@ -98,25 +101,27 @@ class TestFullSpectrum:
     def test_flip_symmetry_at_zero_field(self):
         g = TEST_GRAPHS[1]
         spectrum = full_spectrum(g)
-        for n_up in range(g.n_spins + 1):
-            high = spectrum.sector_eigenvalues(g.n_spins - n_up)
-            assert np.array_equal(spectrum.sector_eigenvalues(n_up), high)
+        sectors = sector_slices(g.n_spins)
+        for n_up, sector in enumerate(sectors):
+            high = spectrum.energies[sectors[g.n_spins - n_up]]
+            assert np.array_equal(spectrum.energies[sector], high)
 
     @pytest.mark.parametrize("b_field", [0.0, -0.6])
     def test_every_sector_solves_its_own_block(self, b_field):
         # every sector's levels are its own block's eigenvalues; the central
         # eigenvectors are an orthonormal eigenbasis of the central block
         for g in TEST_GRAPHS + [make_graph(5, [(0, 1, 1.0), (2, 3, -0.7)])]:
-            spectrum, vectors = central_eigenvectors(g, b_field)
-            for n_up in range(g.n_spins + 1):
+            spectrum, vectors = central_eigenvectors(g)
+            energies = field_shifted(spectrum.energies, spectrum.sz, b_field)
+            sectors = sector_slices(g.n_spins)
+            for n_up, sector in enumerate(sectors):
                 h = build_sector_hamiltonian(g, n_up, b_field)
-                values = spectrum.sector_eigenvalues(n_up)
+                values = energies[sector]
                 assert np.all(np.diff(values) >= 0.0)
                 assert np.max(np.abs(values - np.linalg.eigvalsh(h))) <= 1e-12
             n_up = g.n_spins // 2
-            assert spectrum.basis.masks.tolist() == sector_basis(g.n_spins, n_up).masks.tolist()
             h = build_sector_hamiltonian(g, n_up, b_field)
-            values = spectrum.sector_eigenvalues(n_up)
+            values = energies[sectors[n_up]]
             assert np.max(np.abs(h @ vectors - vectors * values)) <= 1e-12
             assert np.max(np.abs(vectors.T @ vectors - np.eye(len(values)))) <= 1e-12
 
@@ -132,15 +137,12 @@ class TestFullSpectrum:
 
     def test_field_shifts_zero_field_eigenvalues(self):
         g = TEST_GRAPHS[3]
-        (zero, vectors), (shifted, shifted_vectors) = (
-            central_eigenvectors(g), central_eigenvectors(g, 1.3)
-        )
-        for n_up in range(g.n_spins + 1):
+        zero = full_spectrum(g)
+        shifted = field_shifted(zero.energies, zero.sz, 1.3)
+        for n_up, sector in enumerate(sector_slices(g.n_spins)):
             sz = n_up - 0.5 * g.n_spins
-            assert np.array_equal(
-                shifted.sector_eigenvalues(n_up), zero.sector_eigenvalues(n_up) + 1.3 * sz
-            )
-        assert np.array_equal(shifted_vectors, vectors)
+            assert np.all(zero.sz[sector] == sz)
+            assert np.array_equal(shifted[sector], zero.energies[sector] + 1.3 * sz)
 
     def test_cap(self):
         with pytest.raises(ValueError):
@@ -210,8 +212,9 @@ class TestGibbsWeights:
             GraphThermalEngine(EDGE).weights(-0.1, 0.0)
 
 
-def test_energy_gap_of_single_edge():
-    assert energy_gap(full_spectrum(EDGE)) == pytest.approx(1.0)
+def test_ground_gap_of_single_edge():
+    assert ground_gap(full_spectrum(EDGE).energies) == pytest.approx(1.0)
+    assert ground_gap(full_spectrum(make_graph(3, [])).energies) == 0.0  # no level above
 
 
 def _oracle_graphs():
@@ -245,8 +248,8 @@ class TestCentralSector:
         # sector eigenvalues and thermal pair entries of the central-sector
         # engine against every sector diagonalized on its own
         spectrum = full_spectrum(g)
-        for oracle in sector_spectra(g):
-            values = spectrum.sector_eigenvalues(oracle.n_up)
+        for oracle, sector in zip(sector_spectra(g), sector_slices(g.n_spins)):
+            values = spectrum.energies[sector]
             assert np.max(np.abs(values - oracle.eigenvalues)) <= 1e-12
         engine = GraphThermalEngine(g, g.pairs() + [(j, i) for i, j in g.pairs()[:3]])
         temperatures = (0.0, 0.3, 1.0, 5.0)
@@ -260,16 +263,26 @@ class TestCentralSector:
     def test_multiplet_bookkeeping(self, name, g):
         n = g.n_spins
         spectrum = full_spectrum(g)
+        sectors = sector_slices(n)
+        central = spectrum.spin[sectors[n // 2]]  # every level once, in column order
         assert spectrum.spin_residual <= SPIN_LABEL_TOL
-        assert np.sum(2 * spectrum.spins + 1) == 2**n
-        for n_up in range(n + 1):
-            assert len(spectrum.sector_eigenvalues(n_up)) == comb(n, n_up)
+        assert np.sum(2 * central + 1) == 2**n
+        assert len(spectrum.energies) == len(spectrum.spin) == len(spectrum.levels) == 2**n
+        for n_up, sector in enumerate(sectors):
+            assert sector.stop - sector.start == comb(n, n_up)
+            assert np.count_nonzero(spectrum.sz == n_up - 0.5 * n) == comb(n, n_up)
+            assert np.all(2.0 * spectrum.spin[sector] >= abs(2 * n_up - n))
+        # each flat state is a member of the multiplet of its central column
+        assert np.array_equal(spectrum.levels[sectors[n // 2]], np.arange(comb(n, n // 2)))
+        central_energies = spectrum.energies[sectors[n // 2]]
+        assert np.array_equal(spectrum.energies, central_energies[spectrum.levels])
+        assert np.array_equal(spectrum.spin, central[spectrum.levels])
         engine = GraphThermalEngine(g)
         for n_up in range(n + 1):
             assert np.count_nonzero(engine.sz == n_up - 0.5 * n) == comb(n, n_up)
         if g.is_ferromagnetic and is_connected(g):
-            assert spectrum.spins[0] == 0.5 * n
-            assert np.all(spectrum.spins[1:] < 0.5 * n)
+            assert central[0] == 0.5 * n
+            assert np.all(central[1:] < 0.5 * n)
 
     def test_degenerate_clusters_are_pure_spin(self):
         # the cube and the periodic 3x3 grid have many multiplets of different
@@ -277,14 +290,13 @@ class TestCentralSector:
         for g in (cube_graph(-1.0), grid_graph(3, 3, True, -1.0), star_graph(6, -1.0)):
             spectrum, vectors = central_eigenvectors(g)
             n = g.n_spins
+            central = sector_slices(n)[n // 2]
             complete = make_graph(n, [(a, b, 2.0) for a, b in g.pairs()])
-            square = build_sector_hamiltonian(complete, n // 2) + 0.75 * n * np.eye(
-                len(spectrum.basis)
-            )
-            casimir = spectrum.spins * (spectrum.spins + 1.0)
-            assert np.max(np.abs(square @ vectors - vectors * casimir)) <= 1e-12
+            square = build_sector_hamiltonian(complete, n // 2) + 0.75 * n * np.eye(len(vectors))
+            spin = spectrum.spin[central]
+            assert np.max(np.abs(square @ vectors - vectors * spin * (spin + 1.0))) <= 1e-12
             h = build_sector_hamiltonian(g, n // 2)
-            assert np.max(np.abs(h @ vectors - vectors * spectrum.eigenvalues)) <= 1e-12
+            assert np.max(np.abs(h @ vectors - vectors * spectrum.energies[central])) <= 1e-12
 
     def test_close_levels_of_different_spin_stay_pure(self):
         # LAPACK mixes levels 3.6e-6 apart by ~1e-10; without the first-order
@@ -292,9 +304,9 @@ class TestCentralSector:
         g = random_graph(10, 0.5, (-2.0, -0.1), seed=12)
         spectrum, vectors = central_eigenvectors(g)
         complete = make_graph(10, [(a, b, 2.0) for a, b in g.pairs()])
-        square = build_sector_hamiltonian(complete, 5) + 7.5 * np.eye(len(spectrum.basis))
-        casimir = spectrum.spins * (spectrum.spins + 1.0)
-        assert np.max(np.abs(square @ vectors - vectors * casimir)) <= 1e-12
+        square = build_sector_hamiltonian(complete, 5) + 7.5 * np.eye(len(vectors))
+        spin = spectrum.spin[sector_slices(10)[5]]
+        assert np.max(np.abs(square @ vectors - vectors * spin * (spin + 1.0))) <= 1e-12
 
     def test_near_crossing_of_spin_multiplets_matches_oracle(self):
         # ring 8 with J1 = -1 and J2 = x: at this x the lowest S = 4 and S = 2
@@ -435,9 +447,7 @@ def test_one_chunk_per_spin_group_gives_the_same_engine(monkeypatch):
     whole = GraphThermalEngine(graphs)
     monkeypatch.setattr(ferroent.spectra, "_CHUNK_ELEMENTS", 1)
     seen = []
-    spectrum = ferroent.spectra.central_stream(
-        graphs, 0.0, lambda positions, vectors: seen.append(positions)
-    )
+    spectrum = central_stream(graphs, lambda positions, vectors: seen.append(positions))
     assert len(seen) == len(ferroent.spectra.central_spin_basis(6))
     assert sorted(np.concatenate(seen).tolist()) == list(range(2 * comb(6, 3)))
     assert np.max(spectrum.spin_residual) <= SPIN_LABEL_TOL
@@ -445,6 +455,25 @@ def test_one_chunk_per_spin_group_gives_the_same_engine(monkeypatch):
     assert np.array_equal(chunked.energies, whole.energies)
     assert np.array_equal(chunked.spin, whole.spin)
     assert np.max(np.abs(chunked.stack - whole.stack)) <= 1e-14
+
+
+def test_engine_takes_the_level_table_of_the_solve_bit_for_bit():
+    # one graph and a batch of three N = 6 graphs: the engine's flat layout is
+    # the solve's, and a batch of one is full_spectrum with the axis in front
+    one = TEST_GRAPHS[3]
+    three = [TEST_GRAPHS[1], TEST_GRAPHS[2], ring_chain(ChainParams(n_spins=6, g1=-1.0, g2=0.4))]
+    batch = central_stream(three, lambda positions, vectors: None)
+    assert batch.energies.shape == batch.spin.shape == batch.levels.shape == (3, 64)
+    for engine, spectrum in (
+        (GraphThermalEngine(one), full_spectrum(one)),
+        (GraphThermalEngine(three), batch),
+    ):
+        for name in ("energies", "spin", "sz", "spin_residual"):
+            assert np.array_equal(getattr(engine, name), getattr(spectrum, name))
+    alone, single = central_stream([one], lambda positions, vectors: None), full_spectrum(one)
+    for name in ("energies", "spin", "levels", "spin_residual"):
+        assert np.array_equal(getattr(alone, name)[0], getattr(single, name))
+    assert np.array_equal(alone.sz, single.sz)
 
 
 @pytest.mark.parametrize("build, bound_mb", [(full_spectrum, 11.0), (GraphThermalEngine, 24.0)])

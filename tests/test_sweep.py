@@ -19,7 +19,7 @@ from ferroent.graphs import (
     save_graph,
     star_graph,
 )
-from ferroent.spectra import full_spectrum, ground_window
+from ferroent.spectra import field_shifted, full_spectrum, ground_window, sector_slices
 from ferroent.sweep import (
     GeometrySpec,
     GraphThermalEngine,
@@ -27,6 +27,7 @@ from ferroent.sweep import (
     build_geometry,
     builtin_graph_set,
     run_sweep,
+    spectral_fields,
     summary_row,
     verify_degeneracy,
     verify_universal,
@@ -480,9 +481,9 @@ class TestThermalEngine:
         engine = GraphThermalEngine(g, pairs)
         central = full_spectrum(g)
         position = 0
-        for spectrum in sector_spectra(g):
+        for spectrum, sector in zip(sector_spectra(g), sector_slices(n_spins)):
             for k in range(len(spectrum.eigenvalues)):
-                assert engine.energies[position] == central.sector_eigenvalues(spectrum.n_up)[k]
+                assert engine.energies[position] == central.energies[sector][k]
                 assert engine.sz[position] == spectrum.basis.sz
                 for pair, entries in zip(pairs, engine.stack[:, position]):
                     rho = pair_rdm_pure(spectrum.eigenvectors[:, k], spectrum.basis, pair)
@@ -549,18 +550,17 @@ class TestThermalEngine:
             engine.field_weights((0.0, 1.0), field)
         with pytest.raises(ValueError, match="field must be finite"):
             engine.ground_info(field)
+        spectrum = full_spectrum(engine.graph)
         with pytest.raises(ValueError, match="field must be finite"):
-            full_spectrum(engine.graph, b_field=field)
+            field_shifted(spectrum.energies, spectrum.sz, field)
 
     def test_non_finite_field_grid_writes_no_record(self):
-        config = SweepConfig.from_dict(json.loads(
-            '{"geometries": [{"kind": "ring"}], "n_values": [4], '
-            '"t_grid": [0.0, 1.0], "b_grid": [NaN, Infinity]}'
-        ))
-        output = io.StringIO()
-        with pytest.raises(ValueError, match="field must be finite"):
-            run_sweep(config, output=output)
-        assert output.getvalue() == ""
+        # refused when the config loads, so no sweep can start on it
+        with pytest.raises(ValueError, match="b_grid values must be finite"):
+            SweepConfig.from_dict(json.loads(
+                '{"geometries": [{"kind": "ring"}], "n_values": [4], '
+                '"t_grid": [0.0, 1.0], "b_grid": [NaN, Infinity]}'
+            ))
 
     def test_ground_info_with_field_splits_multiplet(self):
         g = ring_chain(ChainParams(n_spins=4, g1=-1.0))
@@ -572,9 +572,19 @@ class TestThermalEngine:
         assert energy_field == pytest.approx(energy_zero - 2.0)  # all-down wins
 
 
+def _universal(graph, graph_id):
+    engine = GraphThermalEngine(graph)
+    return verify_universal(engine, spectral_fields(engine, graph_id))
+
+
+def _degeneracy(graph, graph_id):
+    engine = GraphThermalEngine(graph)
+    return verify_degeneracy(engine, spectral_fields(engine, graph_id))
+
+
 class TestVerifyUniversal:
     def test_cube(self):
-        report = verify_universal(GraphThermalEngine(cube_graph(-1.0)), "cube")
+        report = _universal(cube_graph(-1.0), "cube")
         assert report.passed
         assert report.ground_degeneracy == 9
         assert report.max_rdm_deviation <= 1e-10
@@ -582,26 +592,26 @@ class TestVerifyUniversal:
 
     def test_random_inhomogeneous(self):
         g = random_graph(7, 0.5, (-1.5, -0.1), seed=42)
-        report = verify_universal(GraphThermalEngine(g), "random7")
+        report = _universal(g, "random7")
         assert report.passed
         assert report.max_rdm_deviation <= 1e-10
 
     def test_positive_coupling_flagged(self):
         g = make_graph(3, [(0, 1, -1.0), (1, 2, 0.5)])
-        report = verify_universal(GraphThermalEngine(g), "mixed-sign")
+        report = _universal(g, "mixed-sign")
         assert not report.ferromagnetic
         assert not report.preconditions_ok
         assert not report.passed
 
     def test_disconnected_flagged(self):
         g = make_graph(4, [(0, 1, -1.0), (2, 3, -1.0)])
-        report = verify_universal(GraphThermalEngine(g), "disjoint")
+        report = _universal(g, "disjoint")
         assert not report.connected
         assert not report.preconditions_ok
         assert not report.passed
 
     def test_report_serializes(self):
-        report = verify_universal(GraphThermalEngine(cube_graph(-1.0)), "cube")
+        report = _universal(cube_graph(-1.0), "cube")
         payload = dataclasses.asdict(report)
         assert payload["check"] == "universal"
         json.dumps(payload)
@@ -610,13 +620,13 @@ class TestVerifyUniversal:
 class TestVerifyDegeneracy:
     def test_open_path(self):
         g = open_chain(ChainParams(n_spins=5, g1=-1.0, periodic=False))
-        report = verify_degeneracy(GraphThermalEngine(g), "path5")
+        report = _degeneracy(g, "path5")
         assert report.passed
         assert report.ground_degeneracy == 6
         assert report.ground_energy == pytest.approx(-1.0, abs=1e-12)
 
     def test_star_with_zero_couplings_stays_connected(self):
-        report = verify_degeneracy(GraphThermalEngine(star_graph(6, -1.0)), "star6")
+        report = _degeneracy(star_graph(6, -1.0), "star6")
         assert report.passed
         assert report.ground_degeneracy == 7
         assert report.ground_energy == pytest.approx(-1.25, abs=1e-12)
@@ -627,7 +637,7 @@ class TestVerifyDegeneracy:
             [(0, 1, -1.0), (1, 2, -1.0), (0, 2, -1.0),
              (3, 4, -1.0), (4, 5, -1.0), (3, 5, -1.0)],
         )
-        report = verify_degeneracy(GraphThermalEngine(g), "triangles")
+        report = _degeneracy(g, "triangles")
         assert not report.connected
         assert report.expected_degeneracy is None
         assert report.degeneracy_ok is None
@@ -639,7 +649,7 @@ class TestVerifyDegeneracy:
 class TestGroundSpin:
     def test_connected_ferromagnets_have_spin_half_n(self):
         for graph_id, g in builtin_graph_set():
-            report = verify_degeneracy(GraphThermalEngine(g), graph_id)
+            report = _degeneracy(g, graph_id)
             assert report.passed
             assert report.ground_spin == 0.5 * g.n_spins
             assert report.spin_residual <= 1e-6
@@ -647,9 +657,9 @@ class TestGroundSpin:
 
     def test_wrong_ground_spin_fails_the_degeneracy_suite(self):
         engine = GraphThermalEngine(ring_chain(ChainParams(n_spins=5, g1=-1.0)))
-        assert verify_degeneracy(engine).passed
+        assert verify_degeneracy(engine, spectral_fields(engine, "ring5")).passed
         engine.spin = np.full_like(engine.spin, 0.5)
-        report = verify_degeneracy(engine)
+        report = verify_degeneracy(engine, spectral_fields(engine, "ring5"))
         assert report.ground_spin == 0.5
         assert not report.passed
 
@@ -664,7 +674,7 @@ class TestGroundSpin:
         for split, ratio, degeneracy in ((1.2, 1.2, 6), (0.8, None, 7)):
             engine.energies = energies.copy()
             engine.energies[excited] = e_min + split * width
-            report = verify_degeneracy(engine)
+            report = verify_degeneracy(engine, spectral_fields(engine, "ring5"))
             assert report.ground_degeneracy == degeneracy
             if ratio is None:
                 assert not report.degeneracy_ok  # absorbed: the count catches it
@@ -674,13 +684,14 @@ class TestGroundSpin:
 
     def test_disconnected_ground_window_holds_lower_spins(self):
         g = make_graph(4, [(0, 1, -1.0), (2, 3, -1.0)])  # two triplets: S = 0, 1, 2
-        report = verify_degeneracy(GraphThermalEngine(g), "dimers")
+        report = _degeneracy(g, "dimers")
         assert report.ground_spin == 0.0
         assert report.passed  # no single-multiplet claim for a disconnected graph
 
     def test_report_fields_serialize(self):
         engine = GraphThermalEngine(cube_graph(-1.0))
-        for report in (verify_universal(engine, "cube"), verify_degeneracy(engine, "cube")):
+        fields = spectral_fields(engine, "cube")
+        for report in (verify_universal(engine, fields), verify_degeneracy(engine, fields)):
             payload = json.loads(json.dumps(dataclasses.asdict(report)))
             assert payload["ground_spin"] == 4.0
             assert 0.0 <= payload["spin_residual"] <= 1e-6
