@@ -48,6 +48,14 @@ from .sweep import (
 _FMT = "%.17g"
 
 
+def finite(text: str) -> float:
+    """An argparse type: NaN, infinities and non-numbers ("invalid finite value") exit 2."""
+    value = float(text)
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return value
+
+
 def _add_graph_arguments(parser: argparse.ArgumentParser) -> None:
     source = parser.add_mutually_exclusive_group(required=True)
     source.add_argument("--graph", metavar="FILE", help="graph JSON file")
@@ -217,8 +225,6 @@ def _cmd_figures(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    if not np.isfinite(args.threshold):  # a NaN threshold would count no violation
-        raise SystemExit(f"ferroent: the threshold must be finite, got {args.threshold}")
     try:
         config = SweepConfig.from_file(args.config)
     except OSError as err:
@@ -339,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_spectrum = sub.add_parser("spectrum", help="all eigenvalues, sector by sector")
     _add_graph_arguments(p_spectrum)
-    p_spectrum.add_argument("--b-field", type=float, default=0.0)
+    p_spectrum.add_argument("--b-field", type=finite, default=0.0)
     p_spectrum.add_argument("--dump-sector", type=int, metavar="N_UP",
                             help="emit the dense sector matrix as CSV instead")
     p_spectrum.add_argument("--output", "-o", help="CSV file (default stdout)")
@@ -349,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_graph_arguments(p_rdm)
     p_rdm.add_argument("--pair", type=int, nargs=2, required=True, metavar=("I", "J"))
     p_rdm.add_argument("--temperature", "-T", type=float, default=0.0)
-    p_rdm.add_argument("--b-field", type=float, default=0.0)
+    p_rdm.add_argument("--b-field", type=finite, default=0.0)
     p_rdm.add_argument("--output", "-o", help="CSV file (default stdout)")
     p_rdm.set_defaults(func=_cmd_rdm)
 
@@ -378,7 +384,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--summary", help="CSV summary file")
     p_sweep.add_argument("--workers", type=int, default=1,
                          help="parallel worker processes (default 1)")
-    p_sweep.add_argument("--threshold", type=float, default=RAW_CONCURRENCE_THRESHOLD,
+    # a NaN threshold would count no violation and turn --assert-zero off
+    p_sweep.add_argument("--threshold", type=finite, default=RAW_CONCURRENCE_THRESHOLD,
                          help="raw concurrence threshold (default 1e-12)")
     p_sweep.add_argument("--assert-zero", action="store_true",
                          help="exit 1 if any grid point exceeds the threshold")
@@ -392,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--graph", dest="graph_files", action="append", metavar="FILE",
                           help="verify this graph JSON instead of the built-in set "
                                "(repeatable)")
-    p_verify.add_argument("--b-field", type=float, default=0.0,
+    p_verify.add_argument("--b-field", type=finite, default=0.0,
                           help="field for the sweep-zero suite (default 0)")
     p_verify.add_argument("--json", dest="json_output", metavar="FILE",
                           help="also write a machine-readable report")

@@ -15,8 +15,9 @@ it is given and every pair a < b at once, from bit operations on the
 sector's mask array and two matrix products; its index tables are built
 once per sector and cached, so the thermal engine hands it the central
 eigenvectors one chunk of spin groups at a time, as the solve streams
-them (see ``spectra.central_stream``), and keeps only the entries.  The
-engine turns them into X-state concurrences (see ``sweep``); the general
+them (see ``spectra.central_stream``), and keeps only the pair
+correlations it rebuilds every sector's entries from.  The engine turns
+those into X-state concurrences (see ``sweep``); the general
 Wootters route that cross-checks that formula lives with the tests, as
 an oracle.
 """

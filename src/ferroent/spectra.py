@@ -9,7 +9,10 @@ at once, with one ``eigh`` call per S for all of them; ``full_spectrum``
 is its batch of one.  Sector n_up holds the central levels with
 S >= |n_up - N/2|, at the same energies, so the solve lays out every
 level of the 2^N states once, in one flat table (``CentralSpectrum``,
-``sector_slices``); a field B only adds B * S^z (``field_shifted``).
+``sector_slices``) whose ``levels`` name each state's central column in
+solve order; from those columns the thermal engine rebuilds every
+sector, the central one too, by one Wigner-Eckart rule.  A field B only
+adds B * S^z (``field_shifted``).
 
 For even N the central block is centrosymmetric, H == H[::-1, ::-1]: the
 global spin flip maps the sector onto itself with its mask order
@@ -31,7 +34,7 @@ each (one chunk up to N = 11, four at N = 12, about one per S at
 N = 13 and 14), checks each chunk's labels, <S^2> =
 |S^+ v|^2 + M(M + 1) within SPIN_LABEL_TOL of S(S+1), and hands it to a
 consumer before it carries back the next: the thermal engine reduces
-each chunk to pair entries, and ``full_spectrum`` drops it.  So a
+each chunk to pair correlations, and ``full_spectrum`` drops it.  So a
 ``CentralSpectrum`` holds levels, spin labels and residuals, and no
 eigenvectors.
 
@@ -73,8 +76,10 @@ class CentralSpectrum:
     the zero-field energy ``energies[j, x]`` in graph j, total spin
     ``spin[j, x]`` and S^z = ``sz[x]`` = n_up - N/2, and its multiplet's
     central member is column ``levels[j, x]`` = j * dim + k of the
-    batch's energy-sorted central columns side by side, the numbering
-    ``central_stream``'s consumer gets.  ``spin_residual[j]`` is max
+    batch's central columns side by side, each graph's in solve order (S
+    group by S group), the numbering ``central_stream``'s consumer gets;
+    the central sector names each column once, and every sector's pair
+    entries are rebuilt from the column it names.  ``spin_residual[j]`` is max
     |<S^2> - S(S+1)| over graph j's central eigenvectors.  Every array but
     ``sz`` has the batch axis in front; ``full_spectrum`` drops it.  No
     eigenvectors are kept.
@@ -162,8 +167,8 @@ def _spin_residual(
 ) -> np.ndarray:
     """max |<S^2> - S(S+1)| over each graph's columns, with <S^2> = |S^+ v|^2 + M(M + 1).
 
-    ``vectors`` is (dim, G * k), graph by graph, and ``spins`` (G, k);
-    returns (G,).  S^+ v is one gather-sum into the sector above over
+    ``vectors`` is (dim, G * k), graph by graph, and ``spins`` (k,), the
+    labels of every graph's columns; returns (G,).  S^+ v is one gather-sum into the sector above over
     ``_raise_rows``.
     """
     m = basis.sz
@@ -177,7 +182,7 @@ def _spin_residual(
         np.square(raised, out=raised)
         # a pairwise sum along rows: down the columns, ring 14 gained 3.9e-12 of rounding
         squares[start : start + step] = np.ascontiguousarray(raised.T).sum(axis=1)
-    squares = squares.reshape(spins.shape)
+    squares = squares.reshape(-1, len(spins))
     return np.max(np.abs(squares + m * (m + 1.0) - spins * (spins + 1.0)), axis=1)
 
 
@@ -194,9 +199,11 @@ def central_stream(
     whole S groups, at most _CHUNK_ELEMENTS entries each unless one group
     is larger: each chunk is spin-checked and passed as ``consume(positions,
     vectors)``, with ``vectors`` (dim, G * k), graph by graph, and
-    ``positions`` (G * k) the columns' places in the batch's energy-sorted
-    columns side by side (column k of graph j is j * dim + k).  No chunk
-    is kept: the sorted eigenvector matrix is never formed.
+    ``positions`` (G * k) the columns' numbers in the batch's solve-order
+    columns side by side (column k of graph j is j * dim + k), ascending
+    and contiguous per graph.  No chunk is kept: the eigenvector matrix
+    is never formed.  Each sector is put in ascending order once, when
+    ``levels`` is built.
 
     Returns the batch's ``CentralSpectrum``.  Raises ValueError for mixed
     spin counts or N > N_SPINS_CAP, and SpinLabelError
@@ -219,11 +226,8 @@ def central_stream(
         for parity, (_, columns) in zip(parities, spin_blocks)
     ]
     del blocks  # free the parity blocks before the eigenvectors are carried back
-    eigenvalues = np.concatenate([values for values, _ in solved], axis=1)
+    eigenvalues = np.concatenate([values for values, _ in solved], axis=1)  # (G, dim)
     spins = np.repeat([spin for spin, _ in spin_blocks], [values.shape[1] for values, _ in solved])
-    order = np.argsort(eigenvalues, axis=1, kind="stable")
-    positions = np.argsort(order, axis=1) + dim * np.arange(count)[:, None]
-    spins = spins[order]
     raise_rows = _raise_rows(basis)
     residuals = np.zeros(count)
     # (parity, columns, rotation) per S; each rotation is dropped once carried back
@@ -238,50 +242,48 @@ def central_stream(
         while groups and dim * count * (width + groups[0][2].shape[-1]) <= _CHUNK_ELEMENTS:
             width += groups[0][2].shape[-1]
             chunk.append(groups.pop(0))
-        # the chunk's columns in energy order: graph j's go to j * width + their rank
-        chunk_positions = positions[:, start : start + width]
-        places = np.sort(chunk_positions, axis=1)
-        ranks = np.argsort(np.argsort(chunk_positions, axis=1), axis=1)
-        ranks += width * np.arange(count)[:, None]
-        vectors = np.empty((dim, count * width))
+        vectors = np.empty((dim, count, width))
         offset = 0
         for parity, columns, turn in chunk:
-            targets = ranks[:, offset : offset + turn.shape[-1]]
+            target = vectors[:, :, offset : offset + turn.shape[-1]]
             offset += turn.shape[-1]
             carried = (columns @ turn).transpose(1, 0, 2)  # (rows, G, k)
             if n % 2:
-                vectors[:, targets] = carried
+                target[...] = carried
                 continue
             carried *= np.sqrt(0.5)
-            vectors[:half, targets] = carried
+            target[:half] = carried
             if parity:
                 np.negative(carried, out=carried)
-            vectors[half:, targets] = carried[::-1]
+            target[half:] = carried[::-1]
         del chunk, carried
-        residual = _spin_residual(basis, raise_rows, vectors, spins.reshape(-1)[places])
+        vectors = vectors.reshape(dim, count * width)
+        residual = _spin_residual(basis, raise_rows, vectors, spins[start : start + width])
         if residual.max() > SPIN_LABEL_TOL:
             raise SpinLabelError(
                 f"<S^2> of a central eigenvector is {residual.max():.3g} away from its S(S+1) "
                 f"(tolerance {SPIN_LABEL_TOL:g})"
             )
         np.maximum(residuals, residual, out=residuals)
-        consume(places.reshape(-1), vectors)
+        positions = start + np.arange(width) + dim * np.arange(count)[:, None]
+        consume(positions.reshape(-1), vectors)
         del vectors
         start += width
+    order = np.argsort(eigenvalues, axis=1, kind="stable")  # each graph's columns by energy
     levels = []
     for n_up in range(n + 1):
-        # each graph's spins are a permutation of the same labels, so of the same count
-        columns = np.nonzero(2.0 * spins >= abs(2 * n_up - n))[1]
-        if len(columns) != count * comb(n, n_up):
+        kept = 2.0 * spins[order] >= abs(2 * n_up - n)
+        # every graph has the same labels, so each gets the same number of levels
+        if np.count_nonzero(kept) != count * comb(n, n_up):
             raise SpinLabelError(
-                f"the spin labels give sector n_up={n_up} {len(columns) // count} levels, "
-                f"expected C({n}, {n_up}) = {comb(n, n_up)}"
+                f"the spin labels give sector n_up={n_up} {np.count_nonzero(kept) // count} "
+                f"levels, expected C({n}, {n_up}) = {comb(n, n_up)}"
             )
-        levels.append(columns.reshape(count, -1))
+        levels.append(order[kept].reshape(count, -1))
     levels = np.concatenate(levels, axis=1)
     return CentralSpectrum(
-        energies=np.take_along_axis(np.sort(eigenvalues, axis=1, kind="stable"), levels, 1),
-        spin=np.take_along_axis(spins, levels, 1),
+        energies=np.take_along_axis(eigenvalues, levels, 1),
+        spin=spins[levels],
         sz=np.repeat(np.arange(n + 1) - 0.5 * n, [comb(n, n_up) for n_up in range(n + 1)]),
         levels=levels + dim * np.arange(count)[:, None],
         spin_residual=residuals,

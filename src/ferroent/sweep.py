@@ -276,16 +276,16 @@ class GraphThermalEngine:
     (G, points, 2^N), and every result gains the same axis.  ``sz`` is
     shared, and every quantity is still computed from its own graph alone.
 
-    The central sector's entries are gathered from its eigenvectors, a
-    batch's side by side, as ``spectra.central_stream`` hands them over one
-    chunk of S groups at a time: each chunk is reduced to its entries for
-    the engine's pairs, c, zz and <S . S_a>, written to its energy-sorted
-    columns, and dropped, so no eigenvector matrix and no all-pairs entry
-    array outlives its chunk.  Every other member |S, M> of a multiplet
-    gets its entries from those of the central member, the column that
-    the spectrum's ``levels`` names: from its pair correlations
-    c = <S_a . S_b> and zz = <S^z_a S^z_b> by the Wigner-Eckart theorem,
-    with g_a = <S . S_a> / S(S+1) and <S . S_a> = 3/4 + sum_{c != a} c_ac:
+    ``spectra.central_stream`` hands over the central eigenvectors, a
+    batch's side by side, one chunk of S groups at a time: each chunk is
+    reduced to the pair correlations c = <S_a . S_b> and
+    zz = <S^z_a S^z_b> of the engine's pairs and <S . S_a> per site,
+    written to its solve-order columns, and dropped, so no eigenvector
+    matrix and no all-pairs entry array outlives its chunk.  Every member
+    |S, M> of a multiplet, the central one too, gets its entries from the
+    correlations of its central column, the one that the spectrum's
+    ``levels`` names, by one rule, the Wigner-Eckart theorem, with
+    g_a = <S . S_a> / S(S+1) and <S . S_a> = 3/4 + sum_{c != a} c_ac:
 
         z_a(M) = M g_a                 (0 for S = 0)
         zz(M) = c/3 + (3M^2 - S(S+1)) (zz(M0) - c/3) / (3 M0^2 - S(S+1))
@@ -318,11 +318,8 @@ class GraphThermalEngine:
         all_pairs = self.graph.pairs()
         position = {pair: k for k, pair in enumerate(all_pairs)}
         rows = [position[min(a, b), max(a, b)] for a, b in self.pairs]
-        reversed_pairs = np.array([a > b for a, b in self.pairs])
-        # per central state, in the batch's energy-sorted columns side by side
-        # (column k of graph j is j * dim + k): the entries of the engine's pairs,
-        # their c = <S_a . S_b> (gamma = xx + yy) and zz, and <S . S_a> per site
-        central = np.empty((len(self.pairs), count * dim, 5))
+        # per central column (column k of graph j at j * dim + k): c = <S_a . S_b>
+        # (gamma = xx + yy) and zz of the engine's pairs, and <S . S_a> per site
         c, zz = np.empty((len(self.pairs), count * dim)), np.empty((len(self.pairs), count * dim))
         along = np.empty((n, count * dim))
 
@@ -337,15 +334,11 @@ class GraphThermalEngine:
                 chunk_along[a] += c_all[k]
                 chunk_along[b] += c_all[k]
             along[:, positions] = chunk_along
-            chosen = entries[rows]
-            chosen[reversed_pairs] = chosen[reversed_pairs][..., [0, 3, 2, 1, 4]]  # beta <-> delta
-            central[:, positions] = chosen
             c[:, positions], zz[:, positions] = c_all[rows], zz_all[rows]
 
         spectrum = central_stream(self.graphs, reduce)
-        sectors = sector_slices(n)
-        # the central sector holds every level once, in column order
-        spin = spectrum.spin[:, sectors[n // 2]].reshape(-1)
+        spin = np.empty(count * dim)
+        spin[spectrum.levels] = spectrum.spin  # each central column's S
         casimir = spin * (spin + 1.0)
         g = np.divide(along, casimir, out=np.zeros_like(along), where=casimir > 0.0)
         sites = np.array(self.pairs)
@@ -358,17 +351,12 @@ class GraphThermalEngine:
         del zz, along, g
 
         stack = np.empty((len(self.pairs), count, 2**n, 5))
-        # the central sector first, so its entries are freed before the others are rebuilt
-        stack[:, :, sectors[n // 2]] = central.reshape(-1, count, dim, 5)
-        del central
-        for n_up, sector in enumerate(sectors):
-            if n_up != n // 2:
-                columns = spectrum.levels[:, sector]
-                _member_entries(
-                    c[:, columns], rank2[:, columns], casimir[columns],
-                    g_a[:, columns], g_b[:, columns], n_up - 0.5 * n, n_up, n,
-                    stack[:, :, sector],
-                )
+        for n_up, sector in enumerate(sector_slices(n)):
+            columns = spectrum.levels[:, sector]
+            _member_entries(
+                c[:, columns], rank2[:, columns], casimir[columns],
+                g_a[:, columns], g_b[:, columns], n_up, n, stack[:, :, sector],
+            )
         self.energies, self.spin, self.sz = spectrum.energies, spectrum.spin, spectrum.sz
         self.stack, self.spin_residual = stack, spectrum.spin_residual
         if single:
@@ -443,17 +431,17 @@ def _member_entries(
     casimir: np.ndarray,
     g_a: np.ndarray,
     g_b: np.ndarray,
-    m: float,
     n_up: int,
     n: int,
     out: np.ndarray,
 ) -> None:
-    """Write the (pairs, states, 5) entries of the multiplet members |S, M = m> in sector n_up.
+    """Write the (pairs, states, 5) entries of the multiplet members |S, M> in sector n_up.
 
-    The arguments are the central states' c, rank-2 part of zz, S(S+1) and
-    g of both sites (see ``GraphThermalEngine``), restricted to S >= |m|;
-    ``out`` is the sector's slice of the engine's stack.
+    M = n_up - N/2.  The arguments are the central states' c, rank-2 part
+    of zz, S(S+1) and g of both sites (see ``GraphThermalEngine``),
+    restricted to S >= |M|; ``out`` is the sector's slice of the engine's stack.
     """
+    m = n_up - 0.5 * n
     zz = c / 3.0 + (3.0 * m * m - casimir) * rank2
     z_sum, z_diff = 0.5 * m * (g_a + g_b), 0.5 * m * (g_a - g_b)
     np.add(0.25 + z_sum, zz, out=out[..., 0])

@@ -25,7 +25,7 @@ import numpy as np
 from ferroent.graphs import SpinGraph
 from ferroent.hilbert import SectorBasis, build_sector_hamiltonian, sector_basis
 from ferroent.rdm import eigenstate_pair_entries
-from ferroent.spectra import CentralSpectrum, central_stream
+from ferroent.spectra import CentralSpectrum, central_stream, sector_slices
 
 HERMITICITY_TOL = 1e-12
 SPARSITY_TOL = 1e-12
@@ -134,12 +134,13 @@ def central_eigenvectors(graph: SpinGraph) -> tuple[CentralSpectrum, np.ndarray]
     """``full_spectrum(graph)`` with its central eigenvectors as one matrix.
 
     The package never holds them at once; this collects the chunks of
-    ``spectra.central_stream`` into the (dim, dim) matrix whose column k
+    ``spectra.central_stream``, in solve order, and reorders them by the
+    central sector's ``levels`` into the (dim, dim) matrix whose column k
     belongs to the k-th lowest central level: flat state
-    ``sector_slices(N)[N // 2].start + k`` of the spectrum, and central
-    column k of its ``levels``.
+    ``sector_slices(N)[N // 2].start + k`` of the spectrum.
     """
-    dim = comb(graph.n_spins, graph.n_spins // 2)
+    n = graph.n_spins
+    dim = comb(n, n // 2)
     matrix = np.full((dim, dim), np.nan)
 
     def collect(positions: np.ndarray, vectors: np.ndarray) -> None:
@@ -149,7 +150,7 @@ def central_eigenvectors(graph: SpinGraph) -> tuple[CentralSpectrum, np.ndarray]
     spectrum = CentralSpectrum(
         batch.energies[0], batch.spin[0], batch.sz, batch.levels[0], float(batch.spin_residual[0])
     )
-    return spectrum, matrix
+    return spectrum, matrix[:, spectrum.levels[sector_slices(n)[n // 2]]]
 
 
 def sector_thermal_entries(

@@ -278,12 +278,14 @@ class TestSweepCommand:
         assert run_cli("sweep", "--config", str(config), "--assert-zero") == 1
         assert "1 above threshold" in capsys.readouterr().out
         for threshold in ("nan", "inf", "-inf"):
-            code = run_cli("sweep", "--config", str(config), "--output", str(results),
-                           "--assert-zero", f"--threshold={threshold}")
-            assert code == 2
+            # refused while the arguments are parsed
+            with pytest.raises(SystemExit) as err:
+                run_cli("sweep", "--config", str(config), "--output", str(results),
+                        "--assert-zero", f"--threshold={threshold}")
+            assert err.value.code == 2
             captured = capsys.readouterr()
             assert captured.out == ""
-            assert f"threshold must be finite, got {threshold}" in captured.err
+            assert f"argument --threshold: must be finite, got {threshold}" in captured.err
             assert not results.exists()
 
     def test_non_finite_raw_concurrence_exits_2_without_its_batch(
@@ -619,12 +621,22 @@ class TestNonFiniteField:
         ["spectrum", "--ring", "4", "--b-field", "nan"],
         ["spectrum", "--ring", "4", "--b-field", "inf", "--dump-sector", "2"],
         ["verify", "--suite", "sweep-zero", "--b-field=-inf"],
+        ["verify", "--suite", "universal", "--b-field", "nan"],
+        ["verify", "--suite", "degeneracy", "--b-field", "nan"],
     ])
-    def test_exits_2_and_prints_nothing(self, capsys, command):
-        assert run_cli(*command) == 2
+    def test_exits_2_and_prints_nothing(self, capsys, monkeypatch, command):
+        # refused while the arguments are parsed, for every suite, before any solve
+        def no_solve(graphs, consume):
+            raise AssertionError("the field was not checked before the solve")
+
+        monkeypatch.setattr(ferroent.spectra, "central_stream", no_solve)
+        monkeypatch.setattr(ferroent.sweep, "central_stream", no_solve)
+        with pytest.raises(SystemExit) as err:
+            run_cli(*command)
+        assert err.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "field must be finite" in captured.err
+        assert "argument --b-field: must be finite, got " in captured.err
 
 
 class TestOneDiagonalizationPerCommand:

@@ -264,7 +264,7 @@ class TestCentralSector:
         n = g.n_spins
         spectrum = full_spectrum(g)
         sectors = sector_slices(n)
-        central = spectrum.spin[sectors[n // 2]]  # every level once, in column order
+        central = spectrum.spin[sectors[n // 2]]  # every multiplet once, ascending
         assert spectrum.spin_residual <= SPIN_LABEL_TOL
         assert np.sum(2 * central + 1) == 2**n
         assert len(spectrum.energies) == len(spectrum.spin) == len(spectrum.levels) == 2**n
@@ -272,11 +272,14 @@ class TestCentralSector:
             assert sector.stop - sector.start == comb(n, n_up)
             assert np.count_nonzero(spectrum.sz == n_up - 0.5 * n) == comb(n, n_up)
             assert np.all(2.0 * spectrum.spin[sector] >= abs(2 * n_up - n))
+        # the central sector names every solve-order column once
+        columns = spectrum.levels[sectors[n // 2]]
+        assert np.array_equal(np.sort(columns), np.arange(comb(n, n // 2)))
         # each flat state is a member of the multiplet of its central column
-        assert np.array_equal(spectrum.levels[sectors[n // 2]], np.arange(comb(n, n // 2)))
-        central_energies = spectrum.energies[sectors[n // 2]]
-        assert np.array_equal(spectrum.energies, central_energies[spectrum.levels])
-        assert np.array_equal(spectrum.spin, central[spectrum.levels])
+        energy, spin = np.empty(len(columns)), np.empty(len(columns))
+        energy[columns], spin[columns] = spectrum.energies[sectors[n // 2]], central
+        assert np.array_equal(spectrum.energies, energy[spectrum.levels])
+        assert np.array_equal(spectrum.spin, spin[spectrum.levels])
         engine = GraphThermalEngine(g)
         for n_up in range(n + 1):
             assert np.count_nonzero(engine.sz == n_up - 0.5 * n) == comb(n, n_up)
@@ -351,8 +354,14 @@ class TestCentralSector:
     def test_kinematic_zeros_are_exact(self):
         # below two up spins no pair is both up (and mirrored for down); the
         # polarized state's raw concurrence 2(|gamma| - sqrt(alpha epsilon))
-        # would otherwise read the square root of a rounding error
-        for g in (random_graph(7, 0.5, (-2.0, -0.3), seed=5), TEST_GRAPHS[1]):
+        # would otherwise read the square root of a rounding error.  At N = 2
+        # and 3 the central sector n_up = 1 is among them.
+        for g in (
+            make_graph(2, [(0, 1, -1.0)]),
+            make_graph(3, [(0, 1, -1.0), (1, 2, -0.6)]),
+            random_graph(7, 0.5, (-2.0, -0.3), seed=5),
+            TEST_GRAPHS[1],
+        ):
             n = g.n_spins
             engine = GraphThermalEngine(g)
             for n_up in (0, 1, n - 1, n):
@@ -450,6 +459,10 @@ def test_one_chunk_per_spin_group_gives_the_same_engine(monkeypatch):
     spectrum = central_stream(graphs, lambda positions, vectors: seen.append(positions))
     assert len(seen) == len(ferroent.spectra.central_spin_basis(6))
     assert sorted(np.concatenate(seen).tolist()) == list(range(2 * comb(6, 3)))
+    # each graph's columns of a chunk arrive ascending and contiguous, in solve order
+    for positions in seen:
+        for columns in positions.reshape(2, -1):
+            assert np.array_equal(columns, np.arange(columns[0], columns[0] + len(columns)))
     assert np.max(spectrum.spin_residual) <= SPIN_LABEL_TOL
     chunked = GraphThermalEngine(graphs)
     assert np.array_equal(chunked.energies, whole.energies)
@@ -479,10 +492,10 @@ def test_engine_takes_the_level_table_of_the_solve_bit_for_bit():
 @pytest.mark.parametrize("build, bound_mb", [(full_spectrum, 11.0), (GraphThermalEngine, 24.0)])
 def test_ring_12_memory_peak(build, bound_mb):
     # tracemalloc peak from cold caches.  The solve streams its eigenvectors
-    # in chunks and the engine reduces each chunk to pair entries, so neither
-    # holds the (924 x 924) sorted eigenvector matrix: 8.9 MB for the spectrum
-    # and 19.4 MB for the all-pairs engine, against 19.5 and 27.0 MB with the
-    # matrix formed; the bounds leave about 25%
+    # in chunks and the engine reduces each chunk to pair correlations, so
+    # neither holds the (924 x 924) eigenvector matrix: 8.9 MB for the spectrum
+    # and 18.2 MB for the all-pairs engine, against 19.5 and 27.0 MB with the
+    # matrix formed; the bounds leave 24% and 32%
     g = ring_chain(ChainParams(n_spins=12, g1=-1.0))
     for cache in (sector_basis, central_spin_basis, ferroent.rdm._pair_tables):
         cache.cache_clear()

@@ -473,9 +473,10 @@ class TestThermalEngine:
 
     @pytest.mark.parametrize("n_spins", [6, 7])
     def test_stack_matches_oracle_on_every_sector(self, n_spins):
-        # every sector but the central one holds Wigner-Eckart entries; check
-        # all against the per-eigenstate partial trace of the per-sector ED
-        # (no level of this graph is degenerate within a sector)
+        # every sector, the central one too, holds Wigner-Eckart entries rebuilt
+        # from the central columns' c, zz and <S . S_a>; check all, reversed
+        # pairs included, against the per-eigenstate partial trace of the
+        # per-sector ED (no level of this graph is degenerate within a sector)
         g = random_graph(n_spins, 0.5, (-2.0, -0.2), seed=40 + n_spins)
         pairs = [(0, 1), (n_spins - 1, 2), (3, 1), (2, 5)]
         engine = GraphThermalEngine(g, pairs)
