@@ -56,6 +56,14 @@ def finite(text: str) -> float:
     return value
 
 
+def temperature(text: str) -> float:
+    """An argparse type: negative or NaN exits 2, as ``field_weights`` refuses it; inf passes."""
+    value = float(text)
+    if not value >= 0.0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
+    return value
+
+
 def _add_graph_arguments(parser: argparse.ArgumentParser) -> None:
     source = parser.add_mutually_exclusive_group(required=True)
     source.add_argument("--graph", metavar="FILE", help="graph JSON file")
@@ -354,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rdm = sub.add_parser("rdm", help="two-spin thermal reduced density matrix")
     _add_graph_arguments(p_rdm)
     p_rdm.add_argument("--pair", type=int, nargs=2, required=True, metavar=("I", "J"))
-    p_rdm.add_argument("--temperature", "-T", type=float, default=0.0)
+    p_rdm.add_argument("--temperature", "-T", type=temperature, default=0.0)
     p_rdm.add_argument("--b-field", type=finite, default=0.0)
     p_rdm.add_argument("--output", "-o", help="CSV file (default stdout)")
     p_rdm.set_defaults(func=_cmd_rdm)

@@ -47,7 +47,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -59,7 +59,7 @@ DEGENERACY_TOL = 1e-9
 SPIN_LABEL_TOL = 1e-6
 
 _SYMMETRY_TOL = 1e-14
-_GATHER_ELEMENTS = 1 << 20  # entries of S^+ V formed at once by the spin check
+_GATHER_ELEMENTS = 1 << 19  # entries of S^+ V formed at once by the spin check
 _CHUNK_ELEMENTS = 1 << 18  # eigenvector entries carried back at once, unless one S group has more
 
 
@@ -122,13 +122,16 @@ def eig_sym(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return eigenvalues, eigenvectors
 
 
-def _stacked_blocks(graphs: Sequence[SpinGraph], basis: SectorBasis) -> np.ndarray:
-    """Every graph's central blocks, filled from all ``sector_hops`` at once, as (P, G, k, k).
+def _stacked_blocks(graphs: Sequence[SpinGraph], basis: SectorBasis) -> Iterator[np.ndarray]:
+    """Every graph's central blocks, filled from all ``sector_hops`` at once, as (G, k, k) each.
 
-    Odd N: the central block, P = 1, k = dim.  Even N: the parity blocks
-    + and -, P = 2, k = dim / 2, from the hops out of the first k rows, with
-    a column c >= k folded onto dim - 1 - c and the block's sign.  An entry
-    gets at most one term of A and one of C: this is A +- C[:, ::-1] bit for bit.
+    Odd N: the central block, k = dim.  Even N: the parity blocks + and
+    -, k = dim / 2, from the hops out of the first k rows, with a column
+    c >= k folded onto dim - 1 - c and the block's sign.  An entry gets at
+    most one term of A and one of C: this is A +- C[:, ::-1] bit for bit.
+    A block is built when the next is asked for, and the generator keeps no
+    reference to it, so a caller that drops each block before asking for
+    the next holds one at a time.
     """
     dim = len(basis)
     signs = (1.0,) if basis.n_spins % 2 else (1.0, -1.0)
@@ -140,12 +143,15 @@ def _stacked_blocks(graphs: Sequence[SpinGraph], basis: SectorBasis) -> np.ndarr
     member, row, column, value = member[kept], row[kept], column[kept], value[kept]
     folded = column >= size
     column[folded] = dim - 1 - column[folded]
-    blocks = np.zeros((len(signs), len(graphs), size, size))
-    blocks[:, :, range(size), range(size)] += np.stack([hop[0][:size] for hop in hops])
-    for block, sign in zip(blocks, signs):
+    diagonal = np.stack([hop[0][:size] for hop in hops])
+    del hops
+    for sign in signs:
+        block = np.zeros((len(graphs), size, size))
+        block[:, range(size), range(size)] += diagonal
         block[member[~folded], row[~folded], column[~folded]] += value[~folded]
         block[member[folded], row[folded], column[folded]] += sign * value[folded]
-    return blocks
+        yield block
+        del block
 
 
 def _symmetric(matrix: np.ndarray) -> np.ndarray:
@@ -193,9 +199,11 @@ def central_stream(
 
     H is projected onto each spin-S block of ``central_spin_basis`` (for
     even N, the flip-parity block of that S), and the projections of all
-    graphs are diagonalized by one ``eig_sym`` call per S; a column's S
-    is its block's.  Every step acts on each graph's matrices alone, as
-    for one graph.  The eigenvectors are then carried back in chunks of
+    graphs are diagonalized by one ``eig_sym`` call per S, in S order; a
+    column's S is its block's.  Each parity block is built just before its
+    S groups are projected and dropped before the other is built.  Every
+    step acts on each graph's matrices alone, as for one graph.  The
+    eigenvectors are then carried back in chunks of
     whole S groups, at most _CHUNK_ELEMENTS entries each unless one group
     is larger: each chunk is spin-checked and passed as ``consume(positions,
     vectors)``, with ``vectors`` (dim, G * k), graph by graph, and
@@ -217,15 +225,16 @@ def central_stream(
         raise ValueError(f"n_spins={n} exceeds the solver cap of {N_SPINS_CAP}")
     basis = sector_basis(n, n // 2)
     dim, half, count = len(basis), len(basis) // 2, len(graphs)
-    blocks = _stacked_blocks(graphs, basis)
     spin_blocks = central_spin_basis(n)
     # the block of each S: for even N its flip parity (-1)^(N/2 - S), 0 for + and 1 for -
     parities = [0 if n % 2 else int(n // 2 - spin) % 2 for spin, _ in spin_blocks]
-    solved = [
-        eig_sym(_symmetric(columns.T @ (blocks[parity] @ columns)))
-        for parity, (_, columns) in zip(parities, spin_blocks)
-    ]
-    del blocks  # free the parity blocks before the eigenvectors are carried back
+    projected = [None] * len(spin_blocks)
+    for parity, block in enumerate(_stacked_blocks(graphs, basis)):
+        for group, (_, columns) in enumerate(spin_blocks):
+            if parities[group] == parity:
+                projected[group] = _symmetric(columns.T @ (block @ columns))
+        del block
+    solved = [eig_sym(projected.pop(0)) for _ in spin_blocks]  # each dropped once solved
     eigenvalues = np.concatenate([values for values, _ in solved], axis=1)  # (G, dim)
     spins = np.repeat([spin for spin, _ in spin_blocks], [values.shape[1] for values, _ in solved])
     raise_rows = _raise_rows(basis)
@@ -247,16 +256,14 @@ def central_stream(
         for parity, columns, turn in chunk:
             target = vectors[:, :, offset : offset + turn.shape[-1]]
             offset += turn.shape[-1]
-            carried = (columns @ turn).transpose(1, 0, 2)  # (rows, G, k)
+            # the product goes straight into the chunk: (rows, G, k) seen as (G, rows, k)
+            upper = target[: len(columns)]
+            np.matmul(columns, turn, out=upper.transpose(1, 0, 2))
             if n % 2:
-                target[...] = carried
                 continue
-            carried *= np.sqrt(0.5)
-            target[:half] = carried
-            if parity:
-                np.negative(carried, out=carried)
-            target[half:] = carried[::-1]
-        del chunk, carried
+            upper *= np.sqrt(0.5)
+            np.multiply(upper[::-1], -1.0 if parity else 1.0, out=target[half:])
+        del chunk
         vectors = vectors.reshape(dim, count * width)
         residual = _spin_residual(basis, raise_rows, vectors, spins[start : start + width])
         if residual.max() > SPIN_LABEL_TOL:

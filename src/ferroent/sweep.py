@@ -8,14 +8,15 @@ identical configs produce byte-identical files and an interrupted sweep
 can resume after its last complete record.  The work goes in batches:
 consecutive graph instances of one geometry and one chain length (a
 chain kind's g2 x g3 block), which share the pair list and the T and B
-grids, up to _BATCH_ENTRIES entry-stack elements and at least one graph.
+grids, up to _BATCH_ENTRIES engine coefficients and at least one graph.
 A batch is one task: one thermal engine, built from one stacked solve of
 its graphs' central S^z sectors (every other sector follows from the
 spin multiplets, see ``GraphThermalEngine``).  Its weight vectors are
 computed once per field value for all temperatures and all graphs and
-contracted against the engine's entry stack at once; the records are
-then written graph by graph.  Batch bounds depend on the config alone,
-so the worker count and a resume point do not change the output.
+contracted against the engine's per-multiplet coefficients at once; the
+records are then written graph by graph.  Batch bounds depend on the
+config alone, so the worker count and a resume point do not change the
+output.
 
 Records go out as text, filled into per-graph formats (``_record_format``,
 ``_summary_format``) with no record dict in between.  Each line is the
@@ -63,6 +64,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from math import comb
 from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -81,12 +83,11 @@ from .graphs import (
     star_graph,
 )
 from .hilbert import sector_basis
-from .rdm import eigenstate_pair_entries
+from .rdm import pair_correlations
 from .spectra import (
     central_stream,
     field_shifted,
     ground_window,
-    sector_slices,
     window_gap_ratio,
 )
 
@@ -95,7 +96,10 @@ UNIVERSAL_RDM_TOL = 1e-10
 WINDOW_GAP_RATIO_MIN = 100.0  # least (next level - E0) / ground-window width
 
 _POINTS_PER_CONTRACTION = 256
-_BATCH_ENTRIES = 1 << 17  # entry-stack elements (pairs x 2^N x 5) of one sweep batch
+_BATCH_ENTRIES = 1 << 17  # engine coefficients (graphs x pairs x C(N, N/2) x 6) of one sweep batch
+
+_GRID_ELEMENTS = 1 << 17  # slot-grid weights (graphs x (N + 1) x C(N, N/2) x 2 x points) at once
+_ENTRY_ORDER = np.array([0, 2, 4, 3, 1])  # alpha, beta, gamma, delta, epsilon of the products
 
 _CHAIN_KINDS = ("ring", "open")
 _SIZED_KINDS = ("ring", "open", "random")
@@ -267,33 +271,44 @@ class GraphThermalEngine:
     ``energies``, ``sz`` = M = n_up - N/2, the spin label ``spin`` = S and
     ``spin_residual`` are the solve's ``spectra.CentralSpectrum`` as it
     is, in its flat layout: sector by sector, n_up = 0..N, ascending
-    within each sector.  The X-form entries of every eigenstate for every
-    pair follow that layout in one (n_pairs, 2^N, 5) ``stack``, so weight
-    vectors become the entries of all pairs in one contraction.  An engine
-    built from a sequence of G graphs has a graph axis after the pair
-    axis: ``energies`` and ``spin`` are (G, 2^N), ``stack`` is
-    (n_pairs, G, 2^N, 5) and ``spin_residual`` is (G,); its weights are
-    (G, points, 2^N), and every result gains the same axis.  ``sz`` is
-    shared, and every quantity is still computed from its own graph alone.
+    within each sector.  An engine built from a sequence of G graphs has
+    a graph axis in front: ``energies`` and ``spin`` are (G, 2^N) and
+    ``spin_residual`` is (G,); its weights are (G, points, 2^N), and every
+    result gains a graph axis after the pair axis.  ``sz`` is shared, and
+    every quantity is still computed from its own graph alone.
 
     ``spectra.central_stream`` hands over the central eigenvectors, a
     batch's side by side, one chunk of S groups at a time: each chunk is
     reduced to the pair correlations c = <S_a . S_b> and
-    zz = <S^z_a S^z_b> of the engine's pairs and <S . S_a> per site,
-    written to its solve-order columns, and dropped, so no eigenvector
-    matrix and no all-pairs entry array outlives its chunk.  Every member
-    |S, M> of a multiplet, the central one too, gets its entries from the
-    correlations of its central column, the one that the spectrum's
-    ``levels`` names, by one rule, the Wigner-Eckart theorem, with
-    g_a = <S . S_a> / S(S+1) and <S . S_a> = 3/4 + sum_{c != a} c_ac:
+    zz = <S^z_a S^z_b> (``rdm.pair_correlations``), of the engine's pairs
+    and, summed into <S . S_a> per site, of all pairs, written to its
+    solve-order columns, and dropped, so no eigenvector matrix outlives
+    its chunk.  Every member |S, M> of a multiplet, the central one too,
+    gets its entries from the correlations of its central column, the one
+    that the spectrum's ``levels`` names, by one rule, the Wigner-Eckart
+    theorem, with g_a = <S . S_a> / S(S+1) and
+    <S . S_a> = 3/4 + sum_{c != a} c_ac:
 
         z_a(M) = M g_a                 (0 for S = 0)
         zz(M) = c/3 + (3M^2 - S(S+1)) (zz(M0) - c/3) / (3 M0^2 - S(S+1))
         gamma = c - zz,  alpha, epsilon = 1/4 +- M (g_a + g_b) / 2 + zz,
         beta, delta = 1/4 +- M (g_a - g_b) / 2 - zz.
 
-    The rank-2 part of zz is 0 where its denominator is (S = 0 at even
-    N, S = 1/2 at odd N).
+    The rank-2 part r of zz, the fraction above, is 0 where its
+    denominator is (S = 0 at even N, S = 1/2 at odd N).  So each entry of
+    a member is a quadratic p0 + p1 M + p2 M^2 in M, and the engine keeps,
+    per pair and central column, six numbers only: with zz0 = c/3 - S(S+1) r,
+
+        alpha:  1/4 + zz0, (g_a + g_b)/2, 3r     (epsilon: M -> -M)
+        gamma:  c - zz0, 0, -3r
+        beta:   gamma's + (1/4 - c, (g_a - g_b)/2, 0)     (delta: M -> -M).
+
+    ``pair_entries`` puts each weight in its state's (sector, central
+    column) slot, takes per column the moments sum w, sum M w and
+    sum M^2 w over the sectors where an entry can be nonzero (alpha over
+    n_up >= 2, epsilon over n_up <= N - 2, beta, gamma and delta over
+    1 <= n_up <= N - 1, so every kinematic zero stays exact: no pair is
+    both up below 2 up spins), and contracts them with the coefficients.
     """
 
     def __init__(
@@ -318,17 +333,14 @@ class GraphThermalEngine:
         all_pairs = self.graph.pairs()
         position = {pair: k for k, pair in enumerate(all_pairs)}
         rows = [position[min(a, b), max(a, b)] for a, b in self.pairs]
-        # per central column (column k of graph j at j * dim + k): c = <S_a . S_b>
-        # (gamma = xx + yy) and zz of the engine's pairs, and <S . S_a> per site
-        c, zz = np.empty((len(self.pairs), count * dim)), np.empty((len(self.pairs), count * dim))
+        # per central column (column k of graph j at j * dim + k): c and zz of
+        # the engine's pairs, and <S . S_a> per site
+        c, zz = np.empty((2, len(self.pairs), count * dim))
         along = np.empty((n, count * dim))
 
         def reduce(positions: np.ndarray, vectors: np.ndarray) -> None:
             """Reduce one chunk of central eigenvectors to its columns of the arrays above."""
-            entries = eigenstate_pair_entries(basis, vectors)  # every pair a < b
-            alpha, beta, gamma, delta, epsilon = np.moveaxis(entries, 2, 0)
-            zz_all = 0.25 * (alpha + epsilon - beta - delta)
-            c_all = gamma + zz_all
+            c_all, zz_all = pair_correlations(basis, vectors)  # every pair a < b
             chunk_along = np.full((n, len(positions)), 0.75)
             for k, (a, b) in enumerate(all_pairs):
                 chunk_along[a] += c_all[k]
@@ -337,30 +349,51 @@ class GraphThermalEngine:
             c[:, positions], zz[:, positions] = c_all[rows], zz_all[rows]
 
         spectrum = central_stream(self.graphs, reduce)
+        c, zz, along = (array.reshape(len(array), count, dim) for array in (c, zz, along))
         spin = np.empty(count * dim)
         spin[spectrum.levels] = spectrum.spin  # each central column's S
-        casimir = spin * (spin + 1.0)
+        casimir = (spin * (spin + 1.0)).reshape(count, dim)
         g = np.divide(along, casimir, out=np.zeros_like(along), where=casimir > 0.0)
-        sites = np.array(self.pairs)
-        g_a, g_b = g[sites[:, 0]], g[sites[:, 1]]
+        del along
         m0 = n // 2 - 0.5 * n
         denominator = 3.0 * m0 * m0 - casimir
         rank2 = np.divide(
             zz - c / 3.0, denominator, out=np.zeros_like(zz), where=denominator != 0.0
         )
-        del zz, along, g
-
-        stack = np.empty((len(self.pairs), count, 2**n, 5))
-        for n_up, sector in enumerate(sector_slices(n)):
-            columns = spectrum.levels[:, sector]
-            _member_entries(
-                c[:, columns], rank2[:, columns], casimir[columns],
-                g_a[:, columns], g_b[:, columns], n_up, n, stack[:, :, sector],
-            )
+        del zz
+        zz0 = c / 3.0 - casimir * rank2  # a member's zz is zz0 + 3 M^2 rank2
+        first, second = np.array(self.pairs).T
+        # per pair and graph one row, the six blocks side by side: alpha's p0, p1 and
+        # p2, gamma's p0, and beta's p0 and p1 less gamma's
+        coefficients = np.empty((len(self.pairs), count, 6, dim))
+        coefficients[:, :, 0] = 0.25 + zz0
+        coefficients[:, :, 1] = 0.5 * (g[first] + g[second])
+        coefficients[:, :, 2] = 3.0 * rank2
+        coefficients[:, :, 3] = c - zz0
+        coefficients[:, :, 4] = 0.25 - c
+        coefficients[:, :, 5] = 0.5 * (g[first] - g[second])
+        self._coefficients = coefficients.reshape(len(self.pairs), count, 1, 6 * dim)
+        # the flat state in each slot of a (G, N + 1, dim) grid of (sector, central
+        # column), as is and with the sector mirrored, n_up -> N - n_up (M -> -M);
+        # an empty slot names the zero row count * 2^N
+        n_up = (spectrum.sz + 0.5 * n).astype(np.int64)
+        column = spectrum.levels - dim * np.arange(count)[:, None]
+        base = (n + 1) * dim * np.arange(count)[:, None] + column
+        self._gather = np.full(((n + 1) * dim * count, 2), count * 2**n)
+        self._gather[base + dim * n_up, 0] = np.arange(count * 2**n).reshape(count, -1)
+        self._gather[base + dim * (n - n_up), 1] = np.arange(count * 2**n).reshape(count, -1)
+        # the moment rows: 1, M, M^2 over n_up >= 2 (alpha's blocks), and over
+        # 1 <= n_up <= N - 1 -M^2, 1, 1, M (beta's blocks, gamma's the first two)
+        sector = np.arange(n + 1)
+        m = sector - 0.5 * n
+        top, middle = 1.0 * (sector >= 2), 1.0 * ((sector >= 1) & (sector < n))
+        self._moment_rows = np.array(
+            [top, top * m, top * m * m, -middle * m * m, middle, middle, middle * m]
+        )
         self.energies, self.spin, self.sz = spectrum.energies, spectrum.spin, spectrum.sz
-        self.stack, self.spin_residual = stack, spectrum.spin_residual
+        self.spin_residual = spectrum.spin_residual
         if single:
-            self.energies, self.spin, self.stack = self.energies[0], self.spin[0], stack[:, 0]
+            self.energies, self.spin = self.energies[0], self.spin[0]
             self.spin_residual = float(self.spin_residual[0])
 
     @property
@@ -410,9 +443,44 @@ class GraphThermalEngine:
 
         One weight vector (2^N,) gives (n_pairs, 5); a stack of them
         (points, 2^N) gives (n_pairs, points, 5), and a batch's
-        (G, points, 2^N) gives (n_pairs, G, points, 5).
+        (G, points, 2^N) gives (n_pairs, G, points, 5).  The points go in
+        steps of at most _GRID_ELEMENTS weights of the slot grid, which
+        bounds the temporaries; a step depends on the shapes alone.
         """
-        return weights @ self.stack
+        count = len(self.graphs)
+        points = weights.reshape(count, -1, weights.shape[-1])
+        entries = np.empty((len(self.pairs), count, points.shape[1], 5))
+        step = max(1, _GRID_ELEMENTS // self._gather.size)
+        for start in range(0, points.shape[1], step):
+            entries[:, :, start : start + step] = self._contract(points[:, start : start + step])
+        return entries.reshape(len(self.pairs), *weights.shape[:-1], 5)
+
+    def _contract(self, points: np.ndarray) -> np.ndarray:
+        """(n_pairs, G, p, 5) entries of a batch's (G, p, 2^N) weights.
+
+        The moments of the points, as they are (alpha, beta, gamma) and
+        mirrored (epsilon, delta), sit side by side, so each pair's product
+        has the same shape for every pair and an engine of one pair gives
+        the same bits.
+        """
+        count, p = points.shape[:2]
+        dim = self._coefficients.shape[-1] // 6
+        # each (graph, sector, column) slot's weights, as is and mirrored, side by side
+        padded = np.concatenate([points.transpose(0, 2, 1).reshape(-1, p), np.zeros((1, p))])
+        grid = padded[self._gather].reshape(count, -1, dim * 2 * p)  # (G, N + 1, dim 2p)
+        del padded
+        moments = (self._moment_rows @ grid).reshape(count, -1, 2 * p)  # (G, 7 dim, 2p)
+        del grid
+        coefficients = self._coefficients
+        # the products' order: alpha, epsilon | beta, delta | gamma
+        entries = np.empty((len(self.pairs), count, 1, 5 * p))
+        np.matmul(coefficients[..., : 3 * dim], moments[:, : 3 * dim], out=entries[..., : 2 * p])
+        np.matmul(coefficients[..., 2 * dim :], moments[:, 3 * dim :],
+                  out=entries[..., 2 * p : 4 * p])
+        np.matmul(coefficients[..., 2 * dim : 4 * dim], moments[:, 3 * dim : 5 * dim, :p],
+                  out=entries[..., 4 * p :])
+        entries = entries.reshape(len(self.pairs), count, 5, p).transpose(0, 1, 3, 2)
+        return entries[..., _ENTRY_ORDER]
 
     def raw_concurrence(self, weights: np.ndarray) -> np.ndarray:
         """Unclamped X-state concurrence 2(|gamma| - sqrt(alpha epsilon)).
@@ -423,40 +491,6 @@ class GraphThermalEngine:
         entries = self.pair_entries(weights)
         alpha, gamma, epsilon = entries[..., 0], entries[..., 2], entries[..., 4]
         return 2.0 * (np.abs(gamma) - np.sqrt(np.maximum(alpha * epsilon, 0.0)))
-
-
-def _member_entries(
-    c: np.ndarray,
-    rank2: np.ndarray,
-    casimir: np.ndarray,
-    g_a: np.ndarray,
-    g_b: np.ndarray,
-    n_up: int,
-    n: int,
-    out: np.ndarray,
-) -> None:
-    """Write the (pairs, states, 5) entries of the multiplet members |S, M> in sector n_up.
-
-    M = n_up - N/2.  The arguments are the central states' c, rank-2 part
-    of zz, S(S+1) and g of both sites (see ``GraphThermalEngine``),
-    restricted to S >= |M|; ``out`` is the sector's slice of the engine's stack.
-    """
-    m = n_up - 0.5 * n
-    zz = c / 3.0 + (3.0 * m * m - casimir) * rank2
-    z_sum, z_diff = 0.5 * m * (g_a + g_b), 0.5 * m * (g_a - g_b)
-    np.add(0.25 + z_sum, zz, out=out[..., 0])
-    np.subtract(0.25 + z_diff, zz, out=out[..., 1])
-    np.subtract(c, zz, out=out[..., 2])
-    np.subtract(0.25 - z_diff, zz, out=out[..., 3])
-    np.add(0.25 - z_sum, zz, out=out[..., 4])
-    # kinematic zeros, exact as in a sum over no basis states: no pair is
-    # both up below 2 up spins, nor both down below 2 down spins
-    if n_up < 2:
-        out[..., 0] = 0.0
-    if n - n_up < 2:
-        out[..., 4] = 0.0
-    if n_up in (0, n):
-        out[..., 1:4] = 0.0
 
 
 # one graph's records: (index of the first, JSON lines, CSV summary rows, max raw concurrences)
@@ -566,8 +600,9 @@ def _compute_batch(batch: _Batch) -> tuple[int, list[_GraphText]]:
 def _expand_batches(config: SweepConfig) -> list[_Batch]:
     # Geometries that do not consume an axis collapse it to a single point:
     # only chain kinds see the coupling grids, only sized kinds see n_values.
-    # A batch holds at most _BATCH_ENTRIES entry-stack elements, and one graph
-    # at least; its bounds depend on the config alone.
+    # A batch holds at most _BATCH_ENTRIES engine coefficients (six per pair
+    # and central column of each graph), and one graph at least; its bounds
+    # depend on the config alone.
     batches: list[_Batch] = []
     record_base = 0
     for spec in config.geometries:
@@ -583,7 +618,7 @@ def _expand_batches(config: SweepConfig) -> list[_Batch]:
             t_values = _resolve_grid(config.t_grid, n_spins)
             b_values = _resolve_grid(config.b_grid, n_spins)
             pairs = tuple(graphs[0].pairs()) if config.pairs == "all" else tuple(config.pairs)
-            size = max(1, _BATCH_ENTRIES // (5 * max(1, len(pairs)) * 2**n_spins))
+            size = max(1, _BATCH_ENTRIES // (6 * max(1, len(pairs)) * comb(n_spins, n_spins // 2)))
             for first in range(0, len(graphs), size):
                 batch = _Batch(
                     index=len(batches),

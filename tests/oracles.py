@@ -6,9 +6,10 @@ deliberately avoiding the package's sector-blocked bitwise code paths.
 The per-sector dense ED solves every S^z sector on its own, with no use
 of SU(2) or the spin flip: it is the reference for the package's
 central-sector solve and its Wigner-Eckart rebuild of the other sectors.
-The per-eigenstate partial trace and the Gibbs mixture below are the
-reference for the package's thermal engine: they loop over eigenstates
-one by one in Python instead of contracting the engine's entry stack.
+The per-eigenstate partial trace, the per-eigenstate X form and the
+Gibbs mixture below are the reference for the package's thermal engine:
+they take each eigenstate's pair entries from its amplitudes and weigh
+them one by one, with no use of its multiplet.
 The general two-qubit concurrence (Wootters, PRL 80, 2245 (1998)), from
 the spectrum of rho times its spin-flipped conjugate, is the reference
 for the package's X-state formula 2(|gamma| - sqrt(alpha epsilon)); the
@@ -24,7 +25,6 @@ import numpy as np
 
 from ferroent.graphs import SpinGraph
 from ferroent.hilbert import SectorBasis, build_sector_hamiltonian, sector_basis
-from ferroent.rdm import eigenstate_pair_entries
 from ferroent.spectra import CentralSpectrum, central_stream, sector_slices
 
 HERMITICITY_TOL = 1e-12
@@ -153,6 +153,28 @@ def central_eigenvectors(graph: SpinGraph) -> tuple[CentralSpectrum, np.ndarray]
     return spectrum, matrix[:, spectrum.levels[sector_slices(n)[n // 2]]]
 
 
+def eigenstate_pair_entries(basis: SectorBasis, eigenvectors: np.ndarray, pairs) -> np.ndarray:
+    """(pairs, columns, 5) X-form entries of each ordered pair (a, b) and eigenvector column.
+
+    Each population sums the squared amplitudes of the basis states with
+    the pair's spins in its configuration (beta: a up, b down), and the
+    coherence gamma sums v[m] v[m'] over the masks m with a up, b down
+    and m' the same mask with both spins flipped.
+    """
+    bits = 1 << np.arange(basis.n_spins)
+    masks = basis.masks
+    entries = np.empty((len(pairs), eigenvectors.shape[1], 5))
+    for k, (a, b) in enumerate(pairs):
+        up_a, up_b = (masks & bits[a]) != 0, (masks & bits[b]) != 0
+        for slot, kept in zip((0, 1, 3, 4), (up_a & up_b, up_a & ~up_b, ~up_a & up_b,
+                                             ~up_a & ~up_b)):
+            entries[k, :, slot] = np.square(eigenvectors[kept]).sum(axis=0)
+        source = up_a & ~up_b
+        partner = np.searchsorted(masks, masks[source] ^ (bits[a] | bits[b]))
+        entries[k, :, 2] = (eigenvectors[source] * eigenvectors[partner]).sum(axis=0)
+    return entries
+
+
 def sector_thermal_entries(
     graph: SpinGraph, pairs, temperatures, b_field: float
 ) -> np.ndarray:
@@ -167,18 +189,10 @@ def sector_thermal_entries(
     )
     stack = np.concatenate(
         [
-            eigenstate_pair_entries(spectrum.basis, spectrum.eigenvectors)
+            eigenstate_pair_entries(spectrum.basis, spectrum.eigenvectors, pairs)
             for spectrum in spectra
         ],
         axis=1,
-    )
-    # rows come for pairs a < b; a reversed pair (b, a) swaps beta and delta
-    position = {pair: k for k, pair in enumerate(graph.pairs())}
-    stack = np.stack(
-        [
-            stack[position[a, b]] if a < b else stack[position[b, a]][:, [0, 3, 2, 1, 4]]
-            for a, b in pairs
-        ]
     )
     rows = []
     for temperature in temperatures:

@@ -13,9 +13,11 @@ mark.  Each child runs its command through ``cli.main`` with its output
 captured, reads the mark (kilobytes on Linux), prints it and exits 1
 above its limit or if the command fails.  The central solve streams its
 eigenvectors one spin block at a time, so with one BLAS thread ``rdm``
-peaks near 155 MB (219 MB when the sorted 3432 x 3432 eigenvector matrix
-was formed) and ``verify``, whose engine holds all 91 pairs, near 182 MB
-(202 MB while the engine kept a separate array of central entries).
+peaks near 141 MB (219 MB when the sorted 3432 x 3432 eigenvector matrix
+was formed) and ``verify``, whose engine holds all 91 pairs, near 146 MB
+(182 MB while the engine kept an entry stack of all pairs and states);
+both peaks sit where the 1001-column S group is carried back (142 and
+146 MB with two BLAS threads).  The limits are about 10% above them.
 """
 
 import contextlib
@@ -31,8 +33,8 @@ from ferroent import cli
 
 # (command, limit in MB); "{graph}" stands for the ring-14 graph file
 CHECKS = (
-    (["rdm", "--ring", "14", "--pair", "0", "3", "-T", "1"], 170.0),
-    (["verify", "--graph", "{graph}", "--suite", "all"], 215.0),
+    (["rdm", "--ring", "14", "--pair", "0", "3", "-T", "1"], 157.0),
+    (["verify", "--graph", "{graph}", "--suite", "all"], 161.0),
 )
 
 

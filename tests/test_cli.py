@@ -158,9 +158,24 @@ class TestRdmCommand:
             assert abs(real - expected[row, col]) <= 1e-12
 
     @pytest.mark.parametrize("temperature", ["-0.5", "nan"])
-    def test_negative_temperature_rejected(self, capsys, temperature):
-        assert run_cli("rdm", "--ring", "4", "--pair", "0", "1", "-T", temperature) == 2
-        assert "temperature" in capsys.readouterr().err
+    def test_negative_temperature_rejected(self, capsys, monkeypatch, temperature):
+        # refused while the arguments are parsed, before any solve
+        def no_solve(graphs, consume):
+            raise AssertionError("the temperature was not checked before the solve")
+
+        monkeypatch.setattr(ferroent.sweep, "central_stream", no_solve)
+        with pytest.raises(SystemExit) as err:
+            run_cli("rdm", "--ring", "4", "--pair", "0", "1", "-T", temperature)
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument --temperature/-T: must be >= 0, got {temperature}" in captured.err
+
+    def test_infinite_temperature_is_the_uniform_mixture(self, capsys):
+        assert run_cli("rdm", "--ring", "4", "--pair", "0", "1", "-T", "inf") == 0
+        entries = read_rdm_csv(capsys.readouterr().out)
+        for k in range(4):
+            assert entries[(k, k)][0] == pytest.approx(0.25, abs=1e-15)
 
 
 class TestAnalyticCommand:

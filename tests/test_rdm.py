@@ -4,7 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from ferroent.graphs import ChainParams, make_graph, random_graph, ring_chain
 from ferroent.hilbert import sector_basis
-from ferroent.rdm import eigenstate_pair_entries
+from ferroent.rdm import pair_correlations
+from ferroent.spectra import central_stream
 from ferroent.sweep import GraphThermalEngine
 from oracles import (
     XStateRDM,
@@ -13,6 +14,7 @@ from oracles import (
     concurrence_x,
     concurrence_x_raw,
     dicke_vector,
+    eigenstate_pair_entries,
     embed_sector_vector,
     gibbs_terms,
     naive_pair_rdm,
@@ -228,20 +230,54 @@ class TestVectorizedEntries:
     def test_matches_pair_rdm_pure_per_eigenstate(self):
         g = random_graph(7, 0.4, (-2.0, -0.2), seed=29)
         spectra = sector_spectra(g)
-        pairs = g.pairs()
+        pairs = g.pairs() + [(b, a) for a, b in g.pairs()]
         for spectrum in spectra:
-            stack = eigenstate_pair_entries(spectrum.basis, spectrum.eigenvectors)
+            stack = eigenstate_pair_entries(spectrum.basis, spectrum.eigenvectors, pairs)
             assert stack.shape == (len(pairs), len(spectrum.eigenvalues), 5)
-            for (a, b), entries in zip(pairs, stack):
-                # the reversed pair (b, a) is the same state with beta and delta swapped
-                for pair, rows in (((a, b), entries), ((b, a), entries[:, [0, 3, 2, 1, 4]])):
-                    for k in (0, len(spectrum.eigenvalues) - 1):
-                        rho = pair_rdm_pure(spectrum.eigenvectors[:, k], spectrum.basis, pair)
-                        expected = np.array(
-                            [rho[0, 0].real, rho[1, 1].real, rho[1, 2].real,
-                             rho[2, 2].real, rho[3, 3].real]
-                        )
-                        assert rows[k] == pytest.approx(expected, abs=1e-13)
+            # a reversed pair (b, a) is the same state with beta and delta swapped
+            for pair, rows in zip(pairs, stack):
+                for k in (0, len(spectrum.eigenvalues) - 1):
+                    rho = pair_rdm_pure(spectrum.eigenvectors[:, k], spectrum.basis, pair)
+                    expected = np.array(
+                        [rho[0, 0].real, rho[1, 1].real, rho[1, 2].real,
+                         rho[2, 2].real, rho[3, 3].real]
+                    )
+                    assert rows[k] == pytest.approx(expected, abs=1e-13)
+
+
+CORRELATION_BATCHES = {
+    "N2": [make_graph(2, [(0, 1, -1.0)])],
+    "N3": [make_graph(3, [(0, 1, -1.0), (1, 2, 0.6)])],
+    "N7": [random_graph(7, 0.5, (-2.0, -0.2), seed=31)],
+    # three graphs side by side, 210 columns: several blocks of _STATES_PER_BLOCK
+    "N8-batch": [ring_chain(ChainParams(n_spins=8, g1=-1.0, g2=g2)) for g2 in (0.0, 0.7, -1.3)],
+}
+
+
+class TestPairCorrelations:
+    @pytest.mark.parametrize("name", CORRELATION_BATCHES)
+    def test_matches_the_per_eigenstate_entries(self, name):
+        # c = gamma + zz and zz = (alpha + epsilon - beta - delta) / 4 of the
+        # oracle's entries, for every pair a < b and every central eigenvector
+        graphs = CORRELATION_BATCHES[name]
+        n = graphs[0].n_spins
+        basis = sector_basis(n, n // 2)
+        pairs = graphs[0].pairs()
+        columns = []
+
+        def check(positions, vectors):
+            c, zz = pair_correlations(basis, vectors)
+            assert c.shape == zz.shape == (len(pairs), vectors.shape[1])
+            alpha, beta, gamma, delta, epsilon = np.moveaxis(
+                eigenstate_pair_entries(basis, vectors, pairs), 2, 0
+            )
+            expected = 0.25 * (alpha + epsilon - beta - delta)
+            assert np.max(np.abs(zz - expected)) <= 1e-14
+            assert np.max(np.abs(c - (gamma + expected))) <= 1e-14
+            columns.append(vectors.shape[1])
+
+        central_stream(graphs, check)
+        assert sum(columns) == len(graphs) * len(basis)
 
 
 class TestValidateRdm:

@@ -364,8 +364,9 @@ class TestCentralSector:
         ):
             n = g.n_spins
             engine = GraphThermalEngine(g)
+            entries = engine.pair_entries(np.eye(2**n))  # every eigenstate's own entries
             for n_up in (0, 1, n - 1, n):
-                block = engine.stack[:, engine.sz == n_up - 0.5 * n]
+                block = entries[:, engine.sz == n_up - 0.5 * n]
                 if n_up < 2:
                     assert np.all(block[..., 0] == 0.0)
                 if n - n_up < 2:
@@ -434,7 +435,7 @@ def test_stacked_blocks_are_the_dense_central_block_bit_for_bit(n):
     # for even N (at N = 2 and 4 a folded hop of C lands on an entry of A)
     graphs = _block_graphs(n, seed=100 + n) + [ring_chain(ChainParams(n_spins=n, g1=-1.0, g2=0.5))]
     basis = sector_basis(n, n // 2)
-    blocks = ferroent.spectra._stacked_blocks(graphs, basis)
+    blocks = np.array(list(ferroent.spectra._stacked_blocks(graphs, basis)))
     half = len(basis) // 2
     for k, g in enumerate(graphs):
         h = build_sector_hamiltonian(g, n // 2)
@@ -467,7 +468,8 @@ def test_one_chunk_per_spin_group_gives_the_same_engine(monkeypatch):
     chunked = GraphThermalEngine(graphs)
     assert np.array_equal(chunked.energies, whole.energies)
     assert np.array_equal(chunked.spin, whole.spin)
-    assert np.max(np.abs(chunked.stack - whole.stack)) <= 1e-14
+    states = np.broadcast_to(np.eye(64), (2, 64, 64))  # every eigenstate's own entries
+    assert np.max(np.abs(chunked.pair_entries(states) - whole.pair_entries(states))) <= 1e-14
 
 
 def test_engine_takes_the_level_table_of_the_solve_bit_for_bit():
@@ -489,13 +491,15 @@ def test_engine_takes_the_level_table_of_the_solve_bit_for_bit():
     assert np.array_equal(alone.sz, single.sz)
 
 
-@pytest.mark.parametrize("build, bound_mb", [(full_spectrum, 11.0), (GraphThermalEngine, 24.0)])
+@pytest.mark.parametrize("build, bound_mb", [(full_spectrum, 11.0), (GraphThermalEngine, 14.0)])
 def test_ring_12_memory_peak(build, bound_mb):
     # tracemalloc peak from cold caches.  The solve streams its eigenvectors
     # in chunks and the engine reduces each chunk to pair correlations, so
     # neither holds the (924 x 924) eigenvector matrix: 8.9 MB for the spectrum
-    # and 18.2 MB for the all-pairs engine, against 19.5 and 27.0 MB with the
-    # matrix formed; the bounds leave 24% and 32%
+    # and 10.4 MB for the all-pairs engine, which keeps six coefficients per
+    # pair and central column, against 19.5 and 27.0 MB with the matrix formed
+    # and 18.2 MB with an entry stack of all pairs and states (66 x 4096 x 5);
+    # the bounds leave 24% and 35%
     g = ring_chain(ChainParams(n_spins=12, g1=-1.0))
     for cache in (sector_basis, central_spin_basis, ferroent.rdm._pair_tables):
         cache.cache_clear()

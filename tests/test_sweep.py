@@ -401,7 +401,9 @@ class TestThermalEngine:
         pairs = [(0, 1), (4, 2), (3, 5)]
         temperatures = (0.0, 0.4, 3.0)
         batch = GraphThermalEngine(graphs, pairs)
-        assert batch.stack.shape == (3, 3, 64, 5)
+        # every eigenstate's own entries, from one-hot weights
+        stack = batch.pair_entries(np.broadcast_to(np.eye(64), (3, 64, 64)))
+        assert stack.shape == (3, 3, 64, 5)
         for b_field in (0.0, 0.6):
             weights = batch.field_weights(temperatures, b_field)
             raw = batch.raw_concurrence(weights)
@@ -416,7 +418,7 @@ class TestThermalEngine:
                 assert np.array_equal(batch.spin[k], single.spin)
                 assert np.array_equal(batch.sz, single.sz)
                 assert batch.spin_residual[k] == single.spin_residual
-                assert np.max(np.abs(batch.stack[:, k] - single.stack)) <= 1e-15
+                assert np.max(np.abs(stack[:, k] - single.pair_entries(np.eye(64)))) <= 1e-15
         assert batch.ground_info(0.0)[1] == [7, 16, 1]
 
     def test_batch_engine_needs_one_spin_count(self):
@@ -480,19 +482,37 @@ class TestThermalEngine:
         g = random_graph(n_spins, 0.5, (-2.0, -0.2), seed=40 + n_spins)
         pairs = [(0, 1), (n_spins - 1, 2), (3, 1), (2, 5)]
         engine = GraphThermalEngine(g, pairs)
+        stack = engine.pair_entries(np.eye(2**n_spins))  # every eigenstate's own entries
         central = full_spectrum(g)
         position = 0
         for spectrum, sector in zip(sector_spectra(g), sector_slices(n_spins)):
             for k in range(len(spectrum.eigenvalues)):
                 assert engine.energies[position] == central.energies[sector][k]
                 assert engine.sz[position] == spectrum.basis.sz
-                for pair, entries in zip(pairs, engine.stack[:, position]):
+                for pair, entries in zip(pairs, stack[:, position]):
                     rho = pair_rdm_pure(spectrum.eigenvectors[:, k], spectrum.basis, pair)
                     expected = [rho[0, 0].real, rho[1, 1].real, rho[1, 2].real,
                                 rho[2, 2].real, rho[3, 3].real]
                     assert np.max(np.abs(entries - expected)) <= 1e-12
                 position += 1
         assert position == 2**n_spins
+
+    @pytest.mark.parametrize("b_field", [0.8, -0.8])
+    def test_polarized_ground_state_is_an_exact_product(self, b_field):
+        # at T = 0 a field polarizes a ferromagnet: all down for B > 0, all up
+        # for B < 0.  Every entry but the occupied population is a kinematic
+        # zero, exact whatever the rounding of the coefficients
+        for g in (make_graph(2, [(0, 1, -1.0)]), ring_chain(ChainParams(n_spins=6, g1=-1.0)),
+                  random_graph(7, 0.5, (-2.0, -0.3), seed=9)):
+            pairs = g.pairs() + [(b, a) for a, b in g.pairs()]
+            engine = GraphThermalEngine(g, pairs)
+            weights = engine.weights(0.0, b_field)
+            alpha, beta, gamma, delta, epsilon = engine.pair_entries(weights).T
+            empty, full = (alpha, epsilon) if b_field > 0 else (epsilon, alpha)
+            for entry in (empty, beta, gamma, delta):
+                assert np.all(entry == 0.0)
+            assert np.max(np.abs(full - 1.0)) <= 1e-14
+            assert np.all(engine.raw_concurrence(weights) == 0.0)
 
     def test_batched_raw_concurrence_matches_per_point(self):
         g = open_chain(ChainParams(n_spins=6, g1=-1.0, g2=-0.7, periodic=False))
