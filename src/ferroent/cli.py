@@ -156,6 +156,8 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
         return 0
     spectrum = full_spectrum(graph)
     energies = field_shifted(spectrum.energies, spectrum.sz, args.b_field)
+    # each sector ascending: the table sorted by S^z, then energy
+    energies = energies[np.lexsort((energies, spectrum.sz))]
     with _output(args.output) as out:
         out.write("# ground_energy=" + _FMT % energies.min() + "\n")
         out.write("# gap=" + _FMT % ground_gap(energies) + "\n")

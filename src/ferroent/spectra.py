@@ -6,13 +6,13 @@ multiplet has exactly one member in the central sector n_up = N // 2
 (S^z = 0 for even N, -1/2 for odd N).  ``central_stream`` therefore
 builds and diagonalizes that one block, for a batch of graphs of one N
 at once, with one ``eigh`` call per S for all of them; ``full_spectrum``
-is its batch of one.  Sector n_up holds the central levels with
-S >= |n_up - N/2|, at the same energies, so the solve lays out every
-level of the 2^N states once, in one flat table (``CentralSpectrum``,
-``sector_slices``) whose ``levels`` name each state's central column in
-solve order; from those columns the thermal engine rebuilds every
-sector, the central one too, by one Wigner-Eckart rule.  A field B only
-adds B * S^z (``field_shifted``).
+is its batch of one.  Central column k is a multiplet with a member in
+sector n_up, at its energy, when its spin S_k >= |n_up - N/2|; so one
+mask, ``slots[n_up, k]``, lays out the 2^N levels once: flat state x is
+the x-th slot in row-major order (``CentralSpectrum``).  From the
+central columns the thermal engine rebuilds every sector, the central
+one too, by one Wigner-Eckart rule.  A field B only adds B * S^z
+(``field_shifted``).
 
 For even N the central block is centrosymmetric, H == H[::-1, ::-1]: the
 global spin flip maps the sector onto itself with its mask order
@@ -35,8 +35,8 @@ N = 13 and 14), checks each chunk's labels, <S^2> =
 |S^+ v|^2 + M(M + 1) within SPIN_LABEL_TOL of S(S+1), and hands it to a
 consumer before it carries back the next: the thermal engine reduces
 each chunk to pair correlations, and ``full_spectrum`` drops it.  So a
-``CentralSpectrum`` holds levels, spin labels and residuals, and no
-eigenvectors.
+``CentralSpectrum`` holds energies, spin labels, the slot mask and
+residuals, and no eigenvectors.
 
 The ground multiplet is identified from a flat array of energies by one
 rule, ``ground_window``; the thermal engine, the gap (``ground_gap``)
@@ -45,7 +45,7 @@ and the verification suites all use it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import comb
 from typing import Callable, Iterator, Sequence
 
@@ -71,24 +71,24 @@ class SpinLabelError(RuntimeError):
 class CentralSpectrum:
     """Every level of a batch of graphs, from one solve of their central S^z block at zero field.
 
-    The flat layout runs sector by sector, n_up = 0..N (see
-    ``sector_slices``), ascending within each sector: flat state x has
-    the zero-field energy ``energies[j, x]`` in graph j, total spin
-    ``spin[j, x]`` and S^z = ``sz[x]`` = n_up - N/2, and its multiplet's
-    central member is column ``levels[j, x]`` = j * dim + k of the
-    batch's central columns side by side, each graph's in solve order (S
-    group by S group), the numbering ``central_stream``'s consumer gets;
-    the central sector names each column once, and every sector's pair
-    entries are rebuilt from the column it names.  ``spin_residual[j]`` is max
-    |<S^2> - S(S+1)| over graph j's central eigenvectors.  Every array but
-    ``sz`` has the batch axis in front; ``full_spectrum`` drops it.  No
-    eigenvectors are kept.
+    ``slots`` (N + 1, C(N, N/2)) marks the (sector, central column) slots
+    that hold a level, 2 S_k >= |2 n_up - N|.  Flat state x is the x-th
+    slot in row-major order: sector by sector, n_up = 0..N (see
+    ``sector_slices``), and within a sector in solve order (S group by S
+    group, the column numbering ``central_stream``'s consumer gets), so
+    the central sector is every column in that order.  State x has S^z
+    ``sz[x]`` = n_up - N/2, spin ``spin[x]`` and in graph j the zero-field
+    energy ``energies[j, x]`` of its column.  ``slots``, ``spin`` and
+    ``sz`` depend on N alone; ``energies`` and ``spin_residual`` have the
+    batch axis in front, which ``full_spectrum`` drops.
+    ``spin_residual[j]`` is max |<S^2> - S(S+1)| over graph j's central
+    eigenvectors.  No eigenvectors are kept.
     """
 
     energies: np.ndarray
     spin: np.ndarray
     sz: np.ndarray
-    levels: np.ndarray
+    slots: np.ndarray
     spin_residual: float | np.ndarray
 
 
@@ -99,10 +99,18 @@ def sector_slices(n_spins: int) -> list[slice]:
 
 
 def field_shifted(energies: np.ndarray, sz: np.ndarray, b_field: float) -> np.ndarray:
-    """The flat levels at field B: a field adds B * S^z.  A non-finite B raises ValueError."""
+    """The flat levels at field B: a field adds B * S^z.
+
+    ValueError for a non-finite B, or for one whose levels' spread (or
+    minimum) overflows: every level would fall in the ground window.
+    """
     if not np.isfinite(b_field):
         raise ValueError(f"the field must be finite, got {b_field}")
-    return energies + b_field * sz
+    with np.errstate(over="ignore", invalid="ignore"):
+        shifted = energies + b_field * sz
+        if not np.isfinite(shifted.max(axis=-1) - shifted.min(axis=-1)).all():
+            raise ValueError(f"the levels at field {b_field:g} overflow")
+    return shifted
 
 
 def eig_sym(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -210,8 +218,7 @@ def central_stream(
     ``positions`` (G * k) the columns' numbers in the batch's solve-order
     columns side by side (column k of graph j is j * dim + k), ascending
     and contiguous per graph.  No chunk is kept: the eigenvector matrix
-    is never formed.  Each sector is put in ascending order once, when
-    ``levels`` is built.
+    is never formed.
 
     Returns the batch's ``CentralSpectrum``.  Raises ValueError for mixed
     spin counts or N > N_SPINS_CAP, and SpinLabelError
@@ -276,23 +283,20 @@ def central_stream(
         consume(positions.reshape(-1), vectors)
         del vectors
         start += width
-    order = np.argsort(eigenvalues, axis=1, kind="stable")  # each graph's columns by energy
-    levels = []
-    for n_up in range(n + 1):
-        kept = 2.0 * spins[order] >= abs(2 * n_up - n)
-        # every graph has the same labels, so each gets the same number of levels
-        if np.count_nonzero(kept) != count * comb(n, n_up):
+    # the flat layout: state x is the x-th slot (sector, column) with S >= |M|, row-major
+    slots = 2.0 * spins >= np.abs(2 * np.arange(n + 1) - n)[:, None]
+    for n_up, row in enumerate(slots):
+        if np.count_nonzero(row) != comb(n, n_up):
             raise SpinLabelError(
-                f"the spin labels give sector n_up={n_up} {np.count_nonzero(kept) // count} "
+                f"the spin labels give sector n_up={n_up} {np.count_nonzero(row)} "
                 f"levels, expected C({n}, {n_up}) = {comb(n, n_up)}"
             )
-        levels.append(order[kept].reshape(count, -1))
-    levels = np.concatenate(levels, axis=1)
+    sectors, columns = np.nonzero(slots)
     return CentralSpectrum(
-        energies=np.take_along_axis(eigenvalues, levels, 1),
-        spin=spins[levels],
-        sz=np.repeat(np.arange(n + 1) - 0.5 * n, [comb(n, n_up) for n_up in range(n + 1)]),
-        levels=levels + dim * np.arange(count)[:, None],
+        energies=eigenvalues.take(columns, axis=1),  # C order: a row has one graph's bits
+        spin=spins[columns],
+        sz=sectors - 0.5 * n,
+        slots=slots,
         spin_residual=residuals,
     )
 
@@ -307,9 +311,7 @@ def full_spectrum(graph: SpinGraph) -> CentralSpectrum:
     not get C(N, n_up) levels.
     """
     batch = central_stream([graph], lambda positions, vectors: None)
-    return CentralSpectrum(
-        batch.energies[0], batch.spin[0], batch.sz, batch.levels[0], float(batch.spin_residual[0])
-    )
+    return replace(batch, energies=batch.energies[0], spin_residual=float(batch.spin_residual[0]))
 
 
 def ground_window(energies: np.ndarray) -> np.ndarray:

@@ -88,6 +88,7 @@ from .spectra import (
     central_stream,
     field_shifted,
     ground_window,
+    sector_slices,
     window_gap_ratio,
 )
 
@@ -98,7 +99,7 @@ WINDOW_GAP_RATIO_MIN = 100.0  # least (next level - E0) / ground-window width
 _POINTS_PER_CONTRACTION = 256
 _BATCH_ENTRIES = 1 << 17  # engine coefficients (graphs x pairs x C(N, N/2) x 6) of one sweep batch
 
-_GRID_ELEMENTS = 1 << 17  # slot-grid weights (graphs x (N + 1) x C(N, N/2) x 2 x points) at once
+_GRID_ELEMENTS = 1 << 17  # one step's slot grid + moments: graphs x (N + 15) x C(N, N/2) x points
 _ENTRY_ORDER = np.array([0, 2, 4, 3, 1])  # alpha, beta, gamma, delta, epsilon of the products
 
 _CHAIN_KINDS = ("ring", "open")
@@ -255,6 +256,16 @@ class _Batch:
         return len(self.graphs) * len(self.t_values) * len(self.b_values)
 
 
+def _check_pairs(pairs: Sequence[tuple[int, int]], n_spins: int) -> None:
+    """Raise ValueError unless ``pairs`` is nonempty and each is two distinct sites of N."""
+    if not pairs:
+        raise ValueError(f"no spin pairs to evaluate on the {n_spins}-spin graph; "
+                         "pair entanglement needs at least 2 spins and one pair")
+    for a, b in pairs:
+        if a == b or not (0 <= a < n_spins and 0 <= b < n_spins):
+            raise ValueError(f"invalid pair {(a, b)} for {n_spins} spins")
+
+
 class GraphThermalEngine:
     """The one route from graph spectra to thermal weights and pair entries.
 
@@ -270,12 +281,14 @@ class GraphThermalEngine:
 
     ``energies``, ``sz`` = M = n_up - N/2, the spin label ``spin`` = S and
     ``spin_residual`` are the solve's ``spectra.CentralSpectrum`` as it
-    is, in its flat layout: sector by sector, n_up = 0..N, ascending
+    is, in its flat layout: flat state x is the x-th slot of its
+    ``slots`` mask, sector by sector, n_up = 0..N, and in solve order
     within each sector.  An engine built from a sequence of G graphs has
-    a graph axis in front: ``energies`` and ``spin`` are (G, 2^N) and
-    ``spin_residual`` is (G,); its weights are (G, points, 2^N), and every
-    result gains a graph axis after the pair axis.  ``sz`` is shared, and
-    every quantity is still computed from its own graph alone.
+    a graph axis in front of ``energies`` (G, 2^N) and ``spin_residual``
+    (G,); its weights are (G, points, 2^N), and every result gains a
+    graph axis after the pair axis.  ``spin`` and ``sz`` depend on N alone
+    and are shared, and every quantity is still computed from its own
+    graph alone.
 
     ``spectra.central_stream`` hands over the central eigenvectors, a
     batch's side by side, one chunk of S groups at a time: each chunk is
@@ -284,8 +297,8 @@ class GraphThermalEngine:
     and, summed into <S . S_a> per site, of all pairs, written to its
     solve-order columns, and dropped, so no eigenvector matrix outlives
     its chunk.  Every member |S, M> of a multiplet, the central one too,
-    gets its entries from the correlations of its central column, the one
-    that the spectrum's ``levels`` names, by one rule, the Wigner-Eckart
+    gets its entries from the correlations of its central column, the
+    column of its slot, by one rule, the Wigner-Eckart
     theorem, with g_a = <S . S_a> / S(S+1) and
     <S . S_a> = 3/4 + sum_{c != a} c_ac:
 
@@ -303,12 +316,14 @@ class GraphThermalEngine:
         gamma:  c - zz0, 0, -3r
         beta:   gamma's + (1/4 - c, (g_a - g_b)/2, 0)     (delta: M -> -M).
 
-    ``pair_entries`` puts each weight in its state's (sector, central
-    column) slot, takes per column the moments sum w, sum M w and
+    ``pair_entries`` scatters each weight into its state's (sector,
+    central column) slot, takes per column the moments sum w, sum M w and
     sum M^2 w over the sectors where an entry can be nonzero (alpha over
     n_up >= 2, epsilon over n_up <= N - 2, beta, gamma and delta over
     1 <= n_up <= N - 1, so every kinematic zero stays exact: no pair is
     both up below 2 up spins), and contracts them with the coefficients.
+    The mirrored moments of epsilon and delta (M -> -M) come from the same
+    slot grid, with the sector axis of the moment rows reversed.
     """
 
     def __init__(
@@ -320,14 +335,7 @@ class GraphThermalEngine:
         self.graphs = (graphs,) if single else tuple(graphs)
         self.pairs = tuple(self.graph.pairs() if pairs is None else pairs)
         n = self.graph.n_spins
-        if not self.pairs:
-            raise ValueError(
-                f"no spin pairs to evaluate on the {n}-spin graph; "
-                "pair entanglement needs at least 2 spins and one pair"
-            )
-        for a, b in self.pairs:
-            if a == b or not (0 <= a < n and 0 <= b < n):
-                raise ValueError(f"invalid pair {(a, b)} for {n} spins")
+        _check_pairs(self.pairs, n)
         basis = sector_basis(n, n // 2)
         count, dim = len(self.graphs), len(basis)
         all_pairs = self.graph.pairs()
@@ -350,9 +358,8 @@ class GraphThermalEngine:
 
         spectrum = central_stream(self.graphs, reduce)
         c, zz, along = (array.reshape(len(array), count, dim) for array in (c, zz, along))
-        spin = np.empty(count * dim)
-        spin[spectrum.levels] = spectrum.spin  # each central column's S
-        casimir = (spin * (spin + 1.0)).reshape(count, dim)
+        spin = spectrum.spin[sector_slices(n)[n // 2]]  # each central column's S
+        casimir = spin * (spin + 1.0)
         g = np.divide(along, casimir, out=np.zeros_like(along), where=casimir > 0.0)
         del along
         m0 = n // 2 - 0.5 * n
@@ -372,38 +379,26 @@ class GraphThermalEngine:
         coefficients[:, :, 3] = c - zz0
         coefficients[:, :, 4] = 0.25 - c
         coefficients[:, :, 5] = 0.5 * (g[first] - g[second])
-        self._coefficients = coefficients.reshape(len(self.pairs), count, 1, 6 * dim)
-        # the flat state in each slot of a (G, N + 1, dim) grid of (sector, central
-        # column), as is and with the sector mirrored, n_up -> N - n_up (M -> -M);
-        # an empty slot names the zero row count * 2^N
-        n_up = (spectrum.sz + 0.5 * n).astype(np.int64)
-        column = spectrum.levels - dim * np.arange(count)[:, None]
-        base = (n + 1) * dim * np.arange(count)[:, None] + column
-        self._gather = np.full(((n + 1) * dim * count, 2), count * 2**n)
-        self._gather[base + dim * n_up, 0] = np.arange(count * 2**n).reshape(count, -1)
-        self._gather[base + dim * (n - n_up), 1] = np.arange(count * 2**n).reshape(count, -1)
+        self._coefficients = coefficients.reshape(len(self.pairs), count, 1, 1, 6 * dim)
+        self._slots = spectrum.slots
         # the moment rows: 1, M, M^2 over n_up >= 2 (alpha's blocks), and over
-        # 1 <= n_up <= N - 1 -M^2, 1, 1, M (beta's blocks, gamma's the first two)
+        # 1 <= n_up <= N - 1 -M^2, 1, 1, M (beta's blocks, gamma's the first two);
+        # then the same rows of the mirrored sector n_up -> N - n_up (M -> -M)
         sector = np.arange(n + 1)
         m = sector - 0.5 * n
         top, middle = 1.0 * (sector >= 2), 1.0 * ((sector >= 1) & (sector < n))
-        self._moment_rows = np.array(
-            [top, top * m, top * m * m, -middle * m * m, middle, middle, middle * m]
-        )
+        rows = np.array([top, top * m, top * m * m, -middle * m * m, middle, middle, middle * m])
+        self._moment_rows = np.concatenate([rows, rows[:, ::-1]])
         self.energies, self.spin, self.sz = spectrum.energies, spectrum.spin, spectrum.sz
         self.spin_residual = spectrum.spin_residual
         if single:
-            self.energies, self.spin = self.energies[0], self.spin[0]
+            self.energies = self.energies[0]
             self.spin_residual = float(self.spin_residual[0])
 
     @property
     def graph(self) -> SpinGraph:
         """The engine's graph; the first of a batch."""
         return self.graphs[0]
-
-    def _shifted(self, b_field: float) -> np.ndarray:
-        """The flat energies at field B; a non-finite B raises ValueError."""
-        return field_shifted(self.energies, self.sz, b_field)
 
     def weights(self, temperature: float, b_field: float) -> np.ndarray:
         """Thermal weights over the flat eigenstate ordering at (T, B)."""
@@ -421,7 +416,7 @@ class GraphThermalEngine:
         t = np.array(temperatures, dtype=float)
         for temperature in t[~(t >= 0.0)]:  # also rejects NaN
             raise ValueError(f"temperature must be >= 0, got {temperature}")
-        shifted = self._shifted(b_field)
+        shifted = field_shifted(self.energies, self.sz, b_field)
         rows = np.empty(shifted.shape[:-1] + (len(t), shifted.shape[-1]))
         hot = t > 0.0
         if hot.any():
@@ -435,7 +430,7 @@ class GraphThermalEngine:
 
     def ground_info(self, b_field: float) -> tuple:
         """(ground energy, ground degeneracy) at the given field; for a batch, two lists."""
-        shifted = self._shifted(b_field)
+        shifted = field_shifted(self.energies, self.sz, b_field)
         return shifted.min(axis=-1).tolist(), ground_window(shifted).sum(axis=-1).tolist()
 
     def pair_entries(self, weights: np.ndarray) -> np.ndarray:
@@ -444,13 +439,13 @@ class GraphThermalEngine:
         One weight vector (2^N,) gives (n_pairs, 5); a stack of them
         (points, 2^N) gives (n_pairs, points, 5), and a batch's
         (G, points, 2^N) gives (n_pairs, G, points, 5).  The points go in
-        steps of at most _GRID_ELEMENTS weights of the slot grid, which
-        bounds the temporaries; a step depends on the shapes alone.
+        steps of at most _GRID_ELEMENTS numbers in the slot grid and its
+        moments, which bounds the temporaries; a step depends on the shapes alone.
         """
         count = len(self.graphs)
         points = weights.reshape(count, -1, weights.shape[-1])
         entries = np.empty((len(self.pairs), count, points.shape[1], 5))
-        step = max(1, _GRID_ELEMENTS // self._gather.size)
+        step = max(1, _GRID_ELEMENTS // (count * (len(self._slots) + 14) * self._slots.shape[1]))
         for start in range(0, points.shape[1], step):
             entries[:, :, start : start + step] = self._contract(points[:, start : start + step])
         return entries.reshape(len(self.pairs), *weights.shape[:-1], 5)
@@ -459,26 +454,25 @@ class GraphThermalEngine:
         """(n_pairs, G, p, 5) entries of a batch's (G, p, 2^N) weights.
 
         The moments of the points, as they are (alpha, beta, gamma) and
-        mirrored (epsilon, delta), sit side by side, so each pair's product
-        has the same shape for every pair and an engine of one pair gives
-        the same bits.
+        mirrored (epsilon, delta), stack on an axis of two, so each pair's
+        product has the same shape for every pair and an engine of one
+        pair gives the same bits.
         """
         count, p = points.shape[:2]
-        dim = self._coefficients.shape[-1] // 6
-        # each (graph, sector, column) slot's weights, as is and mirrored, side by side
-        padded = np.concatenate([points.transpose(0, 2, 1).reshape(-1, p), np.zeros((1, p))])
-        grid = padded[self._gather].reshape(count, -1, dim * 2 * p)  # (G, N + 1, dim 2p)
-        del padded
-        moments = (self._moment_rows @ grid).reshape(count, -1, 2 * p)  # (G, 7 dim, 2p)
+        sectors, dim = self._slots.shape
+        # each (graph, sector, central column) slot's weights; an empty slot holds 0
+        grid = np.zeros((count, sectors, dim, p))
+        grid[:, self._slots] = points.transpose(0, 2, 1)
+        moments = self._moment_rows @ grid.reshape(count, sectors, dim * p)
         del grid
+        moments = moments.reshape(count, 2, 7 * dim, p)  # (G, as is | mirrored, 7 dim, p)
         coefficients = self._coefficients
         # the products' order: alpha, epsilon | beta, delta | gamma
-        entries = np.empty((len(self.pairs), count, 1, 5 * p))
-        np.matmul(coefficients[..., : 3 * dim], moments[:, : 3 * dim], out=entries[..., : 2 * p])
-        np.matmul(coefficients[..., 2 * dim :], moments[:, 3 * dim :],
-                  out=entries[..., 2 * p : 4 * p])
-        np.matmul(coefficients[..., 2 * dim : 4 * dim], moments[:, 3 * dim : 5 * dim, :p],
-                  out=entries[..., 4 * p :])
+        entries = np.empty((len(self.pairs), count, 5, 1, p))
+        np.matmul(coefficients[..., : 3 * dim], moments[:, :, : 3 * dim], out=entries[:, :, :2])
+        np.matmul(coefficients[..., 2 * dim :], moments[:, :, 3 * dim :], out=entries[:, :, 2:4])
+        np.matmul(coefficients[..., 2 * dim : 4 * dim], moments[:, :1, 3 * dim : 5 * dim],
+                  out=entries[:, :, 4:])
         entries = entries.reshape(len(self.pairs), count, 5, p).transpose(0, 1, 3, 2)
         return entries[..., _ENTRY_ORDER]
 
@@ -618,6 +612,7 @@ def _expand_batches(config: SweepConfig) -> list[_Batch]:
             t_values = _resolve_grid(config.t_grid, n_spins)
             b_values = _resolve_grid(config.b_grid, n_spins)
             pairs = tuple(graphs[0].pairs()) if config.pairs == "all" else tuple(config.pairs)
+            _check_pairs(pairs, n_spins)  # before any batch runs, so no record is written
             size = max(1, _BATCH_ENTRIES // (6 * max(1, len(pairs)) * comb(n_spins, n_spins // 2)))
             for first in range(0, len(graphs), size):
                 batch = _Batch(

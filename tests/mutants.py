@@ -1,0 +1,225 @@
+"""The mutation gate, outside tier-1: each mutant must make its named tests fail.
+
+pytest does not collect this file (its name does not match ``test_*``);
+run it directly from the repository root:
+
+    python tests/mutants.py
+
+A mutant is (file, exact old text, new text, test ids): one deliberate
+fault in the package, such as a comparison turned round or a check
+dropped, and the tests that are there to catch it.  The gate copies
+``src/``, ``tests/`` and ``pyproject.toml`` to a temporary directory and
+first runs every named test on the unchanged copy, which must pass.
+Then, for each mutant, it writes the fault into the copy and runs that
+mutant's tests there: the mutant is killed when pytest reports a failed
+test (exit code 1), and the copy is restored.  The gate exits 1 if an
+old text does not occur exactly once in its file, if the unchanged copy
+fails, or if a mutant survives, and prints one line per mutant.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+SPECTRA, SWEEP, CLI = "src/ferroent/spectra.py", "src/ferroent/sweep.py", "src/ferroent/cli.py"
+
+# (name, file, old text, new text, test ids that must fail)
+MUTANTS = (
+    (
+        "slot mask >= turned into >",
+        SPECTRA,
+        "slots = 2.0 * spins >= np.abs(",
+        "slots = 2.0 * spins > np.abs(",
+        ["tests/test_spectra.py::TestFullSpectrum::test_total_count_is_full_space"],
+    ),
+    (
+        "mirrored moment rows not reversed",
+        SWEEP,
+        "np.concatenate([rows, rows[:, ::-1]])",
+        "np.concatenate([rows, rows])",
+        ["tests/test_sweep.py::TestThermalEngine::test_entries_match_mixed_rdm_with_field"],
+    ),
+    (
+        "spectrum prints each sector unsorted",
+        CLI,
+        "energies = energies[np.lexsort((energies, spectrum.sz))]",
+        "",
+        ["tests/test_cli.py::TestSpectrumCommand::test_each_sector_ascends_and_matches_the_oracle"],
+    ),
+    (
+        "overflowing field not refused",
+        SPECTRA,
+        "if not np.isfinite(shifted.max(axis=-1) - shifted.min(axis=-1)).all():",
+        "if False:",
+        ["tests/test_cli.py::TestRdmCommand::test_overflowing_field_exits_2",
+         "tests/test_cli.py::TestSweepCommand::test_overflowing_field_exits_2_without_the_batch"],
+    ),
+    (
+        "sweep pairs not checked before the first batch",
+        SWEEP,
+        "            _check_pairs(pairs, n_spins)",
+        "            pass",
+        ["tests/test_cli.py::TestSweepCommand::test_out_of_range_pair_exits_2_before_any_record"],
+    ),
+    (
+        "C(N, n_up) level count not checked",
+        SPECTRA,
+        "if np.count_nonzero(row) != comb(n, n_up):",
+        "if False:",
+        ["tests/test_spectra.py::TestCentralSector::test_sector_counts_fail_by_name"],
+    ),
+    (
+        "DEGENERACY_TOL x 1e3",
+        SPECTRA,
+        "DEGENERACY_TOL = 1e-9",
+        "DEGENERACY_TOL = 1e-6",
+        ["tests/test_spectra.py::TestGroundSubspace"
+         "::test_window_absorbs_rounding_but_not_a_split_level"],
+    ),
+    (
+        "WINDOW_GAP_RATIO_MIN not checked",
+        SWEEP,
+        "and (ratio is None or ratio >= WINDOW_GAP_RATIO_MIN)",
+        "and True",
+        ["tests/test_cli.py::TestVerifyCommand::test_level_near_the_ground_window_fails_by_name"],
+    ),
+    (
+        "resume does not compare the config's grid points",
+        SWEEP,
+        "or not isinstance(record, dict) or expected != json.dumps(",
+        "or not isinstance(record, dict) or False and expected != json.dumps(",
+        ["tests/test_cli.py::TestSweepCommand::test_resume_refuses_another_config"],
+    ),
+    (
+        "CSV summary label not quoted",
+        SWEEP,
+        "if any(char in geometry for char in ',\"\\r\\n'):",
+        "if False:",
+        ["tests/test_sweep.py::test_written_text_is_the_json_encoders"],
+    ),
+    (
+        "JSON record format's % escapes dropped",
+        SWEEP,
+        "fixed[1:-1].replace(\"%\", \"%%\")",
+        "fixed[1:-1]",
+        ["tests/test_sweep.py::test_written_text_is_the_json_encoders"],
+    ),
+    (
+        "non-finite raw concurrence written",
+        SWEEP,
+        "if not np.isfinite(raw).all():",
+        "if False:",
+        ["tests/test_cli.py::TestSweepCommand"
+         "::test_non_finite_raw_concurrence_exits_2_without_its_batch"],
+    ),
+    (
+        "rank-2 term of zz with the wrong sign",
+        SWEEP,
+        "coefficients[:, :, 2] = 3.0 * rank2",
+        "coefficients[:, :, 2] = -3.0 * rank2",
+        ["tests/test_sweep.py::TestThermalEngine::test_stack_matches_oracle_on_every_sector"],
+    ),
+    (
+        "rank-2 term of zz scaled by 1.001",
+        SWEEP,
+        "coefficients[:, :, 2] = 3.0 * rank2",
+        "coefficients[:, :, 2] = 3.003 * rank2",
+        ["tests/test_sweep.py::TestThermalEngine::test_stack_matches_oracle_on_every_sector"],
+    ),
+    (
+        "z term with the wrong sign",
+        SWEEP,
+        "coefficients[:, :, 1] = 0.5 * (g[first] + g[second])",
+        "coefficients[:, :, 1] = -0.5 * (g[first] + g[second])",
+        ["tests/test_sweep.py::TestThermalEngine::test_entries_match_mixed_rdm_with_field"],
+    ),
+    (
+        "gamma with the wrong sign of zz",
+        SWEEP,
+        "coefficients[:, :, 3] = c - zz0",
+        "coefficients[:, :, 3] = c + zz0",
+        ["tests/test_sweep.py::TestThermalEngine::test_stack_matches_oracle_on_every_sector"],
+    ),
+    (
+        "M of the central sector taken as 0 at odd N",
+        SWEEP,
+        "m0 = n // 2 - 0.5 * n",
+        "m0 = 0.0",
+        ["tests/test_sweep.py::TestThermalEngine::test_stack_matches_oracle_on_every_sector"],
+    ),
+    (
+        "alpha's kinematic zero below 2 up spins dropped",
+        SWEEP,
+        "top, middle = 1.0 * (sector >= 2),",
+        "top, middle = 1.0 * (sector >= 1),",
+        ["tests/test_spectra.py::TestCentralSector::test_kinematic_zeros_are_exact"],
+    ),
+    (
+        "flip-parity sign of the lower half",
+        SPECTRA,
+        "np.multiply(upper[::-1], -1.0 if parity else 1.0, out=target[half:])",
+        "np.multiply(upper[::-1], 1.0 if parity else -1.0, out=target[half:])",
+        ["tests/test_spectra.py::TestFullSpectrum::test_every_sector_solves_its_own_block"],
+    ),
+    (
+        "folded hop with the wrong sign",
+        SPECTRA,
+        "block[member[folded], row[folded], column[folded]] += sign * value[folded]",
+        "block[member[folded], row[folded], column[folded]] -= sign * value[folded]",
+        ["tests/test_spectra.py::test_stacked_blocks_are_the_dense_central_block_bit_for_bit"],
+    ),
+    (
+        "one ground window for a whole batch",
+        SPECTRA,
+        "e_min = np.minimum.reduce(energies, axis=-1, keepdims=True)",
+        "e_min = np.minimum.reduce(energies, axis=None, keepdims=True)",
+        ["tests/test_sweep.py::TestThermalEngine::test_batch_engine_matches_one_graph_engines"],
+    ),
+)
+
+
+def run_tests(copy: Path, test_ids: list[str]) -> int:
+    """pytest's exit code for ``test_ids`` in the copy."""
+    # no bytecode cache: a mutant and the original can share a size and an mtime second
+    env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
+    command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *test_ids]
+    return subprocess.run(command, cwd=copy, env=env, capture_output=True, check=False).returncode
+
+
+def main() -> int:
+    failed = False
+    for name, path, old, _, _ in MUTANTS:
+        found = (ROOT / path).read_text(encoding="utf-8").count(old)
+        if found != 1:
+            print(f"{name}: the old text occurs {found} times in {path}, not once")
+            failed = True
+    if failed:
+        return 1
+    with tempfile.TemporaryDirectory() as tmp:
+        copy = Path(tmp)
+        for part in ("src", "tests"):
+            shutil.copytree(ROOT / part, copy / part,
+                            ignore=shutil.ignore_patterns("__pycache__"))
+        shutil.copy(ROOT / "pyproject.toml", copy)
+        every_id = sorted({test_id for *_, test_ids in MUTANTS for test_id in test_ids})
+        if run_tests(copy, every_id) != 0:
+            print("the named tests do not pass on the unchanged code")
+            return 1
+        for name, path, old, new, test_ids in MUTANTS:
+            original = (copy / path).read_text(encoding="utf-8")
+            (copy / path).write_text(original.replace(old, new), encoding="utf-8")
+            code = run_tests(copy, test_ids)
+            (copy / path).write_text(original, encoding="utf-8")
+            killed = code == 1
+            failed |= not killed
+            print(f"{'killed' if killed else 'SURVIVED'}: {name} (pytest exit {code})")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

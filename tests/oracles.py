@@ -18,14 +18,14 @@ for the package's X-state formula 2(|gamma| - sqrt(alpha epsilon)); the
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import comb, exp, sqrt
 
 import numpy as np
 
 from ferroent.graphs import SpinGraph
 from ferroent.hilbert import SectorBasis, build_sector_hamiltonian, sector_basis
-from ferroent.spectra import CentralSpectrum, central_stream, sector_slices
+from ferroent.spectra import CentralSpectrum, central_stream
 
 HERMITICITY_TOL = 1e-12
 SPARSITY_TOL = 1e-12
@@ -134,10 +134,9 @@ def central_eigenvectors(graph: SpinGraph) -> tuple[CentralSpectrum, np.ndarray]
     """``full_spectrum(graph)`` with its central eigenvectors as one matrix.
 
     The package never holds them at once; this collects the chunks of
-    ``spectra.central_stream``, in solve order, and reorders them by the
-    central sector's ``levels`` into the (dim, dim) matrix whose column k
-    belongs to the k-th lowest central level: flat state
-    ``sector_slices(N)[N // 2].start + k`` of the spectrum.
+    ``spectra.central_stream`` into the (dim, dim) matrix whose column k
+    is solve-order column k: flat state ``sector_slices(N)[N // 2].start + k``
+    of the spectrum.
     """
     n = graph.n_spins
     dim = comb(n, n // 2)
@@ -147,10 +146,10 @@ def central_eigenvectors(graph: SpinGraph) -> tuple[CentralSpectrum, np.ndarray]
         matrix[:, positions] = vectors
 
     batch = central_stream([graph], collect)
-    spectrum = CentralSpectrum(
-        batch.energies[0], batch.spin[0], batch.sz, batch.levels[0], float(batch.spin_residual[0])
+    spectrum = replace(
+        batch, energies=batch.energies[0], spin_residual=float(batch.spin_residual[0])
     )
-    return spectrum, matrix[:, spectrum.levels[sector_slices(n)[n // 2]]]
+    return spectrum, matrix
 
 
 def eigenstate_pair_entries(basis: SectorBasis, eigenvectors: np.ndarray, pairs) -> np.ndarray:

@@ -89,6 +89,31 @@ class TestSpectrumCommand:
         assert run_cli("spectrum", "--ring", "3", "--output", str(target)) == 0
         assert target.read_text().count("\n") == 2**3 + 3
 
+    @pytest.mark.parametrize("b_field", [0.0, -0.7])
+    def test_each_sector_ascends_and_matches_the_oracle(self, tmp_path, capsys, b_field):
+        # mixed signs: in solve order (S group by S group) no sector ascends
+        graph = make_graph(7, [(0, 1, -1.0), (1, 2, 0.6), (2, 3, -1.3), (3, 4, -0.4),
+                               (4, 5, 0.9), (5, 6, -1.0), (0, 6, -0.7), (1, 4, 0.3)])
+        path = tmp_path / "g.json"
+        save_graph(graph, str(path))
+        assert run_cli("spectrum", "--graph", str(path), "--b-field", str(b_field)) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()
+                if not line.startswith(("#", "n_up"))]
+        for oracle in sector_spectra(graph, b_field):
+            sector = [row for row in rows if int(row[0]) == oracle.n_up]
+            assert [int(row[1]) for row in sector] == list(range(len(oracle.eigenvalues)))
+            values = np.array([float(row[2]) for row in sector])
+            assert np.all(np.diff(values) >= 0.0)
+            assert np.max(np.abs(values - oracle.eigenvalues)) <= 1e-12
+        assert len(rows) == 2**7
+
+    def test_overflowing_field_exits_2(self, tmp_path, capsys):
+        # the levels' spread overflows, so every level would count as ground
+        target = tmp_path / "spectrum.csv"
+        assert run_cli("spectrum", "--ring", "4", "--b-field", "6e307", "-o", str(target)) == 2
+        assert "overflow" in capsys.readouterr().err
+        assert not target.exists()
+
     def test_dump_sector_matrix(self, capsys):
         assert run_cli("spectrum", "--ring", "4", "--dump-sector", "1") == 0
         lines = capsys.readouterr().out.strip().splitlines()
@@ -170,6 +195,22 @@ class TestRdmCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"argument --temperature/-T: must be >= 0, got {temperature}" in captured.err
+
+    @pytest.mark.parametrize("b_field", ["6e307", "1e308"])
+    def test_overflowing_field_exits_2(self, capsys, b_field):
+        # 6e307: the window's span overflows and every state would be ground;
+        # 1e308: the lowest level overflows and the entries would be NaN
+        assert run_cli("rdm", "--ring", "4", "--pair", "0", "1", "-T", "0",
+                       "--b-field", b_field) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "overflow" in captured.err
+
+    def test_largest_safe_field_polarizes(self, capsys):
+        assert run_cli("rdm", "--ring", "4", "--pair", "0", "1", "-T", "0",
+                       "--b-field", "1e307") == 0
+        entries = read_rdm_csv(capsys.readouterr().out)
+        assert entries[(3, 3)][0] == 1.0 and entries[(0, 0)][0] == 0.0
 
     def test_infinite_temperature_is_the_uniform_mixture(self, capsys):
         assert run_cli("rdm", "--ring", "4", "--pair", "0", "1", "-T", "inf") == 0
@@ -470,6 +511,28 @@ class TestSweepCommand:
         assert "temperature" in capsys.readouterr().err
         assert results.read_text() == ""
 
+    def test_overflowing_field_exits_2_without_the_batch(self, tmp_path, capsys):
+        # B = 3e307 keeps the N = 4 levels' spread finite (4 B) but not N = 6's (6 B)
+        config = tmp_path / "sweep.json"
+        config.write_text(json.dumps({"geometries": [{"kind": "ring"}], "n_values": [4, 6],
+                                      "t_grid": [0.0], "b_grid": [3e307]}))
+        results = tmp_path / "out.jsonl"
+        assert run_cli("sweep", "--config", str(config), "--output", str(results)) == 2
+        assert "overflow" in capsys.readouterr().err
+        [record] = [json.loads(line) for line in results.read_text().splitlines()]
+        assert record["n_spins"] == 4 and record["ground_degeneracy"] == 1
+
+    def test_out_of_range_pair_exits_2_before_any_record(self, tmp_path, capsys):
+        # pair (0, 5) fits N = 6 but not N = 4: refused before the N = 6 records
+        config = tmp_path / "sweep.json"
+        config.write_text(json.dumps({"geometries": [{"kind": "ring"}], "n_values": [6, 4],
+                                      "t_grid": [0.0], "b_grid": [0.0],
+                                      "pairs": [[0, 1], [0, 5]]}))
+        results = tmp_path / "out.jsonl"
+        assert run_cli("sweep", "--config", str(config), "--output", str(results)) == 2
+        assert "invalid pair (0, 5) for 4 spins" in capsys.readouterr().err
+        assert results.read_text() == ""
+
     @pytest.mark.parametrize("pairless", ["one-spin file geometry", "empty pair list"])
     def test_pairless_sweep_exits_2(self, tmp_path, capsys, pairless):
         graph = tmp_path / "one.json"
@@ -556,6 +619,12 @@ class TestVerifyCommand:
         code = run_cli("verify", "--suite", "sweep-zero", "--graph", path)
         assert code == 0
         assert "sweep-zero" in capsys.readouterr().out
+
+    def test_sweep_zero_overflowing_field_exits_2(self, tmp_path, capsys):
+        path = write_edge_graph(tmp_path)
+        code = run_cli("verify", "--suite", "sweep-zero", "--graph", path, "--b-field", "1e308")
+        assert code == 2
+        assert "overflow" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["verify", "rdm"])
     @pytest.mark.parametrize("content", ['{"edges": []}', '{"n": 2, "edges": 5}', "[1, 2]",

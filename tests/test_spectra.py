@@ -116,9 +116,12 @@ class TestFullSpectrum:
             sectors = sector_slices(g.n_spins)
             for n_up, sector in enumerate(sectors):
                 h = build_sector_hamiltonian(g, n_up, b_field)
-                values = energies[sector]
-                assert np.all(np.diff(values) >= 0.0)
-                assert np.max(np.abs(values - np.linalg.eigvalsh(h))) <= 1e-12
+                values, spins = energies[sector], spectrum.spin[sector]
+                # solve order: S group by S group, each ascending as its eigh returns it
+                assert np.all(np.diff(spins) >= 0.0)
+                for spin in np.unique(spins):
+                    assert np.all(np.diff(values[spins == spin]) >= 0.0)
+                assert np.max(np.abs(np.sort(values) - np.linalg.eigvalsh(h))) <= 1e-12
             n_up = g.n_spins // 2
             h = build_sector_hamiltonian(g, n_up, b_field)
             values = energies[sectors[n_up]]
@@ -189,9 +192,9 @@ class TestGibbsWeights:
         assert np.max(np.abs(weights - 2.0**-4)) < 1e-9
 
     def test_two_spin_boltzmann_ratio(self):
-        # flat order: n_up = 0 | n_up = 1 (triplet, singlet) | n_up = 2; gap is 1
+        # flat order: n_up = 0 | n_up = 1 (singlet, triplet: S ascending) | n_up = 2; gap is 1
         weights = GraphThermalEngine(EDGE).weights(1.0, 0.0)
-        assert weights[2] / weights[1] == pytest.approx(np.exp(-1.0), rel=1e-12)
+        assert weights[1] / weights[2] == pytest.approx(np.exp(-1.0), rel=1e-12)
 
     def test_zero_temperature_delegates_to_ground_subspace(self):
         engine = GraphThermalEngine(ring_chain(ChainParams(n_spins=4, g1=-1.0)))
@@ -249,7 +252,7 @@ class TestCentralSector:
         # engine against every sector diagonalized on its own
         spectrum = full_spectrum(g)
         for oracle, sector in zip(sector_spectra(g), sector_slices(g.n_spins)):
-            values = spectrum.energies[sector]
+            values = np.sort(spectrum.energies[sector])
             assert np.max(np.abs(values - oracle.eigenvalues)) <= 1e-12
         engine = GraphThermalEngine(g, g.pairs() + [(j, i) for i, j in g.pairs()[:3]])
         temperatures = (0.0, 0.3, 1.0, 5.0)
@@ -262,30 +265,36 @@ class TestCentralSector:
     @pytest.mark.parametrize("name, g", ORACLE_GRAPHS, ids=[name for name, _ in ORACLE_GRAPHS])
     def test_multiplet_bookkeeping(self, name, g):
         n = g.n_spins
-        spectrum = full_spectrum(g)
+        spectrum, vectors = central_eigenvectors(g)
         sectors = sector_slices(n)
-        central = spectrum.spin[sectors[n // 2]]  # every multiplet once, ascending
+        # the central sector is every column in solve order: S group by S group,
+        # each column an eigenvector of the central block at its level
+        central = sectors[n // 2]
+        energy, spin = spectrum.energies[central], spectrum.spin[central]
+        groups = central_spin_basis(n)
+        labels = np.repeat([s for s, _ in groups], [columns.shape[1] for _, columns in groups])
+        assert np.array_equal(spin, labels)
+        h = build_sector_hamiltonian(g, n // 2)
+        assert np.max(np.abs(h @ vectors - vectors * energy)) <= 1e-12
         assert spectrum.spin_residual <= SPIN_LABEL_TOL
-        assert np.sum(2 * central + 1) == 2**n
-        assert len(spectrum.energies) == len(spectrum.spin) == len(spectrum.levels) == 2**n
+        assert np.sum(2 * spin + 1) == 2**n
+        # the slots are the (sector, column) pairs with S >= |M|, C(N, n_up) per sector
+        m = np.arange(n + 1) - 0.5 * n
+        assert np.array_equal(spectrum.slots, spin >= np.abs(m)[:, None])
         for n_up, sector in enumerate(sectors):
             assert sector.stop - sector.start == comb(n, n_up)
-            assert np.count_nonzero(spectrum.sz == n_up - 0.5 * n) == comb(n, n_up)
-            assert np.all(2.0 * spectrum.spin[sector] >= abs(2 * n_up - n))
-        # the central sector names every solve-order column once
-        columns = spectrum.levels[sectors[n // 2]]
-        assert np.array_equal(np.sort(columns), np.arange(comb(n, n // 2)))
-        # each flat state is a member of the multiplet of its central column
-        energy, spin = np.empty(len(columns)), np.empty(len(columns))
-        energy[columns], spin[columns] = spectrum.energies[sectors[n // 2]], central
-        assert np.array_equal(spectrum.energies, energy[spectrum.levels])
-        assert np.array_equal(spectrum.spin, spin[spectrum.levels])
+            assert np.count_nonzero(spectrum.slots[n_up]) == comb(n, n_up)
+        # flat state x is the x-th slot, with its slot's sz, spin and energy
+        slot_sector, slot_column = np.nonzero(spectrum.slots)
+        assert len(spectrum.energies) == len(spectrum.spin) == len(slot_column) == 2**n
+        assert np.array_equal(spectrum.sz, slot_sector - 0.5 * n)
+        assert np.array_equal(spectrum.spin, spin[slot_column])
+        assert np.array_equal(spectrum.energies, energy[slot_column])
         engine = GraphThermalEngine(g)
-        for n_up in range(n + 1):
-            assert np.count_nonzero(engine.sz == n_up - 0.5 * n) == comb(n, n_up)
+        assert np.array_equal(engine.sz, spectrum.sz)
         if g.is_ferromagnetic and is_connected(g):
-            assert central[0] == 0.5 * n
-            assert np.all(central[1:] < 0.5 * n)
+            assert spin[np.argmin(energy)] == 0.5 * n
+            assert np.count_nonzero(spin == 0.5 * n) == 1
 
     def test_degenerate_clusters_are_pure_spin(self):
         # the cube and the periodic 3x3 grid have many multiplets of different
@@ -478,7 +487,9 @@ def test_engine_takes_the_level_table_of_the_solve_bit_for_bit():
     one = TEST_GRAPHS[3]
     three = [TEST_GRAPHS[1], TEST_GRAPHS[2], ring_chain(ChainParams(n_spins=6, g1=-1.0, g2=0.4))]
     batch = central_stream(three, lambda positions, vectors: None)
-    assert batch.energies.shape == batch.spin.shape == batch.levels.shape == (3, 64)
+    assert batch.energies.shape == (3, 64)
+    # the labels and the layout depend on N alone: the batch shares them
+    assert batch.spin.shape == batch.sz.shape == (64,) and batch.slots.shape == (7, 20)
     for engine, spectrum in (
         (GraphThermalEngine(one), full_spectrum(one)),
         (GraphThermalEngine(three), batch),
@@ -486,9 +497,12 @@ def test_engine_takes_the_level_table_of_the_solve_bit_for_bit():
         for name in ("energies", "spin", "sz", "spin_residual"):
             assert np.array_equal(getattr(engine, name), getattr(spectrum, name))
     alone, single = central_stream([one], lambda positions, vectors: None), full_spectrum(one)
-    for name in ("energies", "spin", "levels", "spin_residual"):
+    for name in ("energies", "spin_residual"):
         assert np.array_equal(getattr(alone, name)[0], getattr(single, name))
-    assert np.array_equal(alone.sz, single.sz)
+    for name in ("spin", "sz", "slots"):
+        assert np.array_equal(getattr(alone, name), getattr(single, name))
+        for graph in three:
+            assert np.array_equal(getattr(batch, name), getattr(full_spectrum(graph), name))
 
 
 @pytest.mark.parametrize("build, bound_mb", [(full_spectrum, 11.0), (GraphThermalEngine, 14.0)])

@@ -46,6 +46,13 @@ RING_CONFIG = SweepConfig(
 )
 
 
+def ascending_positions(energies, n_spins):
+    """The flat positions of each sector's levels in ascending order, sector by sector:
+    the order of ``sector_spectra``'s eigenvalues."""
+    return np.concatenate([sector.start + np.argsort(energies[sector], kind="stable")
+                           for sector in sector_slices(n_spins)])
+
+
 def run_to_strings(config, workers=1, **kwargs):
     output = io.StringIO()
     summary = io.StringIO()
@@ -415,7 +422,7 @@ class TestThermalEngine:
                 assert np.max(np.abs(raw[:, k] - single.raw_concurrence(single_weights))) <= 1e-15
                 assert (energies[k], degeneracies[k]) == single.ground_info(b_field)
                 assert np.array_equal(batch.energies[k], single.energies)
-                assert np.array_equal(batch.spin[k], single.spin)
+                assert np.array_equal(batch.spin, single.spin)  # shared by the batch
                 assert np.array_equal(batch.sz, single.sz)
                 assert batch.spin_residual[k] == single.spin_residual
                 assert np.max(np.abs(stack[:, k] - single.pair_entries(np.eye(64)))) <= 1e-15
@@ -430,6 +437,7 @@ class TestThermalEngine:
         g = random_graph(6, 0.5, (-2.0, -0.3), seed=19)
         engine = GraphThermalEngine(g)
         spectra = sector_spectra(g)
+        order = ascending_positions(engine.energies, g.n_spins)
         for temperature in (0.0, 0.3, 2.0):
             flat = engine.weights(temperature, 0.0)
             terms = gibbs_terms(spectra, temperature)
@@ -437,7 +445,7 @@ class TestThermalEngine:
             position = 0
             for spectrum in spectra:
                 for k in range(len(spectrum.eigenvalues)):
-                    lookup[(spectrum.n_up, k)] = position
+                    lookup[(spectrum.n_up, k)] = order[position]
                     position += 1
             reference = np.zeros_like(flat)
             for n_up, k, w in terms:
@@ -484,12 +492,13 @@ class TestThermalEngine:
         engine = GraphThermalEngine(g, pairs)
         stack = engine.pair_entries(np.eye(2**n_spins))  # every eigenstate's own entries
         central = full_spectrum(g)
+        order = ascending_positions(engine.energies, n_spins)
         position = 0
         for spectrum, sector in zip(sector_spectra(g), sector_slices(n_spins)):
             for k in range(len(spectrum.eigenvalues)):
-                assert engine.energies[position] == central.energies[sector][k]
-                assert engine.sz[position] == spectrum.basis.sz
-                for pair, entries in zip(pairs, stack[:, position]):
+                assert engine.energies[order[position]] == np.sort(central.energies[sector])[k]
+                assert engine.sz[order[position]] == spectrum.basis.sz
+                for pair, entries in zip(pairs, stack[:, order[position]]):
                     rho = pair_rdm_pure(spectrum.eigenvectors[:, k], spectrum.basis, pair)
                     expected = [rho[0, 0].real, rho[1, 1].real, rho[1, 2].real,
                                 rho[2, 2].real, rho[3, 3].real]
