@@ -8,7 +8,6 @@ between runs are meaningful.  Exit codes: 0 success, 1 failed check,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from contextlib import contextmanager
@@ -40,6 +39,7 @@ from .sweep import (
     resume_point,
     run_sweep,
     spectral_fields,
+    verify_batches,
     verify_degeneracy,
     verify_universal,
     zero_temperature_scan,
@@ -146,8 +146,11 @@ def _cmd_graph(args: argparse.Namespace) -> int:
 def _cmd_spectrum(args: argparse.Namespace) -> int:
     graph = _graph_from_args(args)
     if args.dump_sector is not None:
-        # debugging aid: the dense sector matrix instead of eigenvalues
-        matrix = build_sector_hamiltonian(graph, args.dump_sector, args.b_field)
+        # debugging aid: the dense sector matrix instead of eigenvalues; the
+        # field goes through the overflow rule of the levels
+        matrix = build_sector_hamiltonian(graph, args.dump_sector)
+        sz = args.dump_sector - 0.5 * graph.n_spins
+        np.fill_diagonal(matrix, field_shifted(matrix.diagonal(), sz, args.b_field)[0])
         with _output(args.output) as out:
             out.write("# sector n_up=%d, dimension %d, row-major\n"
                       % (args.dump_sector, matrix.shape[0]))
@@ -155,7 +158,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
                 out.write(",".join(_FMT % value for value in row) + "\n")
         return 0
     spectrum = full_spectrum(graph)
-    energies = field_shifted(spectrum.energies, spectrum.sz, args.b_field)
+    energies = field_shifted(spectrum.energies, spectrum.sz, args.b_field)[0]
     # each sector ascending: the table sorted by S^z, then energy
     energies = energies[np.lexsort((energies, spectrum.sz))]
     with _output(args.output) as out:
@@ -280,23 +283,27 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     else:
         graphs = builtin_graph_set()
 
-    # One engine per graph runs every selected suite, and the spectral fields
-    # of the universal and degeneracy reports are computed once for both;
-    # reports keep suite order.
-    universal, degeneracy, scans = [], [], []
-    for graph_id, graph in graphs:
-        engine = GraphThermalEngine(graph)
-        fields = spectral_fields(engine, graph_id) if args.suite != "sweep-zero" else None
+    # One engine per batch of graphs of one spin count runs every selected
+    # suite, and the spectral fields of the universal and degeneracy reports
+    # are computed once for both; reports keep suite order and input order.
+    universal, degeneracy, scans = {}, {}, {}
+    for batch in verify_batches([graph for _, graph in graphs]):
+        engine = GraphThermalEngine([graphs[k][1] for k in batch])
+        graph_ids = [graphs[k][0] for k in batch]
+        fields = spectral_fields(engine, graph_ids) if args.suite != "sweep-zero" else None
         if args.suite in ("universal", "all"):
-            universal.append(verify_universal(engine, fields))
+            universal.update(zip(batch, verify_universal(engine, fields)))
         if args.suite in ("degeneracy", "all"):
-            degeneracy.append(verify_degeneracy(engine, fields))
+            degeneracy.update(zip(batch, verify_degeneracy(engine, fields)))
         if args.suite in ("sweep-zero", "all"):
-            t_grid = [graph.n_spins * k / 20.0 for k in range(21)]
+            t_grid = [engine.graph.n_spins * k / 20.0 for k in range(21)]
             reached = zero_temperature_scan(engine, t_grid, b_field=args.b_field)
-            scans.append({"graph_id": graph_id, "max_clean_t": reached,
-                          "grid_top": t_grid[-1], "passed": reached == t_grid[-1]})
-        del engine  # hold one diagonalized graph at a time
+            scans.update((k, {"graph_id": graph_id, "max_clean_t": t, "grid_top": t_grid[-1],
+                              "passed": t == t_grid[-1]})
+                         for k, graph_id, t in zip(batch, graph_ids, reached))
+        del engine  # hold one diagonalized batch at a time
+    universal, degeneracy, scans = ([found[k] for k in sorted(found)]
+                                    for found in (universal, degeneracy, scans))
     reports = universal + degeneracy
     all_ok = all(report.passed for report in reports) and all(
         scan["passed"] for scan in scans
@@ -329,13 +336,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.json_output:
         payload = {
             "suite": args.suite,
-            "reports": [dataclasses.asdict(report) for report in reports],
+            "reports": [vars(report) for report in reports],  # flat: no copy needed
             "scans": scans,
             "passed": bool(all_ok),
         }
         with open(args.json_output, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2)
-            handle.write("\n")
+            handle.write(json.dumps(payload, indent=2) + "\n")
 
     print("verify: %s" % ("all checks passed" if all_ok else "FAILURES detected"))
     return 0 if all_ok else 1

@@ -39,8 +39,9 @@ each chunk to pair correlations, and ``full_spectrum`` drops it.  So a
 residuals, and no eigenvectors.
 
 The ground multiplet is identified from a flat array of energies by one
-rule, ``ground_window``; the thermal engine, the gap (``ground_gap``)
-and the verification suites all use it.
+rule, the ground window that ``field_shifted`` returns with the levels
+at a field; the thermal engine, the gap (``ground_gap``) and the
+verification suites all use it.
 """
 
 from __future__ import annotations
@@ -98,9 +99,15 @@ def sector_slices(n_spins: int) -> list[slice]:
     return [slice(start, stop) for start, stop in zip(bounds, bounds[1:])]
 
 
-def field_shifted(energies: np.ndarray, sz: np.ndarray, b_field: float) -> np.ndarray:
-    """The flat levels at field B: a field adds B * S^z.
+def field_shifted(energies: np.ndarray, sz: np.ndarray, b_field: float) -> tuple[np.ndarray, ...]:
+    """The flat levels at field B (a field adds B * S^z), their minimum and their ground window.
 
+    The minimum (kept as an axis of length 1) and the maximum along the
+    last axis are taken once: they refuse an overflow and bound the ground
+    window, the mask of the levels in the ground multiplet, up to
+    E_min + DEGENERACY_TOL * max(1, spectral range).  The multiplet is
+    exactly degenerate in exact arithmetic and the tolerance only absorbs
+    floating-point spread; a stack (G, 2^N) gets one window per graph.
     ValueError for a non-finite B, or for one whose levels' spread (or
     minimum) overflows: every level would fall in the ground window.
     """
@@ -108,9 +115,11 @@ def field_shifted(energies: np.ndarray, sz: np.ndarray, b_field: float) -> np.nd
         raise ValueError(f"the field must be finite, got {b_field}")
     with np.errstate(over="ignore", invalid="ignore"):
         shifted = energies + b_field * sz
-        if not np.isfinite(shifted.max(axis=-1) - shifted.min(axis=-1)).all():
+        lowest = np.minimum.reduce(shifted, axis=-1, keepdims=True)
+        span = np.maximum.reduce(shifted, axis=-1, keepdims=True) - lowest
+        if not np.isfinite(span).all():
             raise ValueError(f"the levels at field {b_field:g} overflow")
-    return shifted
+    return shifted, lowest, shifted <= lowest + DEGENERACY_TOL * np.maximum(span, 1.0)
 
 
 def eig_sym(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -314,33 +323,20 @@ def full_spectrum(graph: SpinGraph) -> CentralSpectrum:
     return replace(batch, energies=batch.energies[0], spin_residual=float(batch.spin_residual[0]))
 
 
-def ground_window(energies: np.ndarray) -> np.ndarray:
-    """Mask of the flat energies that belong to the ground multiplet, along the last axis.
-
-    The window is E_min + DEGENERACY_TOL * max(1, spectral range): the
-    multiplet is exactly degenerate in exact arithmetic and the tolerance
-    only absorbs floating-point spread.  A stack (G, 2^N) gets one window
-    per graph.
-    """
-    e_min = np.minimum.reduce(energies, axis=-1, keepdims=True)
-    span = np.maximum.reduce(energies, axis=-1, keepdims=True) - e_min
-    return energies <= e_min + DEGENERACY_TOL * np.maximum(span, 1.0)
+def ground_gap(energies: np.ndarray) -> np.ndarray:
+    """First level above the ground window less E0, along the last axis; 0 if none."""
+    _, lowest, window = field_shifted(energies, 0.0, 0.0)
+    gap = np.min(energies, axis=-1, initial=np.inf, where=~window) - lowest[..., 0]
+    return np.where(np.isfinite(gap), gap, 0.0)
 
 
-def ground_gap(energies: np.ndarray) -> float:
-    """First level above ``ground_window`` less E0, for one graph's flat energies; 0 if none."""
-    above = energies[~ground_window(energies)]
-    return float(above.min() - energies.min()) if above.size else 0.0
+def window_gap_ratio(energies: np.ndarray) -> list[float | None]:
+    """``ground_gap`` over the ground window's width, per graph of a stack (G, 2^N) of levels.
 
-
-def window_gap_ratio(energies: np.ndarray) -> float | None:
-    """``ground_gap`` over the ground window's width, for one graph's flat energies.
-
-    The width is ``ground_window``'s DEGENERACY_TOL * max(1, spectral
+    The width is the ground window's DEGENERACY_TOL * max(1, spectral
     range).  A small ratio means a level sits close enough to the window
     that a little more spread would have absorbed it; None if no level
     lies above the window (a level above it is at least one width up).
     """
-    gap = ground_gap(energies)
-    width = DEGENERACY_TOL * max(float(energies.max()) - float(energies.min()), 1.0)
-    return gap / width if gap else None
+    width = DEGENERACY_TOL * np.maximum(energies.max(axis=-1) - energies.min(axis=-1), 1.0)
+    return [ratio if ratio else None for ratio in (ground_gap(energies) / width).tolist()]

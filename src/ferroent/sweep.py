@@ -18,6 +18,11 @@ records are then written graph by graph.  Batch bounds depend on the
 config alone, so the worker count and a resume point do not change the
 output.
 
+``verify_batches`` cuts verification graphs of one spin count into
+batches under the same budget; each verify check takes a batch engine and
+returns one result per graph, that of its batch of one up to the last
+bits (at most 1e-15) of the contracted pair entries.
+
 Records go out as text, filled into per-graph formats (``_record_format``,
 ``_summary_format``) with no record dict in between.  Each line is the
 ``json.dumps`` text of the record
@@ -84,13 +89,7 @@ from .graphs import (
 )
 from .hilbert import sector_basis
 from .rdm import pair_correlations
-from .spectra import (
-    central_stream,
-    field_shifted,
-    ground_window,
-    sector_slices,
-    window_gap_ratio,
-)
+from .spectra import central_stream, field_shifted, sector_slices, window_gap_ratio
 
 RAW_CONCURRENCE_THRESHOLD = 1e-12
 UNIVERSAL_RDM_TOL = 1e-10
@@ -277,7 +276,7 @@ class GraphThermalEngine:
     B * S^z and leaves eigenvectors untouched, so thermal weights at any
     (T, B) reuse the same spectrum.  Temperature is in coupling units
     (Boltzmann constant 1); T = 0 is the uniform mixture over the ground
-    window of ``spectra.ground_window``, not a limit of Boltzmann factors.
+    window of ``spectra.field_shifted``, not a limit of Boltzmann factors.
 
     ``energies``, ``sz`` = M = n_up - N/2, the spin label ``spin`` = S and
     ``spin_residual`` are the solve's ``spectra.CentralSpectrum`` as it
@@ -408,30 +407,14 @@ class GraphThermalEngine:
         """Thermal weights at each temperature for one field, (temperatures, 2^N).
 
         A batch gets (G, temperatures, 2^N), each graph's rows from its own
-        levels.  The shifted energies, their minimum and the ground window are
-        computed once for the field.  Energies are shifted by E_min before
-        exponentiation so weights stay finite at low temperature; each row
-        is bitwise the row ``weights`` gives for its temperature alone.
+        levels: ``_weights`` of the field's ``spectra.field_shifted`` levels.
         """
-        t = np.array(temperatures, dtype=float)
-        for temperature in t[~(t >= 0.0)]:  # also rejects NaN
-            raise ValueError(f"temperature must be >= 0, got {temperature}")
-        shifted = field_shifted(self.energies, self.sz, b_field)
-        rows = np.empty(shifted.shape[:-1] + (len(t), shifted.shape[-1]))
-        hot = t > 0.0
-        if hot.any():
-            lowest = shifted.min(axis=-1, keepdims=True)
-            factors = np.exp(-(shifted - lowest)[..., None, :] / t[hot, None])
-            rows[..., hot, :] = factors / factors.sum(axis=-1, keepdims=True)
-        if not hot.all():
-            members = ground_window(shifted)
-            rows[..., ~hot, :] = (members / members.sum(axis=-1, keepdims=True))[..., None, :]
-        return rows
+        return _weights(field_shifted(self.energies, self.sz, b_field), temperatures)
 
     def ground_info(self, b_field: float) -> tuple:
         """(ground energy, ground degeneracy) at the given field; for a batch, two lists."""
-        shifted = field_shifted(self.energies, self.sz, b_field)
-        return shifted.min(axis=-1).tolist(), ground_window(shifted).sum(axis=-1).tolist()
+        _, lowest, window = field_shifted(self.energies, self.sz, b_field)
+        return lowest[..., 0].tolist(), window.sum(axis=-1).tolist()
 
     def pair_entries(self, weights: np.ndarray) -> np.ndarray:
         """(alpha, beta, gamma, delta, epsilon) per engine pair and weight vector.
@@ -485,6 +468,26 @@ class GraphThermalEngine:
         entries = self.pair_entries(weights)
         alpha, gamma, epsilon = entries[..., 0], entries[..., 2], entries[..., 4]
         return 2.0 * (np.abs(gamma) - np.sqrt(np.maximum(alpha * epsilon, 0.0)))
+
+
+def _weights(levels: tuple[np.ndarray, ...], temperatures: Sequence[float]) -> np.ndarray:
+    """Thermal weights at each temperature from one field's ``spectra.field_shifted`` levels.
+
+    Levels are shifted by their minimum before exponentiation so weights
+    stay finite at low temperature; each row is bitwise its temperature's alone.
+    """
+    shifted, lowest, window = levels
+    t = np.array(temperatures, dtype=float)
+    for temperature in t[~(t >= 0.0)]:  # also rejects NaN
+        raise ValueError(f"temperature must be >= 0, got {temperature}")
+    rows = np.empty(shifted.shape[:-1] + (len(t), shifted.shape[-1]))
+    hot = t > 0.0
+    if hot.any():
+        factors = np.exp(-(shifted - lowest)[..., None, :] / t[hot, None])
+        rows[..., hot, :] = factors / factors.sum(axis=-1, keepdims=True)
+    if not hot.all():
+        rows[..., ~hot, :] = (window / window.sum(axis=-1, keepdims=True))[..., None, :]
+    return rows
 
 
 # one graph's records: (index of the first, JSON lines, CSV summary rows, max raw concurrences)
@@ -541,8 +544,9 @@ def _batch_records(batch: _Batch) -> Iterator[_GraphText]:
     """The records of a batch as text, one ``_GraphText`` per graph.
 
     One engine, and one weight stack per block: points run T-major,
-    B-minor.  The weights, ground energies and ground degeneracies of all
-    graphs are computed per field value, for many temperatures at once.
+    B-minor.  Each field's levels, their minimum and ground window are
+    computed once, and give the ground energies and degeneracies of all
+    graphs and, for many temperatures at once, their weights.
     The points go in blocks of whole temperature rows, at most
     _POINTS_PER_CONTRACTION points over the batch's graphs (or one row, if
     a row holds more), which bounds the weight stack; each block is one
@@ -555,12 +559,13 @@ def _batch_records(batch: _Batch) -> Iterator[_GraphText]:
     engine = GraphThermalEngine(batch.graphs, batch.pairs)
     count, n_b = len(batch.graphs), len(batch.b_values)
     points = [(t, b) for t in batch.t_values for b in batch.b_values]
-    ground = [engine.ground_info(b) for b in batch.b_values]
+    levels = [field_shifted(engine.energies, engine.sz, b) for b in batch.b_values]
+    ground = [(lowest[:, 0].tolist(), window.sum(axis=-1).tolist()) for _, lowest, window in levels]
     raw = np.empty((count, len(points), len(batch.pairs)))
     t_step = max(1, _POINTS_PER_CONTRACTION // (count * n_b))
     for t_first in range(0, len(batch.t_values), t_step):
         t_block = batch.t_values[t_first : t_first + t_step]
-        weights = np.stack([engine.field_weights(t_block, b) for b in batch.b_values], axis=2)
+        weights = np.stack([_weights(level, t_block) for level in levels], axis=2)
         block = engine.raw_concurrence(weights.reshape(count, -1, len(engine.sz)))
         first = t_first * n_b
         raw[:, first : first + block.shape[2]] = block.transpose(1, 2, 0)
@@ -591,6 +596,11 @@ def _compute_batch(batch: _Batch) -> tuple[int, list[_GraphText]]:
     return batch.index, list(_batch_records(batch))
 
 
+def _batch_size(n_spins: int, n_pairs: int) -> int:
+    """Graphs of N spins per engine: at most _BATCH_ENTRIES coefficients, and one graph at least."""
+    return max(1, _BATCH_ENTRIES // (6 * max(1, n_pairs) * comb(n_spins, n_spins // 2)))
+
+
 def _expand_batches(config: SweepConfig) -> list[_Batch]:
     # Geometries that do not consume an axis collapse it to a single point:
     # only chain kinds see the coupling grids, only sized kinds see n_values.
@@ -613,7 +623,7 @@ def _expand_batches(config: SweepConfig) -> list[_Batch]:
             b_values = _resolve_grid(config.b_grid, n_spins)
             pairs = tuple(graphs[0].pairs()) if config.pairs == "all" else tuple(config.pairs)
             _check_pairs(pairs, n_spins)  # before any batch runs, so no record is written
-            size = max(1, _BATCH_ENTRIES // (6 * max(1, len(pairs)) * comb(n_spins, n_spins // 2)))
+            size = _batch_size(n_spins, len(pairs))
             for first in range(0, len(graphs), size):
                 batch = _Batch(
                     index=len(batches),
@@ -807,69 +817,89 @@ class VerifyReport:
     passed: bool = False
 
 
-def spectral_fields(engine: GraphThermalEngine, graph_id: str) -> dict:
+def verify_batches(graphs: Sequence[SpinGraph]) -> list[list[int]]:
+    """The positions of ``graphs``, one list per verification engine: graphs of one
+    spin count in input order, cut under the sweep's budget for all pairs
+    (``_batch_size``), so the built-in set makes one per N and N >= 10 batches of one.
+    """
+    groups: dict[int, list[int]] = {}
+    for position, graph in enumerate(graphs):
+        groups.setdefault(graph.n_spins, []).append(position)
+    batches = []
+    for n, positions in groups.items():
+        size = _batch_size(n, n * (n - 1) // 2)
+        batches += [positions[first : first + size] for first in range(0, len(positions), size)]
+    return batches
+
+
+def spectral_fields(engine: GraphThermalEngine, graph_ids: Sequence[str]) -> list[dict]:
     """The VerifyReport fields both suites share: ground energy, degeneracy and spin.
 
-    Both suites take them, so a caller running both computes them once.
+    One dict per graph of a batch engine, named by ``graph_ids``.  Both
+    suites take them, so a caller running both computes them once.
     """
-    graph = engine.graph
-    connected = is_connected(graph)
-    e_min, degeneracy = engine.ground_info(0.0)
-    expected_energy = 0.25 * graph.coupling_sum
-    return {
-        "graph_id": graph_id,
-        "n_spins": graph.n_spins,
-        "ferromagnetic": graph.is_ferromagnetic,
-        "connected": connected,
-        "ground_energy": e_min,
-        "expected_ground_energy": expected_energy,
-        "energy_ok": abs(e_min - expected_energy) <= 1e-10 * max(1.0, abs(expected_energy)),
-        "ground_degeneracy": degeneracy,
-        "expected_degeneracy": graph.n_spins + 1 if connected else None,
-        "degeneracy_ok": degeneracy == graph.n_spins + 1 if connected else None,
-        # the smallest S in the window: N/2 only if it holds the aligned multiplet alone
-        "ground_spin": float(engine.spin[ground_window(engine.energies)].min()),
-        "spin_residual": engine.spin_residual,
-        "window_gap_ratio": window_gap_ratio(engine.energies),
-    }
+    _, lowest, window = field_shifted(engine.energies, engine.sz, 0.0)
+    # the smallest S in the window: N/2 only if it holds the aligned multiplet alone
+    spins = np.where(window, engine.spin, np.inf).min(axis=-1).tolist()
+    columns = zip(engine.graphs, graph_ids, lowest[:, 0].tolist(), window.sum(axis=-1).tolist(),
+                  spins, engine.spin_residual.tolist(), window_gap_ratio(engine.energies))
+    fields = []
+    for graph, graph_id, e_min, degeneracy, spin, residual, ratio in columns:
+        connected = is_connected(graph)
+        expected_energy = 0.25 * graph.coupling_sum
+        fields.append({
+            "graph_id": graph_id,
+            "n_spins": graph.n_spins,
+            "ferromagnetic": graph.is_ferromagnetic,
+            "connected": connected,
+            "ground_energy": e_min,
+            "expected_ground_energy": expected_energy,
+            "energy_ok": abs(e_min - expected_energy) <= 1e-10 * max(1.0, abs(expected_energy)),
+            "ground_degeneracy": degeneracy,
+            "expected_degeneracy": graph.n_spins + 1 if connected else None,
+            "degeneracy_ok": degeneracy == graph.n_spins + 1 if connected else None,
+            "ground_spin": spin,
+            "spin_residual": residual,
+            "window_gap_ratio": ratio,
+        })
+    return fields
 
 
-def verify_universal(engine: GraphThermalEngine, fields: dict) -> VerifyReport:
+def verify_universal(engine: GraphThermalEngine, fields: Sequence[dict]) -> list[VerifyReport]:
     """Check that the zero-field ground mixture's RDMs of the engine's pairs
     all match the universal separable form, entry-wise within
     UNIVERSAL_RDM_TOL, with raw pair concurrence at most
-    RAW_CONCURRENCE_THRESHOLD.
+    RAW_CONCURRENCE_THRESHOLD; one report per graph of a batch engine.
 
     Requires a connected ferromagnetic graph; violations are flagged in
     the report (never silently ignored) and fail it.  ``fields`` are the
     engine's ``spectral_fields``.
     """
-    preconditions_ok = fields["ferromagnetic"] and fields["connected"]
     weights = engine.weights(0.0, 0.0)
     target = np.array(UNIVERSAL_ENTRIES, dtype=float)
-    max_deviation = float(np.max(np.abs(engine.pair_entries(weights) - target)))
-    max_raw = float(np.max(engine.raw_concurrence(weights)))
-    passed = (
-        preconditions_ok
-        and fields["energy_ok"]
-        and bool(fields["degeneracy_ok"])
-        and max_deviation <= UNIVERSAL_RDM_TOL
-        and max_raw <= RAW_CONCURRENCE_THRESHOLD
-    )
-    return VerifyReport(
-        check="universal",
-        preconditions_ok=preconditions_ok,
-        max_rdm_deviation=max_deviation,
-        max_raw_concurrence=max_raw,
-        passed=passed,
-        **fields,
-    )
+    deviations = np.max(np.abs(engine.pair_entries(weights) - target), axis=(0, 2)).tolist()
+    raws = np.max(engine.raw_concurrence(weights), axis=0).tolist()
+    reports = []
+    for shared, max_deviation, max_raw in zip(fields, deviations, raws):
+        preconditions_ok = shared["ferromagnetic"] and shared["connected"]
+        passed = (
+            preconditions_ok
+            and shared["energy_ok"]
+            and bool(shared["degeneracy_ok"])
+            and max_deviation <= UNIVERSAL_RDM_TOL
+            and max_raw <= RAW_CONCURRENCE_THRESHOLD
+        )
+        reports.append(VerifyReport(check="universal", preconditions_ok=preconditions_ok,
+                                    max_rdm_deviation=max_deviation,
+                                    max_raw_concurrence=max_raw, passed=passed, **shared))
+    return reports
 
 
-def verify_degeneracy(engine: GraphThermalEngine, fields: dict) -> VerifyReport:
+def verify_degeneracy(engine: GraphThermalEngine, fields: Sequence[dict]) -> list[VerifyReport]:
     """Check ground degeneracy N+1 and ground spin N/2 (connected graphs
     only) and ground energy equal to a quarter of the coupling sum, with
-    the next level at least WINDOW_GAP_RATIO_MIN window widths above E0.
+    the next level at least WINDOW_GAP_RATIO_MIN window widths above E0;
+    one report per graph of a batch engine.
 
     Disconnected graphs get expected_degeneracy None: the N+1 count and
     the single S = N/2 multiplet assume connectivity, while the energy
@@ -878,34 +908,37 @@ def verify_degeneracy(engine: GraphThermalEngine, fields: dict) -> VerifyReport:
     since the degeneracy count could have absorbed it.  ``fields`` are
     the engine's ``spectral_fields``.
     """
-    spin_ok = not fields["connected"] or fields["ground_spin"] == 0.5 * fields["n_spins"]
-    ratio = fields["window_gap_ratio"]
-    passed = (
-        fields["ferromagnetic"]
-        and fields["energy_ok"]
-        and fields["degeneracy_ok"] is not False
-        and spin_ok
-        and (ratio is None or ratio >= WINDOW_GAP_RATIO_MIN)
-    )
-    return VerifyReport(
-        check="degeneracy", preconditions_ok=fields["ferromagnetic"], passed=passed, **fields
-    )
+    reports = []
+    for shared in fields:
+        spin_ok = not shared["connected"] or shared["ground_spin"] == 0.5 * shared["n_spins"]
+        ratio = shared["window_gap_ratio"]
+        passed = (
+            shared["ferromagnetic"]
+            and shared["energy_ok"]
+            and shared["degeneracy_ok"] is not False
+            and spin_ok
+            and (ratio is None or ratio >= WINDOW_GAP_RATIO_MIN)
+        )
+        reports.append(VerifyReport(check="degeneracy", preconditions_ok=shared["ferromagnetic"],
+                                    passed=passed, **shared))
+    return reports
 
 
 def zero_temperature_scan(
     engine: GraphThermalEngine, t_grid: Iterable[float], b_field: float = 0.0
-) -> float | None:
-    """Scan temperatures upward from zero; return the largest prefix value
-    whose max pair concurrence stays at or below RAW_CONCURRENCE_THRESHOLD.
+) -> list[float | None]:
+    """Scan temperatures upward from zero; per graph of a batch engine, the
+    largest prefix value whose max pair concurrence stays at or below
+    RAW_CONCURRENCE_THRESHOLD.
 
-    Returns None when even the first grid point violates.  The grid must
-    start at 0 and ascend.
+    None for a graph whose first grid point already violates.  The grid
+    must start at 0 and ascend.
     """
     t_values = list(t_grid)
     if not t_values or t_values[0] != 0.0:
         raise ValueError("temperature grid must start at 0")
     if any(t_values[k] > t_values[k + 1] for k in range(len(t_values) - 1)):
         raise ValueError("temperature grid must be ascending")
-    raw = engine.raw_concurrence(engine.field_weights(t_values, b_field))
-    clean = int(np.argmin(np.append(raw.max(axis=0) <= RAW_CONCURRENCE_THRESHOLD, False)))
-    return t_values[clean - 1] if clean else None
+    raw = engine.raw_concurrence(engine.field_weights(t_values, b_field))  # (pairs, G, T)
+    clean = np.logical_and.accumulate(raw.max(axis=0) <= RAW_CONCURRENCE_THRESHOLD, axis=-1)
+    return [t_values[count - 1] if count else None for count in clean.sum(axis=-1).tolist()]

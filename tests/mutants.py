@@ -54,7 +54,7 @@ MUTANTS = (
     (
         "overflowing field not refused",
         SPECTRA,
-        "if not np.isfinite(shifted.max(axis=-1) - shifted.min(axis=-1)).all():",
+        "if not np.isfinite(span).all():",
         "if False:",
         ["tests/test_cli.py::TestRdmCommand::test_overflowing_field_exits_2",
          "tests/test_cli.py::TestSweepCommand::test_overflowing_field_exits_2_without_the_batch"],
@@ -176,9 +176,23 @@ MUTANTS = (
     (
         "one ground window for a whole batch",
         SPECTRA,
-        "e_min = np.minimum.reduce(energies, axis=-1, keepdims=True)",
-        "e_min = np.minimum.reduce(energies, axis=None, keepdims=True)",
+        "lowest = np.minimum.reduce(shifted, axis=-1, keepdims=True)",
+        "lowest = np.minimum.reduce(shifted, axis=None, keepdims=True)",
         ["tests/test_sweep.py::TestThermalEngine::test_batch_engine_matches_one_graph_engines"],
+    ),
+    (
+        "verify reports of a batch attributed to the wrong graph",
+        CLI,
+        "engine = GraphThermalEngine([graphs[k][1] for k in batch])",
+        "engine = GraphThermalEngine([graphs[k][1] for k in batch[::-1]])",
+        ["tests/test_cli.py::TestVerifyCommand::test_batched_reports_equal_batches_of_one"],
+    ),
+    (
+        "dump-sector overflow not refused",
+        CLI,
+        "np.fill_diagonal(matrix, field_shifted(matrix.diagonal(), sz, args.b_field)[0])",
+        "np.fill_diagonal(matrix, matrix.diagonal() + args.b_field * sz)",
+        ["tests/test_cli.py::TestSpectrumCommand::test_dump_sector_overflowing_field_exits_2"],
     ),
 )
 

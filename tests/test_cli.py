@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ import pytest
 import ferroent.spectra
 import ferroent.sweep
 from ferroent.cli import main
-from ferroent.graphs import make_graph, random_graph, save_graph
+from ferroent.graphs import ChainParams, make_graph, random_graph, ring_chain, save_graph
 from oracles import gibbs_terms, pair_rdm_mixed, sector_spectra
 
 
@@ -112,6 +113,18 @@ class TestSpectrumCommand:
         target = tmp_path / "spectrum.csv"
         assert run_cli("spectrum", "--ring", "4", "--b-field", "6e307", "-o", str(target)) == 2
         assert "overflow" in capsys.readouterr().err
+        assert not target.exists()
+
+    @pytest.mark.parametrize("to_file", [True, False])
+    def test_dump_sector_overflowing_field_exits_2(self, tmp_path, capsys, to_file):
+        # sector n_up = 0 of 4 spins has S^z = -2: its one level overflows to -inf
+        target = tmp_path / "sector.csv"
+        output = ["-o", str(target)] if to_file else []
+        assert run_cli("spectrum", "--ring", "4", "--dump-sector", "0",
+                       "--b-field", "1e308", *output) == 2
+        captured = capsys.readouterr()
+        assert "overflow" in captured.err
+        assert captured.out == ""
         assert not target.exists()
 
     def test_dump_sector_matrix(self, capsys):
@@ -663,7 +676,73 @@ class TestVerifyCommand:
 
         monkeypatch.setattr(ferroent.sweep, "is_connected", counting)
         assert run_cli("verify", "--suite", "all") == 0
-        assert calls == [graph.n_spins for _, graph in ferroent.sweep.builtin_graph_set()]
+        graphs = [graph for _, graph in ferroent.sweep.builtin_graph_set()]
+        # in batch order: the graphs of one spin count together
+        batches = ferroent.sweep.verify_batches(graphs)
+        assert calls == [graphs[k].n_spins for batch in batches for k in batch]
+        assert sorted(k for batch in batches for k in batch) == list(range(len(graphs)))
+
+    @pytest.mark.parametrize("source", ["builtin", "interleaved files"])
+    def test_batched_reports_equal_batches_of_one(self, tmp_path, monkeypatch, source):
+        # graphs of one spin count share an engine; each report must be the one
+        # its graph gets alone, and reports and scans keep the input order
+        if source == "builtin":
+            graphs, argv = ferroent.sweep.builtin_graph_set(), []
+        else:
+            graphs, argv = [], []
+            for k, (n, seed) in enumerate([(6, 3), (8, 5), (6, 4), (9, 2), (8, 6)]):
+                path, graph = str(tmp_path / f"g{k}.json"), random_graph(n, 0.6, (-2.0, -0.3), seed)
+                save_graph(graph, path)
+                graphs.append((path, graph))
+                argv += ["--graph", path]
+        eig_calls = []
+        original = ferroent.spectra.eig_sym
+        monkeypatch.setattr(ferroent.spectra, "eig_sym",
+                            lambda matrix: eig_calls.append(matrix.shape) or original(matrix))
+        report_path = tmp_path / "report.json"
+        assert run_cli("verify", "--suite", "all", *argv, "--json", str(report_path)) == 0
+        # one solve per spin count, one eig_sym call per S of each
+        spin_counts = sorted({graph.n_spins for _, graph in graphs})
+        assert len(eig_calls) == sum(n // 2 + 1 for n in spin_counts)
+        monkeypatch.undo()
+        payload = json.loads(report_path.read_text())
+        ids = [graph_id for graph_id, _ in graphs]
+        assert [report["graph_id"] for report in payload["reports"]] == ids * 2
+        assert [scan["graph_id"] for scan in payload["scans"]] == ids
+        last_bits = ("max_rdm_deviation", "max_raw_concurrence")
+        for k, (graph_id, graph) in enumerate(graphs):
+            engine = ferroent.sweep.GraphThermalEngine([graph])
+            fields = ferroent.sweep.spectral_fields(engine, [graph_id])
+            alone = (ferroent.sweep.verify_universal(engine, fields)
+                     + ferroent.sweep.verify_degeneracy(engine, fields))
+            for report, expected in zip(payload["reports"][k :: len(graphs)], alone):
+                expected = dataclasses.asdict(expected)
+                for key, value in report.items():
+                    if key in last_bits and value is not None:
+                        assert abs(value - expected[key]) <= 1e-15, (graph_id, key)
+                    else:
+                        assert value == expected[key], (graph_id, key)
+            t_grid = [graph.n_spins * j / 20.0 for j in range(21)]
+            [reached] = ferroent.sweep.zero_temperature_scan(engine, t_grid)
+            assert payload["scans"][k]["max_clean_t"] == reached
+
+    def test_large_graphs_form_batches_of_one(self):
+        g12 = [random_graph(12, 0.4, (-2.0, -0.2), seed) for seed in (1, 2)]
+        ring14 = ring_chain(ChainParams(n_spins=14, g1=-1.0))
+        graphs = [g12[0], ring14, g12[1], ring14]
+        assert ferroent.sweep.verify_batches(graphs) == [[0], [2], [1], [3]]
+        builtin = [graph for _, graph in ferroent.sweep.builtin_graph_set()]
+        batches = ferroent.sweep.verify_batches(builtin)
+        assert [len({builtin[k].n_spins for k in batch}) for batch in batches] == [1] * 8
+
+    def test_json_report_is_the_encoders_text_of_the_reports(self, tmp_path):
+        report_path = tmp_path / "report.json"
+        assert run_cli("verify", "--suite", "all", "--json", str(report_path)) == 0
+        written = report_path.read_text()
+        payload = json.loads(written)
+        reports = [ferroent.sweep.VerifyReport(**report) for report in payload["reports"]]
+        payload["reports"] = [dataclasses.asdict(report) for report in reports]
+        assert written == json.dumps(payload, indent=2) + "\n"
 
     def test_all_suites_on_builtin_set(self, tmp_path, capsys):
         report_path = tmp_path / "report.json"

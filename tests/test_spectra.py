@@ -26,7 +26,6 @@ from ferroent.spectra import (
     field_shifted,
     full_spectrum,
     ground_gap,
-    ground_window,
     sector_slices,
     window_gap_ratio,
 )
@@ -112,7 +111,7 @@ class TestFullSpectrum:
         # eigenvectors are an orthonormal eigenbasis of the central block
         for g in TEST_GRAPHS + [make_graph(5, [(0, 1, 1.0), (2, 3, -0.7)])]:
             spectrum, vectors = central_eigenvectors(g)
-            energies = field_shifted(spectrum.energies, spectrum.sz, b_field)
+            energies, _, _ = field_shifted(spectrum.energies, spectrum.sz, b_field)
             sectors = sector_slices(g.n_spins)
             for n_up, sector in enumerate(sectors):
                 h = build_sector_hamiltonian(g, n_up, b_field)
@@ -141,7 +140,10 @@ class TestFullSpectrum:
     def test_field_shifts_zero_field_eigenvalues(self):
         g = TEST_GRAPHS[3]
         zero = full_spectrum(g)
-        shifted = field_shifted(zero.energies, zero.sz, 1.3)
+        shifted, lowest, window = field_shifted(zero.energies, zero.sz, 1.3)
+        assert lowest.tolist() == [shifted.min()]
+        spread = shifted.max() - shifted.min()
+        assert np.array_equal(window, shifted <= shifted.min() + 1e-9 * max(1.0, spread))
         for n_up, sector in enumerate(sector_slices(g.n_spins)):
             sz = n_up - 0.5 * g.n_spins
             assert np.all(zero.sz[sector] == sz)
@@ -180,10 +182,12 @@ class TestGroundSubspace:
     def test_window_absorbs_rounding_but_not_a_split_level(self):
         # relative to max(1, range): 1e-9 * 10 here
         energies = np.array([-2.0, -2.0 + 5e-9, -2.0 + 2e-8, 8.0])
-        assert ground_window(energies).tolist() == [True, True, False, False]
+        _, _, window = field_shifted(energies, 0.0, 0.0)
+        assert window.tolist() == [True, True, False, False]
         # the split level is 2e-8 above E0, 2 window widths of 1e-8
-        assert window_gap_ratio(energies) == pytest.approx(2.0, rel=1e-6)
-        assert window_gap_ratio(np.zeros(4)) is None  # no level above the window
+        [ratio, none] = window_gap_ratio(np.stack([energies, np.zeros(4)]))
+        assert ratio == pytest.approx(2.0, rel=1e-6)
+        assert none is None  # no level above the window
 
 
 class TestGibbsWeights:

@@ -19,7 +19,7 @@ from ferroent.graphs import (
     save_graph,
     star_graph,
 )
-from ferroent.spectra import field_shifted, full_spectrum, ground_window, sector_slices
+from ferroent.spectra import field_shifted, full_spectrum, sector_slices
 from ferroent.sweep import (
     GeometrySpec,
     GraphThermalEngine,
@@ -559,7 +559,8 @@ class TestThermalEngine:
             shifted = engine.energies + b_field * engine.sz
             for temperature, row in zip(temperatures, rows):
                 if temperature == 0.0:
-                    members = ground_window(shifted)
+                    spread = shifted.max() - shifted.min()
+                    members = shifted <= shifted.min() + 1e-9 * max(1.0, spread)
                     expected = members / members.sum()
                 else:
                     factors = np.exp(-(shifted - float(shifted.min())) / temperature)
@@ -603,13 +604,15 @@ class TestThermalEngine:
 
 
 def _universal(graph, graph_id):
-    engine = GraphThermalEngine(graph)
-    return verify_universal(engine, spectral_fields(engine, graph_id))
+    engine = GraphThermalEngine([graph])
+    [report] = verify_universal(engine, spectral_fields(engine, [graph_id]))
+    return report
 
 
 def _degeneracy(graph, graph_id):
-    engine = GraphThermalEngine(graph)
-    return verify_degeneracy(engine, spectral_fields(engine, graph_id))
+    engine = GraphThermalEngine([graph])
+    [report] = verify_degeneracy(engine, spectral_fields(engine, [graph_id]))
+    return report
 
 
 class TestVerifyUniversal:
@@ -686,10 +689,10 @@ class TestGroundSpin:
             assert report.window_gap_ratio >= 1e7
 
     def test_wrong_ground_spin_fails_the_degeneracy_suite(self):
-        engine = GraphThermalEngine(ring_chain(ChainParams(n_spins=5, g1=-1.0)))
-        assert verify_degeneracy(engine, spectral_fields(engine, "ring5")).passed
+        engine = GraphThermalEngine([ring_chain(ChainParams(n_spins=5, g1=-1.0))])
+        assert verify_degeneracy(engine, spectral_fields(engine, ["ring5"]))[0].passed
         engine.spin = np.full_like(engine.spin, 0.5)
-        report = verify_degeneracy(engine, spectral_fields(engine, "ring5"))
+        [report] = verify_degeneracy(engine, spectral_fields(engine, ["ring5"]))
         assert report.ground_spin == 0.5
         assert not report.passed
 
@@ -697,14 +700,14 @@ class TestGroundSpin:
         # the ring's ground multiplet plus a split injected above E0 at
         # 1.2 and 0.8 window widths of 1e-9 * spectral range: the first is
         # outside the window, the second inside
-        engine = GraphThermalEngine(ring_chain(ChainParams(n_spins=5, g1=-1.0)))
+        engine = GraphThermalEngine([ring_chain(ChainParams(n_spins=5, g1=-1.0))])
         energies = engine.energies.copy()
         e_min, width = energies.min(), 1e-9 * (energies.max() - energies.min())
-        excited = np.flatnonzero(energies > e_min + 1e-3)[0]
+        excited = np.flatnonzero(energies[0] > e_min + 1e-3)[0]
         for split, ratio, degeneracy in ((1.2, 1.2, 6), (0.8, None, 7)):
             engine.energies = energies.copy()
-            engine.energies[excited] = e_min + split * width
-            report = verify_degeneracy(engine, spectral_fields(engine, "ring5"))
+            engine.energies[0, excited] = e_min + split * width
+            [report] = verify_degeneracy(engine, spectral_fields(engine, ["ring5"]))
             assert report.ground_degeneracy == degeneracy
             if ratio is None:
                 assert not report.degeneracy_ok  # absorbed: the count catches it
@@ -719,9 +722,9 @@ class TestGroundSpin:
         assert report.passed  # no single-multiplet claim for a disconnected graph
 
     def test_report_fields_serialize(self):
-        engine = GraphThermalEngine(cube_graph(-1.0))
-        fields = spectral_fields(engine, "cube")
-        for report in (verify_universal(engine, fields), verify_degeneracy(engine, fields)):
+        engine = GraphThermalEngine([cube_graph(-1.0)])
+        fields = spectral_fields(engine, ["cube"])
+        for report in verify_universal(engine, fields) + verify_degeneracy(engine, fields):
             payload = json.loads(json.dumps(dataclasses.asdict(report)))
             assert payload["ground_spin"] == 4.0
             assert 0.0 <= payload["spin_residual"] <= 1e-6
@@ -732,25 +735,28 @@ class TestZeroTemperatureScan:
         # antiferromagnetic dimer in a field above J: the polarized T = 0
         # ground state is a product, the singlet admixed at T = 0.1 is not;
         # the scan keeps the clean prefix even if a later point is clean again
-        engine = GraphThermalEngine(make_graph(2, [(0, 1, 1.0)]))
-        assert zero_temperature_scan(engine, [0.0, 0.1, 100.0], b_field=1.5) == 0.0
+        engine = GraphThermalEngine([make_graph(2, [(0, 1, 1.0)])])
+        assert zero_temperature_scan(engine, [0.0, 0.1, 100.0], b_field=1.5) == [0.0]
+        # a batch scans each graph on its own: the ferromagnetic dimer stays clean
+        batch = GraphThermalEngine([make_graph(2, [(0, 1, -1.0)]), make_graph(2, [(0, 1, 1.0)])])
+        assert zero_temperature_scan(batch, [0.0, 0.1, 100.0], b_field=1.5) == [100.0, 0.0]
 
 
     def test_ferromagnet_survives_whole_grid(self):
-        engine = GraphThermalEngine(ring_chain(ChainParams(n_spins=5, g1=-1.0)))
+        engine = GraphThermalEngine([ring_chain(ChainParams(n_spins=5, g1=-1.0))])
         grid = [5.0 * k / 20 for k in range(21)]
-        assert zero_temperature_scan(engine, grid) == grid[-1]
+        assert zero_temperature_scan(engine, grid) == [grid[-1]]
 
     def test_single_point_grid(self):
-        engine = GraphThermalEngine(ring_chain(ChainParams(n_spins=4, g1=-1.0)))
-        assert zero_temperature_scan(engine, [0.0]) == 0.0
+        engine = GraphThermalEngine([ring_chain(ChainParams(n_spins=4, g1=-1.0))])
+        assert zero_temperature_scan(engine, [0.0]) == [0.0]
 
     def test_antiferromagnet_fails_immediately(self):
-        engine = GraphThermalEngine(make_graph(2, [(0, 1, 1.0)]))
-        assert zero_temperature_scan(engine, [0.0, 0.5]) is None
+        engine = GraphThermalEngine([make_graph(2, [(0, 1, 1.0)])])
+        assert zero_temperature_scan(engine, [0.0, 0.5]) == [None]
 
     def test_grid_must_start_at_zero(self):
-        engine = GraphThermalEngine(make_graph(2, [(0, 1, -1.0)]))
+        engine = GraphThermalEngine([make_graph(2, [(0, 1, -1.0)])])
         with pytest.raises(ValueError):
             zero_temperature_scan(engine, [0.5, 1.0])
         with pytest.raises(ValueError):
