@@ -16,25 +16,17 @@ from fractions import Fraction
 import numpy as np
 
 from . import analytic
-from .graphs import (
-    ChainParams,
-    SpinGraph,
-    cube_graph,
-    grid_graph,
-    load_graph,
-    open_chain,
-    random_graph,
-    ring_chain,
-    star_graph,
-)
+from .graphs import SpinGraph, load_graph
 from .hilbert import build_sector_hamiltonian
 from .spectra import field_shifted, full_spectrum, ground_gap, sector_slices
 from .sweep import (
     RAW_CONCURRENCE_THRESHOLD,
     SUMMARY_HEADER,
     WINDOW_GAP_RATIO_MIN,
+    GeometrySpec,
     GraphThermalEngine,
     SweepConfig,
+    build_geometry,
     builtin_graph_set,
     resume_point,
     run_sweep,
@@ -105,25 +97,18 @@ def _load_graph_file(path: str) -> SpinGraph:
 
 
 def _graph_from_args(args: argparse.Namespace) -> SpinGraph:
+    """The graph of the one source flag given, built as a sweep builds its geometry kind."""
     if args.graph is not None:
         return _load_graph_file(args.graph)
-    if args.ring is not None:
-        return ring_chain(ChainParams(n_spins=args.ring, g1=args.g1, g2=args.g2,
-                                      g3=args.g3, periodic=True))
-    if args.chain is not None:
-        return open_chain(ChainParams(n_spins=args.chain, g1=args.g1, g2=args.g2,
-                                      g3=args.g3, periodic=False))
-    if args.grid is not None:
-        rows, cols = args.grid
-        return grid_graph(rows, cols, args.periodic, args.coupling)
-    if args.cube:
-        return cube_graph(args.coupling)
-    if args.star is not None:
-        return star_graph(args.star, args.coupling)
-    if args.random is not None:
-        n, seed = args.random
-        return random_graph(n, args.edge_probability, tuple(args.j_range), seed)
-    raise SystemExit("ferroent: no graph source given")
+    given = {"ring": args.ring, "open": args.chain, "grid": args.grid,
+             "cube": args.cube or None, "star": args.star, "random": args.random}
+    kind = next(kind for kind, value in given.items() if value is not None)
+    rows, cols = args.grid or (0, 0)
+    n, seed = args.random or (args.chain if args.ring is None else args.ring, 0)
+    spec = GeometrySpec(kind, rows=rows, cols=cols, periodic=args.periodic, coupling=args.coupling,
+                        n_spins=args.star or 0, edge_probability=args.edge_probability,
+                        j_range=tuple(args.j_range), seed=seed)
+    return build_geometry(spec, n, args.g1, args.g2, args.g3)
 
 
 @contextmanager
@@ -158,12 +143,12 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
                 out.write(",".join(_FMT % value for value in row) + "\n")
         return 0
     spectrum = full_spectrum(graph)
-    energies = field_shifted(spectrum.energies, spectrum.sz, args.b_field)[0]
+    levels = field_shifted(spectrum.energies, spectrum.sz, args.b_field)
     # each sector ascending: the table sorted by S^z, then energy
-    energies = energies[np.lexsort((energies, spectrum.sz))]
+    energies = levels[0][np.lexsort((levels[0], spectrum.sz))]
     with _output(args.output) as out:
         out.write("# ground_energy=" + _FMT % energies.min() + "\n")
-        out.write("# gap=" + _FMT % ground_gap(energies) + "\n")
+        out.write("# gap=" + _FMT % ground_gap(levels) + "\n")
         out.write("n_up,index,eigenvalue\n")
         for n_up, sector in enumerate(sector_slices(graph.n_spins)):
             for k, value in enumerate(energies[sector]):

@@ -28,15 +28,17 @@ each group (within its parity block for even N) and diagonalized there,
 one ``eigh`` per S over the batch's stack, so every eigenvector is pure-S
 by construction and takes its group's S as its label.
 
-The eigenvectors are never held all at once.  ``central_stream`` carries
-them back in chunks of whole S groups, at most _CHUNK_ELEMENTS entries
-each (one chunk up to N = 11, four at N = 12, about one per S at
-N = 13 and 14), checks each chunk's labels, <S^2> =
-|S^+ v|^2 + M(M + 1) within SPIN_LABEL_TOL of S(S+1), and hands it to a
+The eigenvectors are never held all at once.  Given a consumer,
+``central_stream`` carries them back in chunks of whole S groups, at
+most _CHUNK_ELEMENTS entries each (one chunk up to N = 11, four at
+N = 12, about one per S at N = 13 and 14), and hands each chunk to the
 consumer before it carries back the next: the thermal engine reduces
-each chunk to pair correlations, and ``full_spectrum`` drops it.  So a
-``CentralSpectrum`` holds energies, spin labels, the slot mask and
-residuals, and no eigenvectors.
+each chunk to pair correlations, and checks the labels from them.
+``full_spectrum`` passes none and forms no eigenvector: ``eigh``'s
+rotation stays inside one S group, so its labels are right exactly when
+``central_spin_basis(N)`` is, which depends on N alone.  So a
+``CentralSpectrum`` holds energies, spin labels and the slot mask, and
+no eigenvectors.
 
 The ground multiplet is identified from a flat array of energies by one
 rule, the ground window that ``field_shifted`` returns with the levels
@@ -60,7 +62,6 @@ DEGENERACY_TOL = 1e-9
 SPIN_LABEL_TOL = 1e-6
 
 _SYMMETRY_TOL = 1e-14
-_GATHER_ELEMENTS = 1 << 19  # entries of S^+ V formed at once by the spin check
 _CHUNK_ELEMENTS = 1 << 18  # eigenvector entries carried back at once, unless one S group has more
 
 
@@ -80,17 +81,14 @@ class CentralSpectrum:
     the central sector is every column in that order.  State x has S^z
     ``sz[x]`` = n_up - N/2, spin ``spin[x]`` and in graph j the zero-field
     energy ``energies[j, x]`` of its column.  ``slots``, ``spin`` and
-    ``sz`` depend on N alone; ``energies`` and ``spin_residual`` have the
-    batch axis in front, which ``full_spectrum`` drops.
-    ``spin_residual[j]`` is max |<S^2> - S(S+1)| over graph j's central
-    eigenvectors.  No eigenvectors are kept.
+    ``sz`` depend on N alone; ``energies`` has the batch axis in front,
+    which ``full_spectrum`` drops.  No eigenvectors are kept.
     """
 
     energies: np.ndarray
     spin: np.ndarray
     sz: np.ndarray
     slots: np.ndarray
-    spin_residual: float | np.ndarray
 
 
 def sector_slices(n_spins: int) -> list[slice]:
@@ -171,94 +169,23 @@ def _stacked_blocks(graphs: Sequence[SpinGraph], basis: SectorBasis) -> Iterator
         del block
 
 
-def _symmetric(matrix: np.ndarray) -> np.ndarray:
-    return 0.5 * (matrix + matrix.swapaxes(-1, -2))
+def _carry_back(
+    n: int, count: int, groups: list, consume: Callable[[np.ndarray, np.ndarray], None]
+) -> None:
+    """Carry a batch's eigenvectors back to the central sector and hand them over, chunk by chunk.
 
-
-def _raise_rows(basis: SectorBasis) -> np.ndarray:
-    """(masks above, n_up + 1): the rows of each mask above with one of its up spins lowered."""
-    n = basis.n_spins
-    above = sector_basis(n, basis.n_up + 1).masks
-    bits = 1 << np.arange(n)
-    lowered = above[:, None] ^ bits
-    rows = np.searchsorted(basis.masks, lowered[(above[:, None] & bits) != 0])
-    return rows.reshape(len(above), basis.n_up + 1)
-
-
-def _spin_residual(
-    basis: SectorBasis, raise_rows: np.ndarray, vectors: np.ndarray, spins: np.ndarray
-) -> np.ndarray:
-    """max |<S^2> - S(S+1)| over each graph's columns, with <S^2> = |S^+ v|^2 + M(M + 1).
-
-    ``vectors`` is (dim, G * k), graph by graph, and ``spins`` (k,), the
-    labels of every graph's columns; returns (G,).  S^+ v is one gather-sum into the sector above over
-    ``_raise_rows``.
-    """
-    m = basis.sz
-    squares = np.empty(vectors.shape[1])
-    step = max(1, _GATHER_ELEMENTS // len(raise_rows))
-    for start in range(0, vectors.shape[1], step):
-        block = np.ascontiguousarray(vectors[:, start : start + step])
-        raised = block[raise_rows[:, 0]]
-        for row in raise_rows.T[1:]:
-            raised += block[row]
-        np.square(raised, out=raised)
-        # a pairwise sum along rows: down the columns, ring 14 gained 3.9e-12 of rounding
-        squares[start : start + step] = np.ascontiguousarray(raised.T).sum(axis=1)
-    squares = squares.reshape(-1, len(spins))
-    return np.max(np.abs(squares + m * (m + 1.0) - spins * (spins + 1.0)), axis=1)
-
-
-def central_stream(
-    graphs: Sequence[SpinGraph], consume: Callable[[np.ndarray, np.ndarray], None]
-) -> CentralSpectrum:
-    """Solve a batch's central blocks and hand their eigenvectors to ``consume``, chunk by chunk.
-
-    H is projected onto each spin-S block of ``central_spin_basis`` (for
-    even N, the flip-parity block of that S), and the projections of all
-    graphs are diagonalized by one ``eig_sym`` call per S, in S order; a
-    column's S is its block's.  Each parity block is built just before its
-    S groups are projected and dropped before the other is built.  Every
-    step acts on each graph's matrices alone, as for one graph.  The
-    eigenvectors are then carried back in chunks of
-    whole S groups, at most _CHUNK_ELEMENTS entries each unless one group
-    is larger: each chunk is spin-checked and passed as ``consume(positions,
+    ``groups`` holds (parity, columns, rotation) per S group in solve
+    order, a rotation (G, k, k) for the batch's G = ``count`` graphs; each
+    is popped, so its rotation is dropped once carried back.  The chunks
+    are whole S groups, at most _CHUNK_ELEMENTS entries each unless one
+    group is larger, and each is passed as ``consume(positions,
     vectors)``, with ``vectors`` (dim, G * k), graph by graph, and
     ``positions`` (G * k) the columns' numbers in the batch's solve-order
     columns side by side (column k of graph j is j * dim + k), ascending
     and contiguous per graph.  No chunk is kept: the eigenvector matrix
     is never formed.
-
-    Returns the batch's ``CentralSpectrum``.  Raises ValueError for mixed
-    spin counts or N > N_SPINS_CAP, and SpinLabelError
-    if a column's <S^2> is off its label by more than SPIN_LABEL_TOL or a
-    sector would not get C(N, n_up) levels.
     """
-    n = graphs[0].n_spins
-    if any(graph.n_spins != n for graph in graphs):
-        raise ValueError("a batch of spectra needs graphs of one spin count")
-    if n > N_SPINS_CAP:
-        raise ValueError(f"n_spins={n} exceeds the solver cap of {N_SPINS_CAP}")
-    basis = sector_basis(n, n // 2)
-    dim, half, count = len(basis), len(basis) // 2, len(graphs)
-    spin_blocks = central_spin_basis(n)
-    # the block of each S: for even N its flip parity (-1)^(N/2 - S), 0 for + and 1 for -
-    parities = [0 if n % 2 else int(n // 2 - spin) % 2 for spin, _ in spin_blocks]
-    projected = [None] * len(spin_blocks)
-    for parity, block in enumerate(_stacked_blocks(graphs, basis)):
-        for group, (_, columns) in enumerate(spin_blocks):
-            if parities[group] == parity:
-                projected[group] = _symmetric(columns.T @ (block @ columns))
-        del block
-    solved = [eig_sym(projected.pop(0)) for _ in spin_blocks]  # each dropped once solved
-    eigenvalues = np.concatenate([values for values, _ in solved], axis=1)  # (G, dim)
-    spins = np.repeat([spin for spin, _ in spin_blocks], [values.shape[1] for values, _ in solved])
-    raise_rows = _raise_rows(basis)
-    residuals = np.zeros(count)
-    # (parity, columns, rotation) per S; each rotation is dropped once carried back
-    groups = [(parity, columns, turn)
-              for parity, (_, columns), (_, turn) in zip(parities, spin_blocks, solved)]
-    del solved
+    dim = comb(n, n // 2)
     start = 0
     while groups:
         # whole S groups while the chunk stays within the budget, and one at least
@@ -278,20 +205,55 @@ def central_stream(
             if n % 2:
                 continue
             upper *= np.sqrt(0.5)
-            np.multiply(upper[::-1], -1.0 if parity else 1.0, out=target[half:])
+            np.multiply(upper[::-1], -1.0 if parity else 1.0, out=target[dim // 2 :])
         del chunk
-        vectors = vectors.reshape(dim, count * width)
-        residual = _spin_residual(basis, raise_rows, vectors, spins[start : start + width])
-        if residual.max() > SPIN_LABEL_TOL:
-            raise SpinLabelError(
-                f"<S^2> of a central eigenvector is {residual.max():.3g} away from its S(S+1) "
-                f"(tolerance {SPIN_LABEL_TOL:g})"
-            )
-        np.maximum(residuals, residual, out=residuals)
         positions = start + np.arange(width) + dim * np.arange(count)[:, None]
-        consume(positions.reshape(-1), vectors)
+        consume(positions.reshape(-1), vectors.reshape(dim, count * width))
         del vectors
         start += width
+
+
+def central_stream(
+    graphs: Sequence[SpinGraph], consume: Callable[[np.ndarray, np.ndarray], None] | None = None
+) -> CentralSpectrum:
+    """Solve a batch's central blocks and hand their eigenvectors to ``consume``, chunk by chunk.
+
+    H is projected onto each spin-S block of ``central_spin_basis`` (for
+    even N, the flip-parity block of that S), and the projections of all
+    graphs are diagonalized by one ``eig_sym`` call per S, in S order; a
+    column's S is its block's.  Each parity block is built just before its
+    S groups are projected and dropped before the other is built.  Every
+    step acts on each graph's matrices alone, as for one graph.  With a
+    ``consume``, the eigenvectors are then carried back (``_carry_back``);
+    without one, no eigenvector is formed.
+
+    Returns the batch's ``CentralSpectrum``.  Raises ValueError for mixed
+    spin counts or N > N_SPINS_CAP, and SpinLabelError if a sector would
+    not get C(N, n_up) levels.
+    """
+    n = graphs[0].n_spins
+    if any(graph.n_spins != n for graph in graphs):
+        raise ValueError("a batch of spectra needs graphs of one spin count")
+    if n > N_SPINS_CAP:
+        raise ValueError(f"n_spins={n} exceeds the solver cap of {N_SPINS_CAP}")
+    spin_blocks = central_spin_basis(n)
+    # the block of each S: for even N its flip parity (-1)^(N/2 - S), 0 for + and 1 for -
+    parities = [0 if n % 2 else int(n // 2 - spin) % 2 for spin, _ in spin_blocks]
+    projected = [None] * len(spin_blocks)
+    for parity, block in enumerate(_stacked_blocks(graphs, sector_basis(n, n // 2))):
+        for group, (_, columns) in enumerate(spin_blocks):
+            if parities[group] == parity:
+                product = columns.T @ (block @ columns)
+                projected[group] = 0.5 * (product + product.swapaxes(-1, -2))
+        del block, product
+    solved = [eig_sym(projected.pop(0)) for _ in spin_blocks]  # each dropped once solved
+    eigenvalues = np.concatenate([values for values, _ in solved], axis=1)  # (G, dim)
+    spins = np.repeat([spin for spin, _ in spin_blocks], [values.shape[1] for values, _ in solved])
+    if consume is not None:
+        # (parity, columns, rotation) per S; each rotation is dropped once carried back
+        groups = [(parity, columns, solved.pop(0)[1])
+                  for parity, (_, columns) in zip(parities, spin_blocks)]
+        _carry_back(n, len(graphs), groups, consume)
     # the flat layout: state x is the x-th slot (sector, column) with S >= |M|, row-major
     slots = 2.0 * spins >= np.abs(2 * np.arange(n + 1) - n)[:, None]
     for n_up, row in enumerate(slots):
@@ -306,37 +268,40 @@ def central_stream(
         spin=spins[columns],
         sz=sectors - 0.5 * n,
         slots=slots,
-        spin_residual=residuals,
     )
 
 
 def full_spectrum(graph: SpinGraph) -> CentralSpectrum:
     """Every zero-field level of one graph, from one solve of its central S^z sector.
 
-    ``central_stream`` for a batch of one, whose eigenvector chunks are
-    spin-checked and dropped, with the batch axis dropped.  Raises
-    ValueError for N > N_SPINS_CAP, and SpinLabelError if a column's
-    <S^2> is off its label by more than SPIN_LABEL_TOL or a sector would
+    ``central_stream`` for a batch of one, with no consumer, so no
+    eigenvector is formed, and with the batch axis dropped.  Raises
+    ValueError for N > N_SPINS_CAP, and SpinLabelError if a sector would
     not get C(N, n_up) levels.
     """
-    batch = central_stream([graph], lambda positions, vectors: None)
-    return replace(batch, energies=batch.energies[0], spin_residual=float(batch.spin_residual[0]))
+    batch = central_stream([graph])
+    return replace(batch, energies=batch.energies[0])
 
 
-def ground_gap(energies: np.ndarray) -> np.ndarray:
-    """First level above the ground window less E0, along the last axis; 0 if none."""
-    _, lowest, window = field_shifted(energies, 0.0, 0.0)
-    gap = np.min(energies, axis=-1, initial=np.inf, where=~window) - lowest[..., 0]
+def ground_gap(levels: tuple[np.ndarray, ...]) -> np.ndarray:
+    """First level above the ground window less E0, along the last axis; 0 if none.
+
+    ``levels`` is the ``field_shifted`` tuple of the levels at one field.
+    """
+    shifted, lowest, window = levels
+    gap = np.min(shifted, axis=-1, initial=np.inf, where=~window) - lowest[..., 0]
     return np.where(np.isfinite(gap), gap, 0.0)
 
 
-def window_gap_ratio(energies: np.ndarray) -> list[float | None]:
+def window_gap_ratio(levels: tuple[np.ndarray, ...]) -> list[float | None]:
     """``ground_gap`` over the ground window's width, per graph of a stack (G, 2^N) of levels.
 
+    ``levels`` is the ``field_shifted`` tuple of the stack at one field.
     The width is the ground window's DEGENERACY_TOL * max(1, spectral
     range).  A small ratio means a level sits close enough to the window
     that a little more spread would have absorbed it; None if no level
     lies above the window (a level above it is at least one width up).
     """
-    width = DEGENERACY_TOL * np.maximum(energies.max(axis=-1) - energies.min(axis=-1), 1.0)
-    return [ratio if ratio else None for ratio in (ground_gap(energies) / width).tolist()]
+    shifted, lowest, _ = levels
+    width = DEGENERACY_TOL * np.maximum(shifted.max(axis=-1) - lowest[..., 0], 1.0)
+    return [ratio if ratio else None for ratio in (ground_gap(levels) / width).tolist()]

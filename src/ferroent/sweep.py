@@ -89,7 +89,14 @@ from .graphs import (
 )
 from .hilbert import sector_basis
 from .rdm import pair_correlations
-from .spectra import central_stream, field_shifted, sector_slices, window_gap_ratio
+from .spectra import (
+    SPIN_LABEL_TOL,
+    SpinLabelError,
+    central_stream,
+    field_shifted,
+    sector_slices,
+    window_gap_ratio,
+)
 
 RAW_CONCURRENCE_THRESHOLD = 1e-12
 UNIVERSAL_RDM_TOL = 1e-10
@@ -278,16 +285,17 @@ class GraphThermalEngine:
     (Boltzmann constant 1); T = 0 is the uniform mixture over the ground
     window of ``spectra.field_shifted``, not a limit of Boltzmann factors.
 
-    ``energies``, ``sz`` = M = n_up - N/2, the spin label ``spin`` = S and
-    ``spin_residual`` are the solve's ``spectra.CentralSpectrum`` as it
-    is, in its flat layout: flat state x is the x-th slot of its
-    ``slots`` mask, sector by sector, n_up = 0..N, and in solve order
-    within each sector.  An engine built from a sequence of G graphs has
-    a graph axis in front of ``energies`` (G, 2^N) and ``spin_residual``
-    (G,); its weights are (G, points, 2^N), and every result gains a
-    graph axis after the pair axis.  ``spin`` and ``sz`` depend on N alone
-    and are shared, and every quantity is still computed from its own
-    graph alone.
+    ``energies``, ``sz`` = M = n_up - N/2 and the spin label ``spin`` = S
+    are the solve's ``spectra.CentralSpectrum`` as it is, in its flat
+    layout: flat state x is the x-th slot of its ``slots`` mask, sector by
+    sector, n_up = 0..N, and in solve order within each sector.
+    ``spin_residual`` is max |<S^2> - S(S+1)| over the central columns,
+    <S^2> = sum_a <S . S_a> (below), and above SPIN_LABEL_TOL raises
+    SpinLabelError.  An engine built from a sequence of G graphs has a
+    graph axis in front of ``energies`` (G, 2^N) and ``spin_residual``
+    (G,); its weights are (G, points, 2^N), and every result gains a graph
+    axis after the pair axis.  ``spin`` and ``sz`` depend on N alone and
+    are shared, and every quantity is still computed from its own graph alone.
 
     ``spectra.central_stream`` hands over the central eigenvectors, a
     batch's side by side, one chunk of S groups at a time: each chunk is
@@ -359,6 +367,13 @@ class GraphThermalEngine:
         c, zz, along = (array.reshape(len(array), count, dim) for array in (c, zz, along))
         spin = spectrum.spin[sector_slices(n)[n // 2]]  # each central column's S
         casimir = spin * (spin + 1.0)
+        # <S^2> = sum_a <S . S_a>, summed site by site: the same bits for any batch
+        residual = np.max(np.abs(along.sum(axis=0) - casimir), axis=-1)
+        if residual.max() > SPIN_LABEL_TOL:
+            raise SpinLabelError(
+                f"<S^2> of a central eigenvector is {residual.max():.3g} away from its S(S+1) "
+                f"(tolerance {SPIN_LABEL_TOL:g})"
+            )
         g = np.divide(along, casimir, out=np.zeros_like(along), where=casimir > 0.0)
         del along
         m0 = n // 2 - 0.5 * n
@@ -389,10 +404,10 @@ class GraphThermalEngine:
         rows = np.array([top, top * m, top * m * m, -middle * m * m, middle, middle, middle * m])
         self._moment_rows = np.concatenate([rows, rows[:, ::-1]])
         self.energies, self.spin, self.sz = spectrum.energies, spectrum.spin, spectrum.sz
-        self.spin_residual = spectrum.spin_residual
+        self.spin_residual = residual
         if single:
             self.energies = self.energies[0]
-            self.spin_residual = float(self.spin_residual[0])
+            self.spin_residual = float(residual[0])
 
     @property
     def graph(self) -> SpinGraph:
@@ -465,9 +480,13 @@ class GraphThermalEngine:
         (n_pairs,) for one weight vector, (n_pairs, points) for a stack,
         (n_pairs, G, points) for a batch's.
         """
-        entries = self.pair_entries(weights)
-        alpha, gamma, epsilon = entries[..., 0], entries[..., 2], entries[..., 4]
-        return 2.0 * (np.abs(gamma) - np.sqrt(np.maximum(alpha * epsilon, 0.0)))
+        return _raw_concurrence(self.pair_entries(weights))
+
+
+def _raw_concurrence(entries: np.ndarray) -> np.ndarray:
+    """2(|gamma| - sqrt(alpha epsilon)) of (..., 5) X-state entries."""
+    alpha, gamma, epsilon = entries[..., 0], entries[..., 2], entries[..., 4]
+    return 2.0 * (np.abs(gamma) - np.sqrt(np.maximum(alpha * epsilon, 0.0)))
 
 
 def _weights(levels: tuple[np.ndarray, ...], temperatures: Sequence[float]) -> np.ndarray:
@@ -838,11 +857,12 @@ def spectral_fields(engine: GraphThermalEngine, graph_ids: Sequence[str]) -> lis
     One dict per graph of a batch engine, named by ``graph_ids``.  Both
     suites take them, so a caller running both computes them once.
     """
-    _, lowest, window = field_shifted(engine.energies, engine.sz, 0.0)
+    levels = field_shifted(engine.energies, engine.sz, 0.0)
+    _, lowest, window = levels
     # the smallest S in the window: N/2 only if it holds the aligned multiplet alone
     spins = np.where(window, engine.spin, np.inf).min(axis=-1).tolist()
     columns = zip(engine.graphs, graph_ids, lowest[:, 0].tolist(), window.sum(axis=-1).tolist(),
-                  spins, engine.spin_residual.tolist(), window_gap_ratio(engine.energies))
+                  spins, engine.spin_residual.tolist(), window_gap_ratio(levels))
     fields = []
     for graph, graph_id, e_min, degeneracy, spin, residual, ratio in columns:
         connected = is_connected(graph)
@@ -875,10 +895,10 @@ def verify_universal(engine: GraphThermalEngine, fields: Sequence[dict]) -> list
     the report (never silently ignored) and fail it.  ``fields`` are the
     engine's ``spectral_fields``.
     """
-    weights = engine.weights(0.0, 0.0)
+    entries = engine.pair_entries(engine.weights(0.0, 0.0))
     target = np.array(UNIVERSAL_ENTRIES, dtype=float)
-    deviations = np.max(np.abs(engine.pair_entries(weights) - target), axis=(0, 2)).tolist()
-    raws = np.max(engine.raw_concurrence(weights), axis=0).tolist()
+    deviations = np.max(np.abs(entries - target), axis=(0, 2)).tolist()
+    raws = np.max(_raw_concurrence(entries), axis=0).tolist()
     reports = []
     for shared, max_deviation, max_raw in zip(fields, deviations, raws):
         preconditions_ok = shared["ferromagnetic"] and shared["connected"]

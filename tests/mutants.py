@@ -47,8 +47,8 @@ MUTANTS = (
     (
         "spectrum prints each sector unsorted",
         CLI,
-        "energies = energies[np.lexsort((energies, spectrum.sz))]",
-        "",
+        "energies = levels[0][np.lexsort((levels[0], spectrum.sz))]",
+        "energies = levels[0]",
         ["tests/test_cli.py::TestSpectrumCommand::test_each_sector_ascends_and_matches_the_oracle"],
     ),
     (
@@ -162,9 +162,23 @@ MUTANTS = (
     (
         "flip-parity sign of the lower half",
         SPECTRA,
-        "np.multiply(upper[::-1], -1.0 if parity else 1.0, out=target[half:])",
-        "np.multiply(upper[::-1], 1.0 if parity else -1.0, out=target[half:])",
-        ["tests/test_spectra.py::TestFullSpectrum::test_every_sector_solves_its_own_block"],
+        "np.multiply(upper[::-1], -1.0 if parity else 1.0, out=target[dim // 2 :])",
+        "np.multiply(upper[::-1], 1.0 if parity else -1.0, out=target[dim // 2 :])",
+        ["tests/test_sweep.py::TestThermalEngine::test_stack_matches_oracle_on_every_sector"],
+    ),
+    (
+        "engine spin residual not checked",
+        SWEEP,
+        "if residual.max() > SPIN_LABEL_TOL:",
+        "if False:",
+        ["tests/test_spectra.py::TestCentralSector::test_label_residual_fails_by_name"],
+    ),
+    (
+        "full_spectrum carries back its eigenvectors",
+        SPECTRA,
+        "batch = central_stream([graph])",
+        "batch = central_stream([graph], lambda positions, vectors: None)",
+        ["tests/test_spectra.py::TestFullSpectrum::test_forms_no_eigenvector"],
     ),
     (
         "folded hop with the wrong sign",

@@ -146,10 +146,7 @@ def central_eigenvectors(graph: SpinGraph) -> tuple[CentralSpectrum, np.ndarray]
         matrix[:, positions] = vectors
 
     batch = central_stream([graph], collect)
-    spectrum = replace(
-        batch, energies=batch.energies[0], spin_residual=float(batch.spin_residual[0])
-    )
-    return spectrum, matrix
+    return replace(batch, energies=batch.energies[0]), matrix
 
 
 def eigenstate_pair_entries(basis: SectorBasis, eigenvectors: np.ndarray, pairs) -> np.ndarray:

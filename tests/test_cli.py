@@ -10,7 +10,17 @@ import pytest
 import ferroent.spectra
 import ferroent.sweep
 from ferroent.cli import main
-from ferroent.graphs import ChainParams, make_graph, random_graph, ring_chain, save_graph
+from ferroent.graphs import (
+    ChainParams,
+    cube_graph,
+    grid_graph,
+    make_graph,
+    open_chain,
+    random_graph,
+    ring_chain,
+    save_graph,
+    star_graph,
+)
 from oracles import gibbs_terms, pair_rdm_mixed, sector_spectra
 
 
@@ -150,6 +160,23 @@ class TestGraphCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["n"] == 8
         assert len(payload["edges"]) == 12
+
+    @pytest.mark.parametrize("argv, graph", [
+        (["--ring", "6", "--g2", "-0.5"], ring_chain(ChainParams(n_spins=6, g1=-1.0, g2=-0.5))),
+        (["--chain", "5", "--g1", "-2", "--g3", "-0.3"],
+         open_chain(ChainParams(n_spins=5, g1=-2.0, g3=-0.3, periodic=False))),
+        (["--grid", "2", "3", "--periodic", "--coupling", "-0.7"], grid_graph(2, 3, True, -0.7)),
+        (["--grid", "2", "3"], grid_graph(2, 3, False, -1.0)),
+        (["--cube", "--coupling", "-1.5"], cube_graph(-1.5)),
+        (["--star", "5"], star_graph(5, -1.0)),
+        (["--random", "7", "3", "--edge-probability", "0.6", "--j-range", "-2", "-0.5"],
+         random_graph(7, 0.6, (-2.0, -0.5), 3)),
+        (["--random", "6", "9"], random_graph(6, 0.5, (-1.0, -1.0), 9)),
+    ], ids=lambda value: " ".join(value) if isinstance(value, list) else "")
+    def test_each_source_flag_builds_its_graph(self, capsys, argv, graph):
+        # the flags and their defaults, built through the sweep's geometry kinds
+        assert run_cli("graph", *argv) == 0
+        assert capsys.readouterr().out == graph.to_json() + "\n"
 
     @pytest.mark.parametrize("coupling", ["inf", "-inf", "nan"])
     def test_non_finite_coupling_exits_2(self, capsys, coupling):

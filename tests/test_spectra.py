@@ -97,6 +97,20 @@ class TestFullSpectrum:
         for g in TEST_GRAPHS:
             assert len(full_spectrum(g).energies) == 2**g.n_spins
 
+    def test_forms_no_eigenvector(self, monkeypatch):
+        # the levels need no carry-back; the engine, which reduces the
+        # eigenvectors, cannot do without it
+        levels = {g: full_spectrum(g).energies for g in TEST_GRAPHS}
+
+        def refuse(*args):
+            raise AssertionError("an eigenvector was carried back")
+
+        monkeypatch.setattr(ferroent.spectra, "_carry_back", refuse)
+        for g, energies in levels.items():
+            assert np.array_equal(full_spectrum(g).energies, energies)
+        with pytest.raises(AssertionError, match="carried back"):
+            GraphThermalEngine(TEST_GRAPHS[0])
+
     def test_flip_symmetry_at_zero_field(self):
         g = TEST_GRAPHS[1]
         spectrum = full_spectrum(g)
@@ -185,7 +199,7 @@ class TestGroundSubspace:
         _, _, window = field_shifted(energies, 0.0, 0.0)
         assert window.tolist() == [True, True, False, False]
         # the split level is 2e-8 above E0, 2 window widths of 1e-8
-        [ratio, none] = window_gap_ratio(np.stack([energies, np.zeros(4)]))
+        [ratio, none] = window_gap_ratio(field_shifted(np.stack([energies, np.zeros(4)]), 0.0, 0.0))
         assert ratio == pytest.approx(2.0, rel=1e-6)
         assert none is None  # no level above the window
 
@@ -220,8 +234,12 @@ class TestGibbsWeights:
 
 
 def test_ground_gap_of_single_edge():
-    assert ground_gap(full_spectrum(EDGE).energies) == pytest.approx(1.0)
-    assert ground_gap(full_spectrum(make_graph(3, [])).energies) == 0.0  # no level above
+    spectrum = full_spectrum(EDGE)
+    for b_field, gap in ((0.0, 1.0), (0.3, 0.3), (-1.5, 1.5)):  # the triplet splits by B
+        levels = field_shifted(spectrum.energies, spectrum.sz, b_field)
+        assert ground_gap(levels) == pytest.approx(gap)
+    levels = field_shifted(full_spectrum(make_graph(3, [])).energies, 0.0, 0.0)
+    assert ground_gap(levels) == 0.0  # no level above
 
 
 def _oracle_graphs():
@@ -280,7 +298,6 @@ class TestCentralSector:
         assert np.array_equal(spin, labels)
         h = build_sector_hamiltonian(g, n // 2)
         assert np.max(np.abs(h @ vectors - vectors * energy)) <= 1e-12
-        assert spectrum.spin_residual <= SPIN_LABEL_TOL
         assert np.sum(2 * spin + 1) == 2**n
         # the slots are the (sector, column) pairs with S >= |M|, C(N, n_up) per sector
         m = np.arange(n + 1) - 0.5 * n
@@ -296,6 +313,7 @@ class TestCentralSector:
         assert np.array_equal(spectrum.energies, energy[slot_column])
         engine = GraphThermalEngine(g)
         assert np.array_equal(engine.sz, spectrum.sz)
+        assert engine.spin_residual <= SPIN_LABEL_TOL
         if g.is_ferromagnetic and is_connected(g):
             assert spin[np.argmin(energy)] == 0.5 * n
             assert np.count_nonzero(spin == 0.5 * n) == 1
@@ -342,8 +360,24 @@ class TestCentralSector:
                 entries = engine.pair_entries(engine.weights(temperature, b_field))
                 assert np.max(np.abs(entries - rows)) <= 1e-12
 
-    @staticmethod
-    def _labels_one_too_high(monkeypatch):
+    def test_label_residual_fails_by_name(self, monkeypatch):
+        # at N = 6 the S = 0 and S = 2 groups both have five columns of odd flip
+        # parity: with their labels swapped every sector keeps its C(N, n_up)
+        # levels and the solve passes, but <S^2> from the engine's pair
+        # correlations no longer matches the labels
+        original = ferroent.spectra.central_spin_basis
+
+        def swapped(n):
+            (zero, first), one, (two, third), *rest = original(n)
+            return ((two, first), one, (zero, third), *rest)
+
+        monkeypatch.setattr(ferroent.spectra, "central_spin_basis", swapped)
+        graph = TEST_GRAPHS[2]
+        full_spectrum(graph)
+        with pytest.raises(SpinLabelError, match="S\\(S\\+1\\)"):
+            GraphThermalEngine(graph)
+
+    def test_sector_counts_fail_by_name(self, monkeypatch):
         # the spin basis hands every group of columns a label one too high
         original = ferroent.spectra.central_spin_basis
 
@@ -351,16 +385,6 @@ class TestCentralSector:
             return tuple((spin + 1, columns) for spin, columns in original(n))
 
         monkeypatch.setattr(ferroent.spectra, "central_spin_basis", raised)
-
-    def test_label_residual_fails_by_name(self, monkeypatch):
-        # labels one S too high no longer match <S^2>
-        self._labels_one_too_high(monkeypatch)
-        with pytest.raises(SpinLabelError, match="S\\(S\\+1\\)"):
-            full_spectrum(TEST_GRAPHS[2])
-
-    def test_sector_counts_fail_by_name(self, monkeypatch):
-        self._labels_one_too_high(monkeypatch)
-        monkeypatch.setattr(ferroent.spectra, "SPIN_LABEL_TOL", np.inf)
         with pytest.raises(SpinLabelError, match="expected C\\(6, 0\\) = 1"):
             full_spectrum(TEST_GRAPHS[2])
 
@@ -470,15 +494,15 @@ def test_one_chunk_per_spin_group_gives_the_same_engine(monkeypatch):
     whole = GraphThermalEngine(graphs)
     monkeypatch.setattr(ferroent.spectra, "_CHUNK_ELEMENTS", 1)
     seen = []
-    spectrum = central_stream(graphs, lambda positions, vectors: seen.append(positions))
+    central_stream(graphs, lambda positions, vectors: seen.append(positions))
     assert len(seen) == len(ferroent.spectra.central_spin_basis(6))
     assert sorted(np.concatenate(seen).tolist()) == list(range(2 * comb(6, 3)))
     # each graph's columns of a chunk arrive ascending and contiguous, in solve order
     for positions in seen:
         for columns in positions.reshape(2, -1):
             assert np.array_equal(columns, np.arange(columns[0], columns[0] + len(columns)))
-    assert np.max(spectrum.spin_residual) <= SPIN_LABEL_TOL
     chunked = GraphThermalEngine(graphs)
+    assert np.max(chunked.spin_residual) <= SPIN_LABEL_TOL
     assert np.array_equal(chunked.energies, whole.energies)
     assert np.array_equal(chunked.spin, whole.spin)
     states = np.broadcast_to(np.eye(64), (2, 64, 64))  # every eigenstate's own entries
@@ -498,11 +522,10 @@ def test_engine_takes_the_level_table_of_the_solve_bit_for_bit():
         (GraphThermalEngine(one), full_spectrum(one)),
         (GraphThermalEngine(three), batch),
     ):
-        for name in ("energies", "spin", "sz", "spin_residual"):
+        for name in ("energies", "spin", "sz"):
             assert np.array_equal(getattr(engine, name), getattr(spectrum, name))
     alone, single = central_stream([one], lambda positions, vectors: None), full_spectrum(one)
-    for name in ("energies", "spin_residual"):
-        assert np.array_equal(getattr(alone, name)[0], getattr(single, name))
+    assert np.array_equal(alone.energies[0], single.energies)
     for name in ("spin", "sz", "slots"):
         assert np.array_equal(getattr(alone, name), getattr(single, name))
         for graph in three:
