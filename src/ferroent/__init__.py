@@ -36,7 +36,6 @@ from .graphs import (
 )
 from .hilbert import (
     SectorBasis,
-    build_sector_hamiltonian,
     central_spin_basis,
     sector_basis,
 )

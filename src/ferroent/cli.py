@@ -17,8 +17,8 @@ import numpy as np
 
 from . import analytic
 from .graphs import SpinGraph, load_graph
-from .hilbert import build_sector_hamiltonian
-from .spectra import field_shifted, full_spectrum, ground_gap, sector_slices
+from .hilbert import sector_basis, sector_hops
+from .spectra import field_shifted, full_spectrum, ground_gap
 from .sweep import (
     RAW_CONCURRENCE_THRESHOLD,
     SUMMARY_HEADER,
@@ -130,12 +130,14 @@ def _cmd_graph(args: argparse.Namespace) -> int:
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
     graph = _graph_from_args(args)
+    n = graph.n_spins
     if args.dump_sector is not None:
-        # debugging aid: the dense sector matrix instead of eigenvalues; the
-        # field goes through the overflow rule of the levels
-        matrix = build_sector_hamiltonian(graph, args.dump_sector)
-        sz = args.dump_sector - 0.5 * graph.n_spins
-        np.fill_diagonal(matrix, field_shifted(matrix.diagonal(), sz, args.b_field)[0])
+        # debugging aid: the dense sector matrix from its hop list; the field goes through
+        # the overflow rule of the levels, as one table row whose columns are the basis states
+        diagonal, row, column, value = sector_hops(graph, sector_basis(n, args.dump_sector))
+        sector = (np.arange(n + 1) == args.dump_sector)[:, None]
+        matrix = np.diag(field_shifted(diagonal, sector, args.b_field)[0][args.dump_sector])
+        matrix[row, column] += value
         with _output(args.output) as out:
             out.write("# sector n_up=%d, dimension %d, row-major\n"
                       % (args.dump_sector, matrix.shape[0]))
@@ -143,15 +145,14 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
                 out.write(",".join(_FMT % value for value in row) + "\n")
         return 0
     spectrum = full_spectrum(graph)
-    levels = field_shifted(spectrum.energies, spectrum.sz, args.b_field)
-    # each sector ascending: the table sorted by S^z, then energy
-    energies = levels[0][np.lexsort((levels[0], spectrum.sz))]
+    levels = field_shifted(spectrum.energies, spectrum.slots, args.b_field)
     with _output(args.output) as out:
-        out.write("# ground_energy=" + _FMT % energies.min() + "\n")
+        out.write("# ground_energy=" + _FMT % levels[1].item() + "\n")
         out.write("# gap=" + _FMT % ground_gap(levels) + "\n")
         out.write("n_up,index,eigenvalue\n")
-        for n_up, sector in enumerate(sector_slices(graph.n_spins)):
-            for k, value in enumerate(energies[sector]):
+        for n_up, (row, members) in enumerate(zip(levels[0], spectrum.slots)):
+            # each sector ascending
+            for k, value in enumerate(np.sort(row[members], kind="stable")):
                 out.write("%d,%d,%s\n" % (n_up, k, _FMT % value))
     return 0
 
@@ -180,6 +181,8 @@ def _fraction_str(value: Fraction) -> str:
 
 
 def _cmd_analytic(args: argparse.Namespace) -> int:
+    if args.n < 2:  # checked before the output is opened, so no file is created
+        raise ValueError(f"n_total must be >= 2, got {args.n}")
     with _output(args.output) as out:
         if args.zone:
             spec = analytic.zone(args.n)
@@ -210,14 +213,19 @@ def _cmd_analytic(args: argparse.Namespace) -> int:
 
 
 def _cmd_figures(args: argparse.Namespace) -> int:
+    # computed before the output is opened, so a bad input creates no file
+    if args.which == 1:
+        data = analytic.figure1_data(args.n)
+    else:
+        data = analytic.figure2_data(args.n_min, args.n_max)
     with _output(args.output) as out:
         if args.which == 1:
             out.write("n_up,concurrence_symmetric,concurrence_pairwise_mixed\n")
-            for n, c_sym, c_mix in analytic.figure1_data(args.n):
+            for n, c_sym, c_mix in data:
                 out.write("%d,%s,%s\n" % (n, _FMT % c_sym, _FMT % c_mix))
         else:
             out.write("n_total,zone_mixture_concurrence\n")
-            for n, value in analytic.figure2_data(args.n_min, args.n_max):
+            for n, value in data:
                 out.write("%d,%s\n" % (n, _FMT % value))
     return 0
 

@@ -8,14 +8,13 @@ the on-disk contract for exported eigenvectors.  Each sector is one
 ascending numpy mask array, and everything built on it is derived with
 bit operations on that array.  Its Hamiltonian is assembled in one place,
 ``sector_hops``, as a hop list; ``spectra`` fills its solve blocks from
-it, and ``build_sector_hamiltonian`` is its dense view, for tests and for
-``spectrum --dump-sector``.
+it, and ``spectrum --dump-sector`` writes it out as a dense matrix.
 
 The global spin flip maps sector n_up onto sector N - n_up: the flipped
 sector's masks are the complements of this sector's masks in reverse
 order.  The exchange terms only ask whether two spins are parallel, which
-the flip keeps, so at zero field ``build_sector_hamiltonian(graph, N - k)``
-is exactly ``build_sector_hamiltonian(graph, k)[::-1, ::-1]``, bit for
+the flip keeps, so at zero field the dense block of sector N - k is
+exactly that of sector k with its rows and columns reversed, bit for
 bit.  For even N the central sector k = N/2 is its own mirror: its block
 is centrosymmetric, which ``spectra`` uses to split it by flip parity.
 Only that central sector is ever diagonalized (see ``spectra``).
@@ -94,21 +93,6 @@ def sector_hops(graph: SpinGraph, basis: SectorBasis) -> tuple[np.ndarray, ...]:
     flips = (1 << sites[:, 0]) | (1 << sites[:, 1])
     column = np.searchsorted(masks, masks[row] ^ flips[edge])
     return diagonal, row, column, 0.5 * couplings[edge]
-
-
-def build_sector_hamiltonian(graph: SpinGraph, n_up: int, b_field: float = 0.0) -> np.ndarray:
-    """Dense symmetric matrix of the exchange + field Hamiltonian on one sector.
-
-    The sector's ``sector_hops`` written out, plus B * (n_up - N/2) on the
-    diagonal; a non-finite B raises ValueError.  Exactly symmetric.
-    """
-    if not np.isfinite(b_field):
-        raise ValueError(f"the field must be finite, got {b_field}")
-    basis = sector_basis(graph.n_spins, n_up)
-    diagonal, row, column, value = sector_hops(graph, basis)
-    matrix = np.diag(diagonal + b_field * basis.sz)
-    matrix[row, column] += value
-    return matrix
 
 
 def _coupled_sector(n_spins: int, n_up: int) -> tuple[np.ndarray, dict[int, tuple[int, int]]]:

@@ -7,12 +7,12 @@ multiplet has exactly one member in the central sector n_up = N // 2
 builds and diagonalizes that one block, for a batch of graphs of one N
 at once, with one ``eigh`` call per S for all of them; ``full_spectrum``
 is its batch of one.  Central column k is a multiplet with a member in
-sector n_up, at its energy, when its spin S_k >= |n_up - N/2|; so one
-mask, ``slots[n_up, k]``, lays out the 2^N levels once: flat state x is
-the x-th slot in row-major order (``CentralSpectrum``).  From the
-central columns the thermal engine rebuilds every sector, the central
-one too, by one Wigner-Eckart rule.  A field B only adds B * S^z
-(``field_shifted``).
+sector n_up, at its energy, when its spin S_k >= |n_up - N/2|; so the
+levels form one table, sector rows n_up = 0..N by central columns k, and
+one mask, ``slots[n_up, k]``, marks its 2^N members (``CentralSpectrum``).
+From the central columns the thermal engine rebuilds every sector, the
+central one too, by one Wigner-Eckart rule.  A field B only adds B * S^z
+to each row (``field_shifted``).
 
 For even N the central block is centrosymmetric, H == H[::-1, ::-1]: the
 global spin flip maps the sector onto itself with its mask order
@@ -37,13 +37,13 @@ each chunk to pair correlations, and checks the labels from them.
 ``full_spectrum`` passes none and forms no eigenvector: ``eigh``'s
 rotation stays inside one S group, so its labels are right exactly when
 ``central_spin_basis(N)`` is, which depends on N alone.  So a
-``CentralSpectrum`` holds energies, spin labels and the slot mask, and
-no eigenvectors.
+``CentralSpectrum`` holds per-column energies, spin labels and the slot
+mask, and no eigenvectors.
 
-The ground multiplet is identified from a flat array of energies by one
-rule, the ground window that ``field_shifted`` returns with the levels
-at a field; the thermal engine, the gap (``ground_gap``) and the
-verification suites all use it.
+The ground multiplet is identified on the level table by one rule, the
+ground window that ``field_shifted`` returns with the levels at a field;
+the thermal engine, the gap (``ground_gap``) and the verification suites
+all use it.
 """
 
 from __future__ import annotations
@@ -73,48 +73,45 @@ class SpinLabelError(RuntimeError):
 class CentralSpectrum:
     """Every level of a batch of graphs, from one solve of their central S^z block at zero field.
 
-    ``slots`` (N + 1, C(N, N/2)) marks the (sector, central column) slots
-    that hold a level, 2 S_k >= |2 n_up - N|.  Flat state x is the x-th
-    slot in row-major order: sector by sector, n_up = 0..N (see
-    ``sector_slices``), and within a sector in solve order (S group by S
-    group, the column numbering ``central_stream``'s consumer gets), so
-    the central sector is every column in that order.  State x has S^z
-    ``sz[x]`` = n_up - N/2, spin ``spin[x]`` and in graph j the zero-field
-    energy ``energies[j, x]`` of its column.  ``slots``, ``spin`` and
-    ``sz`` depend on N alone; ``energies`` has the batch axis in front,
-    which ``full_spectrum`` drops.  No eigenvectors are kept.
+    The levels form a table of sector rows n_up = 0..N by central columns
+    k in solve order (S group by S group, the column numbering
+    ``central_stream``'s consumer gets).  ``slots`` (N + 1, C(N, N/2))
+    marks its members, the slots with 2 S_k >= |2 n_up - N|, C(N, n_up)
+    in row n_up; member (n_up, k) has S^z = n_up - N/2, spin ``spin[k]``
+    and in graph j the zero-field energy ``energies[j, k]`` of its column.
+    ``slots`` and ``spin`` depend on N alone; ``energies`` has the batch
+    axis in front, which ``full_spectrum`` drops.  No eigenvectors are kept.
     """
 
     energies: np.ndarray
     spin: np.ndarray
-    sz: np.ndarray
     slots: np.ndarray
 
 
-def sector_slices(n_spins: int) -> list[slice]:
-    """The slice of each sector n_up = 0..N in the flat layout, C(N, n_up) states long."""
-    bounds = np.cumsum([0] + [comb(n_spins, n_up) for n_up in range(n_spins + 1)]).tolist()
-    return [slice(start, stop) for start, stop in zip(bounds, bounds[1:])]
+def field_shifted(
+    energies: np.ndarray, slots: np.ndarray, b_field: float
+) -> tuple[np.ndarray, ...]:
+    """The level table at field B (a field adds B * S^z), its minimum and its ground window.
 
-
-def field_shifted(energies: np.ndarray, sz: np.ndarray, b_field: float) -> tuple[np.ndarray, ...]:
-    """The flat levels at field B (a field adds B * S^z), their minimum and their ground window.
-
-    The minimum (kept as an axis of length 1) and the maximum along the
-    last axis are taken once: they refuse an overflow and bound the ground
+    ``energies`` (..., columns) are zero-field column energies, ``slots``
+    (N + 1, columns) the table's members; row n_up has S^z = n_up - N/2.
+    The levels are E_k + B * S^z in a member slot and +inf in an empty one.
+    The minimum (kept as two axes of length 1) and the maximum of the
+    members are taken once per table: they refuse an overflow and bound the ground
     window, the mask of the levels in the ground multiplet, up to
     E_min + DEGENERACY_TOL * max(1, spectral range).  The multiplet is
     exactly degenerate in exact arithmetic and the tolerance only absorbs
-    floating-point spread; a stack (G, 2^N) gets one window per graph.
+    floating-point spread; a stack (G, columns) gets one window per graph.
     ValueError for a non-finite B, or for one whose levels' spread (or
     minimum) overflows: every level would fall in the ground window.
     """
     if not np.isfinite(b_field):
         raise ValueError(f"the field must be finite, got {b_field}")
+    sz = np.arange(len(slots)) - 0.5 * (len(slots) - 1)
     with np.errstate(over="ignore", invalid="ignore"):
-        shifted = energies + b_field * sz
-        lowest = np.minimum.reduce(shifted, axis=-1, keepdims=True)
-        span = np.maximum.reduce(shifted, axis=-1, keepdims=True) - lowest
+        shifted = np.where(slots, energies[..., None, :] + b_field * sz[:, None], np.inf)
+        lowest = np.min(shifted, axis=(-2, -1), keepdims=True)
+        span = np.max(shifted, axis=(-2, -1), keepdims=True, where=slots, initial=-np.inf) - lowest
         if not np.isfinite(span).all():
             raise ValueError(f"the levels at field {b_field:g} overflow")
     return shifted, lowest, shifted <= lowest + DEGENERACY_TOL * np.maximum(span, 1.0)
@@ -254,7 +251,7 @@ def central_stream(
         groups = [(parity, columns, solved.pop(0)[1])
                   for parity, (_, columns) in zip(parities, spin_blocks)]
         _carry_back(n, len(graphs), groups, consume)
-    # the flat layout: state x is the x-th slot (sector, column) with S >= |M|, row-major
+    # the level table: a (sector, column) slot holds a member when S >= |M|
     slots = 2.0 * spins >= np.abs(2 * np.arange(n + 1) - n)[:, None]
     for n_up, row in enumerate(slots):
         if np.count_nonzero(row) != comb(n, n_up):
@@ -262,13 +259,7 @@ def central_stream(
                 f"the spin labels give sector n_up={n_up} {np.count_nonzero(row)} "
                 f"levels, expected C({n}, {n_up}) = {comb(n, n_up)}"
             )
-    sectors, columns = np.nonzero(slots)
-    return CentralSpectrum(
-        energies=eigenvalues.take(columns, axis=1),  # C order: a row has one graph's bits
-        spin=spins[columns],
-        sz=sectors - 0.5 * n,
-        slots=slots,
-    )
+    return CentralSpectrum(energies=eigenvalues, spin=spins, slots=slots)
 
 
 def full_spectrum(graph: SpinGraph) -> CentralSpectrum:
@@ -284,17 +275,17 @@ def full_spectrum(graph: SpinGraph) -> CentralSpectrum:
 
 
 def ground_gap(levels: tuple[np.ndarray, ...]) -> np.ndarray:
-    """First level above the ground window less E0, along the last axis; 0 if none.
+    """First level above the ground window less E0, per level table; 0 if none.
 
     ``levels`` is the ``field_shifted`` tuple of the levels at one field.
     """
     shifted, lowest, window = levels
-    gap = np.min(shifted, axis=-1, initial=np.inf, where=~window) - lowest[..., 0]
+    gap = np.min(shifted, axis=(-2, -1), initial=np.inf, where=~window) - lowest[..., 0, 0]
     return np.where(np.isfinite(gap), gap, 0.0)
 
 
 def window_gap_ratio(levels: tuple[np.ndarray, ...]) -> list[float | None]:
-    """``ground_gap`` over the ground window's width, per graph of a stack (G, 2^N) of levels.
+    """``ground_gap`` over the ground window's width, per graph of a stack (G, N + 1, columns).
 
     ``levels`` is the ``field_shifted`` tuple of the stack at one field.
     The width is the ground window's DEGENERACY_TOL * max(1, spectral
@@ -303,5 +294,6 @@ def window_gap_ratio(levels: tuple[np.ndarray, ...]) -> list[float | None]:
     lies above the window (a level above it is at least one width up).
     """
     shifted, lowest, _ = levels
-    width = DEGENERACY_TOL * np.maximum(shifted.max(axis=-1) - lowest[..., 0], 1.0)
+    top = np.max(shifted, axis=(-2, -1), where=shifted < np.inf, initial=-np.inf)
+    width = DEGENERACY_TOL * np.maximum(top - lowest[..., 0, 0], 1.0)
     return [ratio if ratio else None for ratio in (ground_gap(levels) / width).tolist()]

@@ -94,7 +94,6 @@ from .spectra import (
     SpinLabelError,
     central_stream,
     field_shifted,
-    sector_slices,
     window_gap_ratio,
 )
 
@@ -285,17 +284,18 @@ class GraphThermalEngine:
     (Boltzmann constant 1); T = 0 is the uniform mixture over the ground
     window of ``spectra.field_shifted``, not a limit of Boltzmann factors.
 
-    ``energies``, ``sz`` = M = n_up - N/2 and the spin label ``spin`` = S
-    are the solve's ``spectra.CentralSpectrum`` as it is, in its flat
-    layout: flat state x is the x-th slot of its ``slots`` mask, sector by
-    sector, n_up = 0..N, and in solve order within each sector.
-    ``spin_residual`` is max |<S^2> - S(S+1)| over the central columns,
-    <S^2> = sum_a <S . S_a> (below), and above SPIN_LABEL_TOL raises
-    SpinLabelError.  An engine built from a sequence of G graphs has a
-    graph axis in front of ``energies`` (G, 2^N) and ``spin_residual``
-    (G,); its weights are (G, points, 2^N), and every result gains a graph
-    axis after the pair axis.  ``spin`` and ``sz`` depend on N alone and
-    are shared, and every quantity is still computed from its own graph alone.
+    ``energies``, ``spin`` = S and ``slots`` are the solve's
+    ``spectra.CentralSpectrum`` as it is: per central column in solve
+    order, with the mask of the level table's members, sector rows
+    n_up = 0..N (M = n_up - N/2) by columns.  Weights live on that table,
+    (N + 1, C(N, N/2)), 0 in an empty slot.  ``spin_residual`` is
+    max |<S^2> - S(S+1)| over the central columns, <S^2> = sum_a <S . S_a>
+    (below), and above SPIN_LABEL_TOL raises SpinLabelError.  An engine
+    built from a sequence of G graphs has a graph axis in front of
+    ``energies`` (G, C(N, N/2)) and ``spin_residual`` (G,); its weights are
+    (G, points, N + 1, C(N, N/2)), and every result gains a graph axis
+    after the pair axis.  ``spin`` and ``slots`` depend on N alone and are
+    shared, and every quantity is still computed from its own graph alone.
 
     ``spectra.central_stream`` hands over the central eigenvectors, a
     batch's side by side, one chunk of S groups at a time: each chunk is
@@ -323,14 +323,13 @@ class GraphThermalEngine:
         gamma:  c - zz0, 0, -3r
         beta:   gamma's + (1/4 - c, (g_a - g_b)/2, 0)     (delta: M -> -M).
 
-    ``pair_entries`` scatters each weight into its state's (sector,
-    central column) slot, takes per column the moments sum w, sum M w and
-    sum M^2 w over the sectors where an entry can be nonzero (alpha over
-    n_up >= 2, epsilon over n_up <= N - 2, beta, gamma and delta over
-    1 <= n_up <= N - 1, so every kinematic zero stays exact: no pair is
-    both up below 2 up spins), and contracts them with the coefficients.
-    The mirrored moments of epsilon and delta (M -> -M) come from the same
-    slot grid, with the sector axis of the moment rows reversed.
+    ``pair_entries`` takes per column of the weight table the moments
+    sum w, sum M w and sum M^2 w over the sectors where an entry can be
+    nonzero (alpha over n_up >= 2, epsilon over n_up <= N - 2, beta, gamma
+    and delta over 1 <= n_up <= N - 1, so every kinematic zero stays exact:
+    no pair is both up below 2 up spins), and contracts them with the
+    coefficients.  The mirrored moments of epsilon and delta (M -> -M) come
+    from the same table, with the sector axis of the moment rows reversed.
     """
 
     def __init__(
@@ -365,8 +364,7 @@ class GraphThermalEngine:
 
         spectrum = central_stream(self.graphs, reduce)
         c, zz, along = (array.reshape(len(array), count, dim) for array in (c, zz, along))
-        spin = spectrum.spin[sector_slices(n)[n // 2]]  # each central column's S
-        casimir = spin * (spin + 1.0)
+        casimir = spectrum.spin * (spectrum.spin + 1.0)
         # <S^2> = sum_a <S . S_a>, summed site by site: the same bits for any batch
         residual = np.max(np.abs(along.sum(axis=0) - casimir), axis=-1)
         if residual.max() > SPIN_LABEL_TOL:
@@ -394,7 +392,6 @@ class GraphThermalEngine:
         coefficients[:, :, 4] = 0.25 - c
         coefficients[:, :, 5] = 0.5 * (g[first] - g[second])
         self._coefficients = coefficients.reshape(len(self.pairs), count, 1, 1, 6 * dim)
-        self._slots = spectrum.slots
         # the moment rows: 1, M, M^2 over n_up >= 2 (alpha's blocks), and over
         # 1 <= n_up <= N - 1 -M^2, 1, 1, M (beta's blocks, gamma's the first two);
         # then the same rows of the mirrored sector n_up -> N - n_up (M -> -M)
@@ -403,7 +400,7 @@ class GraphThermalEngine:
         top, middle = 1.0 * (sector >= 2), 1.0 * ((sector >= 1) & (sector < n))
         rows = np.array([top, top * m, top * m * m, -middle * m * m, middle, middle, middle * m])
         self._moment_rows = np.concatenate([rows, rows[:, ::-1]])
-        self.energies, self.spin, self.sz = spectrum.energies, spectrum.spin, spectrum.sz
+        self.energies, self.spin, self.slots = spectrum.energies, spectrum.spin, spectrum.slots
         self.spin_residual = residual
         if single:
             self.energies = self.energies[0]
@@ -415,53 +412,51 @@ class GraphThermalEngine:
         return self.graphs[0]
 
     def weights(self, temperature: float, b_field: float) -> np.ndarray:
-        """Thermal weights over the flat eigenstate ordering at (T, B)."""
-        return self.field_weights((temperature,), b_field)[..., 0, :]
+        """Thermal weights on the level table at (T, B), (N + 1, C(N, N/2))."""
+        return self.field_weights((temperature,), b_field)[..., 0, :, :]
 
     def field_weights(self, temperatures: Sequence[float], b_field: float) -> np.ndarray:
-        """Thermal weights at each temperature for one field, (temperatures, 2^N).
+        """Thermal weights at each temperature for one field, (temperatures, N + 1, C(N, N/2)).
 
-        A batch gets (G, temperatures, 2^N), each graph's rows from its own
+        A batch gets a graph axis in front, each graph's tables from its own
         levels: ``_weights`` of the field's ``spectra.field_shifted`` levels.
         """
-        return _weights(field_shifted(self.energies, self.sz, b_field), temperatures)
+        return _weights(field_shifted(self.energies, self.slots, b_field), self.slots,
+                        temperatures)
 
     def ground_info(self, b_field: float) -> tuple:
         """(ground energy, ground degeneracy) at the given field; for a batch, two lists."""
-        _, lowest, window = field_shifted(self.energies, self.sz, b_field)
-        return lowest[..., 0].tolist(), window.sum(axis=-1).tolist()
+        return _ground(field_shifted(self.energies, self.slots, b_field))
 
     def pair_entries(self, weights: np.ndarray) -> np.ndarray:
-        """(alpha, beta, gamma, delta, epsilon) per engine pair and weight vector.
+        """(alpha, beta, gamma, delta, epsilon) per engine pair and weight table.
 
-        One weight vector (2^N,) gives (n_pairs, 5); a stack of them
-        (points, 2^N) gives (n_pairs, points, 5), and a batch's
-        (G, points, 2^N) gives (n_pairs, G, points, 5).  The points go in
-        steps of at most _GRID_ELEMENTS numbers in the slot grid and its
+        One weight table (N + 1, C(N, N/2)) gives (n_pairs, 5); a stack of
+        them (points, ...) gives (n_pairs, points, 5), and a batch's
+        (G, points, ...) gives (n_pairs, G, points, 5).  The points go in
+        steps of at most _GRID_ELEMENTS numbers in the weight tables and their
         moments, which bounds the temporaries; a step depends on the shapes alone.
         """
-        count = len(self.graphs)
-        points = weights.reshape(count, -1, weights.shape[-1])
+        count, (sectors, dim) = len(self.graphs), self.slots.shape
+        points = weights.reshape(count, -1, sectors, dim)
         entries = np.empty((len(self.pairs), count, points.shape[1], 5))
-        step = max(1, _GRID_ELEMENTS // (count * (len(self._slots) + 14) * self._slots.shape[1]))
+        step = max(1, _GRID_ELEMENTS // (count * (sectors + 14) * dim))
         for start in range(0, points.shape[1], step):
             entries[:, :, start : start + step] = self._contract(points[:, start : start + step])
-        return entries.reshape(len(self.pairs), *weights.shape[:-1], 5)
+        return entries.reshape(len(self.pairs), *weights.shape[:-2], 5)
 
     def _contract(self, points: np.ndarray) -> np.ndarray:
-        """(n_pairs, G, p, 5) entries of a batch's (G, p, 2^N) weights.
+        """(n_pairs, G, p, 5) entries of a batch's (G, p, N + 1, C(N, N/2)) weights.
 
         The moments of the points, as they are (alpha, beta, gamma) and
         mirrored (epsilon, delta), stack on an axis of two, so each pair's
         product has the same shape for every pair and an engine of one
         pair gives the same bits.
         """
-        count, p = points.shape[:2]
-        sectors, dim = self._slots.shape
-        # each (graph, sector, central column) slot's weights; an empty slot holds 0
-        grid = np.zeros((count, sectors, dim, p))
-        grid[:, self._slots] = points.transpose(0, 2, 1)
-        moments = self._moment_rows @ grid.reshape(count, sectors, dim * p)
+        count, p, sectors, dim = points.shape
+        # (G, sector, column x point): the points of one slot side by side
+        grid = points.transpose(0, 2, 3, 1).reshape(count, sectors, dim * p)
+        moments = self._moment_rows @ grid
         del grid
         moments = moments.reshape(count, 2, 7 * dim, p)  # (G, as is | mirrored, 7 dim, p)
         coefficients = self._coefficients
@@ -489,23 +484,40 @@ def _raw_concurrence(entries: np.ndarray) -> np.ndarray:
     return 2.0 * (np.abs(gamma) - np.sqrt(np.maximum(alpha * epsilon, 0.0)))
 
 
-def _weights(levels: tuple[np.ndarray, ...], temperatures: Sequence[float]) -> np.ndarray:
+def _ground(levels: tuple[np.ndarray, ...]) -> tuple:
+    """(ground energy, ground degeneracy) of ``spectra.field_shifted`` levels; lists for a batch."""
+    _, lowest, window = levels
+    return lowest[..., 0, 0].tolist(), window.sum(axis=(-2, -1)).tolist()
+
+
+def _weights(
+    levels: tuple[np.ndarray, ...], slots: np.ndarray, temperatures: Sequence[float]
+) -> np.ndarray:
     """Thermal weights at each temperature from one field's ``spectra.field_shifted`` levels.
 
+    (..., temperatures, N + 1, columns), 0 in an empty slot of ``slots``.
     Levels are shifted by their minimum before exponentiation so weights
-    stay finite at low temperature; each row is bitwise its temperature's alone.
+    stay finite at low temperature; each table is bitwise its temperature's alone.
     """
     shifted, lowest, window = levels
     t = np.array(temperatures, dtype=float)
     for temperature in t[~(t >= 0.0)]:  # also rejects NaN
         raise ValueError(f"temperature must be >= 0, got {temperature}")
-    rows = np.empty(shifted.shape[:-1] + (len(t), shifted.shape[-1]))
+    rows = np.empty(shifted.shape[:-2] + (len(t),) + shifted.shape[-2:])
     hot = t > 0.0
     if hot.any():
-        factors = np.exp(-(shifted - lowest)[..., None, :] / t[hot, None])
-        rows[..., hot, :] = factors / factors.sum(axis=-1, keepdims=True)
+        # members only; a subnormal T overflows the exponent to -inf, a weight of 0
+        factors = np.zeros(shifted.shape[:-2] + (np.count_nonzero(hot),) + shifted.shape[-2:])
+        with np.errstate(over="ignore"):
+            np.divide(-(shifted - lowest)[..., None, :, :], t[hot, None, None], out=factors,
+                      where=slots)
+        np.exp(factors, out=factors, where=slots)
+        # the members' sum, one contiguous row-major row per temperature
+        factors /= np.ascontiguousarray(factors[..., slots]).sum(axis=-1)[..., None, None]
+        rows[..., hot, :, :] = factors
     if not hot.all():
-        rows[..., ~hot, :] = (window / window.sum(axis=-1, keepdims=True))[..., None, :]
+        count = window.sum(axis=(-2, -1), keepdims=True)
+        rows[..., ~hot, :, :] = (window / count)[..., None, :, :]
     return rows
 
 
@@ -578,14 +590,16 @@ def _batch_records(batch: _Batch) -> Iterator[_GraphText]:
     engine = GraphThermalEngine(batch.graphs, batch.pairs)
     count, n_b = len(batch.graphs), len(batch.b_values)
     points = [(t, b) for t in batch.t_values for b in batch.b_values]
-    levels = [field_shifted(engine.energies, engine.sz, b) for b in batch.b_values]
-    ground = [(lowest[:, 0].tolist(), window.sum(axis=-1).tolist()) for _, lowest, window in levels]
+    levels = [field_shifted(engine.energies, engine.slots, b) for b in batch.b_values]
+    ground = [_ground(level) for level in levels]
     raw = np.empty((count, len(points), len(batch.pairs)))
     t_step = max(1, _POINTS_PER_CONTRACTION // (count * n_b))
     for t_first in range(0, len(batch.t_values), t_step):
         t_block = batch.t_values[t_first : t_first + t_step]
-        weights = np.stack([_weights(level, t_block) for level in levels], axis=2)
-        block = engine.raw_concurrence(weights.reshape(count, -1, len(engine.sz)))
+        weights = np.empty((count, len(t_block), n_b) + engine.slots.shape)
+        for k, level in enumerate(levels):
+            weights[:, :, k] = _weights(level, engine.slots, t_block)
+        block = engine.raw_concurrence(weights.reshape(count, -1, *engine.slots.shape))
         first = t_first * n_b
         raw[:, first : first + block.shape[2]] = block.transpose(1, 2, 0)
     if not np.isfinite(raw).all():
@@ -857,12 +871,11 @@ def spectral_fields(engine: GraphThermalEngine, graph_ids: Sequence[str]) -> lis
     One dict per graph of a batch engine, named by ``graph_ids``.  Both
     suites take them, so a caller running both computes them once.
     """
-    levels = field_shifted(engine.energies, engine.sz, 0.0)
-    _, lowest, window = levels
+    levels = field_shifted(engine.energies, engine.slots, 0.0)
     # the smallest S in the window: N/2 only if it holds the aligned multiplet alone
-    spins = np.where(window, engine.spin, np.inf).min(axis=-1).tolist()
-    columns = zip(engine.graphs, graph_ids, lowest[:, 0].tolist(), window.sum(axis=-1).tolist(),
-                  spins, engine.spin_residual.tolist(), window_gap_ratio(levels))
+    spins = np.where(levels[2], engine.spin, np.inf).min(axis=(-2, -1)).tolist()
+    columns = zip(engine.graphs, graph_ids, *_ground(levels), spins,
+                  engine.spin_residual.tolist(), window_gap_ratio(levels))
     fields = []
     for graph, graph_id, e_min, degeneracy, spin, residual, ratio in columns:
         connected = is_connected(graph)

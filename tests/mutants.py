@@ -47,8 +47,8 @@ MUTANTS = (
     (
         "spectrum prints each sector unsorted",
         CLI,
-        "energies = levels[0][np.lexsort((levels[0], spectrum.sz))]",
-        "energies = levels[0]",
+        'for k, value in enumerate(np.sort(row[members], kind="stable")):',
+        "for k, value in enumerate(row[members]):",
         ["tests/test_cli.py::TestSpectrumCommand::test_each_sector_ascends_and_matches_the_oracle"],
     ),
     (
@@ -190,8 +190,8 @@ MUTANTS = (
     (
         "one ground window for a whole batch",
         SPECTRA,
-        "lowest = np.minimum.reduce(shifted, axis=-1, keepdims=True)",
-        "lowest = np.minimum.reduce(shifted, axis=None, keepdims=True)",
+        "lowest = np.min(shifted, axis=(-2, -1), keepdims=True)",
+        "lowest = np.min(shifted, axis=None, keepdims=True)",
         ["tests/test_sweep.py::TestThermalEngine::test_batch_engine_matches_one_graph_engines"],
     ),
     (
@@ -204,9 +204,67 @@ MUTANTS = (
     (
         "dump-sector overflow not refused",
         CLI,
-        "np.fill_diagonal(matrix, field_shifted(matrix.diagonal(), sz, args.b_field)[0])",
-        "np.fill_diagonal(matrix, matrix.diagonal() + args.b_field * sz)",
+        "matrix = np.diag(field_shifted(diagonal, sector, args.b_field)[0][args.dump_sector])",
+        "matrix = np.diag(diagonal + args.b_field * (args.dump_sector - 0.5 * n))",
         ["tests/test_cli.py::TestSpectrumCommand::test_dump_sector_overflowing_field_exits_2"],
+    ),
+    (
+        "eig_sym's symmetry check a no-op on a stack",
+        SPECTRA,
+        "np.abs(matrix - matrix.swapaxes(-1, -2))",
+        "np.abs(matrix - matrix.swapaxes(1, -2))",
+        ["tests/test_spectra.py::TestEigSym::test_rejects_asymmetric_matrix_in_a_stack"],
+    ),
+    (
+        "points grid step multiplied by its interval count",
+        SWEEP,
+        "top * k / (points - 1)",
+        "top * k * (points - 1)",
+        ["tests/test_sweep.py::TestConfig::test_points_grid_spaces_its_values_evenly_from_zero"],
+    ),
+    (
+        "one-point grid refused",
+        SWEEP,
+        'if int(grid.get("points", 0)) < 1:',
+        'if int(grid.get("points", 0)) <= 1:',
+        ["tests/test_sweep.py::TestConfig::test_one_point_grid_is_zero"],
+    ),
+    (
+        "default g1 antiferromagnetic",
+        SWEEP,
+        "    g1: float = -1.0",
+        "    g1: float = 1.0",
+        ["tests/test_sweep.py::TestConfig::test_default_g1_is_ferromagnetic"],
+    ),
+    (
+        "default random j_range antiferromagnetic",
+        SWEEP,
+        "j_range: tuple[float, float] = (-1.0, -1.0)",
+        "j_range: tuple[float, float] = (1.0, 1.0)",
+        ["tests/test_sweep.py::TestConfig::test_random_geometry_default_couplings_are_minus_one"],
+    ),
+    (
+        "expected degeneracy of a connected graph N - 1",
+        SWEEP,
+        '"expected_degeneracy": graph.n_spins + 1 if connected else None,',
+        '"expected_degeneracy": graph.n_spins - 1 if connected else None,',
+        ["tests/test_sweep.py::TestVerifyDegeneracy"
+         "::test_connected_graph_expects_n_plus_one_levels"],
+    ),
+    (
+        "ground energy check divided by the energy scale",
+        SWEEP,
+        "<= 1e-10 * max(1.0, abs(expected_energy))",
+        "<= 1e-10 / max(1.0, abs(expected_energy))",
+        ["tests/test_sweep.py::TestVerifyDegeneracy"
+         "::test_energy_check_is_relative_to_the_expected_energy"],
+    ),
+    (
+        "scan grid with a repeated temperature refused",
+        SWEEP,
+        "if any(t_values[k] > t_values[k + 1]",
+        "if any(t_values[k] >= t_values[k + 1]",
+        ["tests/test_sweep.py::TestZeroTemperatureScan::test_grid_may_repeat_a_temperature"],
     ),
 )
 

@@ -3,8 +3,9 @@
 The Hamiltonian and full-space trace oracles work on the full 2^N space
 with dense Kronecker products or explicit permutation matrices,
 deliberately avoiding the package's sector-blocked bitwise code paths.
-The per-sector dense ED solves every S^z sector on its own, with no use
-of SU(2) or the spin flip: it is the reference for the package's
+The per-sector dense ED solves every S^z sector on its own, from the
+dense view of its hop list (``build_sector_hamiltonian``), with no use of
+SU(2) or the spin flip: it is the reference for the package's
 central-sector solve and its Wigner-Eckart rebuild of the other sectors.
 The per-eigenstate partial trace, the per-eigenstate X form and the
 Gibbs mixture below are the reference for the package's thermal engine:
@@ -24,8 +25,8 @@ from math import comb, exp, sqrt
 import numpy as np
 
 from ferroent.graphs import SpinGraph
-from ferroent.hilbert import SectorBasis, build_sector_hamiltonian, sector_basis
-from ferroent.spectra import CentralSpectrum, central_stream
+from ferroent.hilbert import SectorBasis, sector_basis, sector_hops
+from ferroent.spectra import CentralSpectrum, central_stream, field_shifted
 
 HERMITICITY_TOL = 1e-12
 SPARSITY_TOL = 1e-12
@@ -108,6 +109,21 @@ def permutation_hamiltonian(graph: SpinGraph, b_field: float = 0.0) -> np.ndarra
     return ham
 
 
+def build_sector_hamiltonian(graph: SpinGraph, n_up: int, b_field: float = 0.0) -> np.ndarray:
+    """Dense symmetric matrix of the exchange + field Hamiltonian on one sector.
+
+    The sector's ``hilbert.sector_hops`` written out, plus B * (n_up - N/2)
+    on the diagonal; a non-finite B raises ValueError.  Exactly symmetric.
+    """
+    if not np.isfinite(b_field):
+        raise ValueError(f"the field must be finite, got {b_field}")
+    basis = sector_basis(graph.n_spins, n_up)
+    diagonal, row, column, value = sector_hops(graph, basis)
+    matrix = np.diag(diagonal + b_field * basis.sz)
+    matrix[row, column] += value
+    return matrix
+
+
 @dataclass(frozen=True)
 class SectorSpectrum:
     """Eigendecomposition of one S^z block: ascending eigenvalues, orthonormal columns."""
@@ -135,8 +151,7 @@ def central_eigenvectors(graph: SpinGraph) -> tuple[CentralSpectrum, np.ndarray]
 
     The package never holds them at once; this collects the chunks of
     ``spectra.central_stream`` into the (dim, dim) matrix whose column k
-    is solve-order column k: flat state ``sector_slices(N)[N // 2].start + k``
-    of the spectrum.
+    is solve-order column k of the spectrum's level table.
     """
     n = graph.n_spins
     dim = comb(n, n // 2)
@@ -147,6 +162,26 @@ def central_eigenvectors(graph: SpinGraph) -> tuple[CentralSpectrum, np.ndarray]
 
     batch = central_stream([graph], collect)
     return replace(batch, energies=batch.energies[0]), matrix
+
+
+def sector_levels(spectrum: CentralSpectrum, b_field: float = 0.0) -> list[np.ndarray]:
+    """Each sector's levels of a one-graph spectrum at field B: the members of its
+    row of the level table, in solve order."""
+    shifted = field_shifted(spectrum.energies, spectrum.slots, b_field)[0]
+    return [row[members] for row, members in zip(shifted, spectrum.slots)]
+
+
+def member_weights(slots: np.ndarray) -> np.ndarray:
+    """One weight table per member of a level table, (2^N, N + 1, columns).
+
+    Table x holds weight 1 at the x-th member in row-major order (sector by
+    sector, in solve order within one) and 0 elsewhere, so the thermal
+    engine's entries of this stack are every level's own.
+    """
+    sectors, columns = np.nonzero(slots)
+    tables = np.zeros((len(sectors),) + slots.shape)
+    tables[np.arange(len(sectors)), sectors, columns] = 1.0
+    return tables
 
 
 def eigenstate_pair_entries(basis: SectorBasis, eigenvectors: np.ndarray, pairs) -> np.ndarray:

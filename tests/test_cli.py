@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from ferroent.graphs import (
     save_graph,
     star_graph,
 )
-from oracles import gibbs_terms, pair_rdm_mixed, sector_spectra
+from oracles import build_sector_hamiltonian, gibbs_terms, pair_rdm_mixed, sector_spectra
 
 
 def run_cli(*argv):
@@ -145,6 +146,18 @@ class TestSpectrumCommand:
         assert len(matrix) == 4 and len(matrix[0]) == 4
         assert matrix[0][1] == -0.5  # exchange flip element of the ring
 
+    @pytest.mark.parametrize("b_field", [0.0, 0.5])
+    def test_dump_sector_is_the_dense_sector_matrix(self, capsys, b_field):
+        graph = ring_chain(ChainParams(n_spins=4, g1=-1.0))
+        for n_up in range(5):
+            assert run_cli("spectrum", "--ring", "4", "--dump-sector", str(n_up),
+                           "--b-field", str(b_field)) == 0
+            lines = capsys.readouterr().out.splitlines()
+            expected = build_sector_hamiltonian(graph, n_up, b_field)
+            assert lines[0] == "# sector n_up=%d, dimension %d, row-major" % (n_up, len(expected))
+            assert np.array_equal([[float(x) for x in line.split(",")] for line in lines[1:]],
+                                  expected)
+
 
 class TestGraphCommand:
     def test_export_import_round_trip(self, tmp_path):
@@ -252,6 +265,19 @@ class TestRdmCommand:
         entries = read_rdm_csv(capsys.readouterr().out)
         assert entries[(3, 3)][0] == 1.0 and entries[(0, 0)][0] == 0.0
 
+    def test_subnormal_temperature_warns_nothing(self, capsys):
+        # at T = 1e-320 every excited level's exponent overflows to -inf, a
+        # weight of 0: the field's all-down ground state, with no numpy warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("rdm", "--ring", "4", "--pair", "0", "1", "-T", "1e-320",
+                           "--b-field", "1") == 0
+        captured = capsys.readouterr()
+        entries = read_rdm_csv(captured.out)
+        assert captured.err == ""
+        assert entries[(3, 3)][0] == 1.0
+        assert all(value == 0.0 for key, (value, _) in entries.items() if key != (3, 3))
+
     def test_infinite_temperature_is_the_uniform_mixture(self, capsys):
         assert run_cli("rdm", "--ring", "4", "--pair", "0", "1", "-T", "inf") == 0
         entries = read_rdm_csv(capsys.readouterr().out)
@@ -275,6 +301,15 @@ class TestAnalyticCommand:
         line = out.strip().splitlines()[1].split(",")
         assert line[3] == "2 3 4"
         assert float(line[4]) == pytest.approx(1 / 9)
+
+    @pytest.mark.parametrize("argv", [["--n", "-1"], ["--n", "1"], ["--n", "0", "--zone"]])
+    def test_too_few_spins_exit_2_and_create_no_file(self, tmp_path, capsys, argv):
+        target = tmp_path / "table.csv"
+        assert run_cli("analytic", *argv, "-o", str(target)) == 2
+        assert "n_total must be >= 2" in capsys.readouterr().err
+        assert not target.exists()
+        assert run_cli("analytic", *argv) == 2
+        assert capsys.readouterr().out == ""
 
 
 class TestFiguresCommand:
@@ -303,6 +338,14 @@ class TestFiguresCommand:
     def test_inverted_range_is_input_error(self, capsys):
         assert run_cli("figures", "2", "--n-min", "5", "--n-max", "3") == 2
         assert "n_min" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["1", "--n", "-3"], ["2", "--n-min", "5", "--n-max", "2"]])
+    def test_bad_input_exits_2_and_creates_no_file(self, tmp_path, capsys, argv):
+        target = tmp_path / "figure.csv"
+        assert run_cli("figures", *argv, "-o", str(target)) == 2
+        assert not target.exists()
+        assert run_cli("figures", *argv) == 2
+        assert capsys.readouterr().out == ""
 
 
 class TestSweepCommand:

@@ -6,12 +6,17 @@ import pytest
 from ferroent.graphs import ChainParams, make_graph, random_graph, ring_chain, star_graph
 from ferroent.hilbert import (
     _coupled_sector,
-    build_sector_hamiltonian,
     central_spin_basis,
     sector_basis,
     sector_hops,
 )
-from oracles import dicke_vector, kron_hamiltonian, permutation_hamiltonian, sector_block
+from oracles import (
+    build_sector_hamiltonian,
+    dicke_vector,
+    kron_hamiltonian,
+    permutation_hamiltonian,
+    sector_block,
+)
 
 EDGE = make_graph(2, [(0, 1, -1.0)])
 

@@ -17,7 +17,7 @@ from ferroent.graphs import (
     ring_chain,
     star_graph,
 )
-from ferroent.hilbert import build_sector_hamiltonian, central_spin_basis, sector_basis
+from ferroent.hilbert import central_spin_basis, sector_basis
 from ferroent.spectra import (
     SPIN_LABEL_TOL,
     SpinLabelError,
@@ -26,11 +26,17 @@ from ferroent.spectra import (
     field_shifted,
     full_spectrum,
     ground_gap,
-    sector_slices,
     window_gap_ratio,
 )
 from ferroent.sweep import GraphThermalEngine, builtin_graph_set
-from oracles import central_eigenvectors, sector_spectra, sector_thermal_entries
+from oracles import (
+    build_sector_hamiltonian,
+    central_eigenvectors,
+    member_weights,
+    sector_levels,
+    sector_spectra,
+    sector_thermal_entries,
+)
 
 EDGE = make_graph(2, [(0, 1, -1.0)])
 
@@ -63,6 +69,13 @@ class TestEigSym:
         with pytest.raises(ValueError):
             eig_sym(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    def test_rejects_asymmetric_matrix_in_a_stack(self):
+        stack = np.array([[[1.0, 0.5], [0.5, 1.0]], [[0.0, 1.0], [0.0, 0.0]]])
+        with pytest.raises(ValueError, match="not symmetric"):
+            eig_sym(stack)
+        values, _ = eig_sym(stack[:1])
+        assert values.tolist() == [[0.5, 1.5]]
+
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             eig_sym(np.array([[np.nan, 0.0], [0.0, 1.0]]))
@@ -85,17 +98,25 @@ class TestEigSym:
 
 class TestFullSpectrum:
     def test_two_spin_edge(self):
-        values = sorted(full_spectrum(EDGE).energies)
+        values = sorted(np.concatenate(sector_levels(full_spectrum(EDGE))))
         assert values == pytest.approx([-0.25, -0.25, -0.25, 0.75])
 
     def test_ring3_ground_multiplicity(self):
-        values = sorted(full_spectrum(ring_chain(ChainParams(n_spins=3, g1=-1.0))).energies)
+        spectrum = full_spectrum(ring_chain(ChainParams(n_spins=3, g1=-1.0)))
+        values = sorted(np.concatenate(sector_levels(spectrum)))
         assert values[0] == pytest.approx(-0.75, abs=1e-12)
         assert sum(1 for v in values if abs(v + 0.75) < 1e-10) == 4
 
     def test_total_count_is_full_space(self):
+        # one energy per central column, and C(N, n_up) members in sector row n_up
         for g in TEST_GRAPHS:
-            assert len(full_spectrum(g).energies) == 2**g.n_spins
+            n = g.n_spins
+            spectrum = full_spectrum(g)
+            assert spectrum.energies.shape == spectrum.spin.shape == (comb(n, n // 2),)
+            assert spectrum.slots.shape == (n + 1, comb(n, n // 2))
+            counts = [np.count_nonzero(row) for row in spectrum.slots]
+            assert counts == [comb(n, n_up) for n_up in range(n + 1)]
+            assert sum(counts) == np.sum(2 * spectrum.spin + 1) == 2**n
 
     def test_forms_no_eigenvector(self, monkeypatch):
         # the levels need no carry-back; the engine, which reduces the
@@ -113,11 +134,9 @@ class TestFullSpectrum:
 
     def test_flip_symmetry_at_zero_field(self):
         g = TEST_GRAPHS[1]
-        spectrum = full_spectrum(g)
-        sectors = sector_slices(g.n_spins)
-        for n_up, sector in enumerate(sectors):
-            high = spectrum.energies[sectors[g.n_spins - n_up]]
-            assert np.array_equal(spectrum.energies[sector], high)
+        levels = sector_levels(full_spectrum(g))
+        for n_up, values in enumerate(levels):
+            assert np.array_equal(values, levels[g.n_spins - n_up])
 
     @pytest.mark.parametrize("b_field", [0.0, -0.6])
     def test_every_sector_solves_its_own_block(self, b_field):
@@ -125,19 +144,19 @@ class TestFullSpectrum:
         # eigenvectors are an orthonormal eigenbasis of the central block
         for g in TEST_GRAPHS + [make_graph(5, [(0, 1, 1.0), (2, 3, -0.7)])]:
             spectrum, vectors = central_eigenvectors(g)
-            energies, _, _ = field_shifted(spectrum.energies, spectrum.sz, b_field)
-            sectors = sector_slices(g.n_spins)
-            for n_up, sector in enumerate(sectors):
+            levels = sector_levels(spectrum, b_field)
+            for n_up, (values, members) in enumerate(zip(levels, spectrum.slots)):
                 h = build_sector_hamiltonian(g, n_up, b_field)
-                values, spins = energies[sector], spectrum.spin[sector]
+                spins = spectrum.spin[members]
                 # solve order: S group by S group, each ascending as its eigh returns it
                 assert np.all(np.diff(spins) >= 0.0)
                 for spin in np.unique(spins):
                     assert np.all(np.diff(values[spins == spin]) >= 0.0)
                 assert np.max(np.abs(np.sort(values) - np.linalg.eigvalsh(h))) <= 1e-12
             n_up = g.n_spins // 2
+            assert spectrum.slots[n_up].all()  # the central row holds every column
             h = build_sector_hamiltonian(g, n_up, b_field)
-            values = energies[sectors[n_up]]
+            values = levels[n_up]
             assert np.max(np.abs(h @ vectors - vectors * values)) <= 1e-12
             assert np.max(np.abs(vectors.T @ vectors - np.eye(len(values)))) <= 1e-12
 
@@ -152,16 +171,20 @@ class TestFullSpectrum:
                 )
 
     def test_field_shifts_zero_field_eigenvalues(self):
+        # member (n_up, k) of the table is E_k + B (n_up - N/2); an empty slot
+        # holds +inf, is no level and lies outside the window
         g = TEST_GRAPHS[3]
         zero = full_spectrum(g)
-        shifted, lowest, window = field_shifted(zero.energies, zero.sz, 1.3)
-        assert lowest.tolist() == [shifted.min()]
-        spread = shifted.max() - shifted.min()
-        assert np.array_equal(window, shifted <= shifted.min() + 1e-9 * max(1.0, spread))
-        for n_up, sector in enumerate(sector_slices(g.n_spins)):
+        shifted, lowest, window = field_shifted(zero.energies, zero.slots, 1.3)
+        members = shifted[zero.slots]
+        assert lowest.tolist() == [[members.min()]]
+        spread = members.max() - members.min()
+        inside = shifted <= members.min() + 1e-9 * max(1.0, spread)
+        assert np.array_equal(window, zero.slots & inside)
+        for n_up, (row, slots) in enumerate(zip(shifted, zero.slots)):
             sz = n_up - 0.5 * g.n_spins
-            assert np.all(zero.sz[sector] == sz)
-            assert np.array_equal(shifted[sector], zero.energies[sector] + 1.3 * sz)
+            assert np.array_equal(row[slots], zero.energies[slots] + 1.3 * sz)
+            assert np.all(row[~slots] == np.inf)
 
     def test_cap(self):
         with pytest.raises(ValueError):
@@ -195,24 +218,27 @@ class TestGroundSubspace:
 
     def test_window_absorbs_rounding_but_not_a_split_level(self):
         # relative to max(1, range): 1e-9 * 10 here
-        energies = np.array([-2.0, -2.0 + 5e-9, -2.0 + 2e-8, 8.0])
-        _, _, window = field_shifted(energies, 0.0, 0.0)
-        assert window.tolist() == [True, True, False, False]
+        # a table of one sector row, S^z = 0, whose four columns are all members
+        energies, row = np.array([-2.0, -2.0 + 5e-9, -2.0 + 2e-8, 8.0]), np.ones((1, 4), bool)
+        _, _, window = field_shifted(energies, row, 0.0)
+        assert window.tolist() == [[True, True, False, False]]
         # the split level is 2e-8 above E0, 2 window widths of 1e-8
-        [ratio, none] = window_gap_ratio(field_shifted(np.stack([energies, np.zeros(4)]), 0.0, 0.0))
+        [ratio, none] = window_gap_ratio(field_shifted(np.stack([energies, np.zeros(4)]), row, 0.0))
         assert ratio == pytest.approx(2.0, rel=1e-6)
         assert none is None  # no level above the window
 
 
 class TestGibbsWeights:
     def test_infinite_temperature_limit(self):
-        weights = GraphThermalEngine(TEST_GRAPHS[0]).weights(1e12, 0.0)
-        assert np.max(np.abs(weights - 2.0**-4)) < 1e-9
+        engine = GraphThermalEngine(TEST_GRAPHS[0])
+        weights = engine.weights(1e12, 0.0)
+        assert np.max(np.abs(weights[engine.slots] - 2.0**-4)) < 1e-9
+        assert np.all(weights[~engine.slots] == 0.0)  # an empty slot is no level
 
     def test_two_spin_boltzmann_ratio(self):
-        # flat order: n_up = 0 | n_up = 1 (singlet, triplet: S ascending) | n_up = 2; gap is 1
+        # columns: singlet, triplet (S ascending); the central row n_up = 1 holds both; gap is 1
         weights = GraphThermalEngine(EDGE).weights(1.0, 0.0)
-        assert weights[1] / weights[2] == pytest.approx(np.exp(-1.0), rel=1e-12)
+        assert weights[1, 0] / weights[1, 1] == pytest.approx(np.exp(-1.0), rel=1e-12)
 
     def test_zero_temperature_delegates_to_ground_subspace(self):
         engine = GraphThermalEngine(ring_chain(ChainParams(n_spins=4, g1=-1.0)))
@@ -236,9 +262,10 @@ class TestGibbsWeights:
 def test_ground_gap_of_single_edge():
     spectrum = full_spectrum(EDGE)
     for b_field, gap in ((0.0, 1.0), (0.3, 0.3), (-1.5, 1.5)):  # the triplet splits by B
-        levels = field_shifted(spectrum.energies, spectrum.sz, b_field)
+        levels = field_shifted(spectrum.energies, spectrum.slots, b_field)
         assert ground_gap(levels) == pytest.approx(gap)
-    levels = field_shifted(full_spectrum(make_graph(3, [])).energies, 0.0, 0.0)
+    free = full_spectrum(make_graph(3, []))
+    levels = field_shifted(free.energies, free.slots, 0.0)
     assert ground_gap(levels) == 0.0  # no level above
 
 
@@ -272,10 +299,8 @@ class TestCentralSector:
     def test_engine_matches_per_sector_oracle(self, name, g):
         # sector eigenvalues and thermal pair entries of the central-sector
         # engine against every sector diagonalized on its own
-        spectrum = full_spectrum(g)
-        for oracle, sector in zip(sector_spectra(g), sector_slices(g.n_spins)):
-            values = np.sort(spectrum.energies[sector])
-            assert np.max(np.abs(values - oracle.eigenvalues)) <= 1e-12
+        for oracle, values in zip(sector_spectra(g), sector_levels(full_spectrum(g))):
+            assert np.max(np.abs(np.sort(values) - oracle.eigenvalues)) <= 1e-12
         engine = GraphThermalEngine(g, g.pairs() + [(j, i) for i, j in g.pairs()[:3]])
         temperatures = (0.0, 0.3, 1.0, 5.0)
         for b_field in (0.0, 0.4, -1.1):
@@ -288,31 +313,23 @@ class TestCentralSector:
     def test_multiplet_bookkeeping(self, name, g):
         n = g.n_spins
         spectrum, vectors = central_eigenvectors(g)
-        sectors = sector_slices(n)
-        # the central sector is every column in solve order: S group by S group,
-        # each column an eigenvector of the central block at its level
-        central = sectors[n // 2]
-        energy, spin = spectrum.energies[central], spectrum.spin[central]
+        # the columns are the central sector in solve order: S group by S group,
+        # each an eigenvector of the central block at its level
+        energy, spin = spectrum.energies, spectrum.spin
         groups = central_spin_basis(n)
         labels = np.repeat([s for s, _ in groups], [columns.shape[1] for _, columns in groups])
         assert np.array_equal(spin, labels)
         h = build_sector_hamiltonian(g, n // 2)
         assert np.max(np.abs(h @ vectors - vectors * energy)) <= 1e-12
         assert np.sum(2 * spin + 1) == 2**n
-        # the slots are the (sector, column) pairs with S >= |M|, C(N, n_up) per sector
+        # the members are the (sector, column) slots with S >= |M|, C(N, n_up) per sector
         m = np.arange(n + 1) - 0.5 * n
         assert np.array_equal(spectrum.slots, spin >= np.abs(m)[:, None])
-        for n_up, sector in enumerate(sectors):
-            assert sector.stop - sector.start == comb(n, n_up)
-            assert np.count_nonzero(spectrum.slots[n_up]) == comb(n, n_up)
-        # flat state x is the x-th slot, with its slot's sz, spin and energy
-        slot_sector, slot_column = np.nonzero(spectrum.slots)
-        assert len(spectrum.energies) == len(spectrum.spin) == len(slot_column) == 2**n
-        assert np.array_equal(spectrum.sz, slot_sector - 0.5 * n)
-        assert np.array_equal(spectrum.spin, spin[slot_column])
-        assert np.array_equal(spectrum.energies, energy[slot_column])
+        for n_up, values in enumerate(sector_levels(spectrum)):
+            assert len(values) == np.count_nonzero(spectrum.slots[n_up]) == comb(n, n_up)
         engine = GraphThermalEngine(g)
-        assert np.array_equal(engine.sz, spectrum.sz)
+        for name in ("energies", "spin", "slots"):
+            assert np.array_equal(getattr(engine, name), getattr(spectrum, name))
         assert engine.spin_residual <= SPIN_LABEL_TOL
         if g.is_ferromagnetic and is_connected(g):
             assert spin[np.argmin(energy)] == 0.5 * n
@@ -324,13 +341,12 @@ class TestCentralSector:
         for g in (cube_graph(-1.0), grid_graph(3, 3, True, -1.0), star_graph(6, -1.0)):
             spectrum, vectors = central_eigenvectors(g)
             n = g.n_spins
-            central = sector_slices(n)[n // 2]
             complete = make_graph(n, [(a, b, 2.0) for a, b in g.pairs()])
             square = build_sector_hamiltonian(complete, n // 2) + 0.75 * n * np.eye(len(vectors))
-            spin = spectrum.spin[central]
+            spin = spectrum.spin
             assert np.max(np.abs(square @ vectors - vectors * spin * (spin + 1.0))) <= 1e-12
             h = build_sector_hamiltonian(g, n // 2)
-            assert np.max(np.abs(h @ vectors - vectors * spectrum.energies[central])) <= 1e-12
+            assert np.max(np.abs(h @ vectors - vectors * spectrum.energies)) <= 1e-12
 
     def test_close_levels_of_different_spin_stay_pure(self):
         # LAPACK mixes levels 3.6e-6 apart by ~1e-10; without the first-order
@@ -339,7 +355,7 @@ class TestCentralSector:
         spectrum, vectors = central_eigenvectors(g)
         complete = make_graph(10, [(a, b, 2.0) for a, b in g.pairs()])
         square = build_sector_hamiltonian(complete, 5) + 7.5 * np.eye(len(vectors))
-        spin = spectrum.spin[sector_slices(10)[5]]
+        spin = spectrum.spin
         assert np.max(np.abs(square @ vectors - vectors * spin * (spin + 1.0))) <= 1e-12
 
     def test_near_crossing_of_spin_multiplets_matches_oracle(self):
@@ -401,9 +417,10 @@ class TestCentralSector:
         ):
             n = g.n_spins
             engine = GraphThermalEngine(g)
-            entries = engine.pair_entries(np.eye(2**n))  # every eigenstate's own entries
+            entries = engine.pair_entries(member_weights(engine.slots))  # every level's own
+            sectors = np.nonzero(engine.slots)[0]
             for n_up in (0, 1, n - 1, n):
-                block = entries[:, engine.sz == n_up - 0.5 * n]
+                block = entries[:, sectors == n_up]
                 if n_up < 2:
                     assert np.all(block[..., 0] == 0.0)
                 if n - n_up < 2:
@@ -505,28 +522,28 @@ def test_one_chunk_per_spin_group_gives_the_same_engine(monkeypatch):
     assert np.max(chunked.spin_residual) <= SPIN_LABEL_TOL
     assert np.array_equal(chunked.energies, whole.energies)
     assert np.array_equal(chunked.spin, whole.spin)
-    states = np.broadcast_to(np.eye(64), (2, 64, 64))  # every eigenstate's own entries
+    states = np.broadcast_to(member_weights(whole.slots), (2, 64, 7, 20))  # every level's own
     assert np.max(np.abs(chunked.pair_entries(states) - whole.pair_entries(states))) <= 1e-14
 
 
 def test_engine_takes_the_level_table_of_the_solve_bit_for_bit():
-    # one graph and a batch of three N = 6 graphs: the engine's flat layout is
+    # one graph and a batch of three N = 6 graphs: the engine's level table is
     # the solve's, and a batch of one is full_spectrum with the axis in front
     one = TEST_GRAPHS[3]
     three = [TEST_GRAPHS[1], TEST_GRAPHS[2], ring_chain(ChainParams(n_spins=6, g1=-1.0, g2=0.4))]
     batch = central_stream(three, lambda positions, vectors: None)
-    assert batch.energies.shape == (3, 64)
-    # the labels and the layout depend on N alone: the batch shares them
-    assert batch.spin.shape == batch.sz.shape == (64,) and batch.slots.shape == (7, 20)
+    assert batch.energies.shape == (3, 20)
+    # the labels and the mask depend on N alone: the batch shares them
+    assert batch.spin.shape == (20,) and batch.slots.shape == (7, 20)
     for engine, spectrum in (
         (GraphThermalEngine(one), full_spectrum(one)),
         (GraphThermalEngine(three), batch),
     ):
-        for name in ("energies", "spin", "sz"):
+        for name in ("energies", "spin", "slots"):
             assert np.array_equal(getattr(engine, name), getattr(spectrum, name))
     alone, single = central_stream([one], lambda positions, vectors: None), full_spectrum(one)
     assert np.array_equal(alone.energies[0], single.energies)
-    for name in ("spin", "sz", "slots"):
+    for name in ("spin", "slots"):
         assert np.array_equal(getattr(alone, name), getattr(single, name))
         for graph in three:
             assert np.array_equal(getattr(batch, name), getattr(full_spectrum(graph), name))

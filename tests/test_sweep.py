@@ -19,7 +19,7 @@ from ferroent.graphs import (
     save_graph,
     star_graph,
 )
-from ferroent.spectra import field_shifted, full_spectrum, sector_slices
+from ferroent.spectra import field_shifted, full_spectrum
 from ferroent.sweep import (
     GeometrySpec,
     GraphThermalEngine,
@@ -33,7 +33,15 @@ from ferroent.sweep import (
     verify_universal,
     zero_temperature_scan,
 )
-from oracles import gibbs_terms, pair_rdm_mixed, pair_rdm_pure, sector_spectra, x_state_from_matrix
+from oracles import (
+    gibbs_terms,
+    member_weights,
+    pair_rdm_mixed,
+    pair_rdm_pure,
+    sector_levels,
+    sector_spectra,
+    x_state_from_matrix,
+)
 
 RING_CONFIG = SweepConfig(
     geometries=(GeometrySpec(kind="ring"),),
@@ -46,11 +54,15 @@ RING_CONFIG = SweepConfig(
 )
 
 
-def ascending_positions(energies, n_spins):
-    """The flat positions of each sector's levels in ascending order, sector by sector:
-    the order of ``sector_spectra``'s eigenvalues."""
-    return np.concatenate([sector.start + np.argsort(energies[sector], kind="stable")
-                           for sector in sector_slices(n_spins)])
+def ascending_positions(spectrum):
+    """The positions among a one-graph level table's members, in row-major order, of
+    each sector's levels in ascending order, sector by sector: the order of
+    ``sector_spectra``'s eigenvalues."""
+    positions, start = [], 0
+    for values in sector_levels(spectrum):
+        positions.append(start + np.argsort(values, kind="stable"))
+        start += len(values)
+    return np.concatenate(positions)
 
 
 def run_to_strings(config, workers=1, **kwargs):
@@ -119,6 +131,35 @@ class TestConfig:
             6, -1.0, 0.0, 0.0,
         )
         assert g.n_spins == 6 and g.is_ferromagnetic
+
+    def test_points_grid_spaces_its_values_evenly_from_zero(self):
+        config = dataclasses.replace(RING_CONFIG, g2_values=(0.0,),
+                                     t_grid={"points": 3, "max": 4.0},
+                                     b_grid={"points": 5, "max": "n"})
+        records = [json.loads(line) for line in run_to_strings(config)[1].splitlines()]
+        assert sorted({record["t"] for record in records}) == [0.0, 2.0, 4.0]
+        assert sorted({record["b"] for record in records}) == [0.0, 1.0, 2.0, 3.0, 4.0]
+
+    def test_one_point_grid_is_zero(self):
+        config = dataclasses.replace(RING_CONFIG, g2_values=(0.0,),
+                                     t_grid={"points": 1, "max": 3.0}, b_grid=(0.0,))
+        [record] = [json.loads(line) for line in run_to_strings(config)[1].splitlines()]
+        assert (record["t"], record["b"]) == (0.0, 0.0)
+        with pytest.raises(ValueError, match="at least one point"):
+            dataclasses.replace(config, t_grid={"points": 0, "max": 3.0})
+
+    def test_default_g1_is_ferromagnetic(self):
+        # a config without "g1" sweeps ferromagnetic chains
+        config = SweepConfig.from_dict({"geometries": [{"kind": "ring"}], "n_values": [4]})
+        [record] = [json.loads(line) for line in run_to_strings(config)[1].splitlines()]
+        assert record["g1"] == -1.0
+        assert record["ground_energy"] == pytest.approx(-1.0, abs=1e-12)
+        assert record["ground_degeneracy"] == 5
+
+    def test_random_geometry_default_couplings_are_minus_one(self):
+        graph = build_geometry(GeometrySpec(kind="random", edge_probability=0.6, seed=2),
+                               6, -1.0, 0.0, 0.0)
+        assert graph.edges and all(coupling == -1.0 for _, _, coupling in graph.edges)
 
 
 class TestRunSweep:
@@ -408,8 +449,9 @@ class TestThermalEngine:
         pairs = [(0, 1), (4, 2), (3, 5)]
         temperatures = (0.0, 0.4, 3.0)
         batch = GraphThermalEngine(graphs, pairs)
-        # every eigenstate's own entries, from one-hot weights
-        stack = batch.pair_entries(np.broadcast_to(np.eye(64), (3, 64, 64)))
+        # every level's own entries, from one-hot weight tables
+        states = member_weights(batch.slots)
+        stack = batch.pair_entries(np.broadcast_to(states, (3,) + states.shape))
         assert stack.shape == (3, 3, 64, 5)
         for b_field in (0.0, 0.6):
             weights = batch.field_weights(temperatures, b_field)
@@ -423,9 +465,9 @@ class TestThermalEngine:
                 assert (energies[k], degeneracies[k]) == single.ground_info(b_field)
                 assert np.array_equal(batch.energies[k], single.energies)
                 assert np.array_equal(batch.spin, single.spin)  # shared by the batch
-                assert np.array_equal(batch.sz, single.sz)
+                assert np.array_equal(batch.slots, single.slots)
                 assert batch.spin_residual[k] == single.spin_residual
-                assert np.max(np.abs(stack[:, k] - single.pair_entries(np.eye(64)))) <= 1e-15
+                assert np.max(np.abs(stack[:, k] - single.pair_entries(states))) <= 1e-15
         assert batch.ground_info(0.0)[1] == [7, 16, 1]
 
     def test_batch_engine_needs_one_spin_count(self):
@@ -437,9 +479,9 @@ class TestThermalEngine:
         g = random_graph(6, 0.5, (-2.0, -0.3), seed=19)
         engine = GraphThermalEngine(g)
         spectra = sector_spectra(g)
-        order = ascending_positions(engine.energies, g.n_spins)
+        order = ascending_positions(full_spectrum(g))
         for temperature in (0.0, 0.3, 2.0):
-            flat = engine.weights(temperature, 0.0)
+            flat = engine.weights(temperature, 0.0)[engine.slots]  # the members, row-major
             terms = gibbs_terms(spectra, temperature)
             lookup = {}
             position = 0
@@ -490,14 +532,17 @@ class TestThermalEngine:
         g = random_graph(n_spins, 0.5, (-2.0, -0.2), seed=40 + n_spins)
         pairs = [(0, 1), (n_spins - 1, 2), (3, 1), (2, 5)]
         engine = GraphThermalEngine(g, pairs)
-        stack = engine.pair_entries(np.eye(2**n_spins))  # every eigenstate's own entries
+        stack = engine.pair_entries(member_weights(engine.slots))  # every level's own entries
         central = full_spectrum(g)
-        order = ascending_positions(engine.energies, n_spins)
+        order = ascending_positions(central)
+        # each member's level and S^z, row-major
+        energies = np.concatenate(sector_levels(central))
+        sz = np.nonzero(engine.slots)[0] - 0.5 * n_spins
         position = 0
-        for spectrum, sector in zip(sector_spectra(g), sector_slices(n_spins)):
+        for spectrum, values in zip(sector_spectra(g), sector_levels(central)):
             for k in range(len(spectrum.eigenvalues)):
-                assert engine.energies[order[position]] == np.sort(central.energies[sector])[k]
-                assert engine.sz[order[position]] == spectrum.basis.sz
+                assert energies[order[position]] == np.sort(values)[k]
+                assert sz[order[position]] == spectrum.basis.sz
                 for pair, entries in zip(pairs, stack[:, order[position]]):
                     rho = pair_rdm_pure(spectrum.eigenvectors[:, k], spectrum.basis, pair)
                     expected = [rho[0, 0].real, rho[1, 1].real, rho[1, 2].real,
@@ -554,10 +599,13 @@ class TestThermalEngine:
         g = open_chain(ChainParams(n_spins=6, g1=-1.0, g2=-0.7, periodic=False))
         engine = GraphThermalEngine(g)
         temperatures = (0.0, 1e-3, 0.4, 2.5, 6.0)
+        sectors, columns = np.nonzero(engine.slots)  # the members, row-major
         for b_field in (0.0, 0.9, -3.0):
             rows = engine.field_weights(temperatures, b_field)
-            shifted = engine.energies + b_field * engine.sz
-            for temperature, row in zip(temperatures, rows):
+            shifted = engine.energies[columns] + b_field * (sectors - 0.5 * engine.graph.n_spins)
+            for temperature, table in zip(temperatures, rows):
+                row = table[engine.slots]
+                assert np.all(table[~engine.slots] == 0.0)
                 if temperature == 0.0:
                     spread = shifted.max() - shifted.min()
                     members = shifted <= shifted.min() + 1e-9 * max(1.0, spread)
@@ -566,7 +614,7 @@ class TestThermalEngine:
                     factors = np.exp(-(shifted - float(shifted.min())) / temperature)
                     expected = factors / factors.sum()
                 assert np.array_equal(row, expected)
-                assert np.array_equal(row, engine.weights(temperature, b_field))
+                assert np.array_equal(table, engine.weights(temperature, b_field))
 
     def test_field_weights_reject_negative_and_nan(self):
         engine = GraphThermalEngine(make_graph(2, [(0, 1, -1.0)]))
@@ -583,7 +631,7 @@ class TestThermalEngine:
             engine.ground_info(field)
         spectrum = full_spectrum(engine.graph)
         with pytest.raises(ValueError, match="field must be finite"):
-            field_shifted(spectrum.energies, spectrum.sz, field)
+            field_shifted(spectrum.energies, spectrum.slots, field)
 
     def test_non_finite_field_grid_writes_no_record(self):
         # refused when the config loads, so no sweep can start on it
@@ -664,6 +712,23 @@ class TestVerifyDegeneracy:
         assert report.ground_degeneracy == 7
         assert report.ground_energy == pytest.approx(-1.25, abs=1e-12)
 
+    def test_connected_graph_expects_n_plus_one_levels(self):
+        for n in (2, 5):
+            graph = open_chain(ChainParams(n_spins=n, g1=-1.0, periodic=False))
+            report = _degeneracy(graph, "path")
+            assert report.expected_degeneracy == n + 1
+            assert report.degeneracy_ok and report.passed
+
+    def test_energy_check_is_relative_to_the_expected_energy(self):
+        # ring 4 with J = -100: E0 = -100, so the check allows 1e-10 * 100 = 1e-8
+        engine = GraphThermalEngine([ring_chain(ChainParams(n_spins=4, g1=-100.0))])
+        energies = engine.energies.copy()
+        for offset, passed in ((5e-9, True), (2e-8, False)):
+            engine.energies = energies + offset
+            [fields] = spectral_fields(engine, ["ring4"])
+            assert fields["expected_ground_energy"] == -100.0
+            assert fields["energy_ok"] is passed
+
     def test_two_disconnected_triangles(self):
         g = make_graph(
             6,
@@ -697,14 +762,15 @@ class TestGroundSpin:
         assert not report.passed
 
     def test_level_just_above_the_window_fails_the_degeneracy_suite(self):
-        # the ring's ground multiplet plus a split injected above E0 at
-        # 1.2 and 0.8 window widths of 1e-9 * spectral range: the first is
-        # outside the window, the second inside
+        # the ring's ground multiplet plus a split multiplet injected above E0
+        # at 1.2 and 0.8 window widths of 1e-9 * spectral range: the first is
+        # outside the window, the second inside with all 2S + 1 of its members
         engine = GraphThermalEngine([ring_chain(ChainParams(n_spins=5, g1=-1.0))])
         energies = engine.energies.copy()
         e_min, width = energies.min(), 1e-9 * (energies.max() - energies.min())
         excited = np.flatnonzero(energies[0] > e_min + 1e-3)[0]
-        for split, ratio, degeneracy in ((1.2, 1.2, 6), (0.8, None, 7)):
+        members = int(2 * engine.spin[excited] + 1)
+        for split, ratio, degeneracy in ((1.2, 1.2, 6), (0.8, None, 6 + members)):
             engine.energies = energies.copy()
             engine.energies[0, excited] = e_min + split * width
             [report] = verify_degeneracy(engine, spectral_fields(engine, ["ring5"]))
@@ -761,3 +827,8 @@ class TestZeroTemperatureScan:
             zero_temperature_scan(engine, [0.5, 1.0])
         with pytest.raises(ValueError):
             zero_temperature_scan(engine, [0.0, 2.0, 1.0])
+
+    def test_grid_may_repeat_a_temperature(self):
+        # ascending, not strictly: a repeated point is scanned like any other
+        engine = GraphThermalEngine([make_graph(2, [(0, 1, -1.0)])])
+        assert zero_temperature_scan(engine, [0.0, 0.0, 1.0, 1.0]) == [1.0]
