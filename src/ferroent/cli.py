@@ -26,6 +26,7 @@ from .sweep import (
     GeometrySpec,
     GraphThermalEngine,
     SweepConfig,
+    _expand_batches,
     build_geometry,
     builtin_graph_set,
     resume_point,
@@ -49,7 +50,7 @@ def finite(text: str) -> float:
 
 
 def temperature(text: str) -> float:
-    """An argparse type: negative or NaN exits 2, as ``field_weights`` refuses it; inf passes."""
+    """An argparse type: negative or NaN exits 2, as the engine refuses it; inf passes."""
     value = float(text)
     if not value >= 0.0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
@@ -161,8 +162,8 @@ def _cmd_rdm(args: argparse.Namespace) -> int:
     graph = _graph_from_args(args)
     i, j = args.pair
     engine = GraphThermalEngine(graph, pairs=[(i, j)])
-    weights = engine.weights(args.temperature, args.b_field)
-    [(alpha, beta, gamma, delta, epsilon)] = engine.pair_entries(weights)
+    levels = field_shifted(engine.energies, engine.slots, args.b_field)
+    [[(alpha, beta, gamma, delta, epsilon)]] = engine.pair_entries(levels, (args.temperature,))
     rho = np.diag([alpha, beta, delta, epsilon])
     rho[1, 2] = rho[2, 1] = gamma
     with _output(args.output) as out:
@@ -237,6 +238,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise SystemExit(f"ferroent: cannot read config: {err}") from err
     except (ValueError, KeyError, TypeError, json.JSONDecodeError) as err:
         raise SystemExit(f"ferroent: bad config {args.config!r}: {err}") from err
+    # refuses a pair or spin count out of range before any file is opened
+    _expand_batches(config)
     rows, maxima = resume_point(args.output, config) if args.resume and args.output else ([], [])
     skip = len(rows)
     output = open(args.output, "a" if skip else "w", encoding="utf-8") if args.output else None

@@ -11,17 +11,17 @@ chain kind's g2 x g3 block), which share the pair list and the T and B
 grids, up to _BATCH_ENTRIES engine coefficients and at least one graph.
 A batch is one task: one thermal engine, built from one stacked solve of
 its graphs' central S^z sectors (every other sector follows from the
-spin multiplets, see ``GraphThermalEngine``).  Its weight vectors are
-computed once per field value for all temperatures and all graphs and
-contracted against the engine's per-multiplet coefficients at once; the
-records are then written graph by graph.  Batch bounds depend on the
-config alone, so the worker count and a resume point do not change the
-output.
+spin multiplets, see ``GraphThermalEngine``), and one engine call per
+field value for all temperatures and all graphs; the records are then
+written graph by graph.  Each point's entries are its own alone, so batch
+bounds, which depend on the config alone, and the worker count and a
+resume point do not change the output.
 
 ``verify_batches`` cuts verification graphs of one spin count into
 batches under the same budget; each verify check takes a batch engine and
 returns one result per graph, that of its batch of one up to the last
-bits (at most 1e-15) of the contracted pair entries.
+bits (at most 1e-15) of the pair correlations, which a batch forms
+together (``rdm.pair_correlations``).
 
 Records go out as text, filled into per-graph formats (``_record_format``,
 ``_summary_format``) with no record dict in between.  Each line is the
@@ -59,10 +59,12 @@ Config files are JSON with the following keys (all grids nonempty):
     }
 
 The {"points": k, "max": "n"} form expands to k evenly spaced values from
-0 to the instance's spin count.  Every grid value (a list entry, the
-points or a numeric max) must be finite: the config is refused when it
-loads, since NaN or Infinity has no JSON text.  Grid/cube/star/file
-geometries fix their own size and ignore n_values, g1, g2 and g3.
+0 to the instance's spin count; it takes no other key, and k must be a
+whole number.  Every grid value (a list entry, the points or a numeric
+max) must be finite, since NaN or Infinity has no JSON text, no
+temperature may be negative, and n_values must be integers: the config
+is refused when it loads.  Grid/cube/star/file geometries fix their own
+size and ignore n_values, g1, g2 and g3.
 """
 
 from __future__ import annotations
@@ -90,6 +92,7 @@ from .graphs import (
 from .hilbert import sector_basis
 from .rdm import pair_correlations
 from .spectra import (
+    N_SPINS_CAP,
     SPIN_LABEL_TOL,
     SpinLabelError,
     central_stream,
@@ -101,10 +104,9 @@ RAW_CONCURRENCE_THRESHOLD = 1e-12
 UNIVERSAL_RDM_TOL = 1e-10
 WINDOW_GAP_RATIO_MIN = 100.0  # least (next level - E0) / ground-window width
 
-_POINTS_PER_CONTRACTION = 256
 _BATCH_ENTRIES = 1 << 17  # engine coefficients (graphs x pairs x C(N, N/2) x 6) of one sweep batch
 
-_GRID_ELEMENTS = 1 << 17  # one step's slot grid + moments: graphs x (N + 15) x C(N, N/2) x points
+_GRID_ELEMENTS = 1 << 17  # one step's weight tables + moments: graphs x (N + 15) x C(N, N/2) x T
 _ENTRY_ORDER = np.array([0, 2, 4, 3, 1])  # alpha, beta, gamma, delta, epsilon of the products
 
 _CHAIN_KINDS = ("ring", "open")
@@ -189,19 +191,27 @@ class SweepConfig:
         for name in ("n_values", "g2_values", "g3_values"):
             if len(getattr(self, name)) == 0:
                 raise ValueError(f"{name} must be nonempty")
+        if not all(isinstance(n, int) for n in self.n_values):
+            raise ValueError(f"n_values must be integers, got {list(self.n_values)}")
         for name in ("t_grid", "b_grid"):
             grid = getattr(self, name)
             values = grid
             if isinstance(grid, dict):
+                if set(grid) - {"points", "max"}:
+                    raise ValueError(f"{name} takes the keys points and max, got {sorted(grid)}")
                 values = (grid.get("points", 0), grid.get("max", "n"))
             # NaN or Infinity would reach the records, which must stay RFC 8259 JSON
             if not all(value == "n" or np.isfinite(float(value)) for value in values):
                 raise ValueError(f"{name} values must be finite, got {list(values)}")
             if isinstance(grid, dict):
+                if values[0] != int(values[0]):
+                    raise ValueError(f"{name} points must be a whole number, got {values[0]}")
                 if int(grid.get("points", 0)) < 1:
                     raise ValueError(f"{name} needs at least one point")
             elif len(grid) == 0:
                 raise ValueError(f"{name} must be nonempty")
+            if name == "t_grid" and any(value != "n" and float(value) < 0.0 for value in values):
+                raise ValueError(f"t_grid temperatures must be >= 0, got {list(values)}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "SweepConfig":
@@ -293,8 +303,8 @@ class GraphThermalEngine:
     (below), and above SPIN_LABEL_TOL raises SpinLabelError.  An engine
     built from a sequence of G graphs has a graph axis in front of
     ``energies`` (G, C(N, N/2)) and ``spin_residual`` (G,); its weights are
-    (G, points, N + 1, C(N, N/2)), and every result gains a graph axis
-    after the pair axis.  ``spin`` and ``slots`` depend on N alone and are
+    (G, temperatures, N + 1, C(N, N/2)), and every result gains a graph
+    axis after the pair axis.  ``spin`` and ``slots`` depend on N alone and are
     shared, and every quantity is still computed from its own graph alone.
 
     ``spectra.central_stream`` hands over the central eigenvectors, a
@@ -323,11 +333,12 @@ class GraphThermalEngine:
         gamma:  c - zz0, 0, -3r
         beta:   gamma's + (1/4 - c, (g_a - g_b)/2, 0)     (delta: M -> -M).
 
-    ``pair_entries`` takes per column of the weight table the moments
-    sum w, sum M w and sum M^2 w over the sectors where an entry can be
-    nonzero (alpha over n_up >= 2, epsilon over n_up <= N - 2, beta, gamma
-    and delta over 1 <= n_up <= N - 1, so every kinematic zero stays exact:
-    no pair is both up below 2 up spins), and contracts them with the
+    ``pair_entries``, the one thermal call, builds the weight tables of a
+    field's levels and takes per column of each the moments sum w,
+    sum M w and sum M^2 w over the sectors where an entry can be nonzero
+    (alpha over n_up >= 2, epsilon over n_up <= N - 2, beta, gamma and
+    delta over 1 <= n_up <= N - 1, so every kinematic zero stays exact: no
+    pair is both up below 2 up spins), and contracts them with the
     coefficients.  The mirrored moments of epsilon and delta (M -> -M) come
     from the same table, with the sector axis of the moment rows reversed.
     """
@@ -391,7 +402,7 @@ class GraphThermalEngine:
         coefficients[:, :, 3] = c - zz0
         coefficients[:, :, 4] = 0.25 - c
         coefficients[:, :, 5] = 0.5 * (g[first] - g[second])
-        self._coefficients = coefficients.reshape(len(self.pairs), count, 1, 1, 6 * dim)
+        self._coefficients = coefficients.reshape(len(self.pairs), count, 1, 1, 1, 6 * dim)
         # the moment rows: 1, M, M^2 over n_up >= 2 (alpha's blocks), and over
         # 1 <= n_up <= N - 1 -M^2, 1, 1, M (beta's blocks, gamma's the first two);
         # then the same rows of the mirrored sector n_up -> N - n_up (M -> -M)
@@ -411,71 +422,51 @@ class GraphThermalEngine:
         """The engine's graph; the first of a batch."""
         return self.graphs[0]
 
-    def weights(self, temperature: float, b_field: float) -> np.ndarray:
-        """Thermal weights on the level table at (T, B), (N + 1, C(N, N/2))."""
-        return self.field_weights((temperature,), b_field)[..., 0, :, :]
+    def pair_entries(
+        self, levels: tuple[np.ndarray, ...], temperatures: Sequence[float]
+    ) -> np.ndarray:
+        """(alpha, beta, gamma, delta, epsilon) per engine pair at each temperature of one field.
 
-    def field_weights(self, temperatures: Sequence[float], b_field: float) -> np.ndarray:
-        """Thermal weights at each temperature for one field, (temperatures, N + 1, C(N, N/2)).
-
-        A batch gets a graph axis in front, each graph's tables from its own
-        levels: ``_weights`` of the field's ``spectra.field_shifted`` levels.
-        """
-        return _weights(field_shifted(self.energies, self.slots, b_field), self.slots,
-                        temperatures)
-
-    def ground_info(self, b_field: float) -> tuple:
-        """(ground energy, ground degeneracy) at the given field; for a batch, two lists."""
-        return _ground(field_shifted(self.energies, self.slots, b_field))
-
-    def pair_entries(self, weights: np.ndarray) -> np.ndarray:
-        """(alpha, beta, gamma, delta, epsilon) per engine pair and weight table.
-
-        One weight table (N + 1, C(N, N/2)) gives (n_pairs, 5); a stack of
-        them (points, ...) gives (n_pairs, points, 5), and a batch's
-        (G, points, ...) gives (n_pairs, G, points, 5).  The points go in
-        steps of at most _GRID_ELEMENTS numbers in the weight tables and their
-        moments, which bounds the temporaries; a step depends on the shapes alone.
+        ``levels`` are ``spectra.field_shifted`` of the engine's ``energies``
+        and ``slots`` at the field; the result is (n_pairs, temperatures, 5),
+        and a batch's (n_pairs, G, temperatures, 5).  The weight tables
+        (``_weights``) are built in steps of at most _GRID_ELEMENTS numbers in
+        the tables and their moments, which bounds the temporaries; each
+        point's entries are its own alone, whatever step it shares.
         """
         count, (sectors, dim) = len(self.graphs), self.slots.shape
-        points = weights.reshape(count, -1, sectors, dim)
-        entries = np.empty((len(self.pairs), count, points.shape[1], 5))
+        temperatures = list(temperatures)
+        entries = np.empty((len(self.pairs), count, len(temperatures), 5))
         step = max(1, _GRID_ELEMENTS // (count * (sectors + 14) * dim))
-        for start in range(0, points.shape[1], step):
-            entries[:, :, start : start + step] = self._contract(points[:, start : start + step])
-        return entries.reshape(len(self.pairs), *weights.shape[:-2], 5)
+        for start in range(0, len(temperatures), step):
+            weights = _weights(levels, self.slots, temperatures[start : start + step])
+            entries[:, :, start : start + step] = self._contract(
+                weights.reshape(count, -1, sectors, dim))
+        return entries if self.energies.ndim > 1 else entries[:, 0]
 
     def _contract(self, points: np.ndarray) -> np.ndarray:
-        """(n_pairs, G, p, 5) entries of a batch's (G, p, N + 1, C(N, N/2)) weights.
+        """(n_pairs, G, p, 5) entries of a batch's (G, p, N + 1, C(N, N/2)) weight tables.
 
-        The moments of the points, as they are (alpha, beta, gamma) and
+        The moments of a point, as they are (alpha, beta, gamma) and
         mirrored (epsilon, delta), stack on an axis of two, so each pair's
         product has the same shape for every pair and an engine of one
-        pair gives the same bits.
+        pair gives the same bits.  The points sit on a batch axis of the
+        products, so each entry is one dot product of the point's own
+        moments with the pair's coefficients, the same bits for any p.
         """
-        count, p, sectors, dim = points.shape
-        # (G, sector, column x point): the points of one slot side by side
-        grid = points.transpose(0, 2, 3, 1).reshape(count, sectors, dim * p)
-        moments = self._moment_rows @ grid
-        del grid
-        moments = moments.reshape(count, 2, 7 * dim, p)  # (G, as is | mirrored, 7 dim, p)
+        count, p, _, dim = points.shape
+        # (G, p, as is | mirrored, 7 dim, 1): each point's moments, one product of its own
+        moments = (self._moment_rows @ points).reshape(count, p, 2, 7 * dim, 1)
         coefficients = self._coefficients
         # the products' order: alpha, epsilon | beta, delta | gamma
-        entries = np.empty((len(self.pairs), count, 5, 1, p))
-        np.matmul(coefficients[..., : 3 * dim], moments[:, :, : 3 * dim], out=entries[:, :, :2])
-        np.matmul(coefficients[..., 2 * dim :], moments[:, :, 3 * dim :], out=entries[:, :, 2:4])
-        np.matmul(coefficients[..., 2 * dim : 4 * dim], moments[:, :1, 3 * dim : 5 * dim],
-                  out=entries[:, :, 4:])
-        entries = entries.reshape(len(self.pairs), count, 5, p).transpose(0, 1, 3, 2)
-        return entries[..., _ENTRY_ORDER]
-
-    def raw_concurrence(self, weights: np.ndarray) -> np.ndarray:
-        """Unclamped X-state concurrence 2(|gamma| - sqrt(alpha epsilon)).
-
-        (n_pairs,) for one weight vector, (n_pairs, points) for a stack,
-        (n_pairs, G, points) for a batch's.
-        """
-        return _raw_concurrence(self.pair_entries(weights))
+        entries = np.empty((len(self.pairs), count, p, 5, 1, 1))
+        np.matmul(coefficients[..., : 3 * dim], moments[..., : 3 * dim, :],
+                  out=entries[:, :, :, :2])
+        np.matmul(coefficients[..., 2 * dim :], moments[..., 3 * dim :, :],
+                  out=entries[:, :, :, 2:4])
+        np.matmul(coefficients[..., 2 * dim : 4 * dim], moments[:, :, :1, 3 * dim : 5 * dim],
+                  out=entries[:, :, :, 4:])
+        return entries.reshape(len(self.pairs), count, p, 5)[..., _ENTRY_ORDER]
 
 
 def _raw_concurrence(entries: np.ndarray) -> np.ndarray:
@@ -574,34 +565,25 @@ def summary_row(record: dict) -> str:
 def _batch_records(batch: _Batch) -> Iterator[_GraphText]:
     """The records of a batch as text, one ``_GraphText`` per graph.
 
-    One engine, and one weight stack per block: points run T-major,
-    B-minor.  Each field's levels, their minimum and ground window are
-    computed once, and give the ground energies and degeneracies of all
-    graphs and, for many temperatures at once, their weights.
-    The points go in blocks of whole temperature rows, at most
-    _POINTS_PER_CONTRACTION points over the batch's graphs (or one row, if
-    a row holds more), which bounds the weight stack; each block is one
-    contraction for every graph and pair.  A non-finite raw concurrence
-    raises ValueError before any record of the batch exists.  Each record
-    is then one line of ``_record_format`` and one row of
-    ``_summary_format``, filled with Python numbers; the maxima are each
-    record's max raw concurrence, for the run statistics.
+    One engine, and one ``pair_entries`` call per field for all
+    temperatures and graphs: points run T-major, B-minor.  Each field's
+    levels, their minimum and ground window are computed once, and give
+    the ground energies and degeneracies of all graphs and their entries.
+    A non-finite raw concurrence raises ValueError before any record of
+    the batch exists.  Each record is then one line of ``_record_format``
+    and one row of ``_summary_format``, filled with Python numbers; the
+    maxima are each record's max raw concurrence, for the run statistics.
     """
     engine = GraphThermalEngine(batch.graphs, batch.pairs)
     count, n_b = len(batch.graphs), len(batch.b_values)
     points = [(t, b) for t in batch.t_values for b in batch.b_values]
     levels = [field_shifted(engine.energies, engine.slots, b) for b in batch.b_values]
     ground = [_ground(level) for level in levels]
-    raw = np.empty((count, len(points), len(batch.pairs)))
-    t_step = max(1, _POINTS_PER_CONTRACTION // (count * n_b))
-    for t_first in range(0, len(batch.t_values), t_step):
-        t_block = batch.t_values[t_first : t_first + t_step]
-        weights = np.empty((count, len(t_block), n_b) + engine.slots.shape)
-        for k, level in enumerate(levels):
-            weights[:, :, k] = _weights(level, engine.slots, t_block)
-        block = engine.raw_concurrence(weights.reshape(count, -1, *engine.slots.shape))
-        first = t_first * n_b
-        raw[:, first : first + block.shape[2]] = block.transpose(1, 2, 0)
+    raw = np.empty((count, len(batch.t_values), n_b, len(batch.pairs)))
+    for k, level in enumerate(levels):
+        entries = engine.pair_entries(level, batch.t_values)
+        raw[:, :, k] = _raw_concurrence(entries).transpose(1, 2, 0)
+    raw = raw.reshape(count, len(points), len(batch.pairs))
     if not np.isfinite(raw).all():
         raise ValueError(
             f"non-finite raw concurrence in the {batch.geometry_label} sweep batch "
@@ -655,7 +637,10 @@ def _expand_batches(config: SweepConfig) -> list[_Batch]:
             t_values = _resolve_grid(config.t_grid, n_spins)
             b_values = _resolve_grid(config.b_grid, n_spins)
             pairs = tuple(graphs[0].pairs()) if config.pairs == "all" else tuple(config.pairs)
-            _check_pairs(pairs, n_spins)  # before any batch runs, so no record is written
+            # before any batch runs, so no record is written
+            if n_spins > N_SPINS_CAP:
+                raise ValueError(f"n_spins={n_spins} exceeds the solver cap of {N_SPINS_CAP}")
+            _check_pairs(pairs, n_spins)
             size = _batch_size(n_spins, len(pairs))
             for first in range(0, len(graphs), size):
                 batch = _Batch(
@@ -908,7 +893,8 @@ def verify_universal(engine: GraphThermalEngine, fields: Sequence[dict]) -> list
     the report (never silently ignored) and fail it.  ``fields`` are the
     engine's ``spectral_fields``.
     """
-    entries = engine.pair_entries(engine.weights(0.0, 0.0))
+    levels = field_shifted(engine.energies, engine.slots, 0.0)
+    entries = engine.pair_entries(levels, (0.0,))[..., 0, :]  # (pairs, G, 5)
     target = np.array(UNIVERSAL_ENTRIES, dtype=float)
     deviations = np.max(np.abs(entries - target), axis=(0, 2)).tolist()
     raws = np.max(_raw_concurrence(entries), axis=0).tolist()
@@ -972,6 +958,7 @@ def zero_temperature_scan(
         raise ValueError("temperature grid must start at 0")
     if any(t_values[k] > t_values[k + 1] for k in range(len(t_values) - 1)):
         raise ValueError("temperature grid must be ascending")
-    raw = engine.raw_concurrence(engine.field_weights(t_values, b_field))  # (pairs, G, T)
+    levels = field_shifted(engine.energies, engine.slots, b_field)
+    raw = _raw_concurrence(engine.pair_entries(levels, t_values))  # (pairs, G, T)
     clean = np.logical_and.accumulate(raw.max(axis=0) <= RAW_CONCURRENCE_THRESHOLD, axis=-1)
     return [t_values[count - 1] if count else None for count in clean.sum(axis=-1).tolist()]

@@ -67,6 +67,13 @@ MUTANTS = (
         ["tests/test_cli.py::TestSweepCommand::test_out_of_range_pair_exits_2_before_any_record"],
     ),
     (
+        "sweep config checked only after its outputs are opened",
+        CLI,
+        "    _expand_batches(config)\n",
+        "",
+        ["tests/test_cli.py::TestSweepCommand::test_refused_config_leaves_its_outputs_alone"],
+    ),
+    (
         "C(N, n_up) level count not checked",
         SPECTRA,
         "if np.count_nonzero(row) != comb(n, n_up):",
@@ -116,6 +123,40 @@ MUTANTS = (
         "if False:",
         ["tests/test_cli.py::TestSweepCommand"
          "::test_non_finite_raw_concurrence_exits_2_without_its_batch"],
+    ),
+    (
+        "points back as the columns of the contraction's products",
+        SWEEP,
+        "moments = (self._moment_rows @ points).reshape(count, p, 2, 7 * dim, 1)\n"
+        "        coefficients = self._coefficients\n"
+        "        # the products' order: alpha, epsilon | beta, delta | gamma\n"
+        "        entries = np.empty((len(self.pairs), count, p, 5, 1, 1))\n"
+        "        np.matmul(coefficients[..., : 3 * dim], moments[..., : 3 * dim, :],\n"
+        "                  out=entries[:, :, :, :2])\n"
+        "        np.matmul(coefficients[..., 2 * dim :], moments[..., 3 * dim :, :],\n"
+        "                  out=entries[:, :, :, 2:4])\n"
+        "        np.matmul(coefficients[..., 2 * dim : 4 * dim], "
+        "moments[:, :, :1, 3 * dim : 5 * dim],\n"
+        "                  out=entries[:, :, :, 4:])\n"
+        "        return entries.reshape(len(self.pairs), count, p, 5)[..., _ENTRY_ORDER]",
+        # (G, 1, 2, 7 dim, p) moments: each product (1, K) @ (K, p)
+        "moments = (self._moment_rows @ points).reshape(count, p, 2, 7 * dim)\n"
+        "        moments = moments.transpose(0, 2, 3, 1)[:, None]\n"
+        "        coefficients = self._coefficients\n"
+        "        entries = np.empty((len(self.pairs), count, 1, 5, 1, p))\n"
+        "        np.matmul(coefficients[..., : 3 * dim], moments[..., : 3 * dim, :],\n"
+        "                  out=entries[:, :, :, :2])\n"
+        "        np.matmul(coefficients[..., 2 * dim :], moments[..., 3 * dim :, :],\n"
+        "                  out=entries[:, :, :, 2:4])\n"
+        "        np.matmul(coefficients[..., 2 * dim : 4 * dim], "
+        "moments[:, :, :1, 3 * dim : 5 * dim],\n"
+        "                  out=entries[:, :, :, 4:])\n"
+        "        entries = entries.reshape(len(self.pairs), count, 5, p).swapaxes(2, 3)\n"
+        "        return entries[..., _ENTRY_ORDER]",
+        ["tests/test_sweep.py::TestThermalEngine"
+         "::test_point_entries_are_the_same_alone_and_among_many",
+         "tests/test_sweep.py::TestRunSweep::test_grid_budget_does_not_change_output",
+         "tests/test_cli.py::TestRdmCommand::test_ring_10_sweep_points_bit_for_bit"],
     ),
     (
         "rank-2 term of zz with the wrong sign",

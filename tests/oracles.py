@@ -184,6 +184,19 @@ def member_weights(slots: np.ndarray) -> np.ndarray:
     return tables
 
 
+def levels_at(engine, b_field: float) -> tuple[np.ndarray, ...]:
+    """The ``field_shifted`` levels of a thermal engine's level table at a field."""
+    return field_shifted(engine.energies, engine.slots, b_field)
+
+
+def member_entries(engine) -> np.ndarray:
+    """(pairs, [G,] 2^N, 5): every level's own entries, the engine's contraction of
+    the ``member_weights`` tables (for a batch, of each graph's)."""
+    states = member_weights(engine.slots)
+    entries = engine._contract(np.broadcast_to(states, (len(engine.graphs),) + states.shape))
+    return entries if engine.energies.ndim > 1 else entries[:, 0]
+
+
 def eigenstate_pair_entries(basis: SectorBasis, eigenvectors: np.ndarray, pairs) -> np.ndarray:
     """(pairs, columns, 5) X-form entries of each ordered pair (a, b) and eigenvector column.
 

@@ -21,6 +21,8 @@ from ferroent.sweep import (
     GeometrySpec,
     GraphThermalEngine,
     SweepConfig,
+    _ground,
+    _raw_concurrence,
     builtin_graph_set,
     run_sweep,
 )
@@ -30,6 +32,7 @@ from oracles import (
     concurrence_x,
     dicke_vector,
     embed_sector_vector,
+    levels_at,
     naive_pair_rdm,
     sxsx_correlator,
 )
@@ -50,8 +53,8 @@ def test_criterion_1_universal_ground_rdm():
     clamp_ok = True
     for graph_id, graph in builtin_graph_set():
         engine = GraphThermalEngine(graph)
-        weights = engine.weights(0.0, 0.0)
-        for row, raw in zip(engine.pair_entries(weights), engine.raw_concurrence(weights)):
+        entries = engine.pair_entries(levels_at(engine, 0.0), (0.0,))[:, 0]
+        for row, raw in zip(entries, _raw_concurrence(entries)):
             rho = XStateRDM(*row).matrix()
             worst_deviation = max(worst_deviation, float(np.max(np.abs(rho - target))))
             worst_raw = max(worst_raw, raw)
@@ -68,7 +71,7 @@ def test_criterion_1_universal_ground_rdm():
 def test_criterion_2_ground_degeneracy_and_energy():
     failures = []
     for graph_id, graph in builtin_graph_set():
-        e_min, degeneracy = GraphThermalEngine(graph).ground_info(0.0)
+        e_min, degeneracy = _ground(levels_at(GraphThermalEngine(graph), 0.0))
         expected = 0.25 * graph.coupling_sum
         if degeneracy != graph.n_spins + 1:
             failures.append(f"{graph_id}: d={degeneracy} != {graph.n_spins + 1}")
@@ -227,10 +230,11 @@ def test_criterion_6_zero_entanglement_sweep():
 
 def test_criterion_7_detection_control():
     engine = GraphThermalEngine(make_graph(2, [(0, 1, 1.0)]))
-    [row] = engine.pair_entries(engine.weights(0.0, 0.0))  # the one pair (0, 1)
+    levels = levels_at(engine, 0.0)
+    [[row]] = engine.pair_entries(levels, (0.0,))  # the one pair (0, 1)
     rho = XStateRDM(*row).matrix()
     value = concurrence_wootters(rho)
-    passed = abs(value - 1.0) <= 1e-10 and engine.ground_info(0.0)[1] == 1
+    passed = abs(value - 1.0) <= 1e-10 and _ground(levels)[1] == 1
     report(7, "detection-control", passed, f" (singlet concurrence {value!r})")
 
 

@@ -35,6 +35,10 @@ def write_edge_graph(tmp_path, coupling=-1.0):
     return str(path)
 
 
+# the output of an earlier run, which a refused sweep must leave as it is
+EARLIER = '{"index": 0}\n'
+
+
 def read_rdm_csv(text):
     """{(row, col): (real, imag text)} from the rdm command's CSV."""
     entries = {}
@@ -235,6 +239,27 @@ class TestRdmCommand:
             assert imag == "0"
             assert abs(real - expected[row, col]) <= 1e-12
 
+    def test_ring_10_sweep_points_bit_for_bit(self, tmp_path, capsys):
+        # at N = 10 each sweep batch is one graph with all 45 pairs, and the
+        # one-pair engine of rdm must give each record's raw concurrence exactly
+        config = tmp_path / "sweep.json"
+        config.write_text(json.dumps({"geometries": [{"kind": "ring"}], "n_values": [10],
+                                      "g2_values": [-0.5, 0.0],
+                                      "t_grid": {"points": 4, "max": "n"}, "b_grid": [0.0, 0.3]}))
+        results = tmp_path / "out.jsonl"
+        assert run_cli("sweep", "--config", str(config), "--output", str(results)) == 0
+        records = [json.loads(line) for line in results.read_text().splitlines()]
+        assert len(records) == 16
+        for record in records[::2]:
+            i, j, raw = record["pairs"][(7 * record["index"]) % 45]
+            capsys.readouterr()
+            assert run_cli("rdm", "--ring", "10", f"--g2={record['g2']!r}", "--pair", str(i),
+                           str(j), f"-T={record['t']!r}", f"--b-field={record['b']!r}") == 0
+            rho = read_rdm_csv(capsys.readouterr().out)
+            entries = np.array([rho[0, 0][0], rho[1, 1][0], rho[1, 2][0], rho[2, 2][0],
+                                rho[3, 3][0]])
+            assert ferroent.sweep._raw_concurrence(entries) == raw
+
     @pytest.mark.parametrize("temperature", ["-0.5", "nan"])
     def test_negative_temperature_rejected(self, capsys, monkeypatch, temperature):
         # refused while the arguments are parsed, before any solve
@@ -434,13 +459,13 @@ class TestSweepCommand:
         config = tmp_path / "sweep.json"
         config.write_text(json.dumps({"geometries": [{"kind": "ring"}], "n_values": [4, 5],
                                       "t_grid": [0.0, 1.0], "b_grid": [0.0]}))
-        original = ferroent.sweep.GraphThermalEngine.raw_concurrence
+        original = ferroent.sweep.GraphThermalEngine.pair_entries
 
-        def poisoned(engine, weights):
-            raw = original(engine, weights)
-            return raw * np.nan if engine.graph.n_spins == 5 else raw
+        def poisoned(engine, levels, temperatures):
+            entries = original(engine, levels, temperatures)
+            return entries * np.nan if engine.graph.n_spins == 5 else entries
 
-        monkeypatch.setattr(ferroent.sweep.GraphThermalEngine, "raw_concurrence", poisoned)
+        monkeypatch.setattr(ferroent.sweep.GraphThermalEngine, "pair_entries", poisoned)
         results, summary = tmp_path / "out.jsonl", tmp_path / "out.csv"
         code = run_cli("sweep", "--config", str(config), "--output", str(results),
                        "--summary", str(summary), "--assert-zero")
@@ -588,11 +613,12 @@ class TestSweepCommand:
             "b_grid": [0.0],
         }))
         results = tmp_path / "out.jsonl"
+        results.write_text(EARLIER)
         code = run_cli("sweep", "--config", str(config), "--output", str(results),
                        "--assert-zero")
         assert code == 2
         assert "temperature" in capsys.readouterr().err
-        assert results.read_text() == ""
+        assert results.read_text() == EARLIER  # refused when the config loads
 
     def test_overflowing_field_exits_2_without_the_batch(self, tmp_path, capsys):
         # B = 3e307 keeps the N = 4 levels' spread finite (4 B) but not N = 6's (6 B)
@@ -612,9 +638,34 @@ class TestSweepCommand:
                                       "t_grid": [0.0], "b_grid": [0.0],
                                       "pairs": [[0, 1], [0, 5]]}))
         results = tmp_path / "out.jsonl"
+        results.write_text(EARLIER)
         assert run_cli("sweep", "--config", str(config), "--output", str(results)) == 2
         assert "invalid pair (0, 5) for 4 spins" in capsys.readouterr().err
-        assert results.read_text() == ""
+        assert results.read_text() == EARLIER  # refused before the file is opened
+
+    @pytest.mark.parametrize("change, message", [
+        ({"n_values": [4, 15]}, "n_spins=15 exceeds the solver cap of 14"),
+        ({"t_grid": [0.0, -1.0]}, "t_grid temperatures must be >= 0"),
+        ({"t_grid": {"points": 3, "max": -0.5}}, "t_grid temperatures must be >= 0"),
+        ({"n_values": [4.5]}, "n_values must be integers"),
+        ({"t_grid": {"points": 3, "max_t": 0.5}}, "t_grid takes the keys points and max"),
+        ({"b_grid": {"points": 2.7, "max": 1.0}}, "b_grid points must be a whole number"),
+    ], ids=["spin-cap", "negative-t", "negative-max", "float-n", "misspelled-key",
+            "fractional-points"])
+    def test_refused_config_leaves_its_outputs_alone(self, tmp_path, capsys, change, message):
+        # refused before any solve and before any output file is opened
+        config = tmp_path / "sweep.json"
+        config.write_text(json.dumps({"geometries": [{"kind": "ring"}], "n_values": [4],
+                                      **change}))
+        results, summary = tmp_path / "out.jsonl", tmp_path / "out.csv"
+        results.write_text(EARLIER)
+        summary.write_text(EARLIER)
+        assert run_cli("sweep", "--config", str(config), "--output", str(results),
+                       "--summary", str(summary), "--assert-zero") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+        assert results.read_text() == summary.read_text() == EARLIER
 
     @pytest.mark.parametrize("pairless", ["one-spin file geometry", "empty pair list"])
     def test_pairless_sweep_exits_2(self, tmp_path, capsys, pairless):
@@ -627,9 +678,10 @@ class TestSweepCommand:
         config = tmp_path / "sweep.json"
         config.write_text(json.dumps(data))
         results = tmp_path / "out.jsonl"
+        results.write_text(EARLIER)
         assert run_cli("sweep", "--config", str(config), "--output", str(results)) == 2
         assert "no spin pairs" in capsys.readouterr().err
-        assert results.read_text() == ""
+        assert results.read_text() == EARLIER
 
     @pytest.mark.parametrize("content", ['{"edges": []}', '{"n": 2, "edges": 5}', "[1, 2]",
                                          '{"n": "two", "edges": []}', "{"])
@@ -640,11 +692,12 @@ class TestSweepCommand:
         config.write_text(json.dumps({"geometries": [{"kind": "file", "path": str(graph)}],
                                       "t_grid": [0.0], "b_grid": [0.0]}))
         results = tmp_path / "out.jsonl"
+        results.write_text(EARLIER)
         assert run_cli("sweep", "--config", str(config), "--output", str(results)) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"malformed graph file {str(graph)!r}" in captured.err
-        assert results.read_text() == ""
+        assert results.read_text() == EARLIER
 
     def test_bad_config_exits_2(self, tmp_path, capsys):
         config = tmp_path / "sweep.json"

@@ -8,6 +8,7 @@ from ferroent.rdm import pair_correlations
 from ferroent.spectra import central_stream
 from ferroent.sweep import GraphThermalEngine
 from oracles import (
+    levels_at,
     XStateRDM,
     concurrence_wootters,
     concurrence_wootters_raw,
@@ -200,7 +201,7 @@ class TestPairSymmetry:
         )
         concurrence = [
             concurrence_wootters(XStateRDM(*row).matrix())
-            for row in engine.pair_entries(engine.weights(0.9, 0.0))
+            for [row] in engine.pair_entries(levels_at(engine, 0.0), (0.9,))
         ]
         for k in range(len(pairs)):
             assert concurrence[k] == pytest.approx(concurrence[k + len(pairs)], abs=1e-12)

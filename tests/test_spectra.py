@@ -28,11 +28,18 @@ from ferroent.spectra import (
     ground_gap,
     window_gap_ratio,
 )
-from ferroent.sweep import GraphThermalEngine, builtin_graph_set
+from ferroent.sweep import (
+    GraphThermalEngine,
+    _ground,
+    _raw_concurrence,
+    _weights,
+    builtin_graph_set,
+)
 from oracles import (
     build_sector_hamiltonian,
     central_eigenvectors,
-    member_weights,
+    levels_at,
+    member_entries,
     sector_levels,
     sector_spectra,
     sector_thermal_entries,
@@ -192,29 +199,34 @@ class TestFullSpectrum:
 
     def test_ground_energy_is_quarter_coupling_sum(self):
         for g in TEST_GRAPHS:
-            energy, _ = GraphThermalEngine(g).ground_info(0.0)
+            energy, _ = _ground(levels_at(GraphThermalEngine(g), 0.0))
             expected = 0.25 * g.coupling_sum
             assert abs(energy - expected) <= 1e-10 * max(1.0, abs(expected))
 
 
+def weights_at(engine, temperature, b_field=0.0):
+    """The engine's weight table at one (T, B)."""
+    return _weights(levels_at(engine, b_field), engine.slots, (temperature,))[0]
+
+
 class TestGroundSubspace:
     def test_triplet(self):
-        weights = GraphThermalEngine(EDGE).weights(0.0, 0.0)
+        weights = weights_at(GraphThermalEngine(EDGE), 0.0)
         members = weights[weights > 0.0]
         assert len(members) == 3
         assert members == pytest.approx([1 / 3] * 3)
 
     def test_ring5_has_six_states(self):
         engine = GraphThermalEngine(ring_chain(ChainParams(n_spins=5, g1=-1.0)))
-        assert engine.ground_info(0.0)[1] == 6
+        assert _ground(levels_at(engine, 0.0))[1] == 6
 
     def test_disconnected_pair_of_triplets(self):
         g = make_graph(4, [(0, 1, -1.0), (2, 3, -1.0)])
-        assert GraphThermalEngine(g).ground_info(0.0)[1] == 9
+        assert _ground(levels_at(GraphThermalEngine(g), 0.0))[1] == 9
 
     def test_connected_ferromagnets_have_n_plus_one(self):
         for g in TEST_GRAPHS:
-            assert GraphThermalEngine(g).ground_info(0.0)[1] == g.n_spins + 1
+            assert _ground(levels_at(GraphThermalEngine(g), 0.0))[1] == g.n_spins + 1
 
     def test_window_absorbs_rounding_but_not_a_split_level(self):
         # relative to max(1, range): 1e-9 * 10 here
@@ -231,32 +243,32 @@ class TestGroundSubspace:
 class TestGibbsWeights:
     def test_infinite_temperature_limit(self):
         engine = GraphThermalEngine(TEST_GRAPHS[0])
-        weights = engine.weights(1e12, 0.0)
+        weights = weights_at(engine, 1e12)
         assert np.max(np.abs(weights[engine.slots] - 2.0**-4)) < 1e-9
         assert np.all(weights[~engine.slots] == 0.0)  # an empty slot is no level
 
     def test_two_spin_boltzmann_ratio(self):
         # columns: singlet, triplet (S ascending); the central row n_up = 1 holds both; gap is 1
-        weights = GraphThermalEngine(EDGE).weights(1.0, 0.0)
+        weights = weights_at(GraphThermalEngine(EDGE), 1.0)
         assert weights[1, 0] / weights[1, 1] == pytest.approx(np.exp(-1.0), rel=1e-12)
 
     def test_zero_temperature_delegates_to_ground_subspace(self):
         engine = GraphThermalEngine(ring_chain(ChainParams(n_spins=4, g1=-1.0)))
-        weights = engine.weights(0.0, 0.0)
-        assert np.count_nonzero(weights) == engine.ground_info(0.0)[1] == 5
+        weights = weights_at(engine, 0.0)
+        assert np.count_nonzero(weights) == _ground(levels_at(engine, 0.0))[1] == 5
         assert weights[weights > 0.0] == pytest.approx([0.2] * 5)
 
     def test_continuity_near_zero(self):
         for g in TEST_GRAPHS:
             engine = GraphThermalEngine(g)
-            cold = engine.weights(1e-9, 0.0)
-            frozen = engine.weights(0.0, 0.0)
+            cold, frozen = (weights_at(engine, t) for t in (1e-9, 0.0))
             assert np.max(np.abs(cold - frozen)) < 1e-6
             assert cold[frozen == 0.0].sum() < 1e-6
 
     def test_negative_temperature_rejected(self):
+        engine = GraphThermalEngine(EDGE)
         with pytest.raises(ValueError):
-            GraphThermalEngine(EDGE).weights(-0.1, 0.0)
+            engine.pair_entries(levels_at(engine, 0.0), (-0.1,))
 
 
 def test_ground_gap_of_single_edge():
@@ -305,9 +317,8 @@ class TestCentralSector:
         temperatures = (0.0, 0.3, 1.0, 5.0)
         for b_field in (0.0, 0.4, -1.1):
             expected = sector_thermal_entries(g, engine.pairs, temperatures, b_field)
-            for temperature, rows in zip(temperatures, expected):
-                entries = engine.pair_entries(engine.weights(temperature, b_field))
-                assert np.max(np.abs(entries - rows)) <= 1e-12
+            entries = engine.pair_entries(levels_at(engine, b_field), temperatures)
+            assert np.max(np.abs(entries.swapaxes(0, 1) - expected)) <= 1e-12
 
     @pytest.mark.parametrize("name, g", ORACLE_GRAPHS, ids=[name for name, _ in ORACLE_GRAPHS])
     def test_multiplet_bookkeeping(self, name, g):
@@ -372,9 +383,8 @@ class TestCentralSector:
         temperatures = (0.0, 0.001, 0.01, 0.1)
         for b_field in (0.01, 0.1):
             expected = sector_thermal_entries(g, engine.pairs, temperatures, b_field)
-            for temperature, rows in zip(temperatures, expected):
-                entries = engine.pair_entries(engine.weights(temperature, b_field))
-                assert np.max(np.abs(entries - rows)) <= 1e-12
+            entries = engine.pair_entries(levels_at(engine, b_field), temperatures)
+            assert np.max(np.abs(entries.swapaxes(0, 1) - expected)) <= 1e-12
 
     def test_label_residual_fails_by_name(self, monkeypatch):
         # at N = 6 the S = 0 and S = 2 groups both have five columns of odd flip
@@ -417,7 +427,7 @@ class TestCentralSector:
         ):
             n = g.n_spins
             engine = GraphThermalEngine(g)
-            entries = engine.pair_entries(member_weights(engine.slots))  # every level's own
+            entries = member_entries(engine)  # every level's own
             sectors = np.nonzero(engine.slots)[0]
             for n_up in (0, 1, n - 1, n):
                 block = entries[:, sectors == n_up]
@@ -427,8 +437,8 @@ class TestCentralSector:
                     assert np.all(block[..., 4] == 0.0)
                 if n_up in (0, n):
                     assert np.all(block[..., 1:4] == 0.0)
-            weights = engine.weights(0.0, 0.8)
-            assert np.all(engine.raw_concurrence(weights) == 0.0)
+            polarized = engine.pair_entries(levels_at(engine, 0.8), (0.0,))
+            assert np.all(_raw_concurrence(polarized) == 0.0)
 
 
 def _mixed_sign_graph(n, probability, seed):
@@ -460,13 +470,12 @@ def test_zero_field_pair_states_are_werner_states(name, g):
     # other sectors must both keep that, for either order of a pair.
     pairs = g.pairs() + [(j, i) for i, j in g.pairs()]
     engine = GraphThermalEngine(g, pairs)
-    for temperature in (0.0, 0.3, 1.0, 5.0):
-        entries = engine.pair_entries(engine.weights(temperature, 0.0))
-        alpha, beta, gamma, delta, epsilon = entries.T
-        zz = 0.25 * (alpha + epsilon - beta - delta)
-        c = gamma + zz
-        for residual in (alpha - epsilon, beta - delta, gamma - (alpha - beta), zz - c / 3.0):
-            assert np.max(np.abs(residual)) <= 1e-13
+    entries = engine.pair_entries(levels_at(engine, 0.0), (0.0, 0.3, 1.0, 5.0))
+    alpha, beta, gamma, delta, epsilon = entries.T
+    zz = 0.25 * (alpha + epsilon - beta - delta)
+    c = gamma + zz
+    for residual in (alpha - epsilon, beta - delta, gamma - (alpha - beta), zz - c / 3.0):
+        assert np.max(np.abs(residual)) <= 1e-13
 
 
 def _block_graphs(n, seed):
@@ -522,8 +531,7 @@ def test_one_chunk_per_spin_group_gives_the_same_engine(monkeypatch):
     assert np.max(chunked.spin_residual) <= SPIN_LABEL_TOL
     assert np.array_equal(chunked.energies, whole.energies)
     assert np.array_equal(chunked.spin, whole.spin)
-    states = np.broadcast_to(member_weights(whole.slots), (2, 64, 7, 20))  # every level's own
-    assert np.max(np.abs(chunked.pair_entries(states) - whole.pair_entries(states))) <= 1e-14
+    assert np.max(np.abs(member_entries(chunked) - member_entries(whole))) <= 1e-14
 
 
 def test_engine_takes_the_level_table_of_the_solve_bit_for_bit():

@@ -24,6 +24,9 @@ from ferroent.sweep import (
     GeometrySpec,
     GraphThermalEngine,
     SweepConfig,
+    _ground,
+    _raw_concurrence,
+    _weights,
     build_geometry,
     builtin_graph_set,
     run_sweep,
@@ -35,7 +38,8 @@ from ferroent.sweep import (
 )
 from oracles import (
     gibbs_terms,
-    member_weights,
+    levels_at,
+    member_entries,
     pair_rdm_mixed,
     pair_rdm_pure,
     sector_levels,
@@ -95,6 +99,27 @@ class TestConfig:
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValueError):
             SweepConfig.from_dict({"geometries": [{"kind": "ring"}], "bogus": 1})
+
+    @pytest.mark.parametrize("change, message", [
+        ({"n_values": (4, 4.5)}, "n_values must be integers"),
+        ({"n_values": ("4",)}, "n_values must be integers"),
+        ({"t_grid": {"points": 3, "max_t": 0.5}}, "t_grid takes the keys points and max"),
+        ({"b_grid": {"point": 3}}, "b_grid takes the keys points and max"),
+        ({"t_grid": {"points": 2.7}}, "t_grid points must be a whole number"),
+        ({"t_grid": (0.0, -1.0)}, "t_grid temperatures must be >= 0"),
+        ({"t_grid": {"points": 2, "max": -1.0}}, "t_grid temperatures must be >= 0"),
+    ], ids=["float-n", "string-n", "misspelled-max", "misspelled-points", "fractional-points",
+            "negative-t", "negative-max"])
+    def test_malformed_grid_values_rejected(self, change, message):
+        with pytest.raises(ValueError, match=message):
+            SweepConfig(geometries=(GeometrySpec(kind="ring"),), **change)
+
+    def test_whole_float_points_and_negative_fields_accepted(self):
+        config = SweepConfig(geometries=(GeometrySpec(kind="ring"),),
+                             t_grid={"points": 3.0, "max": 2.0}, b_grid=(-1.0, 0.0))
+        records = [json.loads(line) for line in run_to_strings(config)[1].splitlines()]
+        assert [(record["t"], record["b"]) for record in records] == [
+            (0.0, -1.0), (0.0, 0.0), (1.0, -1.0), (1.0, 0.0), (2.0, -1.0), (2.0, 0.0)]
 
     def test_empty_temperature_grid_rejected(self):
         with pytest.raises(ValueError):
@@ -192,29 +217,20 @@ class TestRunSweep:
         _, parallel, _ = run_to_strings(config, workers=2)
         assert serial == parallel
 
-    @pytest.mark.parametrize("limit", [4, 1])
-    def test_contraction_blocks_of_whole_temperature_rows(self, monkeypatch, limit):
-        # 3 temperatures x 2 fields: blocks of 2 rows (4 points), or of one
-        # row (2 points) when a row alone exceeds the limit
+    @pytest.mark.parametrize("elements", [1, 2**30])
+    def test_grid_budget_does_not_change_output(self, monkeypatch, elements):
+        # at N = 10 the default budget takes 20 temperatures per step, so 31
+        # go in two; a budget of 1 takes one point per step, and 2^30 all 31
         config = SweepConfig(
-            geometries=(GeometrySpec(kind="ring"),),
-            n_values=(5,),
-            t_grid=(0.0, 0.5, 2.0),
-            b_grid=(0.0, 1.0),
+            geometries=(GeometrySpec(kind="ring"), GeometrySpec(kind="open")),
+            n_values=(5, 10),
+            g2_values=(-1.0, 0.0),
+            t_grid={"points": 31, "max": "n"},
+            b_grid=(0.0, 0.7),
         )
-        _, whole, _ = run_to_strings(config)
-        monkeypatch.setattr(ferroent.sweep, "_POINTS_PER_CONTRACTION", limit)
-        _, blocked, _ = run_to_strings(config)
-        keys = ("index", "t", "b", "ground_energy", "ground_degeneracy")
-
-        def split(text):
-            records = [json.loads(line) for line in text.splitlines()]
-            coordinates = [[record[key] for key in keys] for record in records]
-            return coordinates, np.array([[r for _, _, r in rec["pairs"]] for rec in records])
-
-        (coordinates, raw), (expected_coordinates, expected_raw) = split(blocked), split(whole)
-        assert coordinates == expected_coordinates
-        assert np.max(np.abs(raw - expected_raw)) <= 1e-15
+        _, default, summary = run_to_strings(config)
+        monkeypatch.setattr(ferroent.sweep, "_GRID_ELEMENTS", elements)
+        assert run_to_strings(config)[1:] == (default, summary)
 
     def test_ferromagnetic_sweep_has_no_entanglement(self):
         result, output, _ = run_to_strings(RING_CONFIG)
@@ -449,26 +465,27 @@ class TestThermalEngine:
         pairs = [(0, 1), (4, 2), (3, 5)]
         temperatures = (0.0, 0.4, 3.0)
         batch = GraphThermalEngine(graphs, pairs)
-        # every level's own entries, from one-hot weight tables
-        states = member_weights(batch.slots)
-        stack = batch.pair_entries(np.broadcast_to(states, (3,) + states.shape))
+        stack = member_entries(batch)  # every level's own entries, from one-hot weight tables
         assert stack.shape == (3, 3, 64, 5)
         for b_field in (0.0, 0.6):
-            weights = batch.field_weights(temperatures, b_field)
-            raw = batch.raw_concurrence(weights)
-            energies, degeneracies = batch.ground_info(b_field)
+            levels = levels_at(batch, b_field)
+            weights = _weights(levels, batch.slots, temperatures)
+            raw = _raw_concurrence(batch.pair_entries(levels, temperatures))
+            energies, degeneracies = _ground(levels)
             for k, graph in enumerate(graphs):
                 single = GraphThermalEngine(graph, pairs)
-                single_weights = single.field_weights(temperatures, b_field)
+                single_levels = levels_at(single, b_field)
+                single_weights = _weights(single_levels, single.slots, temperatures)
                 assert np.array_equal(weights[k], single_weights)
-                assert np.max(np.abs(raw[:, k] - single.raw_concurrence(single_weights))) <= 1e-15
-                assert (energies[k], degeneracies[k]) == single.ground_info(b_field)
+                single_raw = _raw_concurrence(single.pair_entries(single_levels, temperatures))
+                assert np.max(np.abs(raw[:, k] - single_raw)) <= 1e-15
+                assert (energies[k], degeneracies[k]) == _ground(single_levels)
                 assert np.array_equal(batch.energies[k], single.energies)
                 assert np.array_equal(batch.spin, single.spin)  # shared by the batch
                 assert np.array_equal(batch.slots, single.slots)
                 assert batch.spin_residual[k] == single.spin_residual
-                assert np.max(np.abs(stack[:, k] - single.pair_entries(states))) <= 1e-15
-        assert batch.ground_info(0.0)[1] == [7, 16, 1]
+                assert np.max(np.abs(stack[:, k] - member_entries(single))) <= 1e-15
+        assert _ground(levels_at(batch, 0.0))[1] == [7, 16, 1]
 
     def test_batch_engine_needs_one_spin_count(self):
         with pytest.raises(ValueError, match="one spin count"):
@@ -480,8 +497,10 @@ class TestThermalEngine:
         engine = GraphThermalEngine(g)
         spectra = sector_spectra(g)
         order = ascending_positions(full_spectrum(g))
-        for temperature in (0.0, 0.3, 2.0):
-            flat = engine.weights(temperature, 0.0)[engine.slots]  # the members, row-major
+        temperatures = (0.0, 0.3, 2.0)
+        tables = _weights(levels_at(engine, 0.0), engine.slots, temperatures)
+        for temperature, table in zip(temperatures, tables):
+            flat = table[engine.slots]  # the members, row-major
             terms = gibbs_terms(spectra, temperature)
             lookup = {}
             position = 0
@@ -501,8 +520,8 @@ class TestThermalEngine:
         temperature, b_field = 0.8, 1.3
         spectra_b = sector_spectra(g, b_field=b_field)
         mixture = gibbs_terms(spectra_b, temperature)
-        weights = engine.weights(temperature, b_field)
-        for pair, row in zip(pairs, engine.pair_entries(weights)):
+        entries = engine.pair_entries(levels_at(engine, b_field), (temperature,))
+        for pair, [row] in zip(pairs, entries):
             rho = pair_rdm_mixed(mixture, spectra_b, pair)
             state = x_state_from_matrix(rho)
             alpha, beta, gamma, delta, epsilon = row
@@ -515,13 +534,30 @@ class TestThermalEngine:
     def test_one_pair_engine_matches_all_pairs_engine_exactly(self):
         g = random_graph(6, 0.5, (-2.0, -0.3), seed=23)
         everything = GraphThermalEngine(g)
-        weights = everything.weights(0.7, 0.4)
-        rows = everything.pair_entries(weights)
-        raws = everything.raw_concurrence(weights)
+        temperatures = (0.0, 0.7, 3.0)
+        rows = everything.pair_entries(levels_at(everything, 0.4), temperatures)
+        raws = _raw_concurrence(rows)
         for k, pair in enumerate(g.pairs()):
             single = GraphThermalEngine(g, [pair])
-            assert np.array_equal(single.pair_entries(single.weights(0.7, 0.4))[0], rows[k])
-            assert single.raw_concurrence(single.weights(0.7, 0.4))[0] == raws[k]
+            [row] = single.pair_entries(levels_at(single, 0.4), temperatures)
+            assert np.array_equal(row, rows[k])
+            assert np.array_equal(_raw_concurrence(row), raws[k])
+
+    @pytest.mark.parametrize("n_spins, count", [(4, 11), (5, 7), (6, 4), (8, 3), (10, 2), (12, 1)])
+    def test_point_entries_are_the_same_alone_and_among_many(self, n_spins, count):
+        # each entry is one dot product of its own point's moments with the pair's
+        # coefficients: a temperature alone gives the bits it gets among the
+        # field's others and the batch's graphs
+        graphs = [random_graph(n_spins, 0.6, (-2.0, -0.2), seed=seed) for seed in range(count)]
+        pairs = None if n_spins < 12 else [(0, 1), (0, 6), (3, 11), (7, 2)]
+        engine = GraphThermalEngine(graphs, pairs)
+        temperatures = (0.0, 0.05, 0.4, 1.0, 3.0, float(n_spins))
+        for b_field in (0.0, 0.7):
+            levels = levels_at(engine, b_field)
+            together = engine.pair_entries(levels, temperatures)
+            for k, temperature in enumerate(temperatures):
+                alone = engine.pair_entries(levels, (temperature,))
+                assert np.array_equal(alone[:, :, 0], together[:, :, k])
 
     @pytest.mark.parametrize("n_spins", [6, 7])
     def test_stack_matches_oracle_on_every_sector(self, n_spins):
@@ -532,7 +568,7 @@ class TestThermalEngine:
         g = random_graph(n_spins, 0.5, (-2.0, -0.2), seed=40 + n_spins)
         pairs = [(0, 1), (n_spins - 1, 2), (3, 1), (2, 5)]
         engine = GraphThermalEngine(g, pairs)
-        stack = engine.pair_entries(member_weights(engine.slots))  # every level's own entries
+        stack = member_entries(engine)  # every level's own entries
         central = full_spectrum(g)
         order = ascending_positions(central)
         # each member's level and S^z, row-major
@@ -560,24 +596,25 @@ class TestThermalEngine:
                   random_graph(7, 0.5, (-2.0, -0.3), seed=9)):
             pairs = g.pairs() + [(b, a) for a, b in g.pairs()]
             engine = GraphThermalEngine(g, pairs)
-            weights = engine.weights(0.0, b_field)
-            alpha, beta, gamma, delta, epsilon = engine.pair_entries(weights).T
+            entries = engine.pair_entries(levels_at(engine, b_field), (0.0,))[:, 0]
+            alpha, beta, gamma, delta, epsilon = entries.T
             empty, full = (alpha, epsilon) if b_field > 0 else (epsilon, alpha)
             for entry in (empty, beta, gamma, delta):
                 assert np.all(entry == 0.0)
             assert np.max(np.abs(full - 1.0)) <= 1e-14
-            assert np.all(engine.raw_concurrence(weights) == 0.0)
+            assert np.all(_raw_concurrence(entries) == 0.0)
 
     def test_batched_raw_concurrence_matches_per_point(self):
         g = open_chain(ChainParams(n_spins=6, g1=-1.0, g2=-0.7, periodic=False))
         engine = GraphThermalEngine(g)
-        points = [(t, b) for t in (0.0, 0.4, 2.5) for b in (0.0, 0.9, 3.0)]
-        weights = np.array([engine.weights(t, b) for t, b in points])
-        assert engine.pair_entries(weights).shape == (len(engine.pairs), len(points), 5)
-        batched = engine.raw_concurrence(weights)
-        assert batched.shape == (len(engine.pairs), len(points))
-        for column, row in zip(batched.T, weights):
-            assert np.max(np.abs(column - engine.raw_concurrence(row))) <= 1e-15
+        temperatures = (0.0, 0.4, 2.5)
+        for b_field in (0.0, 0.9, 3.0):
+            levels = levels_at(engine, b_field)
+            batched = _raw_concurrence(engine.pair_entries(levels, temperatures))
+            assert batched.shape == (len(engine.pairs), len(temperatures))
+            for column, temperature in zip(batched.T, temperatures):
+                alone = _raw_concurrence(engine.pair_entries(levels, (temperature,)))[:, 0]
+                assert np.max(np.abs(column - alone)) <= 1e-15
 
     def test_sweep_records_match_per_point_contraction(self):
         _, output, _ = run_to_strings(RING_CONFIG)
@@ -586,12 +623,11 @@ class TestThermalEngine:
         for record in records:
             g = build_geometry(GeometrySpec(kind="ring"), 4, -1.0, record["g2"], 0.0)
             engine = engines.setdefault(record["g2"], GraphThermalEngine(g))
-            raw = engine.raw_concurrence(engine.weights(record["t"], record["b"]))
+            levels = levels_at(engine, record["b"])
+            raw = _raw_concurrence(engine.pair_entries(levels, (record["t"],)))[:, 0]
             assert [[i, j] for i, j, _ in record["pairs"]] == [list(p) for p in engine.pairs]
             assert np.max(np.abs([r for _, _, r in record["pairs"]] - raw)) <= 1e-15
-            assert (record["ground_energy"], record["ground_degeneracy"]) == engine.ground_info(
-                record["b"]
-            )
+            assert (record["ground_energy"], record["ground_degeneracy"]) == _ground(levels)
 
     def test_field_weights_rows_equal_per_point_weights_bitwise(self):
         # one weight row per temperature at a fixed field must be bit for bit
@@ -601,7 +637,8 @@ class TestThermalEngine:
         temperatures = (0.0, 1e-3, 0.4, 2.5, 6.0)
         sectors, columns = np.nonzero(engine.slots)  # the members, row-major
         for b_field in (0.0, 0.9, -3.0):
-            rows = engine.field_weights(temperatures, b_field)
+            levels = levels_at(engine, b_field)
+            rows = _weights(levels, engine.slots, temperatures)
             shifted = engine.energies[columns] + b_field * (sectors - 0.5 * engine.graph.n_spins)
             for temperature, table in zip(temperatures, rows):
                 row = table[engine.slots]
@@ -614,24 +651,20 @@ class TestThermalEngine:
                     factors = np.exp(-(shifted - float(shifted.min())) / temperature)
                     expected = factors / factors.sum()
                 assert np.array_equal(row, expected)
-                assert np.array_equal(table, engine.weights(temperature, b_field))
+                assert np.array_equal(table, _weights(levels, engine.slots, (temperature,))[0])
 
     def test_field_weights_reject_negative_and_nan(self):
         engine = GraphThermalEngine(make_graph(2, [(0, 1, -1.0)]))
         for bad in (-0.1, float("nan")):
             with pytest.raises(ValueError, match="temperature"):
-                engine.field_weights((0.0, bad, 1.0), 0.0)
+                engine.pair_entries(levels_at(engine, 0.0), (0.0, bad, 1.0))
 
     @pytest.mark.parametrize("field", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_field_rejected(self, field):
-        engine = GraphThermalEngine(make_graph(2, [(0, 1, -1.0)]))
-        with pytest.raises(ValueError, match="field must be finite"):
-            engine.field_weights((0.0, 1.0), field)
-        with pytest.raises(ValueError, match="field must be finite"):
-            engine.ground_info(field)
-        spectrum = full_spectrum(engine.graph)
-        with pytest.raises(ValueError, match="field must be finite"):
-            field_shifted(spectrum.energies, spectrum.slots, field)
+        graph = make_graph(2, [(0, 1, -1.0)])
+        for table in (GraphThermalEngine(graph), full_spectrum(graph)):
+            with pytest.raises(ValueError, match="field must be finite"):
+                field_shifted(table.energies, table.slots, field)
 
     def test_non_finite_field_grid_writes_no_record(self):
         # refused when the config loads, so no sweep can start on it
@@ -644,9 +677,9 @@ class TestThermalEngine:
     def test_ground_info_with_field_splits_multiplet(self):
         g = ring_chain(ChainParams(n_spins=4, g1=-1.0))
         engine = GraphThermalEngine(g)
-        energy_zero, degeneracy_zero = engine.ground_info(0.0)
+        energy_zero, degeneracy_zero = _ground(levels_at(engine, 0.0))
         assert degeneracy_zero == 5
-        energy_field, degeneracy_field = engine.ground_info(1.0)
+        energy_field, degeneracy_field = _ground(levels_at(engine, 1.0))
         assert degeneracy_field == 1
         assert energy_field == pytest.approx(energy_zero - 2.0)  # all-down wins
 
