@@ -52,8 +52,7 @@ from .sweep import (
     VerifyReport,
     builtin_graph_set,
     run_sweep,
-    verify_degeneracy,
-    verify_universal,
+    verify,
     zero_temperature_scan,
 )
 

@@ -31,11 +31,7 @@ from .sweep import (
     builtin_graph_set,
     resume_point,
     run_sweep,
-    spectral_fields,
-    verify_batches,
-    verify_degeneracy,
-    verify_universal,
-    zero_temperature_scan,
+    verify,
 )
 
 _FMT = "%.17g"
@@ -279,28 +275,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     else:
         graphs = builtin_graph_set()
 
-    # One engine per batch of graphs of one spin count runs every selected
-    # suite, and the spectral fields of the universal and degeneracy reports
-    # are computed once for both; reports keep suite order and input order.
-    universal, degeneracy, scans = {}, {}, {}
-    for batch in verify_batches([graph for _, graph in graphs]):
-        engine = GraphThermalEngine([graphs[k][1] for k in batch])
-        graph_ids = [graphs[k][0] for k in batch]
-        fields = spectral_fields(engine, graph_ids) if args.suite != "sweep-zero" else None
-        if args.suite in ("universal", "all"):
-            universal.update(zip(batch, verify_universal(engine, fields)))
-        if args.suite in ("degeneracy", "all"):
-            degeneracy.update(zip(batch, verify_degeneracy(engine, fields)))
-        if args.suite in ("sweep-zero", "all"):
-            t_grid = [engine.graph.n_spins * k / 20.0 for k in range(21)]
-            reached = zero_temperature_scan(engine, t_grid, b_field=args.b_field)
-            scans.update((k, {"graph_id": graph_id, "max_clean_t": t, "grid_top": t_grid[-1],
-                              "passed": t == t_grid[-1]})
-                         for k, graph_id, t in zip(batch, graph_ids, reached))
-        del engine  # hold one diagonalized batch at a time
-    universal, degeneracy, scans = ([found[k] for k in sorted(found)]
-                                    for found in (universal, degeneracy, scans))
-    reports = universal + degeneracy
+    reports, scans = verify(graphs, args.suite, args.b_field)
     all_ok = all(report.passed for report in reports) and all(
         scan["passed"] for scan in scans
     )
@@ -395,7 +370,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--output", "-o", help="JSON-lines results file")
     p_sweep.add_argument("--summary", help="CSV summary file")
     p_sweep.add_argument("--workers", type=int, default=1,
-                         help="parallel worker processes (default 1)")
+                         help="parallel worker processes, at most one per batch left to "
+                              "compute (default 1)")
     # a NaN threshold would count no violation and turn --assert-zero off
     p_sweep.add_argument("--threshold", type=finite, default=RAW_CONCURRENCE_THRESHOLD,
                          help="raw concurrence threshold (default 1e-12)")

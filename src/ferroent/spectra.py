@@ -111,10 +111,20 @@ def field_shifted(
     with np.errstate(over="ignore", invalid="ignore"):
         shifted = np.where(slots, energies[..., None, :] + b_field * sz[:, None], np.inf)
         lowest = np.min(shifted, axis=(-2, -1), keepdims=True)
-        span = np.max(shifted, axis=(-2, -1), keepdims=True, where=slots, initial=-np.inf) - lowest
-        if not np.isfinite(span).all():
+        width = _window_width(shifted, lowest, slots)
+        if not np.isfinite(width).all():
             raise ValueError(f"the levels at field {b_field:g} overflow")
-    return shifted, lowest, shifted <= lowest + DEGENERACY_TOL * np.maximum(span, 1.0)
+    return shifted, lowest, shifted <= lowest + width
+
+
+def _window_width(shifted: np.ndarray, lowest: np.ndarray, members: np.ndarray) -> np.ndarray:
+    """The ground window's width DEGENERACY_TOL * max(1, spectral range) per level table.
+
+    The range runs from ``lowest`` to the largest of the ``members`` of
+    ``shifted``; the width keeps the two axes of length 1 of ``lowest``.
+    """
+    top = np.max(shifted, axis=(-2, -1), keepdims=True, where=members, initial=-np.inf)
+    return DEGENERACY_TOL * np.maximum(top - lowest, 1.0)
 
 
 def eig_sym(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -294,6 +304,5 @@ def window_gap_ratio(levels: tuple[np.ndarray, ...]) -> list[float | None]:
     lies above the window (a level above it is at least one width up).
     """
     shifted, lowest, _ = levels
-    top = np.max(shifted, axis=(-2, -1), where=shifted < np.inf, initial=-np.inf)
-    width = DEGENERACY_TOL * np.maximum(top - lowest[..., 0, 0], 1.0)
+    width = _window_width(shifted, lowest, shifted < np.inf)[..., 0, 0]
     return [ratio if ratio else None for ratio in (ground_gap(levels) / width).tolist()]

@@ -17,11 +17,11 @@ written graph by graph.  Each point's entries are its own alone, so batch
 bounds, which depend on the config alone, and the worker count and a
 resume point do not change the output.
 
-``verify_batches`` cuts verification graphs of one spin count into
-batches under the same budget; each verify check takes a batch engine and
-returns one result per graph, that of its batch of one up to the last
-bits (at most 1e-15) of the pair correlations, which a batch forms
-together (``rdm.pair_correlations``).
+``verify`` runs the verification suites on graphs cut by
+``verify_batches`` into batches of one spin count under the same budget,
+one engine per batch; each result is that of its graph's batch of one up
+to the last bits (at most 1e-15) of the pair correlations, which a batch
+forms together (``rdm.pair_correlations``).
 
 Records go out as text, filled into per-graph formats (``_record_format``,
 ``_summary_format``) with no record dict in between.  Each line is the
@@ -724,8 +724,10 @@ def run_sweep(
 ) -> SweepResult:
     """Execute the full grid, streaming JSON-lines records in index order.
 
-    Batches (see ``_expand_batches``) run on a process pool when
-    workers > 1, each returning its records as text; completed batches
+    Batches (see ``_expand_batches``) run on a process pool of at most
+    ``workers`` processes and one per batch left to compute (a fork pool
+    starts them all at the first submit), so a pool runs only when both
+    exceed 1; each batch returns its records as text, and completed batches
     are buffered and flushed strictly in index order, so output files are
     reproducible byte for byte.  ``skip_records`` resumes an interrupted
     sweep: pass the count of complete records in a partial output file
@@ -768,6 +770,7 @@ def run_sweep(
                 summary.write("".join(rows))
             state.records_written += len(lines)
 
+    workers = min(workers, len(batches))
     if workers <= 1:
         for batch in batches:
             emit(_batch_records(batch))
@@ -850,97 +853,91 @@ def verify_batches(graphs: Sequence[SpinGraph]) -> list[list[int]]:
     return batches
 
 
-def spectral_fields(engine: GraphThermalEngine, graph_ids: Sequence[str]) -> list[dict]:
-    """The VerifyReport fields both suites share: ground energy, degeneracy and spin.
+def verify(
+    graphs: Sequence[tuple[str, SpinGraph]], suite: str = "all", b_field: float = 0.0
+) -> tuple[list[VerifyReport], list[dict]]:
+    """Run a verification suite ("universal", "degeneracy", "sweep-zero") or "all" of them.
 
-    One dict per graph of a batch engine, named by ``graph_ids``.  Both
-    suites take them, so a caller running both computes them once.
-    """
-    levels = field_shifted(engine.energies, engine.slots, 0.0)
-    # the smallest S in the window: N/2 only if it holds the aligned multiplet alone
-    spins = np.where(levels[2], engine.spin, np.inf).min(axis=(-2, -1)).tolist()
-    columns = zip(engine.graphs, graph_ids, *_ground(levels), spins,
-                  engine.spin_residual.tolist(), window_gap_ratio(levels))
-    fields = []
-    for graph, graph_id, e_min, degeneracy, spin, residual, ratio in columns:
-        connected = is_connected(graph)
-        expected_energy = 0.25 * graph.coupling_sum
-        fields.append({
-            "graph_id": graph_id,
-            "n_spins": graph.n_spins,
-            "ferromagnetic": graph.is_ferromagnetic,
-            "connected": connected,
-            "ground_energy": e_min,
-            "expected_ground_energy": expected_energy,
-            "energy_ok": abs(e_min - expected_energy) <= 1e-10 * max(1.0, abs(expected_energy)),
-            "ground_degeneracy": degeneracy,
-            "expected_degeneracy": graph.n_spins + 1 if connected else None,
-            "degeneracy_ok": degeneracy == graph.n_spins + 1 if connected else None,
-            "ground_spin": spin,
-            "spin_residual": residual,
-            "window_gap_ratio": ratio,
-        })
-    return fields
-
-
-def verify_universal(engine: GraphThermalEngine, fields: Sequence[dict]) -> list[VerifyReport]:
-    """Check that the zero-field ground mixture's RDMs of the engine's pairs
-    all match the universal separable form, entry-wise within
-    UNIVERSAL_RDM_TOL, with raw pair concurrence at most
-    RAW_CONCURRENCE_THRESHOLD; one report per graph of a batch engine.
-
-    Requires a connected ferromagnetic graph; violations are flagged in
-    the report (never silently ignored) and fail it.  ``fields`` are the
-    engine's ``spectral_fields``.
-    """
-    levels = field_shifted(engine.energies, engine.slots, 0.0)
-    entries = engine.pair_entries(levels, (0.0,))[..., 0, :]  # (pairs, G, 5)
-    target = np.array(UNIVERSAL_ENTRIES, dtype=float)
-    deviations = np.max(np.abs(entries - target), axis=(0, 2)).tolist()
-    raws = np.max(_raw_concurrence(entries), axis=0).tolist()
-    reports = []
-    for shared, max_deviation, max_raw in zip(fields, deviations, raws):
-        preconditions_ok = shared["ferromagnetic"] and shared["connected"]
-        passed = (
-            preconditions_ok
-            and shared["energy_ok"]
-            and bool(shared["degeneracy_ok"])
-            and max_deviation <= UNIVERSAL_RDM_TOL
-            and max_raw <= RAW_CONCURRENCE_THRESHOLD
-        )
-        reports.append(VerifyReport(check="universal", preconditions_ok=preconditions_ok,
-                                    max_rdm_deviation=max_deviation,
-                                    max_raw_concurrence=max_raw, passed=passed, **shared))
-    return reports
-
-
-def verify_degeneracy(engine: GraphThermalEngine, fields: Sequence[dict]) -> list[VerifyReport]:
-    """Check ground degeneracy N+1 and ground spin N/2 (connected graphs
+    ``graphs`` are (graph id, graph) pairs.  The universal suite checks
+    that the zero-field ground mixture's RDMs of every pair match the
+    universal separable form, entry-wise within UNIVERSAL_RDM_TOL, with
+    raw pair concurrence at most RAW_CONCURRENCE_THRESHOLD; it requires a
+    connected ferromagnetic graph, and a violation is flagged in the
+    report (never silently ignored) and fails it.  The degeneracy suite
+    checks ground degeneracy N+1 and ground spin N/2 (connected graphs
     only) and ground energy equal to a quarter of the coupling sum, with
-    the next level at least WINDOW_GAP_RATIO_MIN window widths above E0;
-    one report per graph of a batch engine.
-
-    Disconnected graphs get expected_degeneracy None: the N+1 count and
+    the next level at least WINDOW_GAP_RATIO_MIN window widths above E0.
+    A disconnected graph gets expected_degeneracy None: the N+1 count and
     the single S = N/2 multiplet assume connectivity, while the energy
     identity holds for any ferromagnetic edge set.  A level nearer the
     ground window than the ratio allows fails the check for any graph,
-    since the degeneracy count could have absorbed it.  ``fields`` are
-    the engine's ``spectral_fields``.
+    since the degeneracy count could have absorbed it.  The sweep-zero
+    suite scans T = N k / 20, k = 0..20, at ``b_field``
+    (``zero_temperature_scan``).
+
+    The graphs run in ``verify_batches`` batches, one engine each, dropped
+    before the next is built.  One zero-field level table per batch gives
+    both suites' ground fields (energy, degeneracy, the least spin in the
+    ground window, gap ratio) and the universal suite's T = 0 entries.
+    Returns the reports, universal then degeneracy, each in input order,
+    and one scan dict per graph in input order.
     """
-    reports = []
-    for shared in fields:
-        spin_ok = not shared["connected"] or shared["ground_spin"] == 0.5 * shared["n_spins"]
-        ratio = shared["window_gap_ratio"]
-        passed = (
-            shared["ferromagnetic"]
-            and shared["energy_ok"]
-            and shared["degeneracy_ok"] is not False
-            and spin_ok
-            and (ratio is None or ratio >= WINDOW_GAP_RATIO_MIN)
-        )
-        reports.append(VerifyReport(check="degeneracy", preconditions_ok=shared["ferromagnetic"],
-                                    passed=passed, **shared))
-    return reports
+    suites = ("universal", "degeneracy", "sweep-zero") if suite == "all" else (suite,)
+    if not set(suites) <= {"universal", "degeneracy", "sweep-zero"}:
+        raise ValueError(f"unknown verify suite {suite!r}")
+    universal, degeneracy, scans = ([None] * len(graphs) for _ in range(3))
+    for batch in verify_batches([graph for _, graph in graphs]):
+        engine = GraphThermalEngine([graphs[k][1] for k in batch])
+        if "universal" in suites or "degeneracy" in suites:
+            levels = field_shifted(engine.energies, engine.slots, 0.0)
+            # the smallest S in the window: N/2 only if it holds the aligned multiplet alone
+            spins = np.where(levels[2], engine.spin, np.inf).min(axis=(-2, -1)).tolist()
+            deviations = raws = [None] * len(batch)
+            if "universal" in suites:
+                entries = engine.pair_entries(levels, (0.0,))[..., 0, :]  # (pairs, G, 5)
+                target = np.array(UNIVERSAL_ENTRIES, dtype=float)
+                deviations = np.max(np.abs(entries - target), axis=(0, 2)).tolist()
+                raws = np.max(_raw_concurrence(entries), axis=0).tolist()
+            columns = zip(batch, *_ground(levels), spins, engine.spin_residual.tolist(),
+                          window_gap_ratio(levels), deviations, raws)
+            for k, e_min, count, spin, residual, ratio, max_deviation, max_raw in columns:
+                graph_id, graph = graphs[k]
+                connected, ferromagnetic = is_connected(graph), graph.is_ferromagnetic
+                n = graph.n_spins
+                expected_energy = 0.25 * graph.coupling_sum
+                energy_ok = abs(e_min - expected_energy) <= 1e-10 * max(1.0, abs(expected_energy))
+                expected_degeneracy = n + 1 if connected else None
+                degeneracy_ok = count == expected_degeneracy if connected else None
+                shared = dict(graph_id=graph_id, n_spins=n, ferromagnetic=ferromagnetic,
+                              connected=connected, ground_energy=e_min,
+                              expected_ground_energy=expected_energy, energy_ok=energy_ok,
+                              ground_degeneracy=count, expected_degeneracy=expected_degeneracy,
+                              degeneracy_ok=degeneracy_ok, ground_spin=spin,
+                              spin_residual=residual, window_gap_ratio=ratio)
+                if "universal" in suites:
+                    preconditions_ok = ferromagnetic and connected
+                    passed = (preconditions_ok and energy_ok and bool(degeneracy_ok)
+                              and max_deviation <= UNIVERSAL_RDM_TOL
+                              and max_raw <= RAW_CONCURRENCE_THRESHOLD)
+                    universal[k] = VerifyReport(
+                        check="universal", preconditions_ok=preconditions_ok,
+                        max_rdm_deviation=max_deviation, max_raw_concurrence=max_raw,
+                        passed=passed, **shared)
+                if "degeneracy" in suites:
+                    spin_ok = not connected or spin == 0.5 * n
+                    passed = (ferromagnetic and energy_ok and degeneracy_ok is not False and spin_ok
+                              and (ratio is None or ratio >= WINDOW_GAP_RATIO_MIN))
+                    degeneracy[k] = VerifyReport(check="degeneracy", preconditions_ok=ferromagnetic,
+                                                 passed=passed, **shared)
+        if "sweep-zero" in suites:
+            t_grid = [engine.graph.n_spins * j / 20.0 for j in range(21)]
+            reached = zero_temperature_scan(engine, t_grid, b_field)
+            for k, t in zip(batch, reached):
+                scans[k] = {"graph_id": graphs[k][0], "max_clean_t": t, "grid_top": t_grid[-1],
+                            "passed": t == t_grid[-1]}
+        del engine  # hold one diagonalized batch at a time
+    reports = [report for report in universal + degeneracy if report is not None]
+    return reports, [scan for scan in scans if scan is not None]
 
 
 def zero_temperature_scan(

@@ -54,7 +54,7 @@ MUTANTS = (
     (
         "overflowing field not refused",
         SPECTRA,
-        "if not np.isfinite(span).all():",
+        "if not np.isfinite(width).all():",
         "if False:",
         ["tests/test_cli.py::TestRdmCommand::test_overflowing_field_exits_2",
          "tests/test_cli.py::TestSweepCommand::test_overflowing_field_exits_2_without_the_batch"],
@@ -87,6 +87,14 @@ MUTANTS = (
         "DEGENERACY_TOL = 1e-6",
         ["tests/test_spectra.py::TestGroundSubspace"
          "::test_window_absorbs_rounding_but_not_a_split_level"],
+    ),
+    (
+        "ground window twice as wide",
+        SPECTRA,
+        "return DEGENERACY_TOL * np.maximum(top - lowest, 1.0)",
+        "return 2.0 * DEGENERACY_TOL * np.maximum(top - lowest, 1.0)",
+        ["tests/test_sweep.py::TestGroundSpin"
+         "::test_level_just_above_the_window_fails_the_degeneracy_suite"],
     ),
     (
         "WINDOW_GAP_RATIO_MIN not checked",
@@ -237,9 +245,16 @@ MUTANTS = (
     ),
     (
         "verify reports of a batch attributed to the wrong graph",
-        CLI,
+        SWEEP,
         "engine = GraphThermalEngine([graphs[k][1] for k in batch])",
         "engine = GraphThermalEngine([graphs[k][1] for k in batch[::-1]])",
+        ["tests/test_cli.py::TestVerifyCommand::test_batched_reports_equal_batches_of_one"],
+    ),
+    (
+        "a batch's universal reports read graph 0's entries for every graph",
+        SWEEP,
+        "entries = engine.pair_entries(levels, (0.0,))[..., 0, :]",
+        "entries = engine.pair_entries(levels, (0.0,))[:, [0] * len(batch), 0, :]",
         ["tests/test_cli.py::TestVerifyCommand::test_batched_reports_equal_batches_of_one"],
     ),
     (
@@ -287,8 +302,8 @@ MUTANTS = (
     (
         "expected degeneracy of a connected graph N - 1",
         SWEEP,
-        '"expected_degeneracy": graph.n_spins + 1 if connected else None,',
-        '"expected_degeneracy": graph.n_spins - 1 if connected else None,',
+        "expected_degeneracy = n + 1 if connected else None",
+        "expected_degeneracy = n - 1 if connected else None",
         ["tests/test_sweep.py::TestVerifyDegeneracy"
          "::test_connected_graph_expects_n_plus_one_levels"],
     ),

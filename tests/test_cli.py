@@ -813,8 +813,14 @@ class TestVerifyCommand:
             graphs, argv = ferroent.sweep.builtin_graph_set(), []
         else:
             graphs, argv = [], []
-            for k, (n, seed) in enumerate([(6, 3), (8, 5), (6, 4), (9, 2), (8, 6)]):
-                path, graph = str(tmp_path / f"g{k}.json"), random_graph(n, 0.6, (-2.0, -0.3), seed)
+            # the last, two triangles, is the third of the N = 6 batch, and its pairs
+            # across the triangles are far from the universal state: it fails (exit 1)
+            triangles = make_graph(6, [(0, 1, -1.0), (1, 2, -1.0), (0, 2, -1.0),
+                                       (3, 4, -1.0), (4, 5, -1.0), (3, 5, -1.0)])
+            instances = [random_graph(n, 0.6, (-2.0, -0.3), seed)
+                         for n, seed in [(6, 3), (8, 5), (6, 4), (9, 2), (8, 6)]]
+            for k, graph in enumerate(instances + [triangles]):
+                path = str(tmp_path / f"g{k}.json")
                 save_graph(graph, path)
                 graphs.append((path, graph))
                 argv += ["--graph", path]
@@ -823,7 +829,8 @@ class TestVerifyCommand:
         monkeypatch.setattr(ferroent.spectra, "eig_sym",
                             lambda matrix: eig_calls.append(matrix.shape) or original(matrix))
         report_path = tmp_path / "report.json"
-        assert run_cli("verify", "--suite", "all", *argv, "--json", str(report_path)) == 0
+        code = run_cli("verify", "--suite", "all", *argv, "--json", str(report_path))
+        assert code == (0 if source == "builtin" else 1)
         # one solve per spin count, one eig_sym call per S of each
         spin_counts = sorted({graph.n_spins for _, graph in graphs})
         assert len(eig_calls) == sum(n // 2 + 1 for n in spin_counts)
@@ -834,20 +841,36 @@ class TestVerifyCommand:
         assert [scan["graph_id"] for scan in payload["scans"]] == ids
         last_bits = ("max_rdm_deviation", "max_raw_concurrence")
         for k, (graph_id, graph) in enumerate(graphs):
-            engine = ferroent.sweep.GraphThermalEngine([graph])
-            fields = ferroent.sweep.spectral_fields(engine, [graph_id])
-            alone = (ferroent.sweep.verify_universal(engine, fields)
-                     + ferroent.sweep.verify_degeneracy(engine, fields))
-            for report, expected in zip(payload["reports"][k :: len(graphs)], alone):
+            alone, [scan] = ferroent.sweep.verify([(graph_id, graph)])
+            assert payload["scans"][k] == scan
+            for report, expected in zip(payload["reports"][k :: len(graphs)], alone, strict=True):
                 expected = dataclasses.asdict(expected)
                 for key, value in report.items():
                     if key in last_bits and value is not None:
                         assert abs(value - expected[key]) <= 1e-15, (graph_id, key)
                     else:
                         assert value == expected[key], (graph_id, key)
-            t_grid = [graph.n_spins * j / 20.0 for j in range(21)]
-            [reached] = ferroent.sweep.zero_temperature_scan(engine, t_grid)
-            assert payload["scans"][k]["max_clean_t"] == reached
+
+    def test_each_batch_shares_one_zero_field_level_table(self, monkeypatch, capsys):
+        # the built-in set makes 8 batches: per batch one engine, one zero-field level
+        # table for both report suites and the universal T = 0 entries, and one table
+        # and one entry call for the scan
+        calls = dict.fromkeys(["engines", "field_shifted", "eig_sym", "pair_entries"], 0)
+
+        def counting(name, function):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return function(*args, **kwargs)
+            return counted
+
+        engine = ferroent.sweep.GraphThermalEngine
+        for target, attribute, name in [(engine, "__init__", "engines"),
+                                        (ferroent.sweep, "field_shifted", "field_shifted"),
+                                        (ferroent.spectra, "eig_sym", "eig_sym"),
+                                        (engine, "pair_entries", "pair_entries")]:
+            monkeypatch.setattr(target, attribute, counting(name, getattr(target, attribute)))
+        assert run_cli("verify", "--suite", "all") == 0
+        assert calls == {"engines": 8, "field_shifted": 16, "eig_sym": 28, "pair_entries": 16}
 
     def test_large_graphs_form_batches_of_one(self):
         g12 = [random_graph(12, 0.4, (-2.0, -0.2), seed) for seed in (1, 2)]

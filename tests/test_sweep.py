@@ -30,10 +30,8 @@ from ferroent.sweep import (
     build_geometry,
     builtin_graph_set,
     run_sweep,
-    spectral_fields,
     summary_row,
-    verify_degeneracy,
-    verify_universal,
+    verify,
     zero_temperature_scan,
 )
 from oracles import (
@@ -440,6 +438,38 @@ class TestBatches:
             assert tail == "".join(lines[9:])
             assert result.records_written == len(lines) - 9
 
+    def test_pool_takes_at_most_one_worker_per_batch_left(self, monkeypatch):
+        # a fork pool starts all its workers at the first submit; this fake runs each
+        # batch in the test process and records the pool size it was asked for
+        import concurrent.futures
+
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def submit(self, function, *args):
+                future = concurrent.futures.Future()
+                future.set_result(function(*args))
+                return future
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        _, serial, _ = run_to_strings(BATCHED_CONFIG)
+        lines = serial.splitlines(keepends=True)
+        # 4 batches of 24 records: none, one and three of them on disk
+        for skip, pools in ((0, [4]), (30, [3]), (73, [])):
+            sizes.clear()
+            result, tail, _ = run_to_strings(BATCHED_CONFIG, workers=64, skip_records=skip)
+            assert tail == "".join(lines[skip:]) and result.records_written == len(lines) - skip
+            assert sizes == pools
+
     def test_one_eig_sym_call_per_spin_over_the_batch(self, monkeypatch):
         shapes = []
         original = ferroent.spectra.eig_sym
@@ -685,15 +715,24 @@ class TestThermalEngine:
 
 
 def _universal(graph, graph_id):
-    engine = GraphThermalEngine([graph])
-    [report] = verify_universal(engine, spectral_fields(engine, [graph_id]))
+    [report], _ = verify([(graph_id, graph)], "universal")
     return report
 
 
 def _degeneracy(graph, graph_id):
-    engine = GraphThermalEngine([graph])
-    [report] = verify_degeneracy(engine, spectral_fields(engine, [graph_id]))
+    [report], _ = verify([(graph_id, graph)], "degeneracy")
     return report
+
+
+def _doctor_engines(monkeypatch, name, edit):
+    """Make ``verify`` build engines whose attribute ``name`` is ``edit`` of the built one."""
+
+    class Doctored(GraphThermalEngine):
+        def __init__(self, graphs):
+            super().__init__(graphs)
+            setattr(self, name, edit(getattr(self, name)))
+
+    monkeypatch.setattr(ferroent.sweep, "GraphThermalEngine", Doctored)
 
 
 class TestVerifyUniversal:
@@ -752,15 +791,14 @@ class TestVerifyDegeneracy:
             assert report.expected_degeneracy == n + 1
             assert report.degeneracy_ok and report.passed
 
-    def test_energy_check_is_relative_to_the_expected_energy(self):
+    def test_energy_check_is_relative_to_the_expected_energy(self, monkeypatch):
         # ring 4 with J = -100: E0 = -100, so the check allows 1e-10 * 100 = 1e-8
-        engine = GraphThermalEngine([ring_chain(ChainParams(n_spins=4, g1=-100.0))])
-        energies = engine.energies.copy()
+        graph = ring_chain(ChainParams(n_spins=4, g1=-100.0))
         for offset, passed in ((5e-9, True), (2e-8, False)):
-            engine.energies = energies + offset
-            [fields] = spectral_fields(engine, ["ring4"])
-            assert fields["expected_ground_energy"] == -100.0
-            assert fields["energy_ok"] is passed
+            _doctor_engines(monkeypatch, "energies", lambda energies: energies + offset)
+            report = _degeneracy(graph, "ring4")
+            assert report.expected_ground_energy == -100.0
+            assert report.energy_ok is passed
 
     def test_two_disconnected_triangles(self):
         g = make_graph(
@@ -779,34 +817,38 @@ class TestVerifyDegeneracy:
 
 class TestGroundSpin:
     def test_connected_ferromagnets_have_spin_half_n(self):
-        for graph_id, g in builtin_graph_set():
-            report = _degeneracy(g, graph_id)
-            assert report.passed
+        graphs = builtin_graph_set()
+        reports, scans = verify(graphs, "degeneracy")
+        assert scans == [] and len(reports) == len(graphs)
+        for (graph_id, g), report in zip(graphs, reports):
+            assert report.graph_id == graph_id and report.passed
             assert report.ground_spin == 0.5 * g.n_spins
             assert report.spin_residual <= 1e-6
             assert report.window_gap_ratio >= 1e7
 
-    def test_wrong_ground_spin_fails_the_degeneracy_suite(self):
-        engine = GraphThermalEngine([ring_chain(ChainParams(n_spins=5, g1=-1.0))])
-        assert verify_degeneracy(engine, spectral_fields(engine, ["ring5"]))[0].passed
-        engine.spin = np.full_like(engine.spin, 0.5)
-        [report] = verify_degeneracy(engine, spectral_fields(engine, ["ring5"]))
+    def test_wrong_ground_spin_fails_the_degeneracy_suite(self, monkeypatch):
+        graph = ring_chain(ChainParams(n_spins=5, g1=-1.0))
+        assert _degeneracy(graph, "ring5").passed
+        _doctor_engines(monkeypatch, "spin", lambda spin: np.full_like(spin, 0.5))
+        report = _degeneracy(graph, "ring5")
         assert report.ground_spin == 0.5
         assert not report.passed
 
-    def test_level_just_above_the_window_fails_the_degeneracy_suite(self):
+    def test_level_just_above_the_window_fails_the_degeneracy_suite(self, monkeypatch):
         # the ring's ground multiplet plus a split multiplet injected above E0
         # at 1.2 and 0.8 window widths of 1e-9 * spectral range: the first is
         # outside the window, the second inside with all 2S + 1 of its members
-        engine = GraphThermalEngine([ring_chain(ChainParams(n_spins=5, g1=-1.0))])
-        energies = engine.energies.copy()
+        graph = ring_chain(ChainParams(n_spins=5, g1=-1.0))
+        engine = GraphThermalEngine([graph])
+        energies = engine.energies
         e_min, width = energies.min(), 1e-9 * (energies.max() - energies.min())
         excited = np.flatnonzero(energies[0] > e_min + 1e-3)[0]
         members = int(2 * engine.spin[excited] + 1)
         for split, ratio, degeneracy in ((1.2, 1.2, 6), (0.8, None, 6 + members)):
-            engine.energies = energies.copy()
-            engine.energies[0, excited] = e_min + split * width
-            [report] = verify_degeneracy(engine, spectral_fields(engine, ["ring5"]))
+            injected = energies.copy()
+            injected[0, excited] = e_min + split * width
+            _doctor_engines(monkeypatch, "energies", lambda _: injected)
+            report = _degeneracy(graph, "ring5")
             assert report.ground_degeneracy == degeneracy
             if ratio is None:
                 assert not report.degeneracy_ok  # absorbed: the count catches it
@@ -821,9 +863,9 @@ class TestGroundSpin:
         assert report.passed  # no single-multiplet claim for a disconnected graph
 
     def test_report_fields_serialize(self):
-        engine = GraphThermalEngine([cube_graph(-1.0)])
-        fields = spectral_fields(engine, ["cube"])
-        for report in verify_universal(engine, fields) + verify_degeneracy(engine, fields):
+        reports, _ = verify([("cube", cube_graph(-1.0))])
+        assert [report.check for report in reports] == ["universal", "degeneracy"]
+        for report in reports:
             payload = json.loads(json.dumps(dataclasses.asdict(report)))
             assert payload["ground_spin"] == 4.0
             assert 0.0 <= payload["spin_residual"] <= 1e-6
