@@ -898,6 +898,7 @@ def verify(
                 target = np.array(UNIVERSAL_ENTRIES, dtype=float)
                 deviations = np.max(np.abs(entries - target), axis=(0, 2)).tolist()
                 raws = np.max(_raw_concurrence(entries), axis=0).tolist()
+                del entries
             columns = zip(batch, *_ground(levels), spins, engine.spin_residual.tolist(),
                           window_gap_ratio(levels), deviations, raws)
             for k, e_min, count, spin, residual, ratio, max_deviation, max_raw in columns:
@@ -929,6 +930,7 @@ def verify(
                               and (ratio is None or ratio >= WINDOW_GAP_RATIO_MIN))
                     degeneracy[k] = VerifyReport(check="degeneracy", preconditions_ok=ferromagnetic,
                                                  passed=passed, **shared)
+            del levels  # the scan builds its own table at b_field
         if "sweep-zero" in suites:
             t_grid = [engine.graph.n_spins * j / 20.0 for j in range(21)]
             reached = zero_temperature_scan(engine, t_grid, b_field)

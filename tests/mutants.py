@@ -258,6 +258,20 @@ MUTANTS = (
         ["tests/test_cli.py::TestVerifyCommand::test_batched_reports_equal_batches_of_one"],
     ),
     (
+        "verify's scan grid reaching 2N",
+        SWEEP,
+        "t_grid = [engine.graph.n_spins * j / 20.0 for j in range(21)]",
+        "t_grid = [engine.graph.n_spins * j / 10.0 for j in range(21)]",
+        ["tests/test_cli.py::TestVerifyCommand::test_batched_reports_equal_batches_of_one"],
+    ),
+    (
+        "verify's scan grid stopping at N/2",
+        SWEEP,
+        "t_grid = [engine.graph.n_spins * j / 20.0 for j in range(21)]",
+        "t_grid = [engine.graph.n_spins * j / 20.0 for j in range(11)]",
+        ["tests/test_cli.py::TestVerifyCommand::test_batched_reports_equal_batches_of_one"],
+    ),
+    (
         "dump-sector overflow not refused",
         CLI,
         "matrix = np.diag(field_shifted(diagonal, sector, args.b_field)[0][args.dump_sector])",

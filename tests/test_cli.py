@@ -843,6 +843,11 @@ class TestVerifyCommand:
         for k, (graph_id, graph) in enumerate(graphs):
             alone, [scan] = ferroent.sweep.verify([(graph_id, graph)])
             assert payload["scans"][k] == scan
+            # the scan against one built here: T = N j / 20 for j = 0..20
+            t_grid = [graph.n_spins * j / 20.0 for j in range(21)]
+            engine = ferroent.sweep.GraphThermalEngine([graph])
+            assert scan["grid_top"] == graph.n_spins
+            assert scan["max_clean_t"] == ferroent.sweep.zero_temperature_scan(engine, t_grid)[0]
             for report, expected in zip(payload["reports"][k :: len(graphs)], alone, strict=True):
                 expected = dataclasses.asdict(expected)
                 for key, value in report.items():
