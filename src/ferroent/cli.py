@@ -18,7 +18,7 @@ import numpy as np
 from . import analytic
 from .graphs import SpinGraph, load_graph
 from .hilbert import sector_basis, sector_hops
-from .spectra import field_shifted, full_spectrum, ground_gap
+from .spectra import Levels, full_spectrum
 from .sweep import (
     RAW_CONCURRENCE_THRESHOLD,
     SUMMARY_HEADER,
@@ -129,27 +129,26 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
     graph = _graph_from_args(args)
     n = graph.n_spins
     if args.dump_sector is not None:
-        # debugging aid: the dense sector matrix from its hop list; the field goes through
-        # the overflow rule of the levels, as one table row whose columns are the basis states
+        # debugging aid: the dense sector matrix from its hop list, refused before the
+        # output is opened if the field overflows it, as the levels refuse it
         diagonal, row, column, value = sector_hops(graph, sector_basis(n, args.dump_sector))
-        sector = (np.arange(n + 1) == args.dump_sector)[:, None]
-        matrix = np.diag(field_shifted(diagonal, sector, args.b_field)[0][args.dump_sector])
+        matrix = np.diag(diagonal + args.b_field * (args.dump_sector - 0.5 * n))
         matrix[row, column] += value
+        if not np.isfinite(matrix).all():
+            raise ValueError(f"the levels at field {args.b_field:g} overflow")
         with _output(args.output) as out:
             out.write("# sector n_up=%d, dimension %d, row-major\n"
                       % (args.dump_sector, matrix.shape[0]))
             for row in matrix:
                 out.write(",".join(_FMT % value for value in row) + "\n")
         return 0
-    spectrum = full_spectrum(graph)
-    levels = field_shifted(spectrum.energies, spectrum.slots, args.b_field)
+    levels = Levels.at(full_spectrum(graph), args.b_field)
     with _output(args.output) as out:
-        out.write("# ground_energy=" + _FMT % levels[1].item() + "\n")
-        out.write("# gap=" + _FMT % ground_gap(levels) + "\n")
+        out.write("# ground_energy=" + _FMT % levels.ground_energy + "\n")
+        out.write("# gap=" + _FMT % levels.gap + "\n")
         out.write("n_up,index,eigenvalue\n")
-        for n_up, (row, members) in enumerate(zip(levels[0], spectrum.slots)):
-            # each sector ascending
-            for k, value in enumerate(np.sort(row[members], kind="stable")):
+        for n_up, values in enumerate(levels.sectors()):
+            for k, value in enumerate(values):
                 out.write("%d,%d,%s\n" % (n_up, k, _FMT % value))
     return 0
 
@@ -158,7 +157,7 @@ def _cmd_rdm(args: argparse.Namespace) -> int:
     graph = _graph_from_args(args)
     i, j = args.pair
     engine = GraphThermalEngine(graph, pairs=[(i, j)])
-    levels = field_shifted(engine.energies, engine.slots, args.b_field)
+    levels = Levels.at(engine.spectrum, args.b_field)
     [[(alpha, beta, gamma, delta, epsilon)]] = engine.pair_entries(levels, (args.temperature,))
     rho = np.diag([alpha, beta, delta, epsilon])
     rho[1, 2] = rho[2, 1] = gamma

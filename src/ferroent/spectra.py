@@ -12,7 +12,7 @@ levels form one table, sector rows n_up = 0..N by central columns k, and
 one mask, ``slots[n_up, k]``, marks its 2^N members (``CentralSpectrum``).
 From the central columns the thermal engine rebuilds every sector, the
 central one too, by one Wigner-Eckart rule.  A field B only adds B * S^z
-to each row (``field_shifted``).
+to each row (``Levels``).
 
 For even N the central block is centrosymmetric, H == H[::-1, ::-1]: the
 global spin flip maps the sector onto itself with its mask order
@@ -40,10 +40,11 @@ rotation stays inside one S group, so its labels are right exactly when
 ``CentralSpectrum`` holds per-column energies, spin labels and the slot
 mask, and no eigenvectors.
 
-The ground multiplet is identified on the level table by one rule, the
-ground window that ``field_shifted`` returns with the levels at a field;
-the thermal engine, the gap (``ground_gap``) and the verification suites
-all use it.
+The level table at a field is one ``Levels`` object, and nothing else
+reads the table: it holds the ground window, the one rule that identifies
+the ground multiplet, and gives the ground energy, degeneracy, least ground
+spin, gap and its ratio to the window, the thermal weights the engine
+contracts and the sorted sectors ``spectrum`` prints.
 """
 
 from __future__ import annotations
@@ -88,43 +89,108 @@ class CentralSpectrum:
     slots: np.ndarray
 
 
-def field_shifted(
-    energies: np.ndarray, slots: np.ndarray, b_field: float
-) -> tuple[np.ndarray, ...]:
-    """The level table at field B (a field adds B * S^z), its minimum and its ground window.
+@dataclass(frozen=True)
+class Levels:
+    """The level table of a ``CentralSpectrum`` at one field B, with its ground window.
 
-    ``energies`` (..., columns) are zero-field column energies, ``slots``
-    (N + 1, columns) the table's members; row n_up has S^z = n_up - N/2.
-    The levels are E_k + B * S^z in a member slot and +inf in an empty one.
-    The minimum (kept as two axes of length 1) and the maximum of the
-    members are taken once per table: they refuse an overflow and bound the ground
-    window, the mask of the levels in the ground multiplet, up to
-    E_min + DEGENERACY_TOL * max(1, spectral range).  The multiplet is
-    exactly degenerate in exact arithmetic and the tolerance only absorbs
-    floating-point spread; a stack (G, columns) gets one window per graph.
-    ValueError for a non-finite B, or for one whose levels' spread (or
-    minimum) overflows: every level would fall in the ground window.
+    Built once per field by ``Levels.at``.  ``shifted`` (..., N + 1, columns)
+    holds E_k + B * (n_up - N/2) in a member slot and +inf in an empty one;
+    ``lowest`` is its minimum, kept as two axes of length 1, and ``window``
+    masks the ground multiplet's levels, up to E_min + ``width``, which is
+    DEGENERACY_TOL * max(1, spectral range): the multiplet is exactly
+    degenerate in exact arithmetic, and the tolerance only absorbs rounding.
+    A batch (G, N + 1, columns) gets one window and one value of each figure
+    per graph; the gap, its ratio and the ground spin are reduced when asked.
     """
-    if not np.isfinite(b_field):
-        raise ValueError(f"the field must be finite, got {b_field}")
-    sz = np.arange(len(slots)) - 0.5 * (len(slots) - 1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        shifted = np.where(slots, energies[..., None, :] + b_field * sz[:, None], np.inf)
-        lowest = np.min(shifted, axis=(-2, -1), keepdims=True)
-        width = _window_width(shifted, lowest, slots)
-        if not np.isfinite(width).all():
-            raise ValueError(f"the levels at field {b_field:g} overflow")
-    return shifted, lowest, shifted <= lowest + width
 
+    spectrum: CentralSpectrum
+    shifted: np.ndarray
+    lowest: np.ndarray
+    width: np.ndarray
+    window: np.ndarray
 
-def _window_width(shifted: np.ndarray, lowest: np.ndarray, members: np.ndarray) -> np.ndarray:
-    """The ground window's width DEGENERACY_TOL * max(1, spectral range) per level table.
+    @classmethod
+    def at(cls, spectrum: CentralSpectrum, b_field: float) -> Levels:
+        """The levels of ``spectrum`` at field B; ValueError for a non-finite B, or for
+        one whose levels' spread (or minimum) overflows: every level would fall in the window.
+        """
+        if not np.isfinite(b_field):
+            raise ValueError(f"the field must be finite, got {b_field}")
+        slots = spectrum.slots
+        sz = np.arange(len(slots)) - 0.5 * (len(slots) - 1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            shifted = np.where(slots, spectrum.energies[..., None, :] + b_field * sz[:, None],
+                               np.inf)
+            lowest = np.min(shifted, axis=(-2, -1), keepdims=True)
+            top = np.max(shifted, axis=(-2, -1), keepdims=True, where=slots, initial=-np.inf)
+            width = DEGENERACY_TOL * np.maximum(top - lowest, 1.0)
+            if not np.isfinite(width).all():
+                raise ValueError(f"the levels at field {b_field:g} overflow")
+        return cls(spectrum, shifted, lowest, width, shifted <= lowest + width)
 
-    The range runs from ``lowest`` to the largest of the ``members`` of
-    ``shifted``; the width keeps the two axes of length 1 of ``lowest``.
-    """
-    top = np.max(shifted, axis=(-2, -1), keepdims=True, where=members, initial=-np.inf)
-    return DEGENERACY_TOL * np.maximum(top - lowest, 1.0)
+    @property
+    def ground_energy(self) -> np.ndarray:
+        return self.lowest[..., 0, 0]
+
+    @property
+    def degeneracy(self) -> np.ndarray:
+        """The count of levels in the ground window."""
+        return self.window.sum(axis=(-2, -1))
+
+    @property
+    def ground_spin(self) -> np.ndarray:
+        """The least S in the ground window: N/2 only if it holds the aligned multiplet alone."""
+        return np.where(self.window, self.spectrum.spin, np.inf).min(axis=(-2, -1))
+
+    @property
+    def gap(self) -> np.ndarray:
+        """The first level above the ground window less E0; 0 if none."""
+        above = np.min(self.shifted, axis=(-2, -1), initial=np.inf, where=~self.window)
+        gap = above - self.ground_energy
+        return np.where(np.isfinite(gap), gap, 0.0)
+
+    @property
+    def gap_ratio(self) -> list[float | None]:
+        """``gap`` over the window's ``width``, a list over a batch's graphs; None if no level
+        lies above the window.  A small ratio means a level sits close enough to the window
+        that a little more spread would have absorbed it.
+        """
+        return [ratio if ratio else None for ratio in (self.gap / self.width[..., 0, 0]).tolist()]
+
+    def weights(self, temperatures: Sequence[float]) -> np.ndarray:
+        """Thermal weights at each temperature, (..., temperatures, N + 1, columns).
+
+        0 in an empty slot.  T = 0 is the uniform mixture over the ground
+        window, not a limit of Boltzmann factors.  Levels are shifted by
+        their minimum before exponentiation so weights stay finite at low
+        temperature; each table is bitwise its temperature's alone.
+        ValueError for a negative or NaN temperature.
+        """
+        shifted, slots = self.shifted, self.spectrum.slots
+        t = np.array(temperatures, dtype=float)
+        for temperature in t[~(t >= 0.0)]:  # also rejects NaN
+            raise ValueError(f"temperature must be >= 0, got {temperature}")
+        rows = np.empty(shifted.shape[:-2] + (len(t),) + shifted.shape[-2:])
+        hot = t > 0.0
+        if hot.any():
+            # members only; a subnormal T overflows the exponent to -inf, a weight of 0
+            factors = np.zeros(shifted.shape[:-2] + (np.count_nonzero(hot),) + shifted.shape[-2:])
+            with np.errstate(over="ignore"):
+                np.divide(-(shifted - self.lowest)[..., None, :, :], t[hot, None, None],
+                          out=factors, where=slots)
+            np.exp(factors, out=factors, where=slots)
+            # the members' sum, one contiguous row-major row per temperature
+            factors /= np.ascontiguousarray(factors[..., slots]).sum(axis=-1)[..., None, None]
+            rows[..., hot, :, :] = factors
+        if not hot.all():
+            uniform = self.window / self.degeneracy[..., None, None]
+            rows[..., ~hot, :, :] = uniform[..., None, :, :]
+        return rows
+
+    def sectors(self) -> list[np.ndarray]:
+        """Each sector's levels of a one-graph table, ascending: the members of row n_up."""
+        return [np.sort(row[members], kind="stable")
+                for row, members in zip(self.shifted, self.spectrum.slots)]
 
 
 def eig_sym(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -282,27 +348,3 @@ def full_spectrum(graph: SpinGraph) -> CentralSpectrum:
     """
     batch = central_stream([graph])
     return replace(batch, energies=batch.energies[0])
-
-
-def ground_gap(levels: tuple[np.ndarray, ...]) -> np.ndarray:
-    """First level above the ground window less E0, per level table; 0 if none.
-
-    ``levels`` is the ``field_shifted`` tuple of the levels at one field.
-    """
-    shifted, lowest, window = levels
-    gap = np.min(shifted, axis=(-2, -1), initial=np.inf, where=~window) - lowest[..., 0, 0]
-    return np.where(np.isfinite(gap), gap, 0.0)
-
-
-def window_gap_ratio(levels: tuple[np.ndarray, ...]) -> list[float | None]:
-    """``ground_gap`` over the ground window's width, per graph of a stack (G, N + 1, columns).
-
-    ``levels`` is the ``field_shifted`` tuple of the stack at one field.
-    The width is the ground window's DEGENERACY_TOL * max(1, spectral
-    range).  A small ratio means a level sits close enough to the window
-    that a little more spread would have absorbed it; None if no level
-    lies above the window (a level above it is at least one width up).
-    """
-    shifted, lowest, _ = levels
-    width = _window_width(shifted, lowest, shifted < np.inf)[..., 0, 0]
-    return [ratio if ratio else None for ratio in (ground_gap(levels) / width).tolist()]

@@ -11,9 +11,9 @@ chain kind's g2 x g3 block), which share the pair list and the T and B
 grids, up to _BATCH_ENTRIES engine coefficients and at least one graph.
 A batch is one task: one thermal engine, built from one stacked solve of
 its graphs' central S^z sectors (every other sector follows from the
-spin multiplets, see ``GraphThermalEngine``), and one engine call per
-field value for all temperatures and all graphs; the records are then
-written graph by graph.  Each point's entries are its own alone, so batch
+spin multiplets, see ``GraphThermalEngine``), and per field value one
+``spectra.Levels`` and one engine call for all temperatures and graphs;
+the records are then written graph by graph.  Each point's entries are its own alone, so batch
 bounds, which depend on the config alone, and the worker count and a
 resume point do not change the output.
 
@@ -70,7 +70,7 @@ size and ignore n_values, g1, g2 and g3.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import comb
 from typing import IO, Iterable, Iterator, Sequence
 
@@ -94,10 +94,9 @@ from .rdm import pair_correlations
 from .spectra import (
     N_SPINS_CAP,
     SPIN_LABEL_TOL,
+    Levels,
     SpinLabelError,
     central_stream,
-    field_shifted,
-    window_gap_ratio,
 )
 
 RAW_CONCURRENCE_THRESHOLD = 1e-12
@@ -291,20 +290,19 @@ class GraphThermalEngine:
     (``spectra.central_stream``); a field B only shifts each level by
     B * S^z and leaves eigenvectors untouched, so thermal weights at any
     (T, B) reuse the same spectrum.  Temperature is in coupling units
-    (Boltzmann constant 1); T = 0 is the uniform mixture over the ground
-    window of ``spectra.field_shifted``, not a limit of Boltzmann factors.
+    (Boltzmann constant 1).
 
-    ``energies``, ``spin`` = S and ``slots`` are the solve's
-    ``spectra.CentralSpectrum`` as it is: per central column in solve
-    order, with the mask of the level table's members, sector rows
-    n_up = 0..N (M = n_up - N/2) by columns.  Weights live on that table,
-    (N + 1, C(N, N/2)), 0 in an empty slot.  ``spin_residual`` is
-    max |<S^2> - S(S+1)| over the central columns, <S^2> = sum_a <S . S_a>
-    (below), and above SPIN_LABEL_TOL raises SpinLabelError.  An engine
-    built from a sequence of G graphs has a graph axis in front of
-    ``energies`` (G, C(N, N/2)) and ``spin_residual`` (G,); its weights are
-    (G, temperatures, N + 1, C(N, N/2)), and every result gains a graph
-    axis after the pair axis.  ``spin`` and ``slots`` depend on N alone and are
+    ``spectrum`` is the solve's ``spectra.CentralSpectrum`` as it is: per
+    central column in solve order, energies and spin S, with the mask of
+    the level table's members, sector rows n_up = 0..N (M = n_up - N/2) by
+    columns; ``spectra.Levels.at(engine.spectrum, B)`` is its table at a
+    field, whose weights (N + 1, C(N, N/2)) the engine contracts.
+    ``spin_residual`` is max |<S^2> - S(S+1)| over the central columns,
+    <S^2> = sum_a <S . S_a> (below), and above SPIN_LABEL_TOL raises
+    SpinLabelError.  An engine built from a sequence of G graphs has a graph
+    axis in front of the spectrum's energies (G, C(N, N/2)) and of
+    ``spin_residual`` (G,), and every result gains a graph axis after the
+    pair axis.  The spin labels and the mask depend on N alone and are
     shared, and every quantity is still computed from its own graph alone.
 
     ``spectra.central_stream`` hands over the central eigenvectors, a
@@ -333,8 +331,8 @@ class GraphThermalEngine:
         gamma:  c - zz0, 0, -3r
         beta:   gamma's + (1/4 - c, (g_a - g_b)/2, 0)     (delta: M -> -M).
 
-    ``pair_entries``, the one thermal call, builds the weight tables of a
-    field's levels and takes per column of each the moments sum w,
+    ``pair_entries``, the one thermal call, takes the weight tables of a
+    field's levels and per column of each the moments sum w,
     sum M w and sum M^2 w over the sectors where an entry can be nonzero
     (alpha over n_up >= 2, epsilon over n_up <= N - 2, beta, gamma and
     delta over 1 <= n_up <= N - 1, so every kinematic zero stays exact: no
@@ -411,10 +409,9 @@ class GraphThermalEngine:
         top, middle = 1.0 * (sector >= 2), 1.0 * ((sector >= 1) & (sector < n))
         rows = np.array([top, top * m, top * m * m, -middle * m * m, middle, middle, middle * m])
         self._moment_rows = np.concatenate([rows, rows[:, ::-1]])
-        self.energies, self.spin, self.slots = spectrum.energies, spectrum.spin, spectrum.slots
-        self.spin_residual = residual
+        self.spectrum, self.spin_residual = spectrum, residual
         if single:
-            self.energies = self.energies[0]
+            self.spectrum = replace(spectrum, energies=spectrum.energies[0])
             self.spin_residual = float(residual[0])
 
     @property
@@ -422,27 +419,26 @@ class GraphThermalEngine:
         """The engine's graph; the first of a batch."""
         return self.graphs[0]
 
-    def pair_entries(
-        self, levels: tuple[np.ndarray, ...], temperatures: Sequence[float]
-    ) -> np.ndarray:
+    def pair_entries(self, levels: Levels, temperatures: Sequence[float]) -> np.ndarray:
         """(alpha, beta, gamma, delta, epsilon) per engine pair at each temperature of one field.
 
-        ``levels`` are ``spectra.field_shifted`` of the engine's ``energies``
-        and ``slots`` at the field; the result is (n_pairs, temperatures, 5),
-        and a batch's (n_pairs, G, temperatures, 5).  The weight tables
-        (``_weights``) are built in steps of at most _GRID_ELEMENTS numbers in
-        the tables and their moments, which bounds the temporaries; each
-        point's entries are its own alone, whatever step it shares.
+        ``levels`` are ``spectra.Levels.at`` of the engine's ``spectrum`` at
+        the field; the result is (n_pairs, temperatures, 5), and a batch's
+        (n_pairs, G, temperatures, 5).  The weight tables
+        (``Levels.weights``) are built in steps of at most _GRID_ELEMENTS
+        numbers in the tables and their moments, which bounds the
+        temporaries; each point's entries are its own alone, whatever step
+        it shares.
         """
-        count, (sectors, dim) = len(self.graphs), self.slots.shape
+        count, (sectors, dim) = len(self.graphs), self.spectrum.slots.shape
         temperatures = list(temperatures)
         entries = np.empty((len(self.pairs), count, len(temperatures), 5))
         step = max(1, _GRID_ELEMENTS // (count * (sectors + 14) * dim))
         for start in range(0, len(temperatures), step):
-            weights = _weights(levels, self.slots, temperatures[start : start + step])
+            weights = levels.weights(temperatures[start : start + step])
             entries[:, :, start : start + step] = self._contract(
                 weights.reshape(count, -1, sectors, dim))
-        return entries if self.energies.ndim > 1 else entries[:, 0]
+        return entries if self.spectrum.energies.ndim > 1 else entries[:, 0]
 
     def _contract(self, points: np.ndarray) -> np.ndarray:
         """(n_pairs, G, p, 5) entries of a batch's (G, p, N + 1, C(N, N/2)) weight tables.
@@ -473,43 +469,6 @@ def _raw_concurrence(entries: np.ndarray) -> np.ndarray:
     """2(|gamma| - sqrt(alpha epsilon)) of (..., 5) X-state entries."""
     alpha, gamma, epsilon = entries[..., 0], entries[..., 2], entries[..., 4]
     return 2.0 * (np.abs(gamma) - np.sqrt(np.maximum(alpha * epsilon, 0.0)))
-
-
-def _ground(levels: tuple[np.ndarray, ...]) -> tuple:
-    """(ground energy, ground degeneracy) of ``spectra.field_shifted`` levels; lists for a batch."""
-    _, lowest, window = levels
-    return lowest[..., 0, 0].tolist(), window.sum(axis=(-2, -1)).tolist()
-
-
-def _weights(
-    levels: tuple[np.ndarray, ...], slots: np.ndarray, temperatures: Sequence[float]
-) -> np.ndarray:
-    """Thermal weights at each temperature from one field's ``spectra.field_shifted`` levels.
-
-    (..., temperatures, N + 1, columns), 0 in an empty slot of ``slots``.
-    Levels are shifted by their minimum before exponentiation so weights
-    stay finite at low temperature; each table is bitwise its temperature's alone.
-    """
-    shifted, lowest, window = levels
-    t = np.array(temperatures, dtype=float)
-    for temperature in t[~(t >= 0.0)]:  # also rejects NaN
-        raise ValueError(f"temperature must be >= 0, got {temperature}")
-    rows = np.empty(shifted.shape[:-2] + (len(t),) + shifted.shape[-2:])
-    hot = t > 0.0
-    if hot.any():
-        # members only; a subnormal T overflows the exponent to -inf, a weight of 0
-        factors = np.zeros(shifted.shape[:-2] + (np.count_nonzero(hot),) + shifted.shape[-2:])
-        with np.errstate(over="ignore"):
-            np.divide(-(shifted - lowest)[..., None, :, :], t[hot, None, None], out=factors,
-                      where=slots)
-        np.exp(factors, out=factors, where=slots)
-        # the members' sum, one contiguous row-major row per temperature
-        factors /= np.ascontiguousarray(factors[..., slots]).sum(axis=-1)[..., None, None]
-        rows[..., hot, :, :] = factors
-    if not hot.all():
-        count = window.sum(axis=(-2, -1), keepdims=True)
-        rows[..., ~hot, :, :] = (window / count)[..., None, :, :]
-    return rows
 
 
 # one graph's records: (index of the first, JSON lines, CSV summary rows, max raw concurrences)
@@ -567,8 +526,8 @@ def _batch_records(batch: _Batch) -> Iterator[_GraphText]:
 
     One engine, and one ``pair_entries`` call per field for all
     temperatures and graphs: points run T-major, B-minor.  Each field's
-    levels, their minimum and ground window are computed once, and give
-    the ground energies and degeneracies of all graphs and their entries.
+    ``Levels`` are built once, and give the ground energies and
+    degeneracies of all graphs and their entries.
     A non-finite raw concurrence raises ValueError before any record of
     the batch exists.  Each record is then one line of ``_record_format``
     and one row of ``_summary_format``, filled with Python numbers; the
@@ -577,11 +536,12 @@ def _batch_records(batch: _Batch) -> Iterator[_GraphText]:
     engine = GraphThermalEngine(batch.graphs, batch.pairs)
     count, n_b = len(batch.graphs), len(batch.b_values)
     points = [(t, b) for t in batch.t_values for b in batch.b_values]
-    levels = [field_shifted(engine.energies, engine.slots, b) for b in batch.b_values]
-    ground = [_ground(level) for level in levels]
+    ground = []  # per field: the graphs' ground energies and degeneracies
     raw = np.empty((count, len(batch.t_values), n_b, len(batch.pairs)))
-    for k, level in enumerate(levels):
-        entries = engine.pair_entries(level, batch.t_values)
+    for k, b in enumerate(batch.b_values):
+        levels = Levels.at(engine.spectrum, b)
+        ground.append((levels.ground_energy.tolist(), levels.degeneracy.tolist()))
+        entries = engine.pair_entries(levels, batch.t_values)
         raw[:, :, k] = _raw_concurrence(entries).transpose(1, 2, 0)
     raw = raw.reshape(count, len(points), len(batch.pairs))
     if not np.isfinite(raw).all():
@@ -595,11 +555,11 @@ def _batch_records(batch: _Batch) -> Iterator[_GraphText]:
         base = batch.record_base + k * len(points)
         line = _record_format(batch.geometry_label, graph.n_spins, *couplings, batch.pairs)
         row = _summary_format(batch.geometry_label, graph.n_spins, *couplings)
-        levels = [(energies[k], degeneracies[k]) for energies, degeneracies in ground]
+        fields = [(energies[k], degeneracies[k]) for energies, degeneracies in ground]
         maxima = raw[k].max(axis=1).tolist()
         lines, rows = [], []
         for offset, (column, maximum) in enumerate(zip(raw[k].tolist(), maxima)):
-            energy, degeneracy = levels[offset % n_b]
+            energy, degeneracy = fields[offset % n_b]
             lines.append(line % (base + offset, json_points[offset], energy, degeneracy,
                                  maximum, *column))
             rows.append(row % (base + offset, csv_points[offset], maximum))
@@ -876,7 +836,7 @@ def verify(
     (``zero_temperature_scan``).
 
     The graphs run in ``verify_batches`` batches, one engine each, dropped
-    before the next is built.  One zero-field level table per batch gives
+    before the next is built.  One zero-field ``Levels`` per batch gives
     both suites' ground fields (energy, degeneracy, the least spin in the
     ground window, gap ratio) and the universal suite's T = 0 entries.
     Returns the reports, universal then degeneracy, each in input order,
@@ -889,9 +849,7 @@ def verify(
     for batch in verify_batches([graph for _, graph in graphs]):
         engine = GraphThermalEngine([graphs[k][1] for k in batch])
         if "universal" in suites or "degeneracy" in suites:
-            levels = field_shifted(engine.energies, engine.slots, 0.0)
-            # the smallest S in the window: N/2 only if it holds the aligned multiplet alone
-            spins = np.where(levels[2], engine.spin, np.inf).min(axis=(-2, -1)).tolist()
+            levels = Levels.at(engine.spectrum, 0.0)
             deviations = raws = [None] * len(batch)
             if "universal" in suites:
                 entries = engine.pair_entries(levels, (0.0,))[..., 0, :]  # (pairs, G, 5)
@@ -899,8 +857,9 @@ def verify(
                 deviations = np.max(np.abs(entries - target), axis=(0, 2)).tolist()
                 raws = np.max(_raw_concurrence(entries), axis=0).tolist()
                 del entries
-            columns = zip(batch, *_ground(levels), spins, engine.spin_residual.tolist(),
-                          window_gap_ratio(levels), deviations, raws)
+            columns = zip(batch, levels.ground_energy.tolist(), levels.degeneracy.tolist(),
+                          levels.ground_spin.tolist(), engine.spin_residual.tolist(),
+                          levels.gap_ratio, deviations, raws)
             for k, e_min, count, spin, residual, ratio, max_deviation, max_raw in columns:
                 graph_id, graph = graphs[k]
                 connected, ferromagnetic = is_connected(graph), graph.is_ferromagnetic
@@ -957,7 +916,7 @@ def zero_temperature_scan(
         raise ValueError("temperature grid must start at 0")
     if any(t_values[k] > t_values[k + 1] for k in range(len(t_values) - 1)):
         raise ValueError("temperature grid must be ascending")
-    levels = field_shifted(engine.energies, engine.slots, b_field)
+    levels = Levels.at(engine.spectrum, b_field)
     raw = _raw_concurrence(engine.pair_entries(levels, t_values))  # (pairs, G, T)
     clean = np.logical_and.accumulate(raw.max(axis=0) <= RAW_CONCURRENCE_THRESHOLD, axis=-1)
     return [t_values[count - 1] if count else None for count in clean.sum(axis=-1).tolist()]

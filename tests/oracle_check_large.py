@@ -25,7 +25,7 @@ import numpy as np
 
 from ferroent.graphs import ChainParams, ring_chain
 from ferroent.hilbert import central_spin_basis, sector_basis
-from ferroent.spectra import N_SPINS_CAP, field_shifted
+from ferroent.spectra import N_SPINS_CAP, Levels
 from ferroent.sweep import GraphThermalEngine
 from oracles import sector_thermal_entries
 
@@ -80,7 +80,7 @@ def worst_difference(n: int) -> float:
     worst = 0.0
     for b_field in FIELDS:
         expected = sector_thermal_entries(graph, engine.pairs, TEMPERATURES, b_field)
-        levels = field_shifted(engine.energies, engine.slots, b_field)
+        levels = Levels.at(engine.spectrum, b_field)
         entries = engine.pair_entries(levels, TEMPERATURES)  # (pairs, T, 5)
         for k, rows in enumerate(expected):
             worst = max(worst, float(np.max(np.abs(entries[:, k] - rows))))

@@ -26,7 +26,7 @@ import numpy as np
 
 from ferroent.graphs import SpinGraph
 from ferroent.hilbert import SectorBasis, sector_basis, sector_hops
-from ferroent.spectra import CentralSpectrum, central_stream, field_shifted
+from ferroent.spectra import CentralSpectrum, central_stream
 
 HERMITICITY_TOL = 1e-12
 SPARSITY_TOL = 1e-12
@@ -165,10 +165,11 @@ def central_eigenvectors(graph: SpinGraph) -> tuple[CentralSpectrum, np.ndarray]
 
 
 def sector_levels(spectrum: CentralSpectrum, b_field: float = 0.0) -> list[np.ndarray]:
-    """Each sector's levels of a one-graph spectrum at field B: the members of its
-    row of the level table, in solve order."""
-    shifted = field_shifted(spectrum.energies, spectrum.slots, b_field)[0]
-    return [row[members] for row, members in zip(shifted, spectrum.slots)]
+    """Each sector's levels of a one-graph spectrum at field B: the energies of the
+    member columns of its row of the level table plus B * S^z, in solve order."""
+    n = len(spectrum.slots) - 1
+    return [spectrum.energies[members] + b_field * (n_up - 0.5 * n)
+            for n_up, members in enumerate(spectrum.slots)]
 
 
 def member_weights(slots: np.ndarray) -> np.ndarray:
@@ -184,17 +185,12 @@ def member_weights(slots: np.ndarray) -> np.ndarray:
     return tables
 
 
-def levels_at(engine, b_field: float) -> tuple[np.ndarray, ...]:
-    """The ``field_shifted`` levels of a thermal engine's level table at a field."""
-    return field_shifted(engine.energies, engine.slots, b_field)
-
-
 def member_entries(engine) -> np.ndarray:
     """(pairs, [G,] 2^N, 5): every level's own entries, the engine's contraction of
     the ``member_weights`` tables (for a batch, of each graph's)."""
-    states = member_weights(engine.slots)
+    states = member_weights(engine.spectrum.slots)
     entries = engine._contract(np.broadcast_to(states, (len(engine.graphs),) + states.shape))
-    return entries if engine.energies.ndim > 1 else entries[:, 0]
+    return entries if engine.spectrum.energies.ndim > 1 else entries[:, 0]
 
 
 def eigenstate_pair_entries(basis: SectorBasis, eigenvectors: np.ndarray, pairs) -> np.ndarray:

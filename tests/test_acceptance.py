@@ -17,11 +17,11 @@ from ferroent.analytic import (
 from ferroent.cli import main as cli_main
 from ferroent.graphs import make_graph
 from ferroent.hilbert import sector_basis
+from ferroent.spectra import Levels
 from ferroent.sweep import (
     GeometrySpec,
     GraphThermalEngine,
     SweepConfig,
-    _ground,
     _raw_concurrence,
     builtin_graph_set,
     run_sweep,
@@ -32,7 +32,6 @@ from oracles import (
     concurrence_x,
     dicke_vector,
     embed_sector_vector,
-    levels_at,
     naive_pair_rdm,
     sxsx_correlator,
 )
@@ -53,7 +52,7 @@ def test_criterion_1_universal_ground_rdm():
     clamp_ok = True
     for graph_id, graph in builtin_graph_set():
         engine = GraphThermalEngine(graph)
-        entries = engine.pair_entries(levels_at(engine, 0.0), (0.0,))[:, 0]
+        entries = engine.pair_entries(Levels.at(engine.spectrum, 0.0), (0.0,))[:, 0]
         for row, raw in zip(entries, _raw_concurrence(entries)):
             rho = XStateRDM(*row).matrix()
             worst_deviation = max(worst_deviation, float(np.max(np.abs(rho - target))))
@@ -71,7 +70,8 @@ def test_criterion_1_universal_ground_rdm():
 def test_criterion_2_ground_degeneracy_and_energy():
     failures = []
     for graph_id, graph in builtin_graph_set():
-        e_min, degeneracy = _ground(levels_at(GraphThermalEngine(graph), 0.0))
+        levels = Levels.at(GraphThermalEngine(graph).spectrum, 0.0)
+        e_min, degeneracy = levels.ground_energy, levels.degeneracy
         expected = 0.25 * graph.coupling_sum
         if degeneracy != graph.n_spins + 1:
             failures.append(f"{graph_id}: d={degeneracy} != {graph.n_spins + 1}")
@@ -230,11 +230,11 @@ def test_criterion_6_zero_entanglement_sweep():
 
 def test_criterion_7_detection_control():
     engine = GraphThermalEngine(make_graph(2, [(0, 1, 1.0)]))
-    levels = levels_at(engine, 0.0)
+    levels = Levels.at(engine.spectrum, 0.0)
     [[row]] = engine.pair_entries(levels, (0.0,))  # the one pair (0, 1)
     rho = XStateRDM(*row).matrix()
     value = concurrence_wootters(rho)
-    passed = abs(value - 1.0) <= 1e-10 and _ground(levels)[1] == 1
+    passed = abs(value - 1.0) <= 1e-10 and levels.degeneracy == 1
     report(7, "detection-control", passed, f" (singlet concurrence {value!r})")
 
 

@@ -242,3 +242,14 @@ class TestFigureData:
             figure2_data(5, 3)
         with pytest.raises(ValueError):
             figure1_data(1)
+
+
+def test_margin_ceiling_from_exact_rationals():
+    # the T -> 0, B > 0 pair state's ceiling: the one-magnon coherence against
+    # the two-magnon and all-down populations, gamma^2 / (alpha epsilon) = (N - 1) / (2N)
+    for n in range(2, 41):
+        ratio = symmetric_rdm_entries(n, 1).gamma ** 2 / (
+            symmetric_rdm_entries(n, 2).alpha * symmetric_rdm_entries(n, 0).epsilon
+        )
+        assert isinstance(ratio, Fraction)
+        assert ratio == Fraction(n - 1, 2 * n)

@@ -141,6 +141,12 @@ class TestSpectrumCommand:
         assert "overflow" in captured.err
         assert captured.out == ""
         assert not target.exists()
+        # sector n_up = 2 has S^z = 0: the field adds nothing, and its matrix is finite
+        assert run_cli("spectrum", "--ring", "4", "--dump-sector", "2",
+                       "--b-field", "1e308", *output) == 0
+        lines = (target.read_text() if to_file else capsys.readouterr().out).splitlines()
+        assert lines[0] == "# sector n_up=2, dimension 6, row-major"
+        assert np.isfinite([[float(x) for x in line.split(",")] for line in lines[1:]]).all()
 
     def test_dump_sector_matrix(self, capsys):
         assert run_cli("spectrum", "--ring", "4", "--dump-sector", "1") == 0
@@ -860,7 +866,7 @@ class TestVerifyCommand:
         # the built-in set makes 8 batches: per batch one engine, one zero-field level
         # table for both report suites and the universal T = 0 entries, and one table
         # and one entry call for the scan
-        calls = dict.fromkeys(["engines", "field_shifted", "eig_sym", "pair_entries"], 0)
+        calls = dict.fromkeys(["engines", "levels", "eig_sym", "pair_entries"], 0)
 
         def counting(name, function):
             def counted(*args, **kwargs):
@@ -870,12 +876,12 @@ class TestVerifyCommand:
 
         engine = ferroent.sweep.GraphThermalEngine
         for target, attribute, name in [(engine, "__init__", "engines"),
-                                        (ferroent.sweep, "field_shifted", "field_shifted"),
+                                        (ferroent.spectra.Levels, "at", "levels"),
                                         (ferroent.spectra, "eig_sym", "eig_sym"),
                                         (engine, "pair_entries", "pair_entries")]:
             monkeypatch.setattr(target, attribute, counting(name, getattr(target, attribute)))
         assert run_cli("verify", "--suite", "all") == 0
-        assert calls == {"engines": 8, "field_shifted": 16, "eig_sym": 28, "pair_entries": 16}
+        assert calls == {"engines": 8, "levels": 16, "eig_sym": 28, "pair_entries": 16}
 
     def test_large_graphs_form_batches_of_one(self):
         g12 = [random_graph(12, 0.4, (-2.0, -0.2), seed) for seed in (1, 2)]

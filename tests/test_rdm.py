@@ -5,10 +5,9 @@ from hypothesis import given, settings, strategies as st
 from ferroent.graphs import ChainParams, make_graph, random_graph, ring_chain
 from ferroent.hilbert import sector_basis
 from ferroent.rdm import pair_correlations
-from ferroent.spectra import central_stream
+from ferroent.spectra import Levels, central_stream
 from ferroent.sweep import GraphThermalEngine
 from oracles import (
-    levels_at,
     XStateRDM,
     concurrence_wootters,
     concurrence_wootters_raw,
@@ -201,7 +200,7 @@ class TestPairSymmetry:
         )
         concurrence = [
             concurrence_wootters(XStateRDM(*row).matrix())
-            for [row] in engine.pair_entries(levels_at(engine, 0.0), (0.9,))
+            for [row] in engine.pair_entries(Levels.at(engine.spectrum, 0.0), (0.9,))
         ]
         for k in range(len(pairs)):
             assert concurrence[k] == pytest.approx(concurrence[k + len(pairs)], abs=1e-12)

@@ -22,23 +22,19 @@ from ferroent.spectra import (
     SPIN_LABEL_TOL,
     SpinLabelError,
     central_stream,
+    CentralSpectrum,
+    Levels,
     eig_sym,
-    field_shifted,
     full_spectrum,
-    ground_gap,
-    window_gap_ratio,
 )
 from ferroent.sweep import (
     GraphThermalEngine,
-    _ground,
     _raw_concurrence,
-    _weights,
     builtin_graph_set,
 )
 from oracles import (
     build_sector_hamiltonian,
     central_eigenvectors,
-    levels_at,
     member_entries,
     sector_levels,
     sector_spectra,
@@ -182,7 +178,8 @@ class TestFullSpectrum:
         # holds +inf, is no level and lies outside the window
         g = TEST_GRAPHS[3]
         zero = full_spectrum(g)
-        shifted, lowest, window = field_shifted(zero.energies, zero.slots, 1.3)
+        levels = Levels.at(zero, 1.3)
+        shifted, lowest, window = levels.shifted, levels.lowest, levels.window
         members = shifted[zero.slots]
         assert lowest.tolist() == [[members.min()]]
         spread = members.max() - members.min()
@@ -199,14 +196,14 @@ class TestFullSpectrum:
 
     def test_ground_energy_is_quarter_coupling_sum(self):
         for g in TEST_GRAPHS:
-            energy, _ = _ground(levels_at(GraphThermalEngine(g), 0.0))
+            energy = Levels.at(GraphThermalEngine(g).spectrum, 0.0).ground_energy
             expected = 0.25 * g.coupling_sum
             assert abs(energy - expected) <= 1e-10 * max(1.0, abs(expected))
 
 
 def weights_at(engine, temperature, b_field=0.0):
     """The engine's weight table at one (T, B)."""
-    return _weights(levels_at(engine, b_field), engine.slots, (temperature,))[0]
+    return Levels.at(engine.spectrum, b_field).weights((temperature,))[0]
 
 
 class TestGroundSubspace:
@@ -218,24 +215,25 @@ class TestGroundSubspace:
 
     def test_ring5_has_six_states(self):
         engine = GraphThermalEngine(ring_chain(ChainParams(n_spins=5, g1=-1.0)))
-        assert _ground(levels_at(engine, 0.0))[1] == 6
+        assert Levels.at(engine.spectrum, 0.0).degeneracy == 6
 
     def test_disconnected_pair_of_triplets(self):
         g = make_graph(4, [(0, 1, -1.0), (2, 3, -1.0)])
-        assert _ground(levels_at(GraphThermalEngine(g), 0.0))[1] == 9
+        assert Levels.at(GraphThermalEngine(g).spectrum, 0.0).degeneracy == 9
 
     def test_connected_ferromagnets_have_n_plus_one(self):
         for g in TEST_GRAPHS:
-            assert _ground(levels_at(GraphThermalEngine(g), 0.0))[1] == g.n_spins + 1
+            assert Levels.at(GraphThermalEngine(g).spectrum, 0.0).degeneracy == g.n_spins + 1
 
     def test_window_absorbs_rounding_but_not_a_split_level(self):
         # relative to max(1, range): 1e-9 * 10 here
         # a table of one sector row, S^z = 0, whose four columns are all members
         energies, row = np.array([-2.0, -2.0 + 5e-9, -2.0 + 2e-8, 8.0]), np.ones((1, 4), bool)
-        _, _, window = field_shifted(energies, row, 0.0)
+        window = Levels.at(CentralSpectrum(energies, np.zeros(4), row), 0.0).window
         assert window.tolist() == [[True, True, False, False]]
         # the split level is 2e-8 above E0, 2 window widths of 1e-8
-        [ratio, none] = window_gap_ratio(field_shifted(np.stack([energies, np.zeros(4)]), row, 0.0))
+        stack = CentralSpectrum(np.stack([energies, np.zeros(4)]), np.zeros(4), row)
+        [ratio, none] = Levels.at(stack, 0.0).gap_ratio
         assert ratio == pytest.approx(2.0, rel=1e-6)
         assert none is None  # no level above the window
 
@@ -244,8 +242,8 @@ class TestGibbsWeights:
     def test_infinite_temperature_limit(self):
         engine = GraphThermalEngine(TEST_GRAPHS[0])
         weights = weights_at(engine, 1e12)
-        assert np.max(np.abs(weights[engine.slots] - 2.0**-4)) < 1e-9
-        assert np.all(weights[~engine.slots] == 0.0)  # an empty slot is no level
+        assert np.max(np.abs(weights[engine.spectrum.slots] - 2.0**-4)) < 1e-9
+        assert np.all(weights[~engine.spectrum.slots] == 0.0)  # an empty slot is no level
 
     def test_two_spin_boltzmann_ratio(self):
         # columns: singlet, triplet (S ascending); the central row n_up = 1 holds both; gap is 1
@@ -255,7 +253,7 @@ class TestGibbsWeights:
     def test_zero_temperature_delegates_to_ground_subspace(self):
         engine = GraphThermalEngine(ring_chain(ChainParams(n_spins=4, g1=-1.0)))
         weights = weights_at(engine, 0.0)
-        assert np.count_nonzero(weights) == _ground(levels_at(engine, 0.0))[1] == 5
+        assert np.count_nonzero(weights) == Levels.at(engine.spectrum, 0.0).degeneracy == 5
         assert weights[weights > 0.0] == pytest.approx([0.2] * 5)
 
     def test_continuity_near_zero(self):
@@ -268,17 +266,15 @@ class TestGibbsWeights:
     def test_negative_temperature_rejected(self):
         engine = GraphThermalEngine(EDGE)
         with pytest.raises(ValueError):
-            engine.pair_entries(levels_at(engine, 0.0), (-0.1,))
+            engine.pair_entries(Levels.at(engine.spectrum, 0.0), (-0.1,))
 
 
 def test_ground_gap_of_single_edge():
     spectrum = full_spectrum(EDGE)
     for b_field, gap in ((0.0, 1.0), (0.3, 0.3), (-1.5, 1.5)):  # the triplet splits by B
-        levels = field_shifted(spectrum.energies, spectrum.slots, b_field)
-        assert ground_gap(levels) == pytest.approx(gap)
+        assert Levels.at(spectrum, b_field).gap == pytest.approx(gap)
     free = full_spectrum(make_graph(3, []))
-    levels = field_shifted(free.energies, free.slots, 0.0)
-    assert ground_gap(levels) == 0.0  # no level above
+    assert Levels.at(free, 0.0).gap == 0.0  # no level above
 
 
 def _oracle_graphs():
@@ -317,7 +313,7 @@ class TestCentralSector:
         temperatures = (0.0, 0.3, 1.0, 5.0)
         for b_field in (0.0, 0.4, -1.1):
             expected = sector_thermal_entries(g, engine.pairs, temperatures, b_field)
-            entries = engine.pair_entries(levels_at(engine, b_field), temperatures)
+            entries = engine.pair_entries(Levels.at(engine.spectrum, b_field), temperatures)
             assert np.max(np.abs(entries.swapaxes(0, 1) - expected)) <= 1e-12
 
     @pytest.mark.parametrize("name, g", ORACLE_GRAPHS, ids=[name for name, _ in ORACLE_GRAPHS])
@@ -340,7 +336,7 @@ class TestCentralSector:
             assert len(values) == np.count_nonzero(spectrum.slots[n_up]) == comb(n, n_up)
         engine = GraphThermalEngine(g)
         for name in ("energies", "spin", "slots"):
-            assert np.array_equal(getattr(engine, name), getattr(spectrum, name))
+            assert np.array_equal(getattr(engine.spectrum, name), getattr(spectrum, name))
         assert engine.spin_residual <= SPIN_LABEL_TOL
         if g.is_ferromagnetic and is_connected(g):
             assert spin[np.argmin(energy)] == 0.5 * n
@@ -383,7 +379,7 @@ class TestCentralSector:
         temperatures = (0.0, 0.001, 0.01, 0.1)
         for b_field in (0.01, 0.1):
             expected = sector_thermal_entries(g, engine.pairs, temperatures, b_field)
-            entries = engine.pair_entries(levels_at(engine, b_field), temperatures)
+            entries = engine.pair_entries(Levels.at(engine.spectrum, b_field), temperatures)
             assert np.max(np.abs(entries.swapaxes(0, 1) - expected)) <= 1e-12
 
     def test_label_residual_fails_by_name(self, monkeypatch):
@@ -428,7 +424,7 @@ class TestCentralSector:
             n = g.n_spins
             engine = GraphThermalEngine(g)
             entries = member_entries(engine)  # every level's own
-            sectors = np.nonzero(engine.slots)[0]
+            sectors = np.nonzero(engine.spectrum.slots)[0]
             for n_up in (0, 1, n - 1, n):
                 block = entries[:, sectors == n_up]
                 if n_up < 2:
@@ -437,7 +433,7 @@ class TestCentralSector:
                     assert np.all(block[..., 4] == 0.0)
                 if n_up in (0, n):
                     assert np.all(block[..., 1:4] == 0.0)
-            polarized = engine.pair_entries(levels_at(engine, 0.8), (0.0,))
+            polarized = engine.pair_entries(Levels.at(engine.spectrum, 0.8), (0.0,))
             assert np.all(_raw_concurrence(polarized) == 0.0)
 
 
@@ -470,7 +466,7 @@ def test_zero_field_pair_states_are_werner_states(name, g):
     # other sectors must both keep that, for either order of a pair.
     pairs = g.pairs() + [(j, i) for i, j in g.pairs()]
     engine = GraphThermalEngine(g, pairs)
-    entries = engine.pair_entries(levels_at(engine, 0.0), (0.0, 0.3, 1.0, 5.0))
+    entries = engine.pair_entries(Levels.at(engine.spectrum, 0.0), (0.0, 0.3, 1.0, 5.0))
     alpha, beta, gamma, delta, epsilon = entries.T
     zz = 0.25 * (alpha + epsilon - beta - delta)
     c = gamma + zz
@@ -529,8 +525,8 @@ def test_one_chunk_per_spin_group_gives_the_same_engine(monkeypatch):
             assert np.array_equal(columns, np.arange(columns[0], columns[0] + len(columns)))
     chunked = GraphThermalEngine(graphs)
     assert np.max(chunked.spin_residual) <= SPIN_LABEL_TOL
-    assert np.array_equal(chunked.energies, whole.energies)
-    assert np.array_equal(chunked.spin, whole.spin)
+    assert np.array_equal(chunked.spectrum.energies, whole.spectrum.energies)
+    assert np.array_equal(chunked.spectrum.spin, whole.spectrum.spin)
     assert np.max(np.abs(member_entries(chunked) - member_entries(whole))) <= 1e-14
 
 
@@ -548,7 +544,7 @@ def test_engine_takes_the_level_table_of_the_solve_bit_for_bit():
         (GraphThermalEngine(three), batch),
     ):
         for name in ("energies", "spin", "slots"):
-            assert np.array_equal(getattr(engine, name), getattr(spectrum, name))
+            assert np.array_equal(getattr(engine.spectrum, name), getattr(spectrum, name))
     alone, single = central_stream([one], lambda positions, vectors: None), full_spectrum(one)
     assert np.array_equal(alone.energies[0], single.energies)
     for name in ("spin", "slots"):

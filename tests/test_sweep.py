@@ -19,14 +19,12 @@ from ferroent.graphs import (
     save_graph,
     star_graph,
 )
-from ferroent.spectra import field_shifted, full_spectrum
+from ferroent.spectra import Levels, full_spectrum
 from ferroent.sweep import (
     GeometrySpec,
     GraphThermalEngine,
     SweepConfig,
-    _ground,
     _raw_concurrence,
-    _weights,
     build_geometry,
     builtin_graph_set,
     run_sweep,
@@ -36,7 +34,6 @@ from ferroent.sweep import (
 )
 from oracles import (
     gibbs_terms,
-    levels_at,
     member_entries,
     pair_rdm_mixed,
     pair_rdm_pure,
@@ -498,24 +495,26 @@ class TestThermalEngine:
         stack = member_entries(batch)  # every level's own entries, from one-hot weight tables
         assert stack.shape == (3, 3, 64, 5)
         for b_field in (0.0, 0.6):
-            levels = levels_at(batch, b_field)
-            weights = _weights(levels, batch.slots, temperatures)
+            levels = Levels.at(batch.spectrum, b_field)
+            weights = levels.weights(temperatures)
             raw = _raw_concurrence(batch.pair_entries(levels, temperatures))
-            energies, degeneracies = _ground(levels)
+            energies, degeneracies = levels.ground_energy, levels.degeneracy
             for k, graph in enumerate(graphs):
                 single = GraphThermalEngine(graph, pairs)
-                single_levels = levels_at(single, b_field)
-                single_weights = _weights(single_levels, single.slots, temperatures)
+                single_levels = Levels.at(single.spectrum, b_field)
+                single_weights = single_levels.weights(temperatures)
                 assert np.array_equal(weights[k], single_weights)
                 single_raw = _raw_concurrence(single.pair_entries(single_levels, temperatures))
                 assert np.max(np.abs(raw[:, k] - single_raw)) <= 1e-15
-                assert (energies[k], degeneracies[k]) == _ground(single_levels)
-                assert np.array_equal(batch.energies[k], single.energies)
-                assert np.array_equal(batch.spin, single.spin)  # shared by the batch
-                assert np.array_equal(batch.slots, single.slots)
+                assert (energies[k], degeneracies[k]) == (single_levels.ground_energy,
+                                                          single_levels.degeneracy)
+                assert np.array_equal(batch.spectrum.energies[k], single.spectrum.energies)
+                # shared by the batch
+                assert np.array_equal(batch.spectrum.spin, single.spectrum.spin)
+                assert np.array_equal(batch.spectrum.slots, single.spectrum.slots)
                 assert batch.spin_residual[k] == single.spin_residual
                 assert np.max(np.abs(stack[:, k] - member_entries(single))) <= 1e-15
-        assert _ground(levels_at(batch, 0.0))[1] == [7, 16, 1]
+        assert Levels.at(batch.spectrum, 0.0).degeneracy.tolist() == [7, 16, 1]
 
     def test_batch_engine_needs_one_spin_count(self):
         with pytest.raises(ValueError, match="one spin count"):
@@ -528,9 +527,9 @@ class TestThermalEngine:
         spectra = sector_spectra(g)
         order = ascending_positions(full_spectrum(g))
         temperatures = (0.0, 0.3, 2.0)
-        tables = _weights(levels_at(engine, 0.0), engine.slots, temperatures)
+        tables = Levels.at(engine.spectrum, 0.0).weights(temperatures)
         for temperature, table in zip(temperatures, tables):
-            flat = table[engine.slots]  # the members, row-major
+            flat = table[engine.spectrum.slots]  # the members, row-major
             terms = gibbs_terms(spectra, temperature)
             lookup = {}
             position = 0
@@ -550,7 +549,7 @@ class TestThermalEngine:
         temperature, b_field = 0.8, 1.3
         spectra_b = sector_spectra(g, b_field=b_field)
         mixture = gibbs_terms(spectra_b, temperature)
-        entries = engine.pair_entries(levels_at(engine, b_field), (temperature,))
+        entries = engine.pair_entries(Levels.at(engine.spectrum, b_field), (temperature,))
         for pair, [row] in zip(pairs, entries):
             rho = pair_rdm_mixed(mixture, spectra_b, pair)
             state = x_state_from_matrix(rho)
@@ -565,11 +564,11 @@ class TestThermalEngine:
         g = random_graph(6, 0.5, (-2.0, -0.3), seed=23)
         everything = GraphThermalEngine(g)
         temperatures = (0.0, 0.7, 3.0)
-        rows = everything.pair_entries(levels_at(everything, 0.4), temperatures)
+        rows = everything.pair_entries(Levels.at(everything.spectrum, 0.4), temperatures)
         raws = _raw_concurrence(rows)
         for k, pair in enumerate(g.pairs()):
             single = GraphThermalEngine(g, [pair])
-            [row] = single.pair_entries(levels_at(single, 0.4), temperatures)
+            [row] = single.pair_entries(Levels.at(single.spectrum, 0.4), temperatures)
             assert np.array_equal(row, rows[k])
             assert np.array_equal(_raw_concurrence(row), raws[k])
 
@@ -583,7 +582,7 @@ class TestThermalEngine:
         engine = GraphThermalEngine(graphs, pairs)
         temperatures = (0.0, 0.05, 0.4, 1.0, 3.0, float(n_spins))
         for b_field in (0.0, 0.7):
-            levels = levels_at(engine, b_field)
+            levels = Levels.at(engine.spectrum, b_field)
             together = engine.pair_entries(levels, temperatures)
             for k, temperature in enumerate(temperatures):
                 alone = engine.pair_entries(levels, (temperature,))
@@ -603,7 +602,7 @@ class TestThermalEngine:
         order = ascending_positions(central)
         # each member's level and S^z, row-major
         energies = np.concatenate(sector_levels(central))
-        sz = np.nonzero(engine.slots)[0] - 0.5 * n_spins
+        sz = np.nonzero(engine.spectrum.slots)[0] - 0.5 * n_spins
         position = 0
         for spectrum, values in zip(sector_spectra(g), sector_levels(central)):
             for k in range(len(spectrum.eigenvalues)):
@@ -626,7 +625,7 @@ class TestThermalEngine:
                   random_graph(7, 0.5, (-2.0, -0.3), seed=9)):
             pairs = g.pairs() + [(b, a) for a, b in g.pairs()]
             engine = GraphThermalEngine(g, pairs)
-            entries = engine.pair_entries(levels_at(engine, b_field), (0.0,))[:, 0]
+            entries = engine.pair_entries(Levels.at(engine.spectrum, b_field), (0.0,))[:, 0]
             alpha, beta, gamma, delta, epsilon = entries.T
             empty, full = (alpha, epsilon) if b_field > 0 else (epsilon, alpha)
             for entry in (empty, beta, gamma, delta):
@@ -639,7 +638,7 @@ class TestThermalEngine:
         engine = GraphThermalEngine(g)
         temperatures = (0.0, 0.4, 2.5)
         for b_field in (0.0, 0.9, 3.0):
-            levels = levels_at(engine, b_field)
+            levels = Levels.at(engine.spectrum, b_field)
             batched = _raw_concurrence(engine.pair_entries(levels, temperatures))
             assert batched.shape == (len(engine.pairs), len(temperatures))
             for column, temperature in zip(batched.T, temperatures):
@@ -653,11 +652,12 @@ class TestThermalEngine:
         for record in records:
             g = build_geometry(GeometrySpec(kind="ring"), 4, -1.0, record["g2"], 0.0)
             engine = engines.setdefault(record["g2"], GraphThermalEngine(g))
-            levels = levels_at(engine, record["b"])
+            levels = Levels.at(engine.spectrum, record["b"])
             raw = _raw_concurrence(engine.pair_entries(levels, (record["t"],)))[:, 0]
             assert [[i, j] for i, j, _ in record["pairs"]] == [list(p) for p in engine.pairs]
             assert np.max(np.abs([r for _, _, r in record["pairs"]] - raw)) <= 1e-15
-            assert (record["ground_energy"], record["ground_degeneracy"]) == _ground(levels)
+            assert (record["ground_energy"], record["ground_degeneracy"]) == (
+                levels.ground_energy, levels.degeneracy)
 
     def test_field_weights_rows_equal_per_point_weights_bitwise(self):
         # one weight row per temperature at a fixed field must be bit for bit
@@ -665,14 +665,15 @@ class TestThermalEngine:
         g = open_chain(ChainParams(n_spins=6, g1=-1.0, g2=-0.7, periodic=False))
         engine = GraphThermalEngine(g)
         temperatures = (0.0, 1e-3, 0.4, 2.5, 6.0)
-        sectors, columns = np.nonzero(engine.slots)  # the members, row-major
+        slots, energies = engine.spectrum.slots, engine.spectrum.energies
+        sectors, columns = np.nonzero(slots)  # the members, row-major
         for b_field in (0.0, 0.9, -3.0):
-            levels = levels_at(engine, b_field)
-            rows = _weights(levels, engine.slots, temperatures)
-            shifted = engine.energies[columns] + b_field * (sectors - 0.5 * engine.graph.n_spins)
+            levels = Levels.at(engine.spectrum, b_field)
+            rows = levels.weights(temperatures)
+            shifted = energies[columns] + b_field * (sectors - 0.5 * engine.graph.n_spins)
             for temperature, table in zip(temperatures, rows):
-                row = table[engine.slots]
-                assert np.all(table[~engine.slots] == 0.0)
+                row = table[slots]
+                assert np.all(table[~slots] == 0.0)
                 if temperature == 0.0:
                     spread = shifted.max() - shifted.min()
                     members = shifted <= shifted.min() + 1e-9 * max(1.0, spread)
@@ -681,20 +682,20 @@ class TestThermalEngine:
                     factors = np.exp(-(shifted - float(shifted.min())) / temperature)
                     expected = factors / factors.sum()
                 assert np.array_equal(row, expected)
-                assert np.array_equal(table, _weights(levels, engine.slots, (temperature,))[0])
+                assert np.array_equal(table, levels.weights((temperature,))[0])
 
     def test_field_weights_reject_negative_and_nan(self):
         engine = GraphThermalEngine(make_graph(2, [(0, 1, -1.0)]))
         for bad in (-0.1, float("nan")):
             with pytest.raises(ValueError, match="temperature"):
-                engine.pair_entries(levels_at(engine, 0.0), (0.0, bad, 1.0))
+                engine.pair_entries(Levels.at(engine.spectrum, 0.0), (0.0, bad, 1.0))
 
     @pytest.mark.parametrize("field", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_field_rejected(self, field):
         graph = make_graph(2, [(0, 1, -1.0)])
-        for table in (GraphThermalEngine(graph), full_spectrum(graph)):
+        for table in (GraphThermalEngine(graph).spectrum, full_spectrum(graph)):
             with pytest.raises(ValueError, match="field must be finite"):
-                field_shifted(table.energies, table.slots, field)
+                Levels.at(table, field)
 
     def test_non_finite_field_grid_writes_no_record(self):
         # refused when the config loads, so no sweep can start on it
@@ -707,9 +708,10 @@ class TestThermalEngine:
     def test_ground_info_with_field_splits_multiplet(self):
         g = ring_chain(ChainParams(n_spins=4, g1=-1.0))
         engine = GraphThermalEngine(g)
-        energy_zero, degeneracy_zero = _ground(levels_at(engine, 0.0))
+        zero, field = Levels.at(engine.spectrum, 0.0), Levels.at(engine.spectrum, 1.0)
+        energy_zero, degeneracy_zero = zero.ground_energy, zero.degeneracy
         assert degeneracy_zero == 5
-        energy_field, degeneracy_field = _ground(levels_at(engine, 1.0))
+        energy_field, degeneracy_field = field.ground_energy, field.degeneracy
         assert degeneracy_field == 1
         assert energy_field == pytest.approx(energy_zero - 2.0)  # all-down wins
 
@@ -725,12 +727,13 @@ def _degeneracy(graph, graph_id):
 
 
 def _doctor_engines(monkeypatch, name, edit):
-    """Make ``verify`` build engines whose attribute ``name`` is ``edit`` of the built one."""
+    """Make ``verify`` build engines whose spectrum's ``name`` is ``edit`` of the built one."""
 
     class Doctored(GraphThermalEngine):
         def __init__(self, graphs):
             super().__init__(graphs)
-            setattr(self, name, edit(getattr(self, name)))
+            edited = {name: edit(getattr(self.spectrum, name))}
+            self.spectrum = dataclasses.replace(self.spectrum, **edited)
 
     monkeypatch.setattr(ferroent.sweep, "GraphThermalEngine", Doctored)
 
@@ -840,10 +843,10 @@ class TestGroundSpin:
         # outside the window, the second inside with all 2S + 1 of its members
         graph = ring_chain(ChainParams(n_spins=5, g1=-1.0))
         engine = GraphThermalEngine([graph])
-        energies = engine.energies
+        energies = engine.spectrum.energies
         e_min, width = energies.min(), 1e-9 * (energies.max() - energies.min())
         excited = np.flatnonzero(energies[0] > e_min + 1e-3)[0]
-        members = int(2 * engine.spin[excited] + 1)
+        members = int(2 * engine.spectrum.spin[excited] + 1)
         for split, ratio, degeneracy in ((1.2, 1.2, 6), (0.8, None, 6 + members)):
             injected = energies.copy()
             injected[0, excited] = e_min + split * width
