@@ -30,10 +30,12 @@ by construction and takes its group's S as its label.
 
 The eigenvectors are never held all at once.  Given a consumer,
 ``central_stream`` carries them back in chunks of whole S groups, at
-most _CHUNK_ELEMENTS entries each (one chunk up to N = 11, four at
-N = 12, about one per S at N = 13 and 14), and hands each chunk to the
-consumer before it carries back the next: the thermal engine reduces
-each chunk to pair correlations, and checks the labels from them.
+most _CHUNK_ELEMENTS entries each (one chunk up to N = 11, two at
+N = 12, six at N = 14, about one per S at N = 13), and hands each chunk
+to the consumer before it carries back the next: the thermal engine
+reduces each chunk to pair correlations, and checks the labels from
+them.  For even N a chunk holds only the first halves x, with their flip
+parities: [x; p x[::-1]] / sqrt(2) is never written out.
 ``full_spectrum`` passes none and forms no eigenvector: ``eigh``'s
 rotation stays inside one S group, so its labels are right exactly when
 ``central_spin_basis(N)`` is, which depends on N alone.  So a
@@ -243,51 +245,56 @@ def _stacked_blocks(graphs: Sequence[SpinGraph], basis: SectorBasis) -> Iterator
 
 
 def _carry_back(
-    n: int, count: int, groups: list, consume: Callable[[np.ndarray, np.ndarray], None]
+    n: int, count: int, groups: list,
+    consume: Callable[[np.ndarray, np.ndarray, np.ndarray | None], None],
 ) -> None:
     """Carry a batch's eigenvectors back to the central sector and hand them over, chunk by chunk.
 
     ``groups`` holds (parity, columns, rotation) per S group in solve
     order, a rotation (G, k, k) for the batch's G = ``count`` graphs; each
-    is popped, so its rotation is dropped once carried back.  The chunks
-    are whole S groups, at most _CHUNK_ELEMENTS entries each unless one
-    group is larger, and each is passed as ``consume(positions,
-    vectors)``, with ``vectors`` (dim, G * k), graph by graph, and
+    is popped, so its rotation is dropped once carried back.  Each chunk
+    is passed as ``consume(positions, vectors, flips)``: ``vectors``
+    (rows, G * k) holds columns @ rotation, graph by graph, and
     ``positions`` (G * k) the columns' numbers in the batch's solve-order
     columns side by side (column k of graph j is j * dim + k), ascending
-    and contiguous per graph.  No chunk is kept: the eigenvector matrix
-    is never formed.
+    and contiguous per graph.  Odd N: ``vectors`` are the central
+    eigenvectors, dim rows, and ``flips`` is None.  Even N: ``vectors``
+    are the first halves x of the eigenvectors [x; p x[::-1]] / sqrt(2),
+    dim / 2 rows, and ``flips`` (G * k) holds each column's flip parity
+    p = +-1.0.  The chunks are whole S groups, at most _CHUNK_ELEMENTS
+    entries of ``vectors`` each unless one group is larger.  No chunk is
+    kept: the eigenvector matrix is never formed.
     """
     dim = comb(n, n // 2)
+    rows = dim if n % 2 else dim // 2
     start = 0
     while groups:
         # whole S groups while the chunk stays within the budget, and one at least
         chunk = [groups.pop(0)]
         width = chunk[0][2].shape[-1]
-        while groups and dim * count * (width + groups[0][2].shape[-1]) <= _CHUNK_ELEMENTS:
+        while groups and rows * count * (width + groups[0][2].shape[-1]) <= _CHUNK_ELEMENTS:
             width += groups[0][2].shape[-1]
             chunk.append(groups.pop(0))
-        vectors = np.empty((dim, count, width))
+        vectors = np.empty((rows, count, width))
+        flips = np.empty((count, width))
         offset = 0
         for parity, columns, turn in chunk:
-            target = vectors[:, :, offset : offset + turn.shape[-1]]
-            offset += turn.shape[-1]
             # the product goes straight into the chunk: (rows, G, k) seen as (G, rows, k)
-            upper = target[: len(columns)]
-            np.matmul(columns, turn, out=upper.transpose(1, 0, 2))
-            if n % 2:
-                continue
-            upper *= np.sqrt(0.5)
-            np.multiply(upper[::-1], -1.0 if parity else 1.0, out=target[dim // 2 :])
+            target = vectors[:, :, offset : offset + turn.shape[-1]]
+            np.matmul(columns, turn, out=target.transpose(1, 0, 2))
+            flips[:, offset : offset + turn.shape[-1]] = -1.0 if parity else 1.0
+            offset += turn.shape[-1]
         del chunk
         positions = start + np.arange(width) + dim * np.arange(count)[:, None]
-        consume(positions.reshape(-1), vectors.reshape(dim, count * width))
+        consume(positions.reshape(-1), vectors.reshape(rows, count * width),
+                None if n % 2 else flips.reshape(-1))
         del vectors
         start += width
 
 
 def central_stream(
-    graphs: Sequence[SpinGraph], consume: Callable[[np.ndarray, np.ndarray], None] | None = None
+    graphs: Sequence[SpinGraph],
+    consume: Callable[[np.ndarray, np.ndarray, np.ndarray | None], None] | None = None,
 ) -> CentralSpectrum:
     """Solve a batch's central blocks and hand their eigenvectors to ``consume``, chunk by chunk.
 
@@ -297,8 +304,10 @@ def central_stream(
     column's S is its block's.  Each parity block is built just before its
     S groups are projected and dropped before the other is built.  Every
     step acts on each graph's matrices alone, as for one graph.  With a
-    ``consume``, the eigenvectors are then carried back (``_carry_back``);
-    without one, no eigenvector is formed.
+    ``consume``, the eigenvectors are then carried back and handed over
+    as ``consume(positions, vectors, flips)`` (``_carry_back``): for even
+    N the first halves and flip parities, for odd N the whole vectors and
+    None; without one, no eigenvector is formed.
 
     Returns the batch's ``CentralSpectrum``.  Raises ValueError for mixed
     spin counts or N > N_SPINS_CAP, and SpinLabelError if a sector would

@@ -89,7 +89,6 @@ from .graphs import (
     ring_chain,
     star_graph,
 )
-from .hilbert import sector_basis
 from .rdm import pair_correlations
 from .spectra import (
     N_SPINS_CAP,
@@ -306,9 +305,10 @@ class GraphThermalEngine:
     shared, and every quantity is still computed from its own graph alone.
 
     ``spectra.central_stream`` hands over the central eigenvectors, a
-    batch's side by side, one chunk of S groups at a time: each chunk is
-    reduced to the pair correlations c = <S_a . S_b> and
-    zz = <S^z_a S^z_b> (``rdm.pair_correlations``), of the engine's pairs
+    batch's side by side, one chunk of S groups at a time (for even N
+    their first halves and flip parities): each chunk is reduced to the
+    pair correlations c = <S_a . S_b> and zz = <S^z_a S^z_b>
+    (``rdm.pair_correlations``, on the halves alone), of the engine's pairs
     and, summed into <S . S_a> per site, of all pairs, written to its
     solve-order columns, and dropped, so no eigenvector matrix outlives
     its chunk.  Every member |S, M> of a multiplet, the central one too,
@@ -351,8 +351,7 @@ class GraphThermalEngine:
         self.pairs = tuple(self.graph.pairs() if pairs is None else pairs)
         n = self.graph.n_spins
         _check_pairs(self.pairs, n)
-        basis = sector_basis(n, n // 2)
-        count, dim = len(self.graphs), len(basis)
+        count, dim = len(self.graphs), comb(n, n // 2)
         all_pairs = self.graph.pairs()
         position = {pair: k for k, pair in enumerate(all_pairs)}
         rows = [position[min(a, b), max(a, b)] for a, b in self.pairs]
@@ -361,9 +360,9 @@ class GraphThermalEngine:
         c, zz = np.empty((2, len(self.pairs), count * dim))
         along = np.empty((n, count * dim))
 
-        def reduce(positions: np.ndarray, vectors: np.ndarray) -> None:
+        def reduce(positions: np.ndarray, vectors: np.ndarray, flips: np.ndarray | None) -> None:
             """Reduce one chunk of central eigenvectors to its columns of the arrays above."""
-            c_all, zz_all = pair_correlations(basis, vectors)  # every pair a < b
+            c_all, zz_all = pair_correlations(n, vectors, flips)  # every pair a < b
             chunk_along = np.full((n, len(positions)), 0.75)
             for k, (a, b) in enumerate(all_pairs):
                 chunk_along[a] += c_all[k]

@@ -27,6 +27,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 SPECTRA, SWEEP, CLI = "src/ferroent/spectra.py", "src/ferroent/sweep.py", "src/ferroent/cli.py"
+RDM = "src/ferroent/rdm.py"
 
 # (name, file, old text, new text, test ids that must fail)
 MUTANTS = (
@@ -209,11 +210,29 @@ MUTANTS = (
         ["tests/test_spectra.py::TestCentralSector::test_kinematic_zeros_are_exact"],
     ),
     (
-        "flip-parity sign of the lower half",
+        "flip parity handed to the consumer with the wrong sign",
         SPECTRA,
-        "np.multiply(upper[::-1], -1.0 if parity else 1.0, out=target[dim // 2 :])",
-        "np.multiply(upper[::-1], 1.0 if parity else -1.0, out=target[dim // 2 :])",
+        "flips[:, offset : offset + turn.shape[-1]] = -1.0 if parity else 1.0",
+        "flips[:, offset : offset + turn.shape[-1]] = 1.0 if parity else -1.0",
         ["tests/test_sweep.py::TestThermalEngine::test_stack_matches_oracle_on_every_sector"],
+    ),
+    (
+        "coherence with spin N - 1 scaled by p, not p/2",
+        RDM,
+        "c[second == n - 1] *= 0.5 * flips",
+        "c[second == n - 1] *= flips",
+        ["tests/test_rdm.py::TestPairCorrelations::test_matches_the_per_eigenstate_entries[N2]",
+         "tests/test_rdm.py::TestPairCorrelations::test_matches_the_per_eigenstate_entries"
+         "[N8-batch]"],
+    ),
+    (
+        "complement of the lowered row taken over N bits, not N - 1",
+        RDM,
+        "np.searchsorted(masks, ((1 << (n_spins - 1)) - 1) ^ below)",
+        "np.searchsorted(masks, ((1 << n_spins) - 1) ^ below)",
+        ["tests/test_rdm.py::TestPairCorrelations::test_matches_the_per_eigenstate_entries[N2]",
+         "tests/test_rdm.py::TestPairCorrelations::test_matches_the_per_eigenstate_entries"
+         "[N8-batch]"],
     ),
     (
         "engine spin residual not checked",
@@ -226,7 +245,7 @@ MUTANTS = (
         "full_spectrum carries back its eigenvectors",
         SPECTRA,
         "batch = central_stream([graph])",
-        "batch = central_stream([graph], lambda positions, vectors: None)",
+        "batch = central_stream([graph], lambda *chunk: None)",
         ["tests/test_spectra.py::TestFullSpectrum::test_forms_no_eigenvector"],
     ),
     (

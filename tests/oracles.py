@@ -151,13 +151,17 @@ def central_eigenvectors(graph: SpinGraph) -> tuple[CentralSpectrum, np.ndarray]
 
     The package never holds them at once; this collects the chunks of
     ``spectra.central_stream`` into the (dim, dim) matrix whose column k
-    is solve-order column k of the spectrum's level table.
+    is solve-order column k of the spectrum's level table.  For even N a
+    chunk holds first halves x and flip parities p, and each column is
+    rebuilt here as [x; p x[::-1]] / sqrt(2).
     """
     n = graph.n_spins
     dim = comb(n, n // 2)
     matrix = np.full((dim, dim), np.nan)
 
-    def collect(positions: np.ndarray, vectors: np.ndarray) -> None:
+    def collect(positions: np.ndarray, vectors: np.ndarray, flips) -> None:
+        if flips is not None:
+            vectors = np.vstack([vectors, flips * vectors[::-1]]) / np.sqrt(2.0)
         matrix[:, positions] = vectors
 
     batch = central_stream([graph], collect)

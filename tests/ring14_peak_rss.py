@@ -12,12 +12,15 @@ arguments), because ``resource.getrusage`` reports a process high-water
 mark.  Each child runs its command through ``cli.main`` with its output
 captured, reads the mark (kilobytes on Linux), prints it and exits 1
 above its limit or if the command fails.  The central solve streams its
-eigenvectors one spin block at a time, so with one BLAS thread ``rdm``
-peaks near 141 MB (219 MB when the sorted 3432 x 3432 eigenvector matrix
-was formed) and ``verify``, whose engine holds all 91 pairs, near 146 MB
-(182 MB while the engine kept an entry stack of all pairs and states);
-both peaks sit where the 1001-column S group is carried back (142 and
-146 MB with two BLAS threads).  The limits are about 10% above them.
+eigenvectors one spin block at a time, and hands over only their first
+halves (1716 rows), so with one BLAS thread ``rdm`` peaks at
+123.2-123.4 MB (141 MB with both halves carried back, 219 MB when the
+sorted 3432 x 3432 eigenvector matrix was formed) and ``verify``, whose
+engine holds all 91 pairs, at 124.8-125.6 MB (146 MB with both halves,
+182 MB while the engine kept an entry stack of all pairs and states);
+with two BLAS threads 123.4-123.7 and 123.6-124.5 MB.  The limits are
+about 10% above them, and below the peaks with both halves.  Run it
+with OPENBLAS_NUM_THREADS set to 1 or 2, the counts they were measured at.
 """
 
 import contextlib
@@ -33,8 +36,8 @@ from ferroent import cli
 
 # (command, limit in MB); "{graph}" stands for the ring-14 graph file
 CHECKS = (
-    (["rdm", "--ring", "14", "--pair", "0", "3", "-T", "1"], 157.0),
-    (["verify", "--graph", "{graph}", "--suite", "all"], 161.0),
+    (["rdm", "--ring", "14", "--pair", "0", "3", "-T", "1"], 136.0),
+    (["verify", "--graph", "{graph}", "--suite", "all"], 138.0),
 )
 
 

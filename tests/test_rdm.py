@@ -1,7 +1,10 @@
+from math import comb
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ferroent.spectra
 from ferroent.graphs import ChainParams, make_graph, random_graph, ring_chain
 from ferroent.hilbert import sector_basis
 from ferroent.rdm import pair_correlations
@@ -254,30 +257,56 @@ CORRELATION_BATCHES = {
 }
 
 
+def check_stream(graphs):
+    """Check each chunk the solve streams against the per-eigenstate oracle.
+
+    c = gamma + zz and zz = (alpha + epsilon - beta - delta) / 4 of the
+    oracle's entries, for every pair a < b and every central eigenvector,
+    each rebuilt from an even-N chunk's half x and parity p as
+    [x; p x[::-1]] / sqrt(2).  Returns each chunk's (positions, flips).
+    """
+    n = graphs[0].n_spins
+    basis = sector_basis(n, n // 2)
+    pairs = graphs[0].pairs()
+    seen = []
+
+    def check(positions, vectors, flips):
+        c, zz = pair_correlations(n, vectors, flips)
+        assert c.shape == zz.shape == (len(pairs), vectors.shape[1])
+        if flips is not None:
+            vectors = np.vstack([vectors, flips * vectors[::-1]]) / np.sqrt(2.0)
+        alpha, beta, gamma, delta, epsilon = np.moveaxis(
+            eigenstate_pair_entries(basis, vectors, pairs), 2, 0
+        )
+        expected = 0.25 * (alpha + epsilon - beta - delta)
+        assert np.max(np.abs(zz - expected)) <= 1e-14
+        assert np.max(np.abs(c - (gamma + expected))) <= 1e-14
+        seen.append((positions, flips))
+
+    central_stream(graphs, check)
+    return seen
+
+
 class TestPairCorrelations:
     @pytest.mark.parametrize("name", CORRELATION_BATCHES)
     def test_matches_the_per_eigenstate_entries(self, name):
-        # c = gamma + zz and zz = (alpha + epsilon - beta - delta) / 4 of the
-        # oracle's entries, for every pair a < b and every central eigenvector
         graphs = CORRELATION_BATCHES[name]
         n = graphs[0].n_spins
-        basis = sector_basis(n, n // 2)
-        pairs = graphs[0].pairs()
-        columns = []
+        positions = np.concatenate([positions for positions, _ in check_stream(graphs)])
+        assert sorted(positions.tolist()) == list(range(len(graphs) * comb(n, n // 2)))
 
-        def check(positions, vectors):
-            c, zz = pair_correlations(basis, vectors)
-            assert c.shape == zz.shape == (len(pairs), vectors.shape[1])
-            alpha, beta, gamma, delta, epsilon = np.moveaxis(
-                eigenstate_pair_entries(basis, vectors, pairs), 2, 0
-            )
-            expected = 0.25 * (alpha + epsilon - beta - delta)
-            assert np.max(np.abs(zz - expected)) <= 1e-14
-            assert np.max(np.abs(c - (gamma + expected))) <= 1e-14
-            columns.append(vectors.shape[1])
-
-        central_stream(graphs, check)
-        assert sum(columns) == len(graphs) * len(basis)
+    def test_even_n_chunks_that_mix_flip_parities(self, monkeypatch):
+        # two N = 10 graphs, 126 half rows, S groups of 42, 90, 75, 35, 9 and 1
+        # columns per graph with parities -, +, -, +, -, +: a budget of 132
+        # columns a graph puts S = 0 and 1 in one chunk and S = 2 to 5 in another
+        graphs = [random_graph(10, 0.4, (-2.0, -0.2), seed=seed) for seed in (3, 8)]
+        monkeypatch.setattr(ferroent.spectra, "_CHUNK_ELEMENTS", 126 * 2 * 132)
+        seen = check_stream(graphs)
+        assert len(seen) == 2
+        assert sorted(np.concatenate([positions for positions, _ in seen]).tolist()) == list(
+            range(2 * comb(10, 5)))
+        for _, flips in seen:
+            assert set(flips.tolist()) == {1.0, -1.0}
 
 
 class TestValidateRdm:

@@ -516,7 +516,7 @@ def test_one_chunk_per_spin_group_gives_the_same_engine(monkeypatch):
     whole = GraphThermalEngine(graphs)
     monkeypatch.setattr(ferroent.spectra, "_CHUNK_ELEMENTS", 1)
     seen = []
-    central_stream(graphs, lambda positions, vectors: seen.append(positions))
+    central_stream(graphs, lambda positions, vectors, flips: seen.append(positions))
     assert len(seen) == len(ferroent.spectra.central_spin_basis(6))
     assert sorted(np.concatenate(seen).tolist()) == list(range(2 * comb(6, 3)))
     # each graph's columns of a chunk arrive ascending and contiguous, in solve order
@@ -530,12 +530,32 @@ def test_one_chunk_per_spin_group_gives_the_same_engine(monkeypatch):
     assert np.max(np.abs(member_entries(chunked) - member_entries(whole))) <= 1e-14
 
 
+@pytest.mark.parametrize("n", [6, 7, 8, 9])
+def test_stream_hands_over_half_rows_and_flip_parities_for_even_n(n):
+    # even N: the first halves x of the eigenvectors [x; p x[::-1]] / sqrt(2),
+    # C(N, N/2) / 2 rows, with p = (-1)^(N/2 - S) per column; odd N: the whole
+    # eigenvectors and no parities
+    graphs = [ring_chain(ChainParams(n_spins=n, g1=-1.0, g2=g2)) for g2 in (0.0, 0.5)]
+    dim = comb(n, n // 2)
+    chunks = []
+    spectrum = central_stream(graphs, lambda *chunk: chunks.append(chunk))
+    for positions, vectors, flips in chunks:
+        assert vectors.shape == (dim // 2 if n % 2 == 0 else dim, len(positions))
+        if n % 2:
+            assert flips is None
+            continue
+        spin = spectrum.spin[positions % dim]
+        assert np.array_equal(flips, np.where((n // 2 - spin) % 2, -1.0, 1.0))
+        # each half has unit norm, as [x; p x[::-1]] / sqrt(2) has
+        assert np.allclose(np.sum(vectors * vectors, axis=0), 1.0, atol=1e-12)
+
+
 def test_engine_takes_the_level_table_of_the_solve_bit_for_bit():
     # one graph and a batch of three N = 6 graphs: the engine's level table is
     # the solve's, and a batch of one is full_spectrum with the axis in front
     one = TEST_GRAPHS[3]
     three = [TEST_GRAPHS[1], TEST_GRAPHS[2], ring_chain(ChainParams(n_spins=6, g1=-1.0, g2=0.4))]
-    batch = central_stream(three, lambda positions, vectors: None)
+    batch = central_stream(three, lambda *chunk: None)
     assert batch.energies.shape == (3, 20)
     # the labels and the mask depend on N alone: the batch shares them
     assert batch.spin.shape == (20,) and batch.slots.shape == (7, 20)
@@ -545,7 +565,7 @@ def test_engine_takes_the_level_table_of_the_solve_bit_for_bit():
     ):
         for name in ("energies", "spin", "slots"):
             assert np.array_equal(getattr(engine.spectrum, name), getattr(spectrum, name))
-    alone, single = central_stream([one], lambda positions, vectors: None), full_spectrum(one)
+    alone, single = central_stream([one], lambda *chunk: None), full_spectrum(one)
     assert np.array_equal(alone.energies[0], single.energies)
     for name in ("spin", "slots"):
         assert np.array_equal(getattr(alone, name), getattr(single, name))
@@ -553,15 +573,16 @@ def test_engine_takes_the_level_table_of_the_solve_bit_for_bit():
             assert np.array_equal(getattr(batch, name), getattr(full_spectrum(graph), name))
 
 
-@pytest.mark.parametrize("build, bound_mb", [(full_spectrum, 11.0), (GraphThermalEngine, 14.0)])
+@pytest.mark.parametrize("build, bound_mb", [(full_spectrum, 11.0), (GraphThermalEngine, 10.0)])
 def test_ring_12_memory_peak(build, bound_mb):
     # tracemalloc peak from cold caches.  The solve streams its eigenvectors
-    # in chunks and the engine reduces each chunk to pair correlations, so
-    # neither holds the (924 x 924) eigenvector matrix: 8.9 MB for the spectrum
-    # and 10.4 MB for the all-pairs engine, which keeps six coefficients per
-    # pair and central column, against 19.5 and 27.0 MB with the matrix formed
-    # and 18.2 MB with an entry stack of all pairs and states (66 x 4096 x 5);
-    # the bounds leave 24% and 35%
+    # in chunks, for even N their first halves alone, and the engine reduces
+    # each chunk to pair correlations, so neither holds the (924 x 924)
+    # eigenvector matrix: 6.2 MiB for the spectrum and 8.6 MiB for the
+    # all-pairs engine, which keeps six coefficients per pair and central
+    # column (9.5 MiB with both halves carried back), against 19.5 and 27.0 MB
+    # with the matrix formed and 18.2 MB with an entry stack of all pairs and
+    # states (66 x 4096 x 5); the bounds leave 77% and 16%
     g = ring_chain(ChainParams(n_spins=12, g1=-1.0))
     for cache in (sector_basis, central_spin_basis, ferroent.rdm._pair_tables):
         cache.cache_clear()
